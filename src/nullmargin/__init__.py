@@ -34,7 +34,6 @@ from .mining import (
     NeighborSets,
     PseudoClass,
     build_anchor_context,
-    fit_secondary,
     k_reciprocal,
     knn,
     mine_pseudo_classes,
@@ -78,7 +77,6 @@ __all__ = [
     "fit_nfst",
     "fit_nk3ml",
     "fit_nkmmc",
-    "fit_secondary",
     "generate_synthetic",
     "gram",
     "k_reciprocal",

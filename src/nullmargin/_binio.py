@@ -28,9 +28,6 @@ class Writer:
     def u64(self, value: int) -> None:
         self.raw(struct.pack("<Q", value))
 
-    def i64(self, value: int) -> None:
-        self.raw(struct.pack("<q", value))
-
     def f64(self, value: float) -> None:
         self.raw(struct.pack("<d", value))
 
@@ -45,10 +42,13 @@ class Writer:
 
 
 class Reader:
-    """Cursor over a byte buffer; raises DataFormatError on truncation."""
+    """Cursor over a byte buffer; raises DataFormatError on truncation.
+
+    Reads return views into the buffer, so large arrays are not copied twice.
+    """
 
     def __init__(self, data: bytes, context: str = "binary data"):
-        self._data = data
+        self._data = memoryview(data)
         self._pos = 0
         self._context = context
 
@@ -56,7 +56,7 @@ class Reader:
     def remaining(self) -> int:
         return len(self._data) - self._pos
 
-    def raw(self, size: int) -> bytes:
+    def raw(self, size: int) -> memoryview:
         if size < 0 or self.remaining < size:
             raise DataFormatError(
                 f"truncated {self._context}: needed {size} bytes at offset "
@@ -65,9 +65,6 @@ class Reader:
         out = self._data[self._pos:self._pos + size]
         self._pos += size
         return out
-
-    def skip(self, size: int) -> None:
-        self.raw(size)
 
     def _unpack(self, fmt: str):
         (value,) = struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
@@ -84,9 +81,6 @@ class Reader:
 
     def u64(self) -> int:
         return self._unpack("<Q")
-
-    def i64(self) -> int:
-        return self._unpack("<q")
 
     def f64(self) -> float:
         return self._unpack("<d")

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,7 @@ _DATA_ERRORS = (
     FileNotFoundError,
 )
 _NUMERICAL_ERRORS = (
+    SelfTrainingError,
     EmptyModelError,
     NumericalError,
     UndefinedFisherValueError,
@@ -84,21 +86,42 @@ def derive_seed(master: int, label: str) -> int:
 # Run configuration: defaults, config file, flag overrides
 # ---------------------------------------------------------------------------
 
-_CONFIG_DEFAULTS = {
-    "run.input": None,
-    "run.output": None,
-    "run.mode": "semi_supervised",
-    "run.seed": 0,
-    "run.threads": None,
-    "run.ranks": "1,5,10,20",
-    "split.labeled_fraction": "1/3",
-    "split.trials": 10,
-    "loop.k": 1,
-    "loop.quantile": 0.25,
-    "loop.max_iterations": 20,
-    "loop.min_new_classes": 1,
-    "kernel.kind": "rbf",
-    "kernel.bandwidth": "auto",
+def _parse_ranks(value: str) -> tuple[int, ...]:
+    ranks = tuple(int(part) for part in value.replace(" ", "").split(","))
+    if any(n < 1 for n in ranks):
+        raise ValueError("ranks must be positive integers")
+    return ranks
+
+
+def _parse_bandwidth(value: str) -> float | str:
+    return "auto" if value == "auto" else float(value)
+
+
+class _Setting(NamedTuple):
+    default: str | None         # config-file syntax; None: required or resolved later
+    parse: Callable[[str], object]
+    flag: str                   # `run` flag; it overrides the config file
+    help: str | None = None
+
+
+# Every `run` setting, by config key.
+_RUN_KEYS = {
+    "run.input": _Setting(None, Path, "--input", "dataset file (.csv or binary)"),
+    "run.output": _Setting(None, Path, "--output", "output directory"),
+    "run.mode": _Setting("semi_supervised", str, "--mode", "labeled_only, semi_supervised or both"),
+    "run.seed": _Setting("0", int, "--seed"),
+    "run.threads": _Setting(None, int, "--threads", "trial parallelism (env NULLMARGIN_THREADS)"),
+    "run.ranks": _Setting(
+        "1,5,10,20", _parse_ranks, "--ranks", "comma-separated CMC ranks, e.g. 1,5,10,20"
+    ),
+    "split.labeled_fraction": _Setting("1/3", Fraction, "--labeled-fraction", "e.g. 1/3 or 0.25"),
+    "split.trials": _Setting("10", int, "--trials"),
+    "loop.k": _Setting("1", int, "--k", "reciprocal-neighbor k"),
+    "loop.quantile": _Setting("0.25", float, "--quantile"),
+    "loop.max_iterations": _Setting("20", int, "--max-iterations"),
+    "loop.min_new_classes": _Setting("1", int, "--min-new-classes"),
+    "kernel.kind": _Setting("rbf", str, "--kernel", "rbf or linear"),
+    "kernel.bandwidth": _Setting("auto", _parse_bandwidth, "--bandwidth", "'auto' or a positive number"),
 }
 
 
@@ -111,7 +134,7 @@ def _parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_DEFAULTS:
+        if key not in _RUN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value
     return values
@@ -119,124 +142,60 @@ def _parse_config_file(path: Path) -> dict[str, str]:
 
 @dataclass
 class RunConfig:
-    input: Path
-    output: Path
-    mode: str
-    seed: int
-    threads: int
-    ranks: tuple[int, ...]
+    values: dict          # parsed value of every _RUN_KEYS key
     split: SplitSpec
     loop: LoopConfig
 
     def echo(self) -> dict:
-        return {
-            "version": __version__,
-            "run.input": str(self.input),
-            "run.output": str(self.output),
-            "run.mode": self.mode,
-            "run.seed": self.seed,
-            "run.threads": self.threads,
-            "run.ranks": list(self.ranks),
-            "split.seed_derived": self.split.seed,
-            "split.labeled_fraction": str(self.split.labeled_fraction),
-            "split.trials": self.split.trials,
-            "loop.k": self.loop.k,
-            "loop.quantile": self.loop.quantile,
-            "loop.max_iterations": self.loop.max_iterations,
-            "loop.min_new_classes": self.loop.min_new_classes,
-            "loop.seed_derived": self.loop.seed,
-            "kernel.kind": self.loop.kernel.kind,
-            "kernel.bandwidth": str(self.loop.kernel.bandwidth),
-        }
-
-
-def _coerce(key: str, value):
-    try:
-        if key in ("run.seed", "split.trials", "loop.k", "loop.max_iterations",
-                   "loop.min_new_classes", "run.threads"):
-            return int(value)
-        if key == "loop.quantile":
-            return float(value)
-        if key == "split.labeled_fraction":
-            return Fraction(str(value))
-        if key == "kernel.bandwidth":
-            return "auto" if str(value) == "auto" else float(value)
-        return value
-    except (ValueError, ZeroDivisionError) as err:
-        raise ConfigError(f"bad value for {key}: {value!r} ({err})") from err
+        echo = {"version": __version__, "split.seed_derived": self.split.seed}
+        # int and float keys echo as JSON numbers, ranks as a list and the
+        # rest (paths, fractions, a bandwidth) as text.
+        for key, value in self.values.items():
+            if _RUN_KEYS[key].parse not in (int, float):
+                value = list(value) if isinstance(value, tuple) else str(value)
+            echo[key] = value
+        return echo
 
 
 def _resolve_run_config(args) -> RunConfig:
-    values = dict(_CONFIG_DEFAULTS)
+    raw = {key: setting.default for key, setting in _RUN_KEYS.items()}
     if args.config is not None:
-        values.update(_parse_config_file(Path(args.config)))
-    overrides = {
-        "run.input": args.input,
-        "run.output": args.output,
-        "run.mode": args.mode,
-        "run.seed": args.seed,
-        "run.threads": args.threads,
-        "run.ranks": args.ranks,
-        "split.labeled_fraction": args.labeled_fraction,
-        "split.trials": args.trials,
-        "loop.k": args.k,
-        "loop.quantile": args.quantile,
-        "loop.max_iterations": args.max_iterations,
-        "loop.min_new_classes": args.min_new_classes,
-        "kernel.kind": args.kernel,
-        "kernel.bandwidth": args.bandwidth,
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    if values["run.input"] is None:
+        raw.update(_parse_config_file(Path(args.config)))
+    raw.update({key: getattr(args, key) for key in _RUN_KEYS if getattr(args, key) is not None})
+    if raw["run.input"] is None:
         raise ConfigError("no input dataset given (flag --input or config run.input)")
-    if values["run.output"] is None:
+    if raw["run.output"] is None:
         raise ConfigError("no output directory given (flag --output or config run.output)")
-    mode = str(values["run.mode"])
-    if mode not in ("labeled_only", "semi_supervised", "both"):
-        raise ConfigError(f"run.mode must be labeled_only, semi_supervised or both, got {mode!r}")
-    if values["run.threads"] is None:
-        values["run.threads"] = os.environ.get("NULLMARGIN_THREADS", "1")
-    try:
-        ranks = tuple(int(part) for part in str(values["run.ranks"]).replace(" ", "").split(","))
-    except ValueError as err:
-        raise ConfigError(f"bad run.ranks value {values['run.ranks']!r}") from err
-    if not ranks or any(n < 1 for n in ranks):
-        raise ConfigError("run.ranks must be positive integers")
-
-    seed = _coerce("run.seed", values["run.seed"])
-    threads = _coerce("run.threads", values["run.threads"])
-    if threads < 1:
+    if raw["run.threads"] is None:
+        raw["run.threads"] = os.environ.get("NULLMARGIN_THREADS", "1")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _RUN_KEYS[key].parse(value)
+        except (ValueError, ZeroDivisionError) as err:
+            raise ConfigError(f"bad value for {key}: {value!r} ({err})") from err
+    if values["run.mode"] not in ("labeled_only", "semi_supervised", "both"):
+        raise ConfigError(
+            f"run.mode must be labeled_only, semi_supervised or both, got {values['run.mode']!r}"
+        )
+    if values["run.threads"] < 1:
         raise ConfigError("threads must be >= 1")
-    kernel = KernelSpec(
-        kind=str(values["kernel.kind"]),
-        bandwidth=_coerce("kernel.bandwidth", values["kernel.bandwidth"]),
-    )
     try:
         split = SplitSpec(
-            seed=derive_seed(seed, "split"),
-            labeled_fraction=_coerce("split.labeled_fraction", values["split.labeled_fraction"]),
-            trials=_coerce("split.trials", values["split.trials"]),
+            seed=derive_seed(values["run.seed"], "split"),
+            labeled_fraction=values["split.labeled_fraction"],
+            trials=values["split.trials"],
         )
         loop = LoopConfig(
-            k=_coerce("loop.k", values["loop.k"]),
-            quantile=_coerce("loop.quantile", values["loop.quantile"]),
-            max_iterations=_coerce("loop.max_iterations", values["loop.max_iterations"]),
-            min_new_classes=_coerce("loop.min_new_classes", values["loop.min_new_classes"]),
-            kernel=kernel,
-            seed=derive_seed(seed, "loop"),
+            k=values["loop.k"],
+            quantile=values["loop.quantile"],
+            max_iterations=values["loop.max_iterations"],
+            min_new_classes=values["loop.min_new_classes"],
+            kernel=KernelSpec(kind=values["kernel.kind"], bandwidth=values["kernel.bandwidth"]),
         )
     except DataValidationError as err:
         raise ConfigError(str(err)) from err
-    return RunConfig(
-        input=Path(values["run.input"]),
-        output=Path(values["run.output"]),
-        mode=mode,
-        seed=seed,
-        threads=threads,
-        ranks=ranks,
-        split=split,
-        loop=loop,
-    )
+    return RunConfig(values=values, split=split, loop=loop)
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +250,25 @@ def _mode_result_entry(result) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    table = _load_table(cfg.input)
-    cfg.output.mkdir(parents=True, exist_ok=True)
-    modes = ("labeled_only", "semi_supervised") if cfg.mode == "both" else (cfg.mode,)
+    table = _load_table(cfg.values["run.input"])
+    output = cfg.values["run.output"]
+    output.mkdir(parents=True, exist_ok=True)
+    both = cfg.values["run.mode"] == "both"
+    modes = ("labeled_only", "semi_supervised") if both else (cfg.values["run.mode"],)
 
     report = {"config": cfg.echo(), "results": {}}
     for mode in modes:
         result = run_protocol(
-            table, cfg.split, cfg.loop, mode, ns=cfg.ranks, threads=cfg.threads
+            table, cfg.split, cfg.loop, mode,
+            ns=cfg.values["run.ranks"], threads=cfg.values["run.threads"],
         )
         report["results"][mode] = _mode_result_entry(result)
-        suffix = f"_{mode}" if cfg.mode == "both" else ""
-        _write_cmc_csv(result.curve, cfg.output / f"cmc{suffix}.csv")
-        save_model(result.final_model, cfg.output / f"model{suffix}.nk3m")
+        suffix = f"_{mode}" if both else ""
+        _write_cmc_csv(result.curve, output / f"cmc{suffix}.csv")
+        save_model(result.final_model, output / f"model{suffix}.nk3m")
         if mode == "semi_supervised" and result.final_trace is not None:
-            result.final_trace.write_jsonl(cfg.output / "trace.jsonl")
-    (cfg.output / "report.json").write_text(
+            result.final_trace.write_jsonl(output / "trace.jsonl")
+    (output / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for mode in modes:
@@ -332,7 +294,7 @@ def cmd_eval(args) -> int:
     probe = _load_table(args.probe)
     gallery = _load_table(args.gallery)
     try:
-        ranks = tuple(int(part) for part in args.ranks.replace(" ", "").split(","))
+        ranks = _parse_ranks(args.ranks)
     except ValueError as err:
         raise ConfigError(f"bad --ranks value {args.ranks!r}") from err
     rankings = rank_gallery(model, probe, gallery)
@@ -349,7 +311,7 @@ def cmd_mine(args) -> int:
     try:
         kernel = KernelSpec(
             kind=args.kernel,
-            bandwidth="auto" if args.bandwidth in (None, "auto") else float(args.bandwidth),
+            bandwidth=_parse_bandwidth(args.bandwidth or "auto"),
         )
     except (ValueError, DataValidationError) as err:
         raise ConfigError(f"bad kernel flags: {err}") from err
@@ -381,20 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the split/fit/evaluate protocol")
     p_run.add_argument("--config", help="flat 'section.key = value' config file")
-    p_run.add_argument("--input", help="dataset file (.csv or binary)")
-    p_run.add_argument("-o", "--output", help="output directory")
-    p_run.add_argument("--mode", choices=["labeled_only", "semi_supervised", "both"])
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--threads", type=int, help="trial parallelism (env NULLMARGIN_THREADS)")
-    p_run.add_argument("--ranks", help="comma-separated CMC ranks, e.g. 1,5,10,20")
-    p_run.add_argument("--labeled-fraction", help="e.g. 1/3 or 0.25")
-    p_run.add_argument("--trials", type=int)
-    p_run.add_argument("--k", type=int, help="reciprocal-neighbor k")
-    p_run.add_argument("--quantile", type=float)
-    p_run.add_argument("--max-iterations", type=int)
-    p_run.add_argument("--min-new-classes", type=int)
-    p_run.add_argument("--kernel", choices=["rbf", "linear"])
-    p_run.add_argument("--bandwidth", help="'auto' or a positive number")
+    for key, setting in _RUN_KEYS.items():
+        flags = ("-o", setting.flag) if key == "run.output" else (setting.flag,)
+        p_run.add_argument(*flags, dest=key, help=setting.help)
     p_run.set_defaults(func=cmd_run)
 
     p_embed = sub.add_parser("embed", help="embed a dataset with a fitted model")
@@ -430,9 +381,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except SelfTrainingError as err:
-        print(f"error: numerical: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except _NUMERICAL_ERRORS as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -17,6 +17,7 @@ Two on-disk layouts are supported:
 from __future__ import annotations
 
 import math
+import mmap
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +71,12 @@ class FeatureTable:
             )
         if n and self.features.shape[1] < 1:
             raise DataValidationError("feature dimension must be >= 1")
+        # A finite sum proves every value finite; only a non-finite sum
+        # (which may also be an overflow) needs the elementwise check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = self.features.sum()
+        if not np.isfinite(total) and not np.isfinite(self.features).all():
+            raise DataValidationError("features must be finite (no NaN or inf)")
         if self.camera_ids.shape != (n,) or self.within_view_ids.shape != (n,):
             raise DataValidationError("camera/within-view arrays must have one entry per sample")
         if len(self.identities) != n:
@@ -334,7 +341,11 @@ def load_feature_table(path, format: str) -> FeatureTable:
     if format == "csv":
         return _load_csv(path)
     if format == "binary":
-        return _from_binary(path.read_bytes(), context=str(path))
+        # Mapped rather than read, so rows are copied once, from the page
+        # cache straight into the feature matrix.
+        with path.open("rb") as f:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if path.stat().st_size else b""
+        return _from_binary(data, context=str(path))
     raise DataFormatError(f"unknown table format {format!r}")
 
 
@@ -364,7 +375,10 @@ def _save_csv(table: FeatureTable, path: Path) -> None:
 
 
 def _load_csv(path: Path) -> FeatureTable:
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path}: not UTF-8 text ({err})") from err
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
@@ -424,7 +438,7 @@ def _to_binary(table: FeatureTable) -> bytes:
     return w.getvalue()
 
 
-def _from_binary(data: bytes, context: str = "table") -> FeatureTable:
+def _from_binary(data: bytes | mmap.mmap, context: str = "table") -> FeatureTable:
     r = Reader(data, context=context)
     if r.raw(4) != TABLE_MAGIC:
         raise DataFormatError(f"{context}: bad magic, not a feature-table file")
@@ -433,11 +447,21 @@ def _from_binary(data: bytes, context: str = "table") -> FeatureTable:
         raise DataFormatError(f"{context}: unsupported table version {version}")
     n = r.u64()
     dim = r.u64()
+    # Check the header before allocating: a row takes at least 16 + 8*dim
+    # bytes (a nonempty id), and even an empty table's dim must be indexable.
+    if n * (16 + 8 * dim) > r.remaining or dim > np.iinfo(np.intp).max:
+        raise DataFormatError(
+            f"{context}: header declares {n} rows of dimension {dim}, "
+            f"which {r.remaining} remaining bytes cannot hold"
+        )
     sample_ids, camera_ids, identities, wv_ids = [], [], [], []
     feats = np.empty((n, dim), dtype=np.float64)
     for i in range(n):
-        sid_len = r.u32()
-        sample_ids.append(r.raw(sid_len).decode("utf-8"))
+        sid = r.raw(r.u32())
+        try:
+            sample_ids.append(str(sid, "utf-8"))
+        except UnicodeDecodeError as err:
+            raise DataFormatError(f"{context}: sample id of row {i} is not UTF-8") from err
         camera_ids.append(r.u16())
         identities.append(r.u64() if r.u8() else None)
         wv_ids.append(r.u64())
@@ -447,7 +471,7 @@ def _from_binary(data: bytes, context: str = "table") -> FeatureTable:
             sample_ids=tuple(sample_ids),
             camera_ids=np.array(camera_ids),
             identities=tuple(identities),
-            within_view_ids=np.array(wv_ids),
+            within_view_ids=np.array(wv_ids, dtype=np.uint64),
             features=feats,
         )
     except DataValidationError as err:

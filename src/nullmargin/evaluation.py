@@ -11,13 +11,14 @@ per-trial accuracy percentages.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, make_split, _trial_rng
 from .errors import DataValidationError, ProtocolError
+from .nfst import NullProjector
 from .nk3ml import Nk3mlModel, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
@@ -98,16 +99,6 @@ def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable
     return table.subset(sorted(keep))
 
 
-def _replace_features(table: FeatureTable, features: np.ndarray) -> FeatureTable:
-    return FeatureTable(
-        sample_ids=table.sample_ids,
-        camera_ids=table.camera_ids,
-        identities=table.identities,
-        within_view_ids=table.within_view_ids,
-        features=features,
-    )
-
-
 def _reduce_split(split: ExperimentSplit) -> tuple[ExperimentSplit, np.ndarray]:
     """Rotate the trial into an orthonormal basis of the train feature span.
 
@@ -120,10 +111,10 @@ def _reduce_split(split: ExperimentSplit) -> tuple[ExperimentSplit, np.ndarray]:
     basis, _ = np.linalg.qr(train.T)     # (d, n_train)
     return (
         ExperimentSplit(
-            labeled=_replace_features(split.labeled, split.labeled.features @ basis),
-            unlabeled=_replace_features(split.unlabeled, split.unlabeled.features @ basis),
-            probe=_replace_features(split.probe, split.probe.features @ basis),
-            gallery=_replace_features(split.gallery, split.gallery.features @ basis),
+            labeled=replace(split.labeled, features=split.labeled.features @ basis),
+            unlabeled=replace(split.unlabeled, features=split.unlabeled.features @ basis),
+            probe=replace(split.probe, features=split.probe.features @ basis),
+            gallery=replace(split.gallery, features=split.gallery.features @ basis),
         ),
         basis,
     )
@@ -131,22 +122,8 @@ def _reduce_split(split: ExperimentSplit) -> tuple[ExperimentSplit, np.ndarray]:
 
 def _lift_model(model: Nk3mlModel, basis: np.ndarray) -> Nk3mlModel:
     """Map a model fitted in reduced coordinates back to feature space."""
-    from .nfst import NullProjector
-
-    nullproj = NullProjector(
-        w_n=basis @ model.nullproj.w_n,
-        mean=basis @ model.nullproj.mean,
-        class_count=model.nullproj.class_count,
-        ortho_basis=None,
-        coeffs=None,
-    )
-    return Nk3mlModel(
-        nullproj=nullproj,
-        margin=model.margin,
-        class_count=model.class_count,
-        feature_dim=basis.shape[0],
-        output_dim=model.output_dim,
-    )
+    nullproj = NullProjector(w_n=basis @ model.nullproj.w_n, mean=basis @ model.nullproj.mean)
+    return Nk3mlModel(nullproj=nullproj, margin=model.margin)
 
 
 def _run_trial(
@@ -156,16 +133,12 @@ def _run_trial(
     mode: str,
     ns,
     trial: int,
-    reduce_span: bool | None = None,
 ) -> tuple[CmcCurve, str, float, Nk3mlModel, LoopTrace | None]:
     split: ExperimentSplit = make_split(table, spec, trial)
-    n_train = split.labeled.n + split.unlabeled.n
-    if reduce_span is None:
-        # Only worth it when the feature dimension dwarfs the train count;
-        # below that the QR + projection overhead cancels the gain.
-        reduce_span = table.dim > 4 * n_train
     basis = None
-    if reduce_span:
+    # Only worth it when the feature dimension dwarfs the train count; below
+    # that the QR + projection overhead cancels the gain.
+    if table.dim > 4 * (split.labeled.n + split.unlabeled.n):
         split, basis = _reduce_split(split)
     if mode == "labeled_only":
         model = fit_nk3ml(split.labeled, cfg.kernel)

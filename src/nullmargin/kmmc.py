@@ -27,6 +27,7 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
+from .nfst import _fix_column_signs
 
 # Conditioning jitter added to K before the Cholesky reduction, relative to
 # the mean diagonal scale. This is not statistical regularization; the
@@ -209,7 +210,7 @@ def fit_nkmmc(
     if not np.all(sq_norms > 0):
         raise NumericalError("a retained discriminant has nonpositive kernel norm")
     coeffs /= np.sqrt(sq_norms)
-    _fix_signs(coeffs)
+    _fix_column_signs(coeffs)
     return KernelDiscriminantModel(
         train_points=points.copy(),
         kernel=kernel,
@@ -218,14 +219,6 @@ def fit_nkmmc(
         eigenvalues=eigenvalues,
         class_index=class_ids.copy(),
     )
-
-
-def _fix_signs(coeffs: np.ndarray) -> None:
-    for k in range(coeffs.shape[1]):
-        col = coeffs[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))
-        if nz.size and col[nz[0]] < 0:
-            coeffs[:, k] = -col
 
 
 def project_kernel(model: KernelDiscriminantModel, x: np.ndarray) -> np.ndarray:

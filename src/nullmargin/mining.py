@@ -70,29 +70,38 @@ def select_anchor(unlabeled: FeatureTable) -> int:
     return min(cam for cam, count in counts.items() if count == best)
 
 
-def fit_secondary(embeddings: np.ndarray, labels, kernel: KernelSpec) -> KernelDiscriminantModel:
-    """Secondary max-margin space over anchor-camera primary embeddings."""
-    return fit_nkmmc(embeddings, labels, kernel)
+def find_anchor(unlabeled: FeatureTable) -> tuple[int, tuple[tuple[int, np.ndarray], ...]] | None:
+    """The anchor camera and its (within_view_id, rows) classes, or None when
+    the pool cannot host an anchor: fewer than 2 cameras, or fewer than 2
+    identities in the anchor camera."""
+    if len(unlabeled.cameras()) < 2:
+        return None
+    anchor_camera = select_anchor(unlabeled)
+    anchor_classes = tuple(
+        (wvid, rows)
+        for (cam, wvid), rows in view_identity_groups(unlabeled).items()
+        if cam == anchor_camera
+    )
+    return (anchor_camera, anchor_classes) if len(anchor_classes) >= 2 else None
 
 
 def build_anchor_context(
     unlabeled: FeatureTable, primary: Nk3mlModel, kernel: KernelSpec
 ) -> AnchorContext:
-    anchor_camera = select_anchor(unlabeled)
-    groups = view_identity_groups(unlabeled)
-    anchor_classes = tuple(
-        (wvid, rows) for (cam, wvid), rows in groups.items() if cam == anchor_camera
-    )
-    if len(anchor_classes) < 2:
+    """Secondary max-margin space over the anchor camera's primary embeddings."""
+    anchor = find_anchor(unlabeled)
+    if anchor is None:
         raise DataValidationError(
-            f"anchor camera {anchor_camera} has {len(anchor_classes)} identities; need >= 2"
+            "unlabeled set cannot host an anchor: need >= 2 cameras and "
+            ">= 2 identities in the anchor camera"
         )
+    anchor_camera, anchor_classes = anchor
     anchor_rows = np.concatenate([rows for _, rows in anchor_classes])
     anchor_labels = np.concatenate(
         [np.full(len(rows), wvid, dtype=np.int64) for wvid, rows in anchor_classes]
     )
     anchor_embedded = embed(primary, unlabeled.features[anchor_rows])
-    secondary = fit_secondary(anchor_embedded, anchor_labels, kernel)
+    secondary = fit_nkmmc(anchor_embedded, anchor_labels, kernel)
     return AnchorContext(
         anchor_camera=anchor_camera, anchor_classes=anchor_classes, secondary=secondary
     )

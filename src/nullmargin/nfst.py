@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError, InsufficientSamplesError
-from .scatter import ScatterStats, compute_scatter
+from .scatter import compute_scatter
 
 # Relative eigenvalue threshold under which a direction counts as null.
 NULL_TOL = 1e-10
@@ -27,13 +27,10 @@ DROP_TOL = 1e-12
 
 @dataclass
 class NullProjector:
-    """Fitted null-space projector. ortho_basis/coeffs are None after loading."""
+    """Fitted null-space projector."""
 
     w_n: np.ndarray                  # (d, c-1), orthonormal columns
     mean: np.ndarray                 # (d,) training global mean
-    class_count: int
-    ortho_basis: np.ndarray | None   # (d, r) centered-span basis U
-    coeffs: np.ndarray | None        # (r, c-1) nullspace coordinates B
 
     @property
     def dim(self) -> int:
@@ -42,6 +39,10 @@ class NullProjector:
     @property
     def n_directions(self) -> int:
         return self.w_n.shape[1]
+
+    @property
+    def class_count(self) -> int:
+        return self.n_directions + 1
 
 
 def gram_schmidt(rows: np.ndarray, drop_tol: float = DROP_TOL, block: int = 64) -> np.ndarray:
@@ -84,15 +85,13 @@ def gram_schmidt(rows: np.ndarray, drop_tol: float = DROP_TOL, block: int = 64) 
     return basis[:r].T.copy()
 
 
-def _fix_column_signs(matrix: np.ndarray, companion: np.ndarray | None = None) -> None:
+def _fix_column_signs(matrix: np.ndarray) -> None:
     """Flip columns in place so each first significant coefficient is positive."""
     for j in range(matrix.shape[1]):
         col = matrix[:, j]
         nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))
         if nz.size and col[nz[0]] < 0:
             matrix[:, j] = -col
-            if companion is not None:
-                companion[:, j] = -companion[:, j]
 
 
 def fit_nfst(labeled: FeatureTable, null_tol: float = NULL_TOL) -> NullProjector:
@@ -104,15 +103,11 @@ def fit_nfst(labeled: FeatureTable, null_tol: float = NULL_TOL) -> NullProjector
     warning) when it has more.
     """
     stats = compute_scatter(labeled)
-    return _fit_from_stats(labeled.features, stats, null_tol)
-
-
-def _fit_from_stats(x: np.ndarray, stats: ScatterStats, null_tol: float = NULL_TOL) -> NullProjector:
     n, c = stats.n, stats.class_count
     if n - 1 < c - 1:
         raise InsufficientSamplesError(f"n-1={n - 1} basis directions cannot hold {c - 1} NPDs")
 
-    centered = x - stats.global_mean
+    centered = labeled.features - stats.global_mean
     basis = gram_schmidt(centered)
 
     projected_within = stats.within_factor @ basis            # (n, r)
@@ -137,16 +132,9 @@ def _fit_from_stats(x: np.ndarray, stats: ScatterStats, null_tol: float = NULL_T
             RuntimeWarning,
             stacklevel=2,
         )
-    coeffs = evecs[:, :wanted].copy()
-    w_n = basis @ coeffs
-    _fix_column_signs(w_n, companion=coeffs)
-    return NullProjector(
-        w_n=w_n,
-        mean=stats.global_mean.copy(),
-        class_count=c,
-        ortho_basis=basis,
-        coeffs=coeffs,
-    )
+    w_n = basis @ evecs[:, :wanted].copy()
+    _fix_column_signs(w_n)
+    return NullProjector(w_n=w_n, mean=stats.global_mean.copy())
 
 
 def project_null(projector: NullProjector, x: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._binio import Reader, Writer
 from .dataio import FeatureTable
-from .errors import DataFormatError, ModelFormatError, ModelVersionError
+from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nfst import NullProjector, fit_nfst, project_null
 
@@ -32,9 +32,18 @@ _KERNEL_NAMES = {code: name for name, code in _KERNEL_CODES.items()}
 class Nk3mlModel:
     nullproj: NullProjector
     margin: KernelDiscriminantModel
-    class_count: int
-    feature_dim: int
-    output_dim: int
+
+    @property
+    def class_count(self) -> int:
+        return self.nullproj.class_count
+
+    @property
+    def feature_dim(self) -> int:
+        return self.nullproj.dim
+
+    @property
+    def output_dim(self) -> int:
+        return self.margin.output_dim
 
 
 def fit_nk3ml(labeled: FeatureTable, kernel: KernelSpec = KernelSpec()) -> Nk3mlModel:
@@ -47,14 +56,7 @@ def fit_nk3ml(labeled: FeatureTable, kernel: KernelSpec = KernelSpec()) -> Nk3ml
     projector = fit_nfst(labeled)
     projected = project_null(projector, labeled.features)
     labels = labeled.label_values()
-    margin = fit_nkmmc(projected, labels, kernel)
-    return Nk3mlModel(
-        nullproj=projector,
-        margin=margin,
-        class_count=projector.class_count,
-        feature_dim=projector.dim,
-        output_dim=margin.output_dim,
-    )
+    return Nk3mlModel(nullproj=projector, margin=fit_nkmmc(projected, labels, kernel))
 
 
 def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
@@ -105,7 +107,7 @@ def deserialize_model(data: bytes, context: str = "model") -> Nk3mlModel:
         return _deserialize(data, context)
     except ModelFormatError:
         raise
-    except DataFormatError as err:
+    except (DataFormatError, DataValidationError) as err:
         raise ModelFormatError(str(err)) from err
 
 
@@ -122,9 +124,7 @@ def _deserialize(data: bytes, context: str) -> Nk3mlModel:
     n_dirs = block.u64()
     mean = block.f64_array(dim)
     w_n = block.f64_array(dim * n_dirs, shape=(dim, n_dirs))
-    nullproj = NullProjector(
-        w_n=w_n, mean=mean, class_count=n_dirs + 1, ortho_basis=None, coeffs=None
-    )
+    nullproj = NullProjector(w_n=w_n, mean=mean)
 
     block = Reader(r.raw(r.u64()), context=f"{context} margin block")
     kind_code = block.u8()
@@ -152,13 +152,7 @@ def _deserialize(data: bytes, context: str) -> Nk3mlModel:
             f"{context}: stage dimensions disagree "
             f"({nullproj.n_directions} null directions vs margin input {margin.input_dim})"
         )
-    return Nk3mlModel(
-        nullproj=nullproj,
-        margin=margin,
-        class_count=nullproj.class_count,
-        feature_dim=nullproj.dim,
-        output_dim=margin.output_dim,
-    )
+    return Nk3mlModel(nullproj=nullproj, margin=margin)
 
 
 def save_model(model: Nk3mlModel, path) -> None:

@@ -2,16 +2,14 @@
 
 Scatter matrices use unnormalized sums: S_w = sum_i sum_{x in C_i}
 (x - m_i)(x - m_i)^T and S_b = sum_i n_i (m_i - m)(m_i - m)^T. They are kept
-in factored form (centered data matrices) so quadratic forms stay O(n*d) at
-feature dimensions in the tens of thousands; the explicit d x d matrices are
-materialized lazily and only make sense for small d.
+only in factored form (centered data matrices) so quadratic forms stay O(n*d)
+at feature dimensions in the tens of thousands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +27,6 @@ class ScatterStats:
     class_labels: np.ndarray     # (c,) int64, ascending
     class_means: np.ndarray      # (c, d)
     class_counts: np.ndarray     # (c,) int64
-    class_priors: np.ndarray     # (c,) float, n_i / n
     global_mean: np.ndarray      # (d,)
     within_factor: np.ndarray    # (n, d), rows x - m_class; S_w = F^T F
     between_factor: np.ndarray   # (c, d), rows sqrt(n_i) (m_i - m); S_b = G^T G
@@ -53,18 +50,6 @@ class ScatterStats:
     @property
     def trace_between(self) -> float:
         return float(np.sum(self.between_factor ** 2))
-
-    @cached_property
-    def s_w(self) -> np.ndarray:
-        return self.within_factor.T @ self.within_factor
-
-    @cached_property
-    def s_b(self) -> np.ndarray:
-        return self.between_factor.T @ self.between_factor
-
-    @cached_property
-    def s_t(self) -> np.ndarray:
-        return self.s_w + self.s_b
 
     def within_quadratic(self, w: np.ndarray) -> float:
         """w^T S_w w from the factor."""
@@ -104,7 +89,6 @@ def compute_scatter(table: FeatureTable) -> ScatterStats:
         class_labels=class_labels,
         class_means=means,
         class_counts=counts,
-        class_priors=counts / table.n,
         global_mean=global_mean,
         within_factor=x - means[inverse],
         between_factor=np.sqrt(counts)[:, None] * (means - global_mean),

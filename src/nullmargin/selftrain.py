@@ -22,13 +22,7 @@ import numpy as np
 from .dataio import FeatureTable, concat_tables
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
-from .mining import (
-    PseudoClass,
-    build_anchor_context,
-    mine_pseudo_classes,
-    select_anchor,
-    view_identity_groups,
-)
+from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
 from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum, save_model
 
 # Pseudo labels start here (or above any real label), keeping the namespace
@@ -45,7 +39,6 @@ class LoopConfig:
     max_iterations: int = 20
     min_new_classes: int = 1
     kernel: KernelSpec = field(default_factory=KernelSpec)
-    seed: int = 0
 
     def __post_init__(self):
         if not (0 < self.quantile <= 1):
@@ -79,15 +72,6 @@ class LoopTrace:
 
 def _labeled_class_count(table: FeatureTable) -> int:
     return len({ident for ident in table.identities if ident is not None})
-
-
-def _can_mine(pool: FeatureTable) -> bool:
-    if pool.n == 0 or len(pool.cameras()) < 2:
-        return False
-    anchor = select_anchor(pool)
-    groups = view_identity_groups(pool)
-    anchor_classes = sum(1 for cam, _ in groups if cam == anchor)
-    return anchor_classes >= 2 and any(cam != anchor for cam, _ in groups)
 
 
 def _select_pairs(pairs: list[PseudoClass], cfg: LoopConfig) -> tuple[list[PseudoClass], float]:
@@ -132,19 +116,15 @@ def run_self_training(
             save_model(model, Path(checkpoint_dir) / f"iter_{iteration}.nk3m")
 
         classes_now = _labeled_class_count(current)
-        if iteration >= cfg.max_iterations or not _can_mine(pool):
-            trace.records.append(
-                IterationRecord(iteration, classes_now, 0, 0, None, checksum)
-            )
-            return model, trace
-
-        try:
-            ctx = build_anchor_context(pool, model, cfg.kernel)
-            pairs = mine_pseudo_classes(ctx, pool, model, k=cfg.k, iteration=iteration)
-        except NullmarginError as err:
-            raise SelfTrainingError(
-                f"mining failed at iteration {iteration}: {err}", trace=trace
-            ) from err
+        pairs = []
+        if iteration < cfg.max_iterations and find_anchor(pool) is not None:
+            try:
+                ctx = build_anchor_context(pool, model, cfg.kernel)
+                pairs = mine_pseudo_classes(ctx, pool, model, k=cfg.k, iteration=iteration)
+            except NullmarginError as err:
+                raise SelfTrainingError(
+                    f"mining failed at iteration {iteration}: {err}", trace=trace
+                ) from err
         if not pairs:
             trace.records.append(
                 IterationRecord(iteration, classes_now, 0, 0, None, checksum)

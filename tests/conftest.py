@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic
+from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
 
 
 def make_table(features, cameras, identities, within_view=None, prefix="s"):
@@ -17,6 +19,47 @@ def make_table(features, cameras, identities, within_view=None, prefix="s"):
         within_view_ids=np.asarray(within_view),
         features=features,
     )
+
+
+# Table files every loader must reject with DataFormatError (CLI exit 3).
+HOSTILE_TABLES = (
+    "empty.ssml",
+    "huge_header.ssml",
+    "overflow_header.ssml",
+    "non_utf8_id.ssml",
+    "inf_feature.ssml",
+    "non_utf8.csv",
+    "nan_feature.csv",
+)
+
+
+@pytest.fixture(scope="session")
+def hostile_dir(tmp_path_factory):
+    """Directory holding the HOSTILE_TABLES files."""
+    out = tmp_path_factory.mktemp("hostile")
+    table = generate_synthetic(SyntheticSpec(identities=12, cameras=2, dim=20, noise_sigma=0.1))
+    features = np.array(table.features)
+    features[:, 0] = 0.5    # a sentinel to overwrite; as finite data the table fits
+    table = FeatureTable(
+        table.sample_ids, table.camera_ids, table.identities, table.within_view_ids, features
+    )
+    save_feature_table(table, out / "ok.ssml", "binary")
+    save_feature_table(table, out / "ok.csv", "csv")
+    ssml, csv = (out / "ok.ssml").read_bytes(), (out / "ok.csv").read_bytes()
+    files = {
+        "empty.ssml": b"",
+        # 22-byte header claiming 2**20 rows of dimension 2**14 (a 128 GiB array)
+        "huge_header.ssml": struct.pack("<4sHQQ", b"SSML", 1, 1 << 20, 1 << 14),
+        "overflow_header.ssml": struct.pack("<4sHQQ", b"SSML", 1, 1 << 40, 1 << 40),
+        # the first byte of the first sample id, after the header and its u32 length
+        "non_utf8_id.ssml": ssml[:26] + b"\xff" + ssml[27:],
+        "inf_feature.ssml": ssml.replace(struct.pack("<d", 0.5), struct.pack("<d", np.inf)),
+        "non_utf8.csv": csv.replace(b"id", b"\xff", 1),
+        "nan_feature.csv": csv.replace(b",0.5,", b",nan,"),
+    }
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    return out
 
 
 def labeled_gaussians(rng, classes, per_class, dim, spread=0.05, cameras=2):

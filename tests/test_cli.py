@@ -9,6 +9,8 @@ from nullmargin.cli import main
 
 from nullmargin import save_feature_table
 
+from conftest import HOSTILE_TABLES
+
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
@@ -254,3 +256,10 @@ def test_bad_model_file_exit_3(tmp_path, dataset):
     bad = tmp_path / "bad.nk3m"
     bad.write_bytes(b"not a model")
     assert run_cli("embed", "--model", bad, "--data", dataset, "-o", tmp_path / "e.csv") == 3
+
+
+@pytest.mark.parametrize("name", HOSTILE_TABLES)
+def test_hostile_table_exit_3(hostile_dir, tmp_path, capsys, name):
+    path = hostile_dir / name
+    assert run_cli("run", "--input", path, "-o", tmp_path / "o", "--trials", 1) == 3
+    assert capsys.readouterr().err.startswith("error: data:")

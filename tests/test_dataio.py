@@ -1,3 +1,6 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +12,10 @@ from nullmargin import (
     make_split,
     save_feature_table,
 )
+from nullmargin.dataio import _from_binary, _to_binary, table_format_for
 from nullmargin.errors import DataFormatError, DataValidationError
 
-from conftest import make_table
+from conftest import HOSTILE_TABLES, make_table
 
 
 def test_csv_parse_with_unlabeled_row(tmp_path):
@@ -56,6 +60,34 @@ def test_duplicate_sample_id_rejected(tmp_path):
     )
     with pytest.raises(DataFormatError, match="duplicate"):
         load_feature_table(path, "csv")
+
+
+@pytest.mark.parametrize("name", HOSTILE_TABLES)
+def test_hostile_table_is_a_format_error(hostile_dir, name):
+    path = hostile_dir / name
+    with pytest.raises(DataFormatError):
+        load_feature_table(path, table_format_for(path))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(value):
+    with pytest.raises(DataValidationError, match="finite"):
+        make_table([[1.0, value], [0.0, 1.0]], cameras=[0, 1], identities=[0, 0])
+
+
+def test_binary_within_view_id_beyond_int64_rejected():
+    data = _to_binary(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0]))
+    # the last row's u64 within-view id precedes its one f64 feature
+    data = data[:-16] + struct.pack("<Q", (1 << 64) - 1) + data[-8:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no lossy cast on the way
+        with pytest.raises(DataFormatError, match="nonnegative"):
+            _from_binary(data)
+
+
+def test_finite_features_whose_sum_overflows_accepted():
+    table = make_table([[1e308], [1e308]], cameras=[0, 1], identities=[0, 0])
+    assert table.features.max() == 1e308
 
 
 def test_binary_round_trip_bit_exact(tmp_path):

@@ -173,11 +173,11 @@ def test_cmc_invariant_to_gallery_permutation(easy_table):
 
 
 def test_span_reduction_is_exact_isometry():
-    # The d >> n fast path rotates the trial into the train-span basis; the
-    # result must match the direct computation up to rounding.
+    # At d >> n_train a trial is rotated into the train-span basis; the result
+    # must match the unrotated computation up to rounding.
     from scipy.spatial.distance import cdist
 
-    from nullmargin import embed
+    from nullmargin import embed, run_self_training
     from nullmargin.evaluation import _run_trial
 
     table = generate_synthetic(
@@ -187,10 +187,15 @@ def test_span_reduction_is_exact_isometry():
         )
     )
     spec, cfg = SplitSpec(seed=7, trials=1), LoopConfig()
-    direct = _run_trial(table, spec, cfg, "semi_supervised", (1, 5), 0, reduce_span=False)
-    reduced = _run_trial(table, spec, cfg, "semi_supervised", (1, 5), 0, reduce_span=True)
-    assert direct[0] == reduced[0]
-    d_model, r_model = direct[3], reduced[3]
+    split = make_split(table, spec, 0)
+    assert table.dim > 4 * (split.labeled.n + split.unlabeled.n)   # rotation runs
+    d_model, _ = run_self_training(split.labeled, split.unlabeled, cfg)
+    probe = single_shot_view(split.probe, spec.seed, 0)
+    gallery = single_shot_view(split.gallery, spec.seed, 0)
+    direct = cmc(rank_gallery(d_model, probe, gallery), probe.identities, gallery.identities, (1, 5))
+    reduced = _run_trial(table, spec, cfg, "semi_supervised", (1, 5), 0)
+    assert direct == reduced[0]
+    r_model = reduced[3]
     assert r_model.feature_dim == table.dim
     x = table.features[:40]
     dd = cdist(embed(d_model, x), embed(d_model, x))

@@ -6,14 +6,13 @@ from nullmargin import (
     KernelSpec,
     build_anchor_context,
     fit_nk3ml,
-    fit_secondary,
     k_reciprocal,
     knn,
     mine_pseudo_classes,
     select_anchor,
 )
 from nullmargin.errors import DataValidationError
-from nullmargin.kmmc import fit_nkmmc, project_kernel
+from nullmargin.kmmc import project_kernel
 from nullmargin.mining import export_pseudo_classes_csv
 from nullmargin.nk3ml import embed
 
@@ -72,17 +71,6 @@ def test_select_anchor_single_camera_errors():
     table = make_table(np.ones((3, 2)), [0, 0, 0], [None] * 3, [0, 1, 2])
     with pytest.raises(DataValidationError):
         select_anchor(table)
-
-
-def test_fit_secondary_delegates_exactly():
-    rng = np.random.default_rng(2)
-    points = rng.standard_normal((8, 3)) + np.repeat([[0], [8]], 4, axis=0)
-    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    a = fit_secondary(points, labels, KernelSpec("rbf", "auto"))
-    b = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    assert a.coeffs.tobytes() == b.coeffs.tobytes()
-    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-    assert a.resolved_bandwidth == b.resolved_bandwidth
 
 
 def test_knn_fig4a_relations():

@@ -128,6 +128,15 @@ def test_load_truncated(easy_model):
         deserialize_model(data[: len(data) // 2])
 
 
+def test_load_invalid_bandwidth(easy_model):
+    model, _ = easy_model
+    bandwidth = struct.pack("<d", model.margin.resolved_bandwidth)
+    data = serialize_model(model)
+    assert data.count(bandwidth) == 1
+    with pytest.raises(ModelFormatError):
+        deserialize_model(data.replace(bandwidth, struct.pack("<d", -1.0)))
+
+
 def test_v1_reader_skips_fields_added_later(easy_model):
     # Fields appended inside a block under a later version must not break the
     # v1 layout: the reader consumes declared lengths and ignores the rest.

@@ -26,6 +26,14 @@ def loop_scatter(features, labels):
     return s_b, s_w, m
 
 
+def dense(stats):
+    """Explicit d x d (S_w, S_b) from the factored statistics."""
+    return (
+        stats.within_factor.T @ stats.within_factor,
+        stats.between_factor.T @ stats.between_factor,
+    )
+
+
 def four_point_table():
     # Two horizontal pairs: class 0 at y=0, class 1 at y=2.
     return make_table(
@@ -38,24 +46,25 @@ def four_point_table():
 def test_hand_example_matches_oracle():
     table = four_point_table()
     stats = compute_scatter(table)
-    np.testing.assert_allclose(stats.s_w, [[4.0, 0.0], [0.0, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(stats.s_b, [[0.0, 0.0], [0.0, 4.0]], atol=1e-12)
+    got_w, got_b = dense(stats)
+    np.testing.assert_allclose(got_w, [[4.0, 0.0], [0.0, 0.0]], atol=1e-12)
+    np.testing.assert_allclose(got_b, [[0.0, 0.0], [0.0, 4.0]], atol=1e-12)
     np.testing.assert_allclose(stats.global_mean, [1.0, 1.0])
     s_b, s_w, m = loop_scatter(table.features, [0, 0, 1, 1])
-    np.testing.assert_allclose(stats.s_w, s_w, atol=1e-12)
-    np.testing.assert_allclose(stats.s_b, s_b, atol=1e-12)
+    np.testing.assert_allclose(got_w, s_w, atol=1e-12)
+    np.testing.assert_allclose(got_b, s_b, atol=1e-12)
 
 
 def test_singleton_classes_zero_within():
     table = make_table([[1.0, 2.0], [5.0, -1.0]], cameras=[0, 1], identities=[0, 1])
-    stats = compute_scatter(table)
-    assert np.all(stats.s_w == 0)
+    s_w, _ = dense(compute_scatter(table))
+    assert np.all(s_w == 0)
 
 
 def test_all_identical_samples():
     table = make_table([[3.0, 3.0]] * 4, cameras=[0, 1, 0, 1], identities=[0, 0, 1, 1])
-    stats = compute_scatter(table)
-    assert np.all(stats.s_w == 0) and np.all(stats.s_b == 0) and np.all(stats.s_t == 0)
+    s_w, s_b = dense(compute_scatter(table))
+    assert np.all(s_w == 0) and np.all(s_b == 0)
 
 
 def test_st_decomposition_and_trace(rng_seed=17):
@@ -64,12 +73,12 @@ def test_st_decomposition_and_trace(rng_seed=17):
     labels = rng.integers(0, 5, size=30)
     table = make_table(feats, cameras=np.zeros(30, int), identities=[int(v) for v in labels])
     stats = compute_scatter(table)
-    np.testing.assert_allclose(
-        stats.s_t, stats.s_b + stats.s_w, rtol=0, atol=1e-10 * np.linalg.norm(stats.s_t)
-    )
-    total = np.sum((feats - feats.mean(axis=0)) ** 2)
-    assert math.isclose(np.trace(stats.s_t), total, rel_tol=1e-10)
-    np.testing.assert_allclose(stats.class_priors.sum(), 1.0)
+    s_w, s_b = dense(stats)
+    centered = feats - feats.mean(axis=0)
+    s_t = centered.T @ centered
+    np.testing.assert_allclose(s_t, s_b + s_w, rtol=0, atol=1e-10 * np.linalg.norm(s_t))
+    assert math.isclose(stats.trace_within + stats.trace_between, np.trace(s_t), rel_tol=1e-10)
+    assert stats.class_counts.sum() == 30
 
 
 def test_permutation_invariance():
@@ -79,9 +88,9 @@ def test_permutation_invariance():
     table = make_table(feats, cameras=np.zeros(12, int), identities=labels)
     perm = rng.permutation(12)
     shuffled = make_table(feats[perm], np.zeros(12, int), [labels[i] for i in perm])
-    a, b = compute_scatter(table), compute_scatter(shuffled)
-    np.testing.assert_allclose(a.s_w, b.s_w, atol=1e-12)
-    np.testing.assert_allclose(a.s_b, b.s_b, atol=1e-12)
+    a, b = dense(compute_scatter(table)), dense(compute_scatter(shuffled))
+    np.testing.assert_allclose(a[0], b[0], atol=1e-12)
+    np.testing.assert_allclose(a[1], b[1], atol=1e-12)
 
 
 def test_rank_bounds():
@@ -90,9 +99,10 @@ def test_rank_bounds():
     labels = [i % c for i in range(n)]
     table = make_table(rng.standard_normal((n, d)), np.zeros(n, int), labels)
     stats = compute_scatter(table)
+    s_w, s_b = dense(stats)
     tol = 1e-9
-    rank_w = np.sum(np.linalg.eigvalsh(stats.s_w) > tol * stats.trace_within)
-    rank_b = np.sum(np.linalg.eigvalsh(stats.s_b) > tol * stats.trace_between)
+    rank_w = np.sum(np.linalg.eigvalsh(s_w) > tol * stats.trace_within)
+    rank_b = np.sum(np.linalg.eigvalsh(s_b) > tol * stats.trace_between)
     assert rank_w <= n - c
     assert rank_b <= c - 1
 
