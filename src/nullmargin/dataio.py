@@ -336,7 +336,7 @@ def save_feature_table(table: FeatureTable, path, format: str) -> None:
 
 def load_feature_table(path, format: str) -> FeatureTable:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataFormatError(f"no such file: {path}")
     if format == "csv":
         return _load_csv(path)

@@ -18,7 +18,7 @@ from scipy.spatial.distance import cdist
 
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, make_split, _trial_rng
 from .errors import DataValidationError, ProtocolError
-from .nfst import NullProjector
+from .nfst import NullProjector, span_coefficients
 from .nk3ml import Nk3mlModel, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
@@ -99,33 +99,6 @@ def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable
     return table.subset(sorted(keep))
 
 
-def _reduce_split(split: ExperimentSplit) -> tuple[ExperimentSplit, np.ndarray]:
-    """Rotate the trial into an orthonormal basis of the train feature span.
-
-    With d far above the train sample count, every null-space fit is O(d n^2).
-    An orthonormal change of basis preserves scatter, null directions, kernel
-    distances and rankings exactly, so the whole trial can run in <= n_train
-    dimensions; the fitted model is lifted back with the returned basis.
-    """
-    train = np.vstack([split.labeled.features, split.unlabeled.features])
-    basis, _ = np.linalg.qr(train.T)     # (d, n_train)
-    return (
-        ExperimentSplit(
-            labeled=replace(split.labeled, features=split.labeled.features @ basis),
-            unlabeled=replace(split.unlabeled, features=split.unlabeled.features @ basis),
-            probe=replace(split.probe, features=split.probe.features @ basis),
-            gallery=replace(split.gallery, features=split.gallery.features @ basis),
-        ),
-        basis,
-    )
-
-
-def _lift_model(model: Nk3mlModel, basis: np.ndarray) -> Nk3mlModel:
-    """Map a model fitted in reduced coordinates back to feature space."""
-    nullproj = NullProjector(w_n=basis @ model.nullproj.w_n, mean=basis @ model.nullproj.mean)
-    return Nk3mlModel(nullproj=nullproj, margin=model.margin)
-
-
 def _run_trial(
     table: FeatureTable,
     spec: SplitSpec,
@@ -135,22 +108,30 @@ def _run_trial(
     trial: int,
 ) -> tuple[CmcCurve, str, float, Nk3mlModel, LoopTrace | None]:
     split: ExperimentSplit = make_split(table, spec, trial)
-    basis = None
-    # Only worth it when the feature dimension dwarfs the train count; below
-    # that the QR + projection overhead cancels the gain.
-    if table.dim > 4 * (split.labeled.n + split.unlabeled.n):
-        split, basis = _reduce_split(split)
+    # The trial runs in the coordinates x -> U^T x of the orthonormal basis
+    # U = train^T A of the train span. Every fitted direction and mean lies in
+    # that span, so the change of basis preserves scatter, null directions,
+    # kernel distances and rankings exactly while each fit works in at most
+    # n_train dimensions; the final model is lifted back with U.
+    train = np.vstack([split.labeled.features, split.unlabeled.features])
+    coeffs = span_coefficients(train)
+
+    def to_span(part: FeatureTable) -> FeatureTable:
+        return replace(part, features=(part.features @ train.T) @ coeffs)
+
     if mode == "labeled_only":
-        model = fit_nk3ml(split.labeled, cfg.kernel)
+        model = fit_nk3ml(to_span(split.labeled), cfg.kernel)
         trace = None
     else:
-        model, trace = run_self_training(split.labeled, split.unlabeled, cfg)
-    probe = single_shot_view(split.probe, spec.seed, trial)
-    gallery = single_shot_view(split.gallery, spec.seed, trial)
+        model, trace = run_self_training(to_span(split.labeled), to_span(split.unlabeled), cfg)
+    probe = to_span(single_shot_view(split.probe, spec.seed, trial))
+    gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)
     curve = cmc(rankings, probe.identities, gallery.identities, ns)
-    if basis is not None:
-        model = _lift_model(model, basis)
+    lifted = NullProjector(
+        w_n=train.T @ (coeffs @ model.nullproj.w_n), mean=train.T @ (coeffs @ model.nullproj.mean)
+    )
+    model = replace(model, nullproj=lifted)
     return curve, model_checksum(model), model.margin.resolved_bandwidth, model, trace
 
 

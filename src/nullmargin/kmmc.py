@@ -156,17 +156,11 @@ def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarra
     return evals, vectors
 
 
-def fit_nkmmc(
-    points: np.ndarray,
-    classes,
-    kernel: KernelSpec,
-    jitter: float = K_JITTER,
-    pos_tol: float = EIG_POS_TOL,
-) -> KernelDiscriminantModel:
+def fit_nkmmc(points: np.ndarray, classes, kernel: KernelSpec) -> KernelDiscriminantModel:
     """Fit the maximum-margin kernel discriminants.
 
     Keeps every generalized eigenvector of (P - Q, K) whose eigenvalue
-    exceeds pos_tol * |lambda_max|, K-normalized to a^T K a = 1 with a
+    exceeds EIG_POS_TOL * |lambda_max|, K-normalized to a^T K a = 1 with a
     deterministic sign (first significant coefficient positive).
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -188,7 +182,7 @@ def fit_nkmmc(
     k_matrix = (k_matrix + k_matrix.T) / 2
     s = _margin_operator(k_matrix, class_ids)
     m = k_matrix.shape[0]
-    k_jittered = k_matrix + jitter * (np.trace(k_matrix) / m) * np.eye(m)
+    k_jittered = k_matrix + K_JITTER * (np.trace(k_matrix) / m) * np.eye(m)
 
     evals, vectors = _solve_generalized(s, k_jittered)
     # Vectors whose K_jittered-energy is mostly jitter live in the numerical
@@ -202,7 +196,7 @@ def fit_nkmmc(
     if evals.size == 0 or float(evals[0]) <= 0.0:
         raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")
     lam_max = float(evals[0])
-    keep = evals > pos_tol * abs(lam_max)
+    keep = evals > EIG_POS_TOL * abs(lam_max)
     coeffs = vectors[:, keep].copy()
     eigenvalues = evals[keep].copy()
 

@@ -1,10 +1,11 @@
 """Null projecting directions: zero within-class scatter, positive between-class.
 
 The construction follows four steps: center the data, build an orthonormal
-basis U of the centered span by Gram-Schmidt with reorthogonalization, take
-the nullspace basis B of U^T S_w U by symmetric eigendecomposition, and map
-back as W_N = U @ B. Every column w of W_N then satisfies w^T S_w w = 0 and
-w^T S_b w > 0, so all samples of one class project onto a single point.
+basis U of the centered span from the eigendecomposition of the small n x n
+Gram matrix of the centered rows, take the nullspace basis B of U^T S_w U by
+symmetric eigendecomposition, and map back as W_N = U @ B. Every column w
+of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all samples of one
+class project onto a single point.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ from .scatter import compute_scatter
 
 # Relative eigenvalue threshold under which a direction counts as null.
 NULL_TOL = 1e-10
-# Residual-norm fraction of the input norm under which a basis candidate is
-# dropped as linearly dependent.
-DROP_TOL = 1e-12
 
 
 @dataclass
@@ -45,44 +43,18 @@ class NullProjector:
         return self.n_directions + 1
 
 
-def gram_schmidt(rows: np.ndarray, drop_tol: float = DROP_TOL, block: int = 64) -> np.ndarray:
-    """Column-orthonormal basis of the row span, via two-pass Gram-Schmidt.
+def span_coefficients(rows: np.ndarray) -> np.ndarray:
+    """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the row span.
 
-    Processes vectors in blocks so the projections against the accumulated
-    basis run as matrix products; each vector still gets two orthogonalization
-    passes, and candidates whose residual falls below drop_tol times their
-    input norm are discarded as dependent.
+    Solved on the small Gram matrix G = rows @ rows.T = V diag(lam) V^T as
+    A = V_r diag(lam_r)^(-1/2), where r counts the eigenvalues above
+    lam_max * max(n, d) * eps (numpy.linalg.matrix_rank's tolerance, applied
+    to the Gram eigenvalues). Dependent and duplicate rows add no column.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    n, d = rows.shape
-    # Basis vectors accumulate as rows so slices stay contiguous for BLAS.
-    basis = np.empty((n, d))
-    r = 0
-    for start in range(0, n, block):
-        blk = rows[start:start + block].copy()     # (b, d)
-        orig = np.linalg.norm(blk, axis=1)
-        for _ in range(2):
-            if r:
-                blk -= (blk @ basis[:r].T) @ basis[:r]
-        block_start = r
-        for j in range(blk.shape[0]):
-            v = blk[j]
-            for _ in range(2):
-                if r > block_start:
-                    local = basis[block_start:r]
-                    v = v - (v @ local.T) @ local
-            norm = np.linalg.norm(v)
-            if norm < 1e-8 * orig[j] and norm > 0.0:
-                # Heavy cancellation: one more pass against the full basis
-                # before deciding to keep or drop.
-                if r:
-                    v = v - (v @ basis[:r].T) @ basis[:r]
-                norm = np.linalg.norm(v)
-            if orig[j] == 0.0 or norm < drop_tol * orig[j]:
-                continue
-            basis[r] = v / norm
-            r += 1
-    return basis[:r].T.copy()
+    evals, evecs = np.linalg.eigh(rows @ rows.T)              # ascending
+    keep = evals > evals[-1] * max(rows.shape) * np.finfo(np.float64).eps
+    return evecs[:, keep] / np.sqrt(evals[keep])
 
 
 def _fix_column_signs(matrix: np.ndarray) -> None:
@@ -94,7 +66,7 @@ def _fix_column_signs(matrix: np.ndarray) -> None:
             matrix[:, j] = -col
 
 
-def fit_nfst(labeled: FeatureTable, null_tol: float = NULL_TOL) -> NullProjector:
+def fit_nfst(labeled: FeatureTable) -> NullProjector:
     """Fit the c-1 null projecting directions of a labeled table.
 
     Expects the small-sample-size regime (centered data of rank n-1); raises
@@ -108,14 +80,14 @@ def fit_nfst(labeled: FeatureTable, null_tol: float = NULL_TOL) -> NullProjector
         raise InsufficientSamplesError(f"n-1={n - 1} basis directions cannot hold {c - 1} NPDs")
 
     centered = labeled.features - stats.global_mean
-    basis = gram_schmidt(centered)
+    basis = centered.T @ span_coefficients(centered)          # U, (d, r)
 
     projected_within = stats.within_factor @ basis            # (n, r)
     reduced = projected_within.T @ projected_within           # U^T S_w U
     reduced = (reduced + reduced.T) / 2
     evals, evecs = np.linalg.eigh(reduced)                    # ascending
     lam_max = float(evals[-1]) if evals.size else 0.0
-    threshold = null_tol * max(lam_max, 0.0)
+    threshold = NULL_TOL * max(lam_max, 0.0)
     null_count = int(np.count_nonzero(evals <= threshold))
     wanted = c - 1
     if null_count < wanted:

@@ -161,7 +161,7 @@ def save_model(model: Nk3mlModel, path) -> None:
 
 def load_model(path) -> Nk3mlModel:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ModelFormatError(f"no such file: {path}")
     return deserialize_model(path.read_bytes(), context=str(path))
 

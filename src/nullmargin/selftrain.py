@@ -23,7 +23,7 @@ from .dataio import FeatureTable, concat_tables
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
 from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
-from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum, save_model
+from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum
 
 # Pseudo labels start here (or above any real label), keeping the namespace
 # disjoint from ground-truth identities.
@@ -89,7 +89,6 @@ def run_self_training(
     labeled: FeatureTable,
     unlabeled: FeatureTable,
     cfg: LoopConfig,
-    checkpoint_dir=None,
 ) -> tuple[Nk3mlModel, LoopTrace]:
     """Run the loop; returns the final refitted model and the iteration trace.
 
@@ -112,8 +111,6 @@ def run_self_training(
                 f"primary fit failed at iteration {iteration}: {err}", trace=trace
             ) from err
         checksum = model_checksum(model)
-        if checkpoint_dir is not None:
-            save_model(model, Path(checkpoint_dir) / f"iter_{iteration}.nk3m")
 
         classes_now = _labeled_class_count(current)
         pairs = []

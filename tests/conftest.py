@@ -21,7 +21,7 @@ def make_table(features, cameras, identities, within_view=None, prefix="s"):
     )
 
 
-# Table files every loader must reject with DataFormatError (CLI exit 3).
+# Table paths every loader must reject with DataFormatError (CLI exit 3).
 HOSTILE_TABLES = (
     "empty.ssml",
     "huge_header.ssml",
@@ -30,6 +30,7 @@ HOSTILE_TABLES = (
     "inf_feature.ssml",
     "non_utf8.csv",
     "nan_feature.csv",
+    "directory",
 )
 
 
@@ -59,6 +60,7 @@ def hostile_dir(tmp_path_factory):
     }
     for name, data in files.items():
         (out / name).write_bytes(data)
+    (out / "directory").mkdir()
     return out
 
 

@@ -106,10 +106,16 @@ def test_run_config_file_with_flag_override(dataset, tmp_path):
     assert report["config"]["run.mode"] == "labeled_only"
 
 
-def test_run_unknown_config_key_exits_2(dataset, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("run.modus = labeled_only\n")
-    assert run_cli("run", "--config", cfg, "--input", dataset, "-o", tmp_path / "o") == 2
+def test_run_unknown_config_key_exits_2(dataset, tmp_path, capsys):
+    unknown_key = tmp_path / "run.cfg"
+    unknown_key.write_text("run.modus = labeled_only\n")
+    non_utf8 = tmp_path / "latin1.cfg"
+    non_utf8.write_bytes(b"run.mode = labeled_only  # \xe9\n")
+    directory = tmp_path / "cfg.d"
+    directory.mkdir()
+    for cfg in (unknown_key, non_utf8, directory, tmp_path / "missing.cfg"):
+        assert run_cli("run", "--config", cfg, "--input", dataset, "-o", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: config:")
 
 
 def test_run_missing_input_exits_2(tmp_path):
@@ -252,10 +258,14 @@ def test_data_error_exit_3(tmp_path):
     assert run_cli("run", "--input", missing, "-o", tmp_path / "o", "--trials", 1) == 3
 
 
-def test_bad_model_file_exit_3(tmp_path, dataset):
+def test_bad_model_file_exit_3(tmp_path, dataset, capsys):
     bad = tmp_path / "bad.nk3m"
     bad.write_bytes(b"not a model")
-    assert run_cli("embed", "--model", bad, "--data", dataset, "-o", tmp_path / "e.csv") == 3
+    directory = tmp_path / "model.nk3m"
+    directory.mkdir()
+    for model in (bad, directory):
+        assert run_cli("embed", "--model", model, "--data", dataset, "-o", tmp_path / "e.csv") == 3
+        assert capsys.readouterr().err.startswith("error: data:")
 
 
 @pytest.mark.parametrize("name", HOSTILE_TABLES)

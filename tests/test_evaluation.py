@@ -1,17 +1,22 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from nullmargin import (
     LoopConfig,
     SplitSpec,
     SyntheticSpec,
     cmc,
+    embed,
     fit_nk3ml,
     generate_synthetic,
     make_split,
     model_checksum,
     rank_gallery,
     run_protocol,
+    run_self_training,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
 from nullmargin.evaluation import single_shot_view
@@ -92,8 +97,6 @@ def test_rank_gallery_self_match_first(easy_table):
 
 
 def test_rank_gallery_matches_sort_oracle(easy_table):
-    from nullmargin import embed
-
     split = make_split(easy_table, SplitSpec(seed=2, trials=10, labeled_fraction=1), 1)
     model = fit_nk3ml(split.labeled)
     probe = split.probe.subset(range(5))
@@ -117,17 +120,58 @@ def test_single_shot_view_one_image_per_identity_camera():
     assert seen == {(4, 0), (4, 1), (5, 1), (5, 0)}
 
 
-def test_run_protocol_single_trial_equals_manual(noisefree_table):
-    spec = SplitSpec(seed=4, trials=1, labeled_fraction=1)
-    cfg = LoopConfig()
-    result = run_protocol(noisefree_table, spec, cfg, "labeled_only", ns=(1, 2))
-    split = make_split(noisefree_table, spec, 0)
-    model = fit_nk3ml(split.labeled, cfg.kernel)
+def direct_trial(table, spec, cfg, mode, ns):
+    """Trial 0 of run_protocol fitted and ranked in feature coordinates."""
+    split = make_split(table, spec, 0)
+    if mode == "labeled_only":
+        model = fit_nk3ml(split.labeled, cfg.kernel)
+    else:
+        model, _ = run_self_training(split.labeled, split.unlabeled, cfg)
     probe = single_shot_view(split.probe, spec.seed, 0)
     gallery = single_shot_view(split.gallery, spec.seed, 0)
-    manual = cmc(rank_gallery(model, probe, gallery), probe.identities, gallery.identities, (1, 2))
-    assert result.curve.ranks == manual.ranks
-    assert result.model_checksums[0] == model_checksum(model)
+    curve = cmc(rank_gallery(model, probe, gallery), probe.identities, gallery.identities, ns)
+    return curve, split.labeled.n + split.unlabeled.n, model
+
+
+def assert_run_protocol_equals_direct(table, spec, mode, side):
+    # run_protocol fits in coordinates of the train span and lifts the model
+    # back; the direct fit must give the same CMC and, up to rounding, the
+    # same pairwise embedding distances.
+    cfg, ns = LoopConfig(), (1, 5)
+    result = run_protocol(table, spec, cfg, mode, ns=ns)
+    direct, n_train, model = direct_trial(table, spec, cfg, mode, ns)
+    assert (table.dim < n_train) == (side == ">")
+    assert result.per_trial[0] == direct
+    lifted = result.final_model
+    assert lifted.feature_dim == table.dim
+    assert result.model_checksums[0] == model_checksum(lifted)
+    expected = pdist(embed(model, table.features))
+    np.testing.assert_allclose(
+        pdist(embed(lifted, table.features)), expected, rtol=0, atol=1e-9 * expected.max()
+    )
+
+
+def test_run_protocol_single_trial_equals_manual(noisefree_table):
+    spec = SplitSpec(seed=4, trials=1, labeled_fraction=1)
+    assert_run_protocol_equals_direct(noisefree_table, spec, "labeled_only", "<")
+
+
+def test_span_reduction_is_exact_isometry():
+    # Every trial runs in train-span coordinates, on either side of
+    # d = n_train; the lifted model must match a feature-space fit.
+    def synth(identities, dim, seed):
+        return generate_synthetic(SyntheticSpec(
+            identities=identities, cameras=2, dim=dim,
+            per_camera_transform_strength=0.5, noise_sigma=0.1, seed=seed,
+        ))
+
+    assert_run_protocol_equals_direct(
+        synth(20, 400, 31), SplitSpec(seed=7, trials=1), "semi_supervised", "<"
+    )
+    assert_run_protocol_equals_direct(
+        synth(40, 30, 32), SplitSpec(seed=8, trials=1, labeled_fraction=Fraction(1, 4)),
+        "labeled_only", ">",
+    )
 
 
 def test_run_protocol_noise_free_rank1_perfect(noisefree_table):
@@ -170,34 +214,3 @@ def test_cmc_invariant_to_gallery_permutation(easy_table):
         ns,
     )
     assert base.ranks == moved.ranks
-
-
-def test_span_reduction_is_exact_isometry():
-    # At d >> n_train a trial is rotated into the train-span basis; the result
-    # must match the unrotated computation up to rounding.
-    from scipy.spatial.distance import cdist
-
-    from nullmargin import embed, run_self_training
-    from nullmargin.evaluation import _run_trial
-
-    table = generate_synthetic(
-        SyntheticSpec(
-            identities=20, cameras=2, dim=400,
-            per_camera_transform_strength=0.5, noise_sigma=0.1, seed=31,
-        )
-    )
-    spec, cfg = SplitSpec(seed=7, trials=1), LoopConfig()
-    split = make_split(table, spec, 0)
-    assert table.dim > 4 * (split.labeled.n + split.unlabeled.n)   # rotation runs
-    d_model, _ = run_self_training(split.labeled, split.unlabeled, cfg)
-    probe = single_shot_view(split.probe, spec.seed, 0)
-    gallery = single_shot_view(split.gallery, spec.seed, 0)
-    direct = cmc(rank_gallery(d_model, probe, gallery), probe.identities, gallery.identities, (1, 5))
-    reduced = _run_trial(table, spec, cfg, "semi_supervised", (1, 5), 0)
-    assert direct == reduced[0]
-    r_model = reduced[3]
-    assert r_model.feature_dim == table.dim
-    x = table.features[:40]
-    dd = cdist(embed(d_model, x), embed(d_model, x))
-    rd = cdist(embed(r_model, x), embed(r_model, x))
-    np.testing.assert_allclose(rd, dd, atol=1e-8)

@@ -5,7 +5,7 @@ import pytest
 
 from nullmargin import compute_scatter, fisher_value, fit_nfst, project_null
 from nullmargin.errors import DegenerateDataError
-from nullmargin.nfst import gram_schmidt
+from nullmargin.nfst import span_coefficients
 
 from conftest import make_table
 from test_scatter import loop_scatter
@@ -18,22 +18,28 @@ def random_sss_table(rng, classes, per_class, dim):
     return make_table(feats, cams, labels)
 
 
-def test_gram_schmidt_orthonormal_basis():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((40, 120))
-    basis = gram_schmidt(rows)
-    assert basis.shape == (120, 40)
-    np.testing.assert_allclose(basis.T @ basis, np.eye(40), atol=1e-12)
+def span_basis(rows):
+    basis = rows.T @ span_coefficients(rows)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
     # every input row lies in the span
-    recon = basis @ (basis.T @ rows.T)
-    np.testing.assert_allclose(recon, rows.T, atol=1e-10)
+    np.testing.assert_allclose(basis @ (basis.T @ rows.T), rows.T, atol=1e-10)
+    return basis
 
 
-def test_gram_schmidt_drops_dependent_rows():
+def test_span_coefficients_orthonormal_basis():
+    rng = np.random.default_rng(0)
+    assert span_basis(rng.standard_normal((40, 120))).shape == (120, 40)
+    # more rows than dimensions: the span is all of R^d
+    assert span_basis(rng.standard_normal((90, 25))).shape == (25, 25)
+
+
+def test_span_coefficients_drop_dependent_rows():
     rng = np.random.default_rng(1)
     rows = rng.standard_normal((5, 30))
-    basis = gram_schmidt(np.vstack([rows, 2.5 * rows[0], rows[1] - rows[2]]))
-    assert basis.shape[1] == 5
+    dependent = np.vstack([rows, 2.5 * rows[0], rows[1] - rows[2], rows[3]])
+    assert span_basis(dependent).shape == (30, 5)
+    # centered rows lose one dimension
+    assert span_basis(rows - rows.mean(axis=0)).shape == (30, 4)
 
 
 def test_minimal_two_singletons():

@@ -110,15 +110,6 @@ def test_trace_jsonl_export(tmp_path, noisefree_12):
     }
 
 
-def test_checkpoints_written(tmp_path, noisefree_12):
-    labeled, unlabeled = split_by_identity(noisefree_12, 3)
-    _, trace = run_self_training(
-        labeled, unlabeled, LoopConfig(max_iterations=2), checkpoint_dir=tmp_path
-    )
-    for rec in trace.records:
-        assert (tmp_path / f"iter_{rec.iteration}.nk3m").exists()
-
-
 def test_config_validation():
     with pytest.raises(DataValidationError):
         LoopConfig(quantile=0.0)
