@@ -112,18 +112,22 @@ def _run_trial(
     # U = train^T A of the train span. Every fitted direction and mean lies in
     # that span, so the change of basis preserves scatter, null directions,
     # kernel distances and rankings exactly while each fit works in at most
-    # n_train dimensions; the final model is lifted back with U.
+    # n_train dimensions; the final model is lifted back with U. The train
+    # rows' coordinates are G @ A, from the Gram G that A is solved on.
     train = np.vstack([split.labeled.features, split.unlabeled.features])
-    coeffs = span_coefficients(train)
+    train_gram = train @ train.T
+    coeffs = span_coefficients(train_gram, train.shape[1])
+    labeled = replace(split.labeled, features=train_gram[: split.labeled.n] @ coeffs)
+    unlabeled = replace(split.unlabeled, features=train_gram[split.labeled.n :] @ coeffs)
 
     def to_span(part: FeatureTable) -> FeatureTable:
         return replace(part, features=(part.features @ train.T) @ coeffs)
 
     if mode == "labeled_only":
-        model = fit_nk3ml(to_span(split.labeled), cfg.kernel)
+        model = fit_nk3ml(labeled, cfg.kernel)
         trace = None
     else:
-        model, trace = run_self_training(to_span(split.labeled), to_span(split.unlabeled), cfg)
+        model, trace = run_self_training(labeled, unlabeled, cfg)
     probe = to_span(single_shot_view(split.probe, spec.seed, trial))
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)

@@ -2,15 +2,23 @@
 
 Solves the generalized eigenproblem of (P - Q, K) where K is the training
 Gram matrix, Q aggregates per-class kernel scatter and P the scatter of
-kernelized class means around the global kernel mean:
+kernelized class means around the global kernel mean. Training point j may
+stand for mu_j identical rows (its multiplicity, default 1; n = sum mu_j
+rows, n_i of them in class i). The fit equals the fit on the n expanded rows
+with coefficients gamma_j summed over each point's copies:
 
-    Q = sum_i (1/n) K_i (I - (1/n_i) 11^T) K_i^T
-    P = sum_i (n_i/n) (m_i - m)(m_i - m)^T        (kernel-mean vectors)
+    Q = (1/n) sum_j mu_j (k_j - m_i(j))(k_j - m_i(j))^T      (k_j = K[:, j])
+    P = sum_i (n_i/n) (m_i - m)(m_i - m)^T
+    m_i = sum_{j in C_i} mu_j k_j / n_i,   m = sum_j mu_j k_j / n
+
+so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n.
+The expanded Gram E K E^T (E the row-to-point indicator) with its jitter
+eps * I turns into K + eps * diag(1/mu) over the points.
 
 All discriminants with positive eigenvalues are retained and normalized to
-a^T K a = 1. The same routine serves the primary space (over null-space
-projections of labeled data) and the secondary space (over anchor-camera
-embeddings).
+a^T K a = 1. The same routine serves the primary space (over the null-space
+class points, weighted by their row counts) and the secondary space (over
+anchor-camera embeddings, one row each).
 """
 
 from __future__ import annotations
@@ -84,12 +92,28 @@ class KernelDiscriminantModel:
         return self.kernel
 
 
-def resolve_bandwidth(points: np.ndarray) -> float:
-    """Mean of all pairwise Euclidean distances."""
+def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
+    if multiplicities is None:
+        return np.ones(points.shape[0])
+    mu = np.asarray(multiplicities, dtype=np.float64)
+    if mu.shape != (points.shape[0],):
+        raise DataValidationError("one multiplicity per training point required")
+    if not np.all(np.isfinite(mu) & (mu >= 1)):
+        raise DataValidationError("multiplicities must be finite and at least 1")
+    return mu
+
+
+def resolve_bandwidth(points: np.ndarray, multiplicities=None) -> float:
+    """Mean Euclidean distance over all n(n-1)/2 pairs of the rows the points
+    stand for: pair (i, j) counts mu_i * mu_j times, and the zero-distance
+    pairs among copies of one point count too."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if points.shape[0] < 2:
         raise DataValidationError("bandwidth needs at least 2 points")
-    mean = float(pdist(points).mean())
+    mu = _multiplicities(points, multiplicities)
+    rows, cols = np.triu_indices(len(mu), 1)                 # pdist's pair order
+    n = mu.sum()
+    mean = float((pdist(points) * (mu[rows] * mu[cols])).sum() / (n * (n - 1) / 2))
     if mean == 0.0:
         raise ZeroDistanceError("all points identical; no distance scale for the kernel")
     return mean
@@ -109,23 +133,26 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
     return np.exp(-sq / (2.0 * float(kernel.bandwidth) ** 2))
 
 
-def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray) -> np.ndarray:
+def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities=None) -> np.ndarray:
     """P - Q over the Gram matrix, symmetrized.
 
     All class blocks are assembled into two rank-batched products so the cost
     is a pair of GEMMs rather than a per-class loop.
     """
     m = k_matrix.shape[0]
+    mu = _multiplicities(k_matrix, multiplicities)
+    n = mu.sum()
     _, inverse = np.unique(class_ids, return_inverse=True)
-    counts = np.bincount(inverse).astype(np.float64)
+    counts = np.bincount(inverse, weights=mu)             # rows per class
     indicator = np.zeros((m, len(counts)))
-    indicator[np.arange(m), inverse] = 1.0
+    indicator[np.arange(m), inverse] = mu
     class_means = (k_matrix @ indicator) / counts          # column j = kernel mean of class j
-    global_mean = k_matrix.mean(axis=1)
+    global_mean = (k_matrix * mu).sum(axis=1) / n
 
     centered = k_matrix - class_means[:, inverse]          # all K_i blocks column-centered
-    q = (centered @ centered.T) / m
-    diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / m)
+    centered *= np.sqrt(mu)
+    q = (centered @ centered.T) / n
+    diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / n)
     p = diffs @ diffs.T
     s = p - q
     return (s + s.T) / 2
@@ -156,12 +183,16 @@ def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarra
     return evals, vectors
 
 
-def fit_nkmmc(points: np.ndarray, classes, kernel: KernelSpec) -> KernelDiscriminantModel:
+def fit_nkmmc(
+    points: np.ndarray, classes, kernel: KernelSpec, multiplicities=None
+) -> KernelDiscriminantModel:
     """Fit the maximum-margin kernel discriminants.
 
     Keeps every generalized eigenvector of (P - Q, K) whose eigenvalue
     exceeds EIG_POS_TOL * |lambda_max|, K-normalized to a^T K a = 1 with a
-    deterministic sign (first significant coefficient positive).
+    deterministic sign (first significant coefficient positive). Point j
+    stands for multiplicities[j] identical rows (default 1); see the module
+    docstring.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     class_ids = np.asarray(classes)
@@ -169,9 +200,10 @@ def fit_nkmmc(points: np.ndarray, classes, kernel: KernelSpec) -> KernelDiscrimi
         raise DataValidationError("one class label per training point required")
     if len(np.unique(class_ids)) < 2:
         raise DataValidationError("maximum margin criterion needs at least 2 classes")
+    mu = _multiplicities(points, multiplicities)
 
     if kernel.kind == "rbf" and kernel.is_auto:
-        bandwidth = resolve_bandwidth(points)
+        bandwidth = resolve_bandwidth(points, mu)
     elif kernel.kind == "rbf":
         bandwidth = float(kernel.bandwidth)
     else:
@@ -180,9 +212,11 @@ def fit_nkmmc(points: np.ndarray, classes, kernel: KernelSpec) -> KernelDiscrimi
 
     k_matrix = gram(points, points, resolved)
     k_matrix = (k_matrix + k_matrix.T) / 2
-    s = _margin_operator(k_matrix, class_ids)
-    m = k_matrix.shape[0]
-    k_jittered = k_matrix + K_JITTER * (np.trace(k_matrix) / m) * np.eye(m)
+    s = _margin_operator(k_matrix, class_ids, mu)
+    # eps * I over the n expanded rows, with eps relative to their mean
+    # diagonal, is eps * diag(1/mu) over the points.
+    eps = K_JITTER * ((np.diagonal(k_matrix) * mu).sum() / mu.sum())
+    k_jittered = k_matrix + np.diag(eps / mu)
 
     evals, vectors = _solve_generalized(s, k_jittered)
     # Vectors whose K_jittered-energy is mostly jitter live in the numerical

@@ -43,17 +43,17 @@ class NullProjector:
         return self.n_directions + 1
 
 
-def span_coefficients(rows: np.ndarray) -> np.ndarray:
-    """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the row span.
+def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
+    """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the
+    span of n rows of dimension dim, given their Gram matrix rows @ rows.T.
 
-    Solved on the small Gram matrix G = rows @ rows.T = V diag(lam) V^T as
-    A = V_r diag(lam_r)^(-1/2), where r counts the eigenvalues above
-    lam_max * max(n, d) * eps (numpy.linalg.matrix_rank's tolerance, applied
-    to the Gram eigenvalues). Dependent and duplicate rows add no column.
+    With gram = V diag(lam) V^T, A = V_r diag(lam_r)^(-1/2), where r counts
+    the eigenvalues above lam_max * max(n, dim) * eps (numpy.linalg.matrix_rank's
+    tolerance, applied to the Gram eigenvalues). Dependent and duplicate rows
+    add no column.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    evals, evecs = np.linalg.eigh(rows @ rows.T)              # ascending
-    keep = evals > evals[-1] * max(rows.shape) * np.finfo(np.float64).eps
+    evals, evecs = np.linalg.eigh(gram)                       # ascending
+    keep = evals > evals[-1] * max(gram.shape[0], dim) * np.finfo(np.float64).eps
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
@@ -80,7 +80,7 @@ def fit_nfst(labeled: FeatureTable) -> NullProjector:
         raise InsufficientSamplesError(f"n-1={n - 1} basis directions cannot hold {c - 1} NPDs")
 
     centered = labeled.features - stats.global_mean
-    basis = centered.T @ span_coefficients(centered)          # U, (d, r)
+    basis = centered.T @ span_coefficients(centered @ centered.T, stats.dim)   # U, (d, r)
 
     projected_within = stats.within_factor @ basis            # (n, r)
     reduced = projected_within.T @ projected_within           # U^T S_w U

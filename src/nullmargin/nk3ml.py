@@ -20,6 +20,7 @@ from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nfst import NullProjector, fit_nfst, project_null
+from .scatter import class_means
 
 MODEL_MAGIC = b"NK3M"
 MODEL_VERSION = 1
@@ -49,14 +50,18 @@ class Nk3mlModel:
 def fit_nk3ml(labeled: FeatureTable, kernel: KernelSpec = KernelSpec()) -> Nk3mlModel:
     """Fit the primary space on a fully labeled table.
 
-    The margin stage trains on all null-space projections (same-class rows
-    coincide there, which only reweights classes by their sample counts);
-    an 'auto' bandwidth is resolved on those projections.
+    All rows of a class coincide in the null space, so the margin stage
+    trains on the c projected class means, each standing for its class's row
+    count: the same fit as on all n projected rows, solved on c points. An
+    'auto' bandwidth is the mean over all n(n-1)/2 row pairs, zero
+    within-class pairs included.
     """
     projector = fit_nfst(labeled)
-    projected = project_null(projector, labeled.features)
-    labels = labeled.label_values()
-    return Nk3mlModel(nullproj=projector, margin=fit_nkmmc(projected, labels, kernel))
+    classes, inverse, counts = np.unique(
+        labeled.label_values(), return_inverse=True, return_counts=True
+    )
+    points = project_null(projector, class_means(labeled.features, inverse, counts))
+    return Nk3mlModel(nullproj=projector, margin=fit_nkmmc(points, classes, kernel, counts))
 
 
 def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:

@@ -60,6 +60,16 @@ class ScatterStats:
         return float(np.sum((self.between_factor @ w) ** 2))
 
 
+def class_means(x: np.ndarray, inverse: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(c, d) means of the rows of x in each class; row r is in class inverse[r]."""
+    # class sums via reduceat over class-sorted rows (np.add.at is unbuffered
+    # and far too slow at d in the tens of thousands)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.zeros(len(counts), dtype=np.int64)
+    starts[1:] = np.cumsum(counts)[:-1]
+    return np.add.reduceat(x[order], starts, axis=0) / counts[:, None]
+
+
 def compute_scatter(table: FeatureTable) -> ScatterStats:
     """Scatter statistics of a fully labeled table.
 
@@ -77,13 +87,7 @@ def compute_scatter(table: FeatureTable) -> ScatterStats:
 
     x = table.features
     counts = np.bincount(inverse, minlength=len(class_labels)).astype(np.int64)
-    # class sums via reduceat over class-sorted rows (np.add.at is unbuffered
-    # and far too slow at d in the tens of thousands)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.zeros(len(class_labels), dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    sums = np.add.reduceat(x[order], starts, axis=0)
-    means = sums / counts[:, None]
+    means = class_means(x, inverse, counts)
     global_mean = x.mean(axis=0)
     return ScatterStats(
         class_labels=class_labels,

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel, resolve_bandwidth
 from nullmargin.errors import DataValidationError, ZeroDistanceError
-from nullmargin.kmmc import KernelDiscriminantModel, _margin_operator, _solve_generalized
+from nullmargin.kmmc import (
+    K_JITTER,
+    KernelDiscriminantModel,
+    _margin_operator,
+    _solve_generalized,
+)
 
 RBF = KernelSpec("rbf", 1.0)
 
@@ -235,3 +241,106 @@ def test_margin_witness_on_separable_fixture():
             d = np.linalg.norm(proj[i] - proj[j])
             (intra if labels[i] == labels[j] else inter).append(d)
     assert np.mean(inter) >= np.mean(intra)
+
+
+# ---------------------------------------------------------------------------
+# Row multiplicities: point j standing for mu_j identical rows
+# ---------------------------------------------------------------------------
+
+KERNELS = {
+    "rbf-auto": KernelSpec("rbf", "auto"),
+    "rbf-fixed": KernelSpec("rbf", 1.7),
+    "linear": KernelSpec("linear"),
+}
+
+
+def class_points(seed, classes=9):
+    """One point per class in general position in c-1 dimensions, the shape
+    of the null-space class points, with unequal row counts 1..4."""
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((classes, classes - 1)) * 2.0
+    counts = rng.integers(1, 5, classes)
+    counts[:2] = (1, 4)
+    labels = 10 * np.arange(classes) + 3
+    return points, labels, counts
+
+
+def test_bandwidth_with_multiplicities():
+    # rows 0, 2, 2: pairs (0,2), (0,2), (2,2) -> mean 4/3
+    got = resolve_bandwidth(np.array([[0.0], [2.0]]), np.array([1, 2]))
+    assert np.isclose(got, 4.0 / 3.0)
+
+
+@pytest.mark.parametrize("bad", [[1, 1], [1, 0, 1], [1, np.nan, 1], [1, np.inf, 1]])
+def test_invalid_multiplicities_rejected(bad):
+    points = np.array([[0.0], [1.0], [3.0]])
+    with pytest.raises(DataValidationError):
+        fit_nkmmc(points, [0, 1, 2], RBF, bad)
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_weighted_fit_equals_expanded_fit(name):
+    kernel = KERNELS[name]
+    for seed in range(5):
+        points, labels, counts = class_points(seed)
+        rows = np.repeat(np.arange(len(points)), counts)
+        weighted = fit_nkmmc(points, labels, kernel, counts)
+        expanded = fit_nkmmc(points[rows], labels[rows], kernel)
+        assert weighted.output_dim == expanded.output_dim
+        np.testing.assert_allclose(weighted.eigenvalues, expanded.eigenvalues, rtol=1e-9, atol=0)
+        assert weighted.resolved_bandwidth == pytest.approx(expanded.resolved_bandwidth, rel=1e-12)
+        x = np.random.default_rng(100 + seed).standard_normal((30, points.shape[1])) * 2.0
+        expected = pdist(project_kernel(expanded, x))
+        np.testing.assert_allclose(
+            pdist(project_kernel(weighted, x)), expected, rtol=0, atol=1e-9 * expected.max()
+        )
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_unit_multiplicities_change_nothing(name):
+    rng = np.random.default_rng(15)
+    points, labels = two_blob_points(rng, per_class=7, dim=3)
+    plain = fit_nkmmc(points, labels, KERNELS[name])
+    ones = fit_nkmmc(points, labels, KERNELS[name], np.ones(len(points)))
+    assert ones.coeffs.tobytes() == plain.coeffs.tobytes()
+    assert ones.eigenvalues.tobytes() == plain.eigenvalues.tobytes()
+    assert ones.resolved_bandwidth == plain.resolved_bandwidth
+
+
+def test_weighted_operator_is_centred_class_scatter():
+    # One point per class: Q = 0 and P = K (diag(w) - w w^T) K, w = n_i / n.
+    points, labels, counts = class_points(16)
+    k = gram(points, points, RBF)
+    w = counts / counts.sum()
+    expected = k @ (np.diag(w) - np.outer(w, w)) @ k
+    np.testing.assert_allclose(_margin_operator(k, labels, counts), expected, atol=1e-14)
+
+
+def test_weighted_normalisation_and_eigen_residual():
+    points, labels, counts = class_points(17)
+    model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
+    k = gram(points, points, model.resolved_kernel())
+    k = (k + k.T) / 2
+    s = _margin_operator(k, labels, counts)
+    eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
+    k_j = k + eps * np.diag(1.0 / counts)
+    norms = np.einsum("jk,jl,lk->k", model.coeffs, k, model.coeffs)
+    np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+    s_norm = np.linalg.norm(s, 2)
+    for j in range(model.output_dim):
+        g = model.coeffs[:, j]
+        resid = np.linalg.norm(s @ g - model.eigenvalues[j] * (k_j @ g))
+        assert resid <= 1e-6 * s_norm * np.linalg.norm(g)
+
+
+def test_weighted_rayleigh_optimality_monte_carlo():
+    rng = np.random.default_rng(18)
+    points, labels, counts = class_points(18)
+    model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
+    k = gram(points, points, model.resolved_kernel())
+    s = _margin_operator(k, labels, counts)
+    top = model.coeffs[:, 0]
+    r = rng.standard_normal((len(points), 2000))
+    r /= np.sqrt(np.einsum("jk,jl,lk->k", r, k, r))
+    random_best = np.einsum("jk,jl,lk->k", r, s, r).max()
+    assert top @ s @ top >= random_best - 1e-8 * abs(top @ s @ top)

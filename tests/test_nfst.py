@@ -19,7 +19,7 @@ def random_sss_table(rng, classes, per_class, dim):
 
 
 def span_basis(rows):
-    basis = rows.T @ span_coefficients(rows)
+    basis = rows.T @ span_coefficients(rows @ rows.T, rows.shape[1])
     np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
     # every input row lies in the span
     np.testing.assert_allclose(basis @ (basis.T @ rows.T), rows.T, atol=1e-10)

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from nullmargin import (
+    KernelSpec,
     SplitSpec,
     embed,
     fit_nk3ml,
@@ -14,9 +15,9 @@ from nullmargin import (
     save_model,
 )
 from nullmargin.errors import DataValidationError, ModelFormatError, ModelVersionError
-from nullmargin.kmmc import project_kernel
-from nullmargin.nfst import project_null
-from nullmargin.nk3ml import MODEL_MAGIC, deserialize_model, serialize_model
+from nullmargin.kmmc import fit_nkmmc, project_kernel
+from nullmargin.nfst import fit_nfst, project_null
+from nullmargin.nk3ml import MODEL_MAGIC, Nk3mlModel, deserialize_model, serialize_model
 
 from conftest import labeled_gaussians, make_table
 
@@ -36,6 +37,42 @@ def test_minimal_two_class_pipeline():
     model = fit_nk3ml(table)
     assert model.nullproj.n_directions == 1
     assert model.output_dim >= 1
+
+
+def unequal_classes_table():
+    """Labeled blobs with 1 to 4 rows per class, rows in class order."""
+    rng = np.random.default_rng(21)
+    counts = [1, 4, 2, 3, 1, 4, 2, 3]
+    centers = rng.standard_normal((len(counts), 50)) * 10.0
+    feats = np.vstack([centers[c] + rng.standard_normal((n, 50)) for c, n in enumerate(counts)])
+    labels = np.repeat(np.arange(len(counts)) * 5 + 2, counts)
+    return make_table(feats, np.arange(len(labels)) % 2, labels.tolist())
+
+
+def test_margin_stage_fits_one_point_per_class():
+    table = unequal_classes_table()
+    model = fit_nk3ml(table)
+    labels = table.label_values()
+    np.testing.assert_array_equal(model.margin.class_index, np.unique(labels))
+    # each margin point is the null-space point all rows of its class share
+    projected = project_null(model.nullproj, table.features)
+    for point, cls in zip(model.margin.train_points, model.margin.class_index):
+        np.testing.assert_allclose(projected[labels == cls] - point, 0.0,
+                                   rtol=0, atol=1e-9 * np.abs(projected).max())
+
+
+def test_model_with_duplicated_margin_rows_still_loads():
+    # A model written before the margin stage fitted on class points carries
+    # all n projected rows (fit_nkmmc without multiplicities still fits them
+    # exactly as it did then); it keeps loading and embeds like the c-point fit.
+    table = unequal_classes_table()
+    projector = fit_nfst(table)
+    margin = fit_nkmmc(project_null(projector, table.features), table.label_values(), KernelSpec())
+    loaded = deserialize_model(serialize_model(Nk3mlModel(nullproj=projector, margin=margin)))
+    assert loaded.margin.train_points.shape[0] == table.n
+    x = np.vstack([table.features, np.random.default_rng(22).standard_normal((10, table.dim)) * 10.0])
+    expected = embed(fit_nk3ml(table), x)
+    np.testing.assert_allclose(embed(loaded, x), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
 
 
 def test_embed_is_stage_composition(easy_model):
