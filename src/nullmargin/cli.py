@@ -40,7 +40,6 @@ from .errors import (
     DataValidationError,
     DegenerateDataError,
     EmptyModelError,
-    InsufficientSamplesError,
     NumericalError,
     ProtocolError,
     SelfTrainingError,
@@ -63,7 +62,6 @@ _DATA_ERRORS = (
     DataValidationError,
     ProtocolError,
     DegenerateDataError,
-    InsufficientSamplesError,
     ZeroDistanceError,
     FileNotFoundError,
 )

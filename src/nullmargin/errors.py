@@ -33,10 +33,6 @@ class ModelVersionError(ModelFormatError):
     """Serialized model container has an unsupported version."""
 
 
-class InsufficientSamplesError(NullmarginError):
-    """Fewer samples than the null-space construction requires (n - 1 < c - 1)."""
-
-
 class DegenerateDataError(NullmarginError):
     """Data not in general position: fewer null directions than classes - 1.
 

@@ -1,25 +1,29 @@
 """Null projecting directions: zero within-class scatter, positive between-class.
 
-The construction follows four steps: center the data, build an orthonormal
-basis U of the centered span from the eigendecomposition of the small n x n
-Gram matrix of the centered rows, take the nullspace basis B of U^T S_w U by
-symmetric eigendecomposition, and map back as W_N = U @ B. Every column w
-of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all samples of one
-class project onto a single point.
+The null space of S_w inside the span of the centered rows is the part of
+the between-class vectors (the rows of the S_b factor) that lies outside the
+span of the within-class rows. The construction has three steps: an
+orthonormal basis of the within-class span from the eigendecomposition of
+the small Gram matrix of the within-class rows, the residual R of the
+between-class vectors off that span, and an orthonormal basis of the column
+span of R from the eigendecomposition of the c x c matrix R^T R. Every
+column w of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all
+samples of one class project onto a single point.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import FeatureTable
-from .errors import DataValidationError, DegenerateDataError, InsufficientSamplesError
+from .errors import DataValidationError, DegenerateDataError
 from .scatter import compute_scatter
 
-# Relative eigenvalue threshold under which a direction counts as null.
+# Eigenvalues of R^T R at or below NULL_TOL * trace(S_b) carry no null
+# direction: the between-class vectors have no part outside the within-class
+# span along them.
 NULL_TOL = 1e-10
 
 
@@ -50,61 +54,49 @@ def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
     With gram = V diag(lam) V^T, A = V_r diag(lam_r)^(-1/2), where r counts
     the eigenvalues above lam_max * max(n, dim) * eps (numpy.linalg.matrix_rank's
     tolerance, applied to the Gram eigenvalues). Dependent and duplicate rows
-    add no column.
+    add no column; an empty (0, 0) Gram gives a (0, 0) array.
     """
     evals, evecs = np.linalg.eigh(gram)                       # ascending
-    keep = evals > evals[-1] * max(gram.shape[0], dim) * np.finfo(np.float64).eps
+    keep = evals > evals.max(initial=0.0) * max(gram.shape[0], dim) * np.finfo(np.float64).eps
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
 def _fix_column_signs(matrix: np.ndarray) -> None:
     """Flip columns in place so each first significant coefficient is positive."""
-    for j in range(matrix.shape[1]):
-        col = matrix[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))
-        if nz.size and col[nz[0]] < 0:
-            matrix[:, j] = -col
+    magnitude = np.abs(matrix)
+    significant = magnitude > 1e-12 * magnitude.max(axis=0, initial=0.0)
+    first = matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])]
+    matrix[:, first < 0] *= -1.0
 
 
 def fit_nfst(labeled: FeatureTable) -> NullProjector:
     """Fit the c-1 null projecting directions of a labeled table.
 
-    Expects the small-sample-size regime (centered data of rank n-1); raises
-    DegenerateDataError when the nullspace of U^T S_w U has fewer than c-1
-    directions, and keeps the c-1 smallest-eigenvalue directions (with a
-    warning) when it has more.
+    The within-class rows without the first row of each class (n-c rows with
+    the same span, since a class's rows sum to zero) give an orthonormal basis
+    of the within-class span. The residual R (d, c) of the between-class
+    vectors off that span has rank at most c-1, as their count-weighted sum
+    is zero; W_N = R V diag(lam)^(-1/2) over the c-1 largest eigenpairs of
+    R^T R. Raises DegenerateDataError when fewer than c-1 eigenvalues exceed
+    NULL_TOL * trace(S_b), i.e. the data are not in general position.
     """
     stats = compute_scatter(labeled)
-    n, c = stats.n, stats.class_count
-    if n - 1 < c - 1:
-        raise InsufficientSamplesError(f"n-1={n - 1} basis directions cannot hold {c - 1} NPDs")
-
-    centered = labeled.features - stats.global_mean
-    basis = centered.T @ span_coefficients(centered @ centered.T, stats.dim)   # U, (d, r)
-
-    projected_within = stats.within_factor @ basis            # (n, r)
-    reduced = projected_within.T @ projected_within           # U^T S_w U
-    reduced = (reduced + reduced.T) / 2
-    evals, evecs = np.linalg.eigh(reduced)                    # ascending
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    threshold = NULL_TOL * max(lam_max, 0.0)
-    null_count = int(np.count_nonzero(evals <= threshold))
-    wanted = c - 1
-    if null_count < wanted:
+    _, first_rows = np.unique(labeled.label_values(), return_index=True)
+    within = np.delete(stats.within_factor, first_rows, axis=0)         # (n-c, d)
+    span = within.T @ span_coefficients(within @ within.T, stats.dim)   # (d, r)
+    between = stats.between_factor.T                                    # (d, c)
+    residual = between - span @ (span.T @ between)
+    evals, evecs = np.linalg.eigh(residual.T @ residual)                # ascending
+    found = int(np.count_nonzero(evals > NULL_TOL * stats.trace_between))
+    wanted = stats.class_count - 1
+    if found < wanted:
         raise DegenerateDataError(
-            f"data not in general position: found {null_count} null directions, "
+            f"data not in general position: found {found} null directions, "
             f"expected {wanted}",
-            found=null_count,
+            found=found,
             expected=wanted,
         )
-    if null_count > wanted:
-        warnings.warn(
-            f"{null_count} near-null directions for {wanted} expected; "
-            "keeping the smallest-eigenvalue ones",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    w_n = basis @ evecs[:, :wanted].copy()
+    w_n = residual @ (evecs[:, 1:] / np.sqrt(evals[1:]))               # c-1 largest
     _fix_column_signs(w_n)
     return NullProjector(w_n=w_n, mean=stats.global_mean.copy())
 

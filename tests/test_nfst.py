@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nullmargin import compute_scatter, fisher_value, fit_nfst, project_null
 from nullmargin.errors import DegenerateDataError
-from nullmargin.nfst import span_coefficients
+from nullmargin.nfst import _fix_column_signs, span_coefficients
 
 from conftest import make_table
 from test_scatter import loop_scatter
@@ -31,6 +32,10 @@ def test_span_coefficients_orthonormal_basis():
     assert span_basis(rng.standard_normal((40, 120))).shape == (120, 40)
     # more rows than dimensions: the span is all of R^d
     assert span_basis(rng.standard_normal((90, 25))).shape == (25, 25)
+
+
+def test_span_coefficients_empty_gram():
+    assert span_coefficients(np.zeros((0, 0)), 5).shape == (0, 0)
 
 
 def test_span_coefficients_drop_dependent_rows():
@@ -139,9 +144,9 @@ def test_degenerate_data_raises():
     assert excinfo.value.found < excinfo.value.expected
 
 
-def test_excess_null_directions_warns():
-    # Class 1's within-class spread along e3 is far below the nullspace
-    # tolerance, so one extra eigenvalue lands under the threshold.
+def test_tiny_within_spread_stays_out_of_null_space():
+    # Class 1's within-class spread along e3 is tiny but real: e3 belongs to
+    # the within-class span, so the single null direction is e2 alone.
     eps = 1e-6
     feats = np.array(
         [
@@ -152,9 +157,93 @@ def test_excess_null_directions_warns():
         ]
     )
     table = make_table(feats, cameras=[0, 1, 0, 1], identities=[0, 0, 1, 1])
-    with pytest.warns(RuntimeWarning, match="null"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         proj = fit_nfst(table)
     assert proj.w_n.shape == (3, 1)
+    within = compute_scatter(table).within_factor
+    norms = np.linalg.norm(within, axis=1)
+    assert np.all(np.abs(within @ proj.w_n[:, 0]) <= 1e-12 * norms)
+
+
+def sized_table(rng, sizes, dim, duplicate=False):
+    """Classes of the given sizes; with duplicate, the last row of the first
+    class of size >= 2 repeats its first row."""
+    feats = rng.standard_normal((sum(sizes), dim))
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    if duplicate:
+        cls = next(k for k, size in enumerate(sizes) if size >= 2)
+        rows = np.flatnonzero(labels == cls)
+        feats[rows[-1]] = feats[rows[0]]
+    order = rng.permutation(len(labels))                  # classes interleaved
+    return make_table(feats[order], labels[order] % 2, [int(v) for v in labels[order]])
+
+
+def null_range_projector(features, labels):
+    """Projector onto null(S_w) ∩ range(S_t) from SVDs of the dense scatters."""
+    s_b, s_w, _ = loop_scatter(features, labels)
+    u, sv, _ = np.linalg.svd(s_b + s_w)
+    range_t = u[:, sv > 1e-10 * sv[0]]                     # orthonormal range(S_t)
+    _, sv_w, vt = np.linalg.svd(s_w @ range_t)
+    rank_w = int(np.count_nonzero(sv_w > 1e-10 * sv_w[0])) if sv_w.size else 0
+    basis = range_t @ vt[rank_w:].T
+    return basis @ basis.T
+
+
+def two_eigh_null_basis(table):
+    """Null-space basis by the centered-span construction: an orthonormal basis
+    U of the centered rows, then the null space of U^T S_w U."""
+    stats = compute_scatter(table)
+    centered = table.features - stats.global_mean
+    basis = centered.T @ span_coefficients(centered @ centered.T, stats.dim)
+    projected = stats.within_factor @ basis
+    _, evecs = np.linalg.eigh(projected.T @ projected)
+    return basis @ evecs[:, : stats.class_count - 1]
+
+
+def pairwise(points):
+    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim_offset", [9, -2])
+def test_null_space_against_dense_oracle(seed, dim_offset):
+    # dim_offset -2: d < n with a duplicated row, so the n-1 distinct rows
+    # still leave c-1 null directions; 9: d > n.
+    rng = np.random.default_rng(100 + seed)
+    sizes = [1, 1] + list(rng.integers(1, 6, size=6))
+    n = sum(sizes)
+    table = sized_table(rng, sizes, dim=n + dim_offset, duplicate=True)
+    proj = fit_nfst(table)
+    c = len(sizes)
+    assert proj.w_n.shape == (table.dim, c - 1)
+    oracle = null_range_projector(table.features, table.label_values())
+    np.testing.assert_allclose(proj.w_n @ proj.w_n.T, oracle, atol=1e-9)
+
+    ref = pairwise((table.features - proj.mean) @ two_eigh_null_basis(table))
+    got = pairwise(project_null(proj, table.features))
+    assert np.abs(got - ref).max() <= 1e-9 * ref.max()
+
+
+def test_fix_column_signs_matches_column_loop():
+    def loop(matrix):
+        for j in range(matrix.shape[1]):
+            col = matrix[:, j]
+            nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max(initial=0.0))
+            if nz.size and col[nz[0]] < 0:
+                matrix[:, j] = -col
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m, k = rng.integers(1, 9, size=2)
+        matrix = rng.standard_normal((m, k))
+        matrix[: rng.integers(0, m + 1)] = 0.0               # zero leading entries
+        matrix[rng.random((m, k)) < 0.2] *= 1e-14             # insignificant entries
+        matrix[:, rng.random(k) < 0.15] = 0.0                 # all-zero columns
+        expected = matrix.copy()
+        loop(expected)
+        _fix_column_signs(matrix)
+        assert matrix.tobytes() == expected.tobytes()
 
 
 def test_deterministic_fit():
