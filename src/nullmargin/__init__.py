@@ -31,11 +31,9 @@ from .kmmc import (
 )
 from .mining import (
     AnchorContext,
-    NeighborSets,
     PseudoClass,
     build_anchor_context,
     k_reciprocal,
-    knn,
     mine_pseudo_classes,
     select_anchor,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "KernelSpec",
     "LoopConfig",
     "LoopTrace",
-    "NeighborSets",
     "Nk3mlModel",
     "NullProjector",
     "ProtocolResult",
@@ -80,7 +77,6 @@ __all__ = [
     "generate_synthetic",
     "gram",
     "k_reciprocal",
-    "knn",
     "load_feature_table",
     "load_model",
     "make_split",

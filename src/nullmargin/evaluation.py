@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._blas import blas_threads
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, make_split, _trial_rng
 from .errors import DataValidationError, ProtocolError
 from .nfst import NullProjector, span_coefficients
@@ -106,23 +107,25 @@ def _run_trial(
     mode: str,
     ns,
     trial: int,
+    gram: np.ndarray,
 ) -> tuple[CmcCurve, str, float, Nk3mlModel, LoopTrace | None]:
-    split: ExperimentSplit = make_split(table, spec, trial)
+    # The split runs on a view of the table whose one feature is the row
+    # number, so its parts name rows of the table and copy no features.
+    row_view = replace(table, features=np.arange(table.n, dtype=np.float64)[:, None])
+    split: ExperimentSplit = make_split(row_view, spec, trial)
+    train = np.concatenate([_rows(split.labeled), _rows(split.unlabeled)])
     # The trial runs in the coordinates x -> U^T x of the orthonormal basis
-    # U = train^T A of the train span. Every fitted direction and mean lies in
-    # that span, so the change of basis preserves scatter, null directions,
-    # kernel distances and rankings exactly while each fit works in at most
-    # n_train dimensions; the final model is lifted back with U. The train
-    # rows' coordinates are G @ A, from the Gram G that A is solved on.
-    train = np.vstack([split.labeled.features, split.unlabeled.features])
-    train_gram = train @ train.T
-    coeffs = span_coefficients(train_gram, train.shape[1])
-    labeled = replace(split.labeled, features=train_gram[: split.labeled.n] @ coeffs)
-    unlabeled = replace(split.unlabeled, features=train_gram[split.labeled.n :] @ coeffs)
+    # U = T^T A of the train span (T the train rows). Every fitted direction
+    # and mean lies in that span, so the change of basis preserves scatter,
+    # null directions, kernel distances and rankings exactly while each fit
+    # works in at most n_train dimensions; the final model is lifted back
+    # with U. A row's coordinates x T^T A come from the table Gram.
+    coeffs = span_coefficients(gram[np.ix_(train, train)], table.dim)
 
     def to_span(part: FeatureTable) -> FeatureTable:
-        return replace(part, features=(part.features @ train.T) @ coeffs)
+        return replace(part, features=gram[np.ix_(_rows(part), train)] @ coeffs)
 
+    labeled, unlabeled = to_span(split.labeled), to_span(split.unlabeled)
     if mode == "labeled_only":
         model = fit_nk3ml(labeled, cfg.kernel)
         trace = None
@@ -132,11 +135,17 @@ def _run_trial(
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)
     curve = cmc(rankings, probe.identities, gallery.identities, ns)
+    basis = table.features[train].T
     lifted = NullProjector(
-        w_n=train.T @ (coeffs @ model.nullproj.w_n), mean=train.T @ (coeffs @ model.nullproj.mean)
+        w_n=basis @ (coeffs @ model.nullproj.w_n), mean=basis @ (coeffs @ model.nullproj.mean)
     )
     model = replace(model, nullproj=lifted)
     return curve, model_checksum(model), model.margin.resolved_bandwidth, model, trace
+
+
+def _rows(part: FeatureTable) -> np.ndarray:
+    """Table row numbers of a part of the row-number view."""
+    return part.features[:, 0].astype(np.intp)
 
 
 def run_protocol(
@@ -149,18 +158,25 @@ def run_protocol(
 ) -> ProtocolResult:
     """Split/fit/evaluate over spec.trials trials and average the accuracies.
 
-    Trials are independent; with threads > 1 they run on a thread pool and
-    results are still accumulated in trial order, so output is identical at
-    any thread count.
+    The table Gram X X^T is formed once, at the BLAS library's own thread
+    count; each trial takes its train, probe and gallery products from it.
+    Trials run with BLAS at one thread, so no result depends on the BLAS
+    thread count. They are independent; with threads > 1 they run on a
+    thread pool and results are still accumulated in trial order, so output
+    is identical at any thread count.
     """
     if mode not in MODES:
         raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    gram = table.features @ table.features.T
     trials = range(spec.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: _run_trial(table, spec, cfg, mode, ns, t), trials))
-    else:
-        results = [_run_trial(table, spec, cfg, mode, ns, t) for t in trials]
+    with blas_threads(1):
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(
+                    pool.map(lambda t: _run_trial(table, spec, cfg, mode, ns, t, gram), trials)
+                )
+        else:
+            results = [_run_trial(table, spec, cfg, mode, ns, t, gram) for t in trials]
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple(

@@ -29,15 +29,16 @@ class AnchorContext:
     # (within_view_id, row indices into the unlabeled table), ascending ids
     anchor_classes: tuple[tuple[int, np.ndarray], ...]
     secondary: KernelDiscriminantModel
+    embedded: np.ndarray    # (n, l) primary embeddings of the unlabeled rows
 
 
 @dataclass
 class NeighborSets:
-    """Per-query neighbor lists; reciprocal is None for plain knn output."""
+    """Per-query top-k neighbor lists and their mutual (k-reciprocal) parts."""
 
     k: int
     neighbors: tuple[np.ndarray, ...]
-    reciprocal: tuple[np.ndarray, ...] | None = None
+    reciprocal: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,11 @@ def find_anchor(unlabeled: FeatureTable) -> tuple[int, tuple[tuple[int, np.ndarr
 def build_anchor_context(
     unlabeled: FeatureTable, primary: Nk3mlModel, kernel: KernelSpec
 ) -> AnchorContext:
-    """Secondary max-margin space over the anchor camera's primary embeddings."""
+    """Secondary max-margin space over the anchor camera's primary embeddings.
+
+    The whole pool is embedded once; the context keeps those embeddings for
+    mine_pseudo_classes on the same pool.
+    """
     anchor = find_anchor(unlabeled)
     if anchor is None:
         raise DataValidationError(
@@ -100,10 +105,13 @@ def build_anchor_context(
     anchor_labels = np.concatenate(
         [np.full(len(rows), wvid, dtype=np.int64) for wvid, rows in anchor_classes]
     )
-    anchor_embedded = embed(primary, unlabeled.features[anchor_rows])
-    secondary = fit_nkmmc(anchor_embedded, anchor_labels, kernel)
+    embedded = embed(primary, unlabeled.features)
+    secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
     return AnchorContext(
-        anchor_camera=anchor_camera, anchor_classes=anchor_classes, secondary=secondary
+        anchor_camera=anchor_camera,
+        anchor_classes=anchor_classes,
+        secondary=secondary,
+        embedded=embedded,
     )
 
 
@@ -124,20 +132,6 @@ def _neighbor_lists(
             row = row[dist[i, row] < np.inf]
         out.append(row[:k])
     return out
-
-
-def knn(queries: np.ndarray, gallery: np.ndarray, k: int, exclude_self: bool = False) -> NeighborSets:
-    """Top-k neighbors by ascending Euclidean distance.
-
-    With exclude_self=True, queries and gallery must be the same point set and
-    each point's own entry is skipped.
-    """
-    if k < 1:
-        raise DataValidationError("k must be >= 1")
-    gallery = np.atleast_2d(gallery)
-    if gallery.shape[0] == 0:
-        raise DataValidationError("empty gallery")
-    return NeighborSets(k=k, neighbors=tuple(_neighbor_lists(queries, gallery, k, exclude_self)))
 
 
 def k_reciprocal(
@@ -166,13 +160,13 @@ def k_reciprocal(
 def mine_pseudo_classes(
     ctx: AnchorContext,
     unlabeled: FeatureTable,
-    primary: Nk3mlModel,
     k: int = 1,
     iteration: int = 0,
 ) -> list[PseudoClass]:
     """Mutual cross-view identity matches against the anchor camera.
 
-    Embeds every unlabeled sample into the secondary space, aggregates each
+    ctx must come from build_anchor_context on the same unlabeled table.
+    Maps every unlabeled sample into the secondary space, aggregates each
     (camera, within_view_id) identity to its centroid, and keeps anchor/other
     pairs that are k-reciprocal neighbors there. Identities are used at most
     once: candidate pairs are accepted greedily by descending affinity with
@@ -184,8 +178,12 @@ def mine_pseudo_classes(
     others = [cam for cam in cameras if cam != ctx.anchor_camera]
     if not others:
         raise DataValidationError("no non-anchor cameras in the unlabeled set")
+    if ctx.embedded.shape[0] != unlabeled.n:
+        raise DataValidationError(
+            f"anchor context holds {ctx.embedded.shape[0]} rows, unlabeled table {unlabeled.n}"
+        )
 
-    secondary_points = project_kernel(ctx.secondary, embed(primary, unlabeled.features))
+    secondary_points = project_kernel(ctx.secondary, ctx.embedded)
     groups = view_identity_groups(unlabeled)
     centroids = {key: secondary_points[rows].mean(axis=0) for key, rows in groups.items()}
 

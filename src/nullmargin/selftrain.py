@@ -117,7 +117,7 @@ def run_self_training(
         if iteration < cfg.max_iterations and find_anchor(pool) is not None:
             try:
                 ctx = build_anchor_context(pool, model, cfg.kernel)
-                pairs = mine_pseudo_classes(ctx, pool, model, k=cfg.k, iteration=iteration)
+                pairs = mine_pseudo_classes(ctx, pool, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
                 raise SelfTrainingError(
                     f"mining failed at iteration {iteration}: {err}", trace=trace

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nullmargin import fit_nk3ml
+from nullmargin import LoopConfig, SplitSpec, fit_nk3ml, run_protocol
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -30,3 +30,19 @@ def test_call_sites_resolve(spans):
 
 def test_model_has_attributes_bench_reads(spans, easy_table):
     assert spans._model_bytes(fit_nk3ml(easy_table))["model_bytes"] > 0
+
+
+def test_traced_protocol_pass_yields_layer_metrics(spans, easy_table):
+    # One tiny pass the way `bench/run.py --trace 1` makes it: a change to
+    # _run_trial's positional arguments or to the split path fails here.
+    tracer = spans.Tracer()
+    with tracer.install(), tracer.span("evaluation.run") as run_span:
+        run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "semi_supervised")
+    metrics = spans.layer_metrics(tracer, run_span)
+    assert metrics["evaluation.trial_count"] == 2
+    assert metrics["nfst.fit_calls"] > 0
+    assert metrics["dataio.make_split_s"] > 0
+    # Each mining round embeds the pool once; each trial embeds probe and gallery.
+    rounds = sum(s.name == "mining.anchor" for s in tracer.spans)
+    assert rounds > 0
+    assert metrics["nk3ml.embed_calls"] == rounds + 2 * 2

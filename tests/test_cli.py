@@ -1,15 +1,24 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nullmargin
 from nullmargin import load_feature_table
 from nullmargin.cli import main
 
 from nullmargin import save_feature_table
 
 from conftest import HOSTILE_TABLES
+
+
+# Variables OpenBLAS reads its default thread count from.
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_cli(*argv):
@@ -138,6 +147,43 @@ def test_run_determinism_across_threads(dataset, tmp_path):
     checks_a = [t["model_checksum"] for t in a["results"]["semi_supervised"]["per_trial"]]
     checks_b = [t["model_checksum"] for t in b["results"]["semi_supervised"]["per_trial"]]
     assert checks_a == checks_b
+
+
+def test_run_outputs_identical_across_blas_and_trial_threads(tmp_path):
+    # Big enough that OpenBLAS splits the trials' products over threads when
+    # left at its default; trials must run at one BLAS thread regardless.
+    data = tmp_path / "data.ssml"
+    assert run_cli(
+        "synth", "--identities", 100, "--dim", 300, "--transform-strength", 0.5,
+        "--noise-sigma", 0.5, "--seed", 4, "-o", data,
+    ) == 0
+    src = Path(nullmargin.__file__).resolve().parent.parent
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), base.get("PYTHONPATH")]))
+    outputs = {}
+    for blas in (None, "1"):
+        for threads in (1, 2):
+            env = dict(base, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
+            cwd = tmp_path / f"blas{blas}-threads{threads}"
+            cwd.mkdir()
+            subprocess.run(
+                [sys.executable, "-m", "nullmargin.cli", "run", "--input", str(data), "-o", "out",
+                 "--mode", "both", "--seed", "5", "--trials", "2", "--threads", str(threads)],
+                cwd=cwd, env=env, check=True, capture_output=True, timeout=300,
+            )
+            files = {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}
+            # The config echo is the one place the trial thread count shows.
+            echo = b'"run.threads": %d' % threads
+            assert files["report.json"].count(echo) == 1
+            files["report.json"] = files["report.json"].replace(echo, b'"run.threads": N')
+            outputs[blas, threads] = files
+    first = outputs[None, 1]
+    assert sorted(first) == [
+        "cmc_labeled_only.csv", "cmc_semi_supervised.csv", "model_labeled_only.nk3m",
+        "model_semi_supervised.nk3m", "report.json", "trace.jsonl",
+    ]
+    for case, files in outputs.items():
+        assert files == first, f"outputs of {case} differ from (unset, 1)"
 
 
 def test_embed_collapse_and_empty(dataset, tmp_path):

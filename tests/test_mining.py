@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import nullmargin.mining
+
 from nullmargin import (
     KernelSpec,
     build_anchor_context,
     fit_nk3ml,
     k_reciprocal,
-    knn,
     mine_pseudo_classes,
     select_anchor,
 )
@@ -74,7 +75,7 @@ def test_select_anchor_single_camera_errors():
 
 
 def test_knn_fig4a_relations():
-    sets = knn(FIG4A, FIG4A, k=1, exclude_self=True)
+    sets = k_reciprocal(FIG4A, FIG4A, k=1, exclude_self=True)
     assert sets.neighbors[A].tolist() == [B]
     assert sets.neighbors[B].tolist() == [C]
     assert sets.neighbors[C].tolist() == [B]
@@ -84,7 +85,7 @@ def test_knn_k_at_least_gallery():
     rng = np.random.default_rng(3)
     queries = rng.standard_normal((2, 2))
     gallery = rng.standard_normal((4, 2))
-    sets = knn(queries, gallery, k=10)
+    sets = k_reciprocal(queries, gallery, k=10)
     for i in range(2):
         dists = np.linalg.norm(gallery - queries[i], axis=1)
         assert sets.neighbors[i].tolist() == np.argsort(dists, kind="stable").tolist()
@@ -93,13 +94,13 @@ def test_knn_k_at_least_gallery():
 def test_knn_tie_breaks_by_lower_index():
     queries = np.array([[0.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    sets = knn(queries, gallery, k=2)
+    sets = k_reciprocal(queries, gallery, k=2)
     assert sets.neighbors[0].tolist() == [0, 1]
 
 
 def test_knn_empty_gallery():
     with pytest.raises(DataValidationError):
-        knn(np.ones((1, 2)), np.empty((0, 2)), k=1)
+        k_reciprocal(np.ones((1, 2)), np.empty((0, 2)), k=1)
 
 
 def test_k_reciprocal_fig4a():
@@ -161,7 +162,7 @@ def _mining_setup(noisefree_table, labeled_count=4):
 
 def test_mine_noise_free_finds_true_matches(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    pairs = mine_pseudo_classes(ctx, unlabeled, model, k=1)
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
     assert len(pairs) == 8
     for pc in pairs:
         assert pc.affinity == 1.0
@@ -190,7 +191,7 @@ def test_mine_unmatched_anchor_absent():
     model = fit_nk3ml(labeled, KernelSpec())
     unlabeled = make_table(feats, cams, [None] * 3, wv)
     ctx = build_anchor_context(unlabeled, model, KernelSpec())
-    pairs = mine_pseudo_classes(ctx, unlabeled, model, k=1)
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
     # camera 1 offers a single identity, so at most one anchor can pair and
     # the unmatched anchor identity must be absent from the output
     assert len(pairs) <= 1
@@ -200,7 +201,7 @@ def test_mine_unmatched_anchor_absent():
 
 def test_mine_matches_mutual_nearest_centroid_oracle(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
-    pairs = mine_pseudo_classes(ctx, unlabeled, model, k=1)
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
 
     secondary = project_kernel(ctx.secondary, embed(model, unlabeled.features))
     cents = {}
@@ -223,14 +224,14 @@ def test_mine_matches_mutual_nearest_centroid_oracle(easy_table):
 def test_mine_identities_used_once(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
     for k in (1, 3):
-        pairs = mine_pseudo_classes(ctx, unlabeled, model, k=k)
+        pairs = mine_pseudo_classes(ctx, unlabeled, k=k)
         seen = [pc.anchor_identity for pc in pairs] + [pc.matched_identity for pc in pairs]
         assert len(seen) == len(set(seen))
 
 
 def test_mine_affinities_sorted_in_unit_interval(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
-    pairs = mine_pseudo_classes(ctx, unlabeled, model, k=2)
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=2)
     affs = [pc.affinity for pc in pairs]
     assert all(0 < a <= 1 for a in affs)
     assert affs == sorted(affs, reverse=True)
@@ -242,8 +243,8 @@ def test_mine_row_permutation_invariant(noisefree_table):
     perm = rng.permutation(unlabeled.n)
     shuffled = unlabeled.subset(perm)
     ctx2 = build_anchor_context(shuffled, model, KernelSpec())
-    a = mine_pseudo_classes(ctx, unlabeled, model, k=1)
-    b = mine_pseudo_classes(ctx2, shuffled, model, k=1)
+    a = mine_pseudo_classes(ctx, unlabeled, k=1)
+    b = mine_pseudo_classes(ctx2, shuffled, k=1)
     key = lambda pcs: [(pc.anchor_identity, pc.matched_identity, round(pc.affinity, 12)) for pc in pcs]
     assert key(a) == key(b)
 
@@ -263,7 +264,7 @@ def test_secondary_keeps_anchor_classes_separated(noisefree_table):
 
 def test_export_csv(tmp_path, noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    pairs = mine_pseudo_classes(ctx, unlabeled, model, k=1)
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
     path = tmp_path / "pseudo.csv"
     export_pseudo_classes_csv(pairs, path)
     lines = path.read_text().splitlines()
@@ -275,4 +276,26 @@ def test_mine_requires_non_anchor_camera(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
     only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor_camera)
     with pytest.raises(DataValidationError):
-        mine_pseudo_classes(ctx, only_anchor, model, k=1)
+        mine_pseudo_classes(ctx, only_anchor, k=1)
+
+
+def test_round_embeds_pool_once(noisefree_table, monkeypatch):
+    _, unlabeled, model, _ = _mining_setup(noisefree_table)
+    calls = []
+
+    def counting_embed(m, x):
+        calls.append(len(x))
+        return embed(m, x)
+
+    monkeypatch.setattr(nullmargin.mining, "embed", counting_embed)
+    ctx = build_anchor_context(unlabeled, model, KernelSpec())
+    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    assert calls == [unlabeled.n]
+    np.testing.assert_array_equal(ctx.embedded, embed(model, unlabeled.features))
+    assert len(pairs) == 8
+
+
+def test_mine_rejects_context_of_another_pool(noisefree_table):
+    _, unlabeled, _, ctx = _mining_setup(noisefree_table)
+    with pytest.raises(DataValidationError):
+        mine_pseudo_classes(ctx, unlabeled.subset(range(unlabeled.n - 2)), k=1)
