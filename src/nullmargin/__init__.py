@@ -20,7 +20,14 @@ from .dataio import (
     make_split,
     save_feature_table,
 )
-from .evaluation import CmcCurve, ProtocolResult, cmc, rank_gallery, run_protocol
+from .evaluation import (
+    CmcCurve,
+    ProtocolResult,
+    cmc,
+    rank_gallery,
+    run_protocol,
+    run_protocols,
+)
 from .kmmc import (
     KernelDiscriminantModel,
     KernelSpec,
@@ -37,7 +44,7 @@ from .mining import (
     mine_pseudo_classes,
     select_anchor,
 )
-from .nfst import NullProjector, fit_nfst, project_null
+from .nfst import NullProjector, NullSpaceState, fit_nfst, project_null
 from .nk3ml import (
     Nk3mlModel,
     embed,
@@ -60,6 +67,7 @@ __all__ = [
     "LoopTrace",
     "Nk3mlModel",
     "NullProjector",
+    "NullSpaceState",
     "ProtocolResult",
     "PseudoClass",
     "ScatterStats",
@@ -87,6 +95,7 @@ __all__ = [
     "rank_gallery",
     "resolve_bandwidth",
     "run_protocol",
+    "run_protocols",
     "run_self_training",
     "save_feature_table",
     "save_model",

@@ -10,11 +10,26 @@ from .errors import DataFormatError
 
 
 class Writer:
-    def __init__(self):
-        self._parts: list[bytes] = []
+    """Collects little-endian parts; C-contiguous little-endian arrays are
+    kept as buffers, not copied.
 
-    def raw(self, data: bytes) -> None:
-        self._parts.append(data)
+    ``parts`` are the written pieces in order and ``size`` their total
+    length in bytes, so a caller can hash or nest them without joining.
+    """
+
+    def __init__(self):
+        self.parts: list = []
+        self.size = 0
+
+    def raw(self, data) -> None:
+        self.parts.append(data)
+        self.size += memoryview(data).nbytes
+
+    def block(self, inner: Writer) -> None:
+        """Append another writer's parts, prefixed by their u64 length."""
+        self.u64(inner.size)
+        self.parts.extend(inner.parts)
+        self.size += inner.size
 
     def u8(self, value: int) -> None:
         self.raw(struct.pack("<B", value))
@@ -32,13 +47,13 @@ class Writer:
         self.raw(struct.pack("<d", value))
 
     def f64_array(self, arr: np.ndarray) -> None:
-        self.raw(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        self.raw(np.ascontiguousarray(arr, dtype="<f8").reshape(-1))
 
     def i64_array(self, arr: np.ndarray) -> None:
-        self.raw(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+        self.raw(np.ascontiguousarray(arr, dtype="<i8").reshape(-1))
 
     def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        return b"".join(self.parts)
 
 
 class Reader:

@@ -46,7 +46,7 @@ from .errors import (
     UndefinedFisherValueError,
     ZeroDistanceError,
 )
-from .evaluation import cmc, rank_gallery, run_protocol
+from .evaluation import cmc, rank_gallery, run_protocols
 from .kmmc import KernelSpec
 from .mining import build_anchor_context, export_pseudo_classes_csv, mine_pseudo_classes
 from .nk3ml import embed, fit_nk3ml, load_model, save_model
@@ -259,11 +259,11 @@ def cmd_run(args) -> int:
     modes = ("labeled_only", "semi_supervised") if both else (cfg.values["run.mode"],)
 
     report = {"config": cfg.echo(), "results": {}}
-    for mode in modes:
-        result = run_protocol(
-            table, cfg.split, cfg.loop, mode,
-            ns=cfg.values["run.ranks"], threads=cfg.values["run.threads"],
-        )
+    results = run_protocols(
+        table, cfg.split, cfg.loop, modes,
+        ns=cfg.values["run.ranks"], threads=cfg.values["run.threads"],
+    )
+    for mode, result in zip(modes, results):
         report["results"][mode] = _mode_result_entry(result)
         suffix = f"_{mode}" if both else ""
         _write_cmc_csv(result.curve, output / f"cmc{suffix}.csv")

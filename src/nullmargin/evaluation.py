@@ -165,9 +165,30 @@ def run_protocol(
     thread pool and results are still accumulated in trial order, so output
     is identical at any thread count.
     """
-    if mode not in MODES:
-        raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    gram = table.features @ table.features.T
+    return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
+
+
+def run_protocols(
+    table: FeatureTable,
+    spec: SplitSpec,
+    cfg: LoopConfig,
+    modes,
+    ns=DEFAULT_RANKS,
+    threads: int = 1,
+) -> tuple[ProtocolResult, ...]:
+    """run_protocol for each of several modes, in order, on one table Gram."""
+    for mode in modes:
+        if mode not in MODES:
+            raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    gram = _table_gram(table)
+    return tuple(_protocol(table, spec, cfg, mode, ns, threads, gram) for mode in modes)
+
+
+def _table_gram(table: FeatureTable) -> np.ndarray:
+    return table.features @ table.features.T
+
+
+def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
     trials = range(spec.trials)
     with blas_threads(1):
         if threads > 1:

@@ -3,12 +3,21 @@
 The null space of S_w inside the span of the centered rows is the part of
 the between-class vectors (the rows of the S_b factor) that lies outside the
 span of the within-class rows. The construction has three steps: an
-orthonormal basis of the within-class span from the eigendecomposition of
+orthonormal basis Q of the within-class span from the eigendecomposition of
 the small Gram matrix of the within-class rows, the residual R of the
 between-class vectors off that span, and an orthonormal basis of the column
 span of R from the eigendecomposition of the c x c matrix R^T R. Every
 column w of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all
 samples of one class project onto a single point.
+
+A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
+set that grows by whole classes, as the self-training loop grows it. A new
+class leaves the within-class rows of the held classes unchanged, so Q only
+gains directions: appending classes orthogonalises their within-class rows
+against Q and extends Q from their residual's Gram (after Liu et al.,
+"Incremental Kernel Null Space Discriminant Analysis for Novelty
+Detection", CVPR 2017). The null basis is then rebuilt from the c residuals
+alone.
 """
 
 from __future__ import annotations
@@ -19,12 +28,16 @@ import numpy as np
 
 from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError
-from .scatter import compute_scatter
+# compute_scatter is not called here: bench/spans.py traces it under this
+# module's name.
+from .scatter import class_means, compute_scatter  # noqa: F401
 
 # Eigenvalues of R^T R at or below NULL_TOL * trace(S_b) carry no null
 # direction: the between-class vectors have no part outside the within-class
 # span along them.
 NULL_TOL = 1e-10
+
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -47,17 +60,22 @@ class NullProjector:
         return self.n_directions + 1
 
 
+def _rank_cut(evals: np.ndarray, scale: float, rows: int, dim: int) -> np.ndarray:
+    """Gram eigenvalues above scale * max(rows, dim) * eps (the tolerance of
+    numpy.linalg.matrix_rank, applied to Gram eigenvalues)."""
+    return evals > scale * max(rows, dim) * _EPS
+
+
 def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
     """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the
     span of n rows of dimension dim, given their Gram matrix rows @ rows.T.
 
     With gram = V diag(lam) V^T, A = V_r diag(lam_r)^(-1/2), where r counts
-    the eigenvalues above lam_max * max(n, dim) * eps (numpy.linalg.matrix_rank's
-    tolerance, applied to the Gram eigenvalues). Dependent and duplicate rows
-    add no column; an empty (0, 0) Gram gives a (0, 0) array.
+    the eigenvalues above lam_max * max(n, dim) * eps. Dependent and duplicate
+    rows add no column; an empty (0, 0) Gram gives a (0, 0) array.
     """
     evals, evecs = np.linalg.eigh(gram)                       # ascending
-    keep = evals > evals.max(initial=0.0) * max(gram.shape[0], dim) * np.finfo(np.float64).eps
+    keep = _rank_cut(evals, evals.max(initial=0.0), gram.shape[0], dim)
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
@@ -69,36 +87,141 @@ def _fix_column_signs(matrix: np.ndarray) -> None:
     matrix[:, first < 0] *= -1.0
 
 
-def fit_nfst(labeled: FeatureTable) -> NullProjector:
-    """Fit the c-1 null projecting directions of a labeled table.
+class NullSpaceState:
+    """Within-class span and class means of a labeled set grown by whole classes.
 
-    The within-class rows without the first row of each class (n-c rows with
-    the same span, since a class's rows sum to zero) give an orthonormal basis
-    of the within-class span. The residual R (d, c) of the between-class
-    vectors off that span has rank at most c-1, as their count-weighted sum
-    is zero; W_N = R V diag(lam)^(-1/2) over the c-1 largest eigenpairs of
-    R^T R. Raises DegenerateDataError when fewer than c-1 eigenvalues exceed
-    NULL_TOL * trace(S_b), i.e. the data are not in general position.
+    Holds the orthonormal within-class basis Q (d, r), the class labels,
+    counts and means in append order, the means' residuals off Q (d, c), and
+    the rank scale: the largest eigenvalue of any appended residual's Gram
+    (the first append's is the within-class Gram itself), which never
+    shrinks.
     """
-    stats = compute_scatter(labeled)
-    _, first_rows = np.unique(labeled.label_values(), return_index=True)
-    within = np.delete(stats.within_factor, first_rows, axis=0)         # (n-c, d)
-    span = within.T @ span_coefficients(within @ within.T, stats.dim)   # (d, r)
-    between = stats.between_factor.T                                    # (d, c)
-    residual = between - span @ (span.T @ between)
-    evals, evecs = np.linalg.eigh(residual.T @ residual)                # ascending
-    found = int(np.count_nonzero(evals > NULL_TOL * stats.trace_between))
-    wanted = stats.class_count - 1
-    if found < wanted:
-        raise DegenerateDataError(
-            f"data not in general position: found {found} null directions, "
-            f"expected {wanted}",
-            found=found,
-            expected=wanted,
+
+    def __init__(self, dim: int):
+        self.basis = np.zeros((dim, 0))
+        self.labels = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.means = np.zeros((0, dim))
+        self.residuals = np.zeros((dim, 0))
+        self.scale = 0.0
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def n(self) -> int:
+        """Rows appended so far."""
+        return int(self.counts.sum())
+
+    def append_classes(self, rows: np.ndarray, labels) -> None:
+        """Add whole new classes: rows (m, d) with one label per row.
+
+        Raises DataValidationError, leaving the state unchanged, when a label
+        is already held. Each new class's within-class rows, without its
+        first row (the rows sum to zero, so the span is the same), are
+        projected off Q twice, which keeps them orthogonal to Q to working
+        precision (Giraud, Langou & Rozložník, 2005). Q gains the span of
+        what is left, cut by the span_coefficients rule with the kept scale,
+        so a row already in the span adds no direction.
+        """
+        rows = np.asarray(rows, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if rows.shape != (len(labels), self.dim):
+            raise DataValidationError(
+                f"rows have shape {rows.shape}, expected ({len(labels)}, {self.dim})"
+            )
+        if rows.shape[0] == 0:
+            return
+        new, first, inverse, counts = np.unique(
+            labels, return_index=True, return_inverse=True, return_counts=True
         )
-    w_n = residual @ (evecs[:, 1:] / np.sqrt(evals[1:]))               # c-1 largest
-    _fix_column_signs(w_n)
-    return NullProjector(w_n=w_n, mean=stats.global_mean.copy())
+        held = new[np.isin(new, self.labels)]
+        if held.size:
+            raise DataValidationError(f"classes already held: {held.tolist()}")
+        means = class_means(rows, inverse, counts)
+        within = np.delete(rows - means[inverse], first, axis=0)     # (m - c_new, d)
+        for _ in range(2):
+            within -= (within @ self.basis) @ self.basis.T
+        evals, evecs = np.linalg.eigh(within @ within.T)              # ascending
+        scale = max(self.scale, evals.max(initial=0.0))
+        within_rows = self.n - len(self.labels) + within.shape[0]
+        keep = _rank_cut(evals, scale, within_rows, self.dim)
+        directions = within.T @ (evecs[:, keep] / np.sqrt(evals[keep]))  # (d, k)
+        basis = np.hstack([self.basis, directions])
+        old = self.residuals - directions @ (directions.T @ self.residuals)
+        fresh = means.T - basis @ (basis.T @ means.T)
+        self.basis = basis
+        self.residuals = np.hstack([old, fresh])
+        self.labels = np.concatenate([self.labels, new])
+        self.counts = np.concatenate([self.counts, counts])
+        self.means = np.vstack([self.means, means])
+        self.scale = scale
+
+    def projector(self) -> NullProjector:
+        """The c-1 null projecting directions of the classes held.
+
+        The between-class vectors sqrt(n_i) (m_i - m), m the count-weighted
+        mean of the class means, have the residual R (d, c) off Q. Its rank is
+        at most c-1, as the count-weighted sum of the columns is zero; W_N =
+        R V diag(lam)^(-1/2) over the c-1 largest eigenpairs of R^T R. Raises
+        DegenerateDataError when fewer than c-1 eigenvalues exceed
+        NULL_TOL * trace(S_b), i.e. the data are not in general position.
+        """
+        wanted = len(self.labels) - 1
+        if wanted < 1:
+            raise DataValidationError("null-space fit needs at least 2 classes")
+        weights = self.counts / self.n
+        mean = weights @ self.means
+        root = np.sqrt(self.counts)
+        residual = (self.residuals - (self.residuals @ weights)[:, None]) * root
+        trace_between = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
+        evals, evecs = np.linalg.eigh(residual.T @ residual)          # ascending
+        found = int(np.count_nonzero(evals > NULL_TOL * trace_between))
+        if found < wanted:
+            raise DegenerateDataError(
+                f"data not in general position: found {found} null directions, "
+                f"expected {wanted}",
+                found=found,
+                expected=wanted,
+            )
+        w_n = residual @ (evecs[:, 1:] / np.sqrt(evals[1:]))           # c-1 largest
+        _fix_column_signs(w_n)
+        return NullProjector(w_n=w_n, mean=mean)
+
+
+def fit_nfst(labeled: FeatureTable, state: NullSpaceState | None = None) -> NullProjector:
+    """Fit the c-1 null projecting directions of a fully labeled table.
+
+    With a state, the table's first state.n rows must hold exactly the
+    state's classes (DataValidationError otherwise); the rows past them are
+    appended to the state as new classes. Without one, all rows go to a
+    fresh state. See NullSpaceState for the construction.
+    """
+    if labeled.n == 0:
+        raise DataValidationError("cannot fit the null space of an empty table")
+    labels = labeled.label_values()
+    if len(labels) != labeled.n:
+        raise DataValidationError("null-space input must contain labeled rows only")
+    if state is None:
+        state = NullSpaceState(labeled.dim)
+    if state.dim != labeled.dim:
+        raise DataValidationError(f"state dimension {state.dim} != table dimension {labeled.dim}")
+    if not _holds_prefix(state, labels):
+        raise DataValidationError("the state's classes are not a prefix of the table")
+    state.append_classes(labeled.features[state.n:], labels[state.n:])
+    return state.projector()
+
+
+def _holds_prefix(state: NullSpaceState, labels: np.ndarray) -> bool:
+    """Whether the first state.n labels are the state's classes and counts."""
+    if len(labels) < state.n:
+        return False
+    classes, counts = np.unique(labels[:state.n], return_counts=True)
+    order = np.argsort(state.labels)
+    return np.array_equal(classes, state.labels[order]) and np.array_equal(
+        counts, state.counts[order]
+    )
 
 
 def project_null(projector: NullProjector, x: np.ndarray) -> np.ndarray:

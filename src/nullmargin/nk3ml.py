@@ -19,8 +19,7 @@ from ._binio import Reader, Writer
 from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
-from .nfst import NullProjector, fit_nfst, project_null
-from .scatter import class_means
+from .nfst import NullProjector, NullSpaceState, fit_nfst, project_null
 
 MODEL_MAGIC = b"NK3M"
 MODEL_VERSION = 1
@@ -47,21 +46,28 @@ class Nk3mlModel:
         return self.margin.output_dim
 
 
-def fit_nk3ml(labeled: FeatureTable, kernel: KernelSpec = KernelSpec()) -> Nk3mlModel:
+def fit_nk3ml(
+    labeled: FeatureTable,
+    kernel: KernelSpec = KernelSpec(),
+    state: NullSpaceState | None = None,
+) -> Nk3mlModel:
     """Fit the primary space on a fully labeled table.
 
-    All rows of a class coincide in the null space, so the margin stage
-    trains on the c projected class means, each standing for its class's row
-    count: the same fit as on all n projected rows, solved on c points. An
-    'auto' bandwidth is the mean over all n(n-1)/2 row pairs, zero
-    within-class pairs included.
+    The null-space stage goes through fit_nfst with the given state (a fresh
+    one when none is given), so a loop that grows the table by whole classes
+    appends only the new ones. All rows of a class coincide in the null
+    space, so the margin stage trains on the state's c projected class
+    means, each standing for its class's row count: the same fit as on all n
+    projected rows, solved on c points. An 'auto' bandwidth is the mean over
+    all n(n-1)/2 row pairs, zero within-class pairs included.
     """
-    projector = fit_nfst(labeled)
-    classes, inverse, counts = np.unique(
-        labeled.label_values(), return_inverse=True, return_counts=True
+    if state is None:
+        state = NullSpaceState(labeled.dim)
+    projector = fit_nfst(labeled, state)
+    points = project_null(projector, state.means)
+    return Nk3mlModel(
+        nullproj=projector, margin=fit_nkmmc(points, state.labels, kernel, state.counts)
     )
-    points = project_null(projector, class_means(labeled.features, inverse, counts))
-    return Nk3mlModel(nullproj=projector, margin=fit_nkmmc(points, classes, kernel, counts))
 
 
 def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
@@ -75,7 +81,7 @@ def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
 # fields appended under a later version do not break older payload layouts.
 # ---------------------------------------------------------------------------
 
-def serialize_model(model: Nk3mlModel) -> bytes:
+def _model_writer(model: Nk3mlModel) -> Writer:
     w = Writer()
     w.raw(MODEL_MAGIC)
     w.u16(MODEL_VERSION)
@@ -85,9 +91,7 @@ def serialize_model(model: Nk3mlModel) -> bytes:
     null_block.u64(model.nullproj.n_directions)
     null_block.f64_array(model.nullproj.mean)
     null_block.f64_array(model.nullproj.w_n)
-    payload = null_block.getvalue()
-    w.u64(len(payload))
-    w.raw(payload)
+    w.block(null_block)
 
     margin = model.margin
     margin_block = Writer()
@@ -101,10 +105,12 @@ def serialize_model(model: Nk3mlModel) -> bytes:
     margin_block.f64_array(margin.coeffs)
     margin_block.f64_array(margin.eigenvalues)
     margin_block.i64_array(margin.class_index)
-    payload = margin_block.getvalue()
-    w.u64(len(payload))
-    w.raw(payload)
-    return w.getvalue()
+    w.block(margin_block)
+    return w
+
+
+def serialize_model(model: Nk3mlModel) -> bytes:
+    return _model_writer(model).getvalue()
 
 
 def deserialize_model(data: bytes, context: str = "model") -> Nk3mlModel:
@@ -172,5 +178,12 @@ def load_model(path) -> Nk3mlModel:
 
 
 def model_checksum(model: Nk3mlModel) -> str:
-    """SHA-256 of the serialized container; stable across identical fits."""
-    return hashlib.sha256(serialize_model(model)).hexdigest()
+    """SHA-256 of the serialized container; stable across identical fits.
+
+    The container's parts are hashed as they are written, without joining
+    them into one bytes object.
+    """
+    digest = hashlib.sha256()
+    for part in _model_writer(model).parts:
+        digest.update(part)
+    return digest.hexdigest()

@@ -23,6 +23,7 @@ from .dataio import FeatureTable, concat_tables
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
 from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
+from .nfst import NullSpaceState
 from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum
 
 # Pseudo labels start here (or above any real label), keeping the namespace
@@ -92,7 +93,10 @@ def run_self_training(
 ) -> tuple[Nk3mlModel, LoopTrace]:
     """Run the loop; returns the final refitted model and the iteration trace.
 
-    Fit failures raise SelfTrainingError with the trace accumulated so far.
+    The labeled table only grows by whole new classes, appended after its
+    rows, so one NullSpaceState serves every round's fit and each refit
+    appends only the round's new classes. Fit failures raise
+    SelfTrainingError with the trace accumulated so far.
     """
     if _labeled_class_count(labeled) < 2:
         raise DataValidationError("self-training needs >= 2 labeled classes to start")
@@ -101,11 +105,12 @@ def run_self_training(
     pool = unlabeled
     real_labels = [ident for ident in labeled.identities if ident is not None]
     next_label = max(PSEUDO_LABEL_BASE, max(real_labels) + 1)
+    state = NullSpaceState(labeled.dim)
 
     iteration = 0
     while True:
         try:
-            model = fit_nk3ml(current, cfg.kernel)
+            model = fit_nk3ml(current, cfg.kernel, state)
         except NullmarginError as err:
             raise SelfTrainingError(
                 f"primary fit failed at iteration {iteration}: {err}", trace=trace

@@ -46,3 +46,13 @@ def test_traced_protocol_pass_yields_layer_metrics(spans, easy_table):
     rounds = sum(s.name == "mining.anchor" for s in tracer.spans)
     assert rounds > 0
     assert metrics["nk3ml.embed_calls"] == rounds + 2 * 2
+    # Per trial, the loop makes one null-space fit and one primary margin fit
+    # per recorded round, so these counts compare across changes to the fits.
+    records = {
+        span.trial: len(tracer.kept[span.id][1][1].records)
+        for span in tracer.spans if span.name == "selftrain.loop"
+    }
+    assert sorted(records) == [0, 1]
+    for trial, count in records.items():
+        for name in ("nfst.fit", "kmmc.primary"):
+            assert sum(s.name == name and s.trial == trial for s in tracer.spans) == count, name

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import nullmargin
+import nullmargin.evaluation
 from nullmargin import load_feature_table
 from nullmargin.cli import main
 
@@ -93,6 +94,23 @@ def test_run_both_emits_paired_reports(dataset, tmp_path):
     lo = report["results"]["labeled_only"]["cmc"]["1"]
     ss = report["results"]["semi_supervised"]["cmc"]["1"]
     assert isinstance(lo, float) and isinstance(ss, float)
+
+
+def test_run_both_forms_one_table_gram(dataset, tmp_path, monkeypatch):
+    formed = []
+    real_gram = nullmargin.evaluation._table_gram
+
+    def counting_gram(table):
+        formed.append(table.n)
+        return real_gram(table)
+
+    monkeypatch.setattr(nullmargin.evaluation, "_table_gram", counting_gram)
+    code = run_cli(
+        "run", "--input", dataset, "-o", tmp_path / "out", "--mode", "both",
+        "--seed", 7, "--trials", 2,
+    )
+    assert code == 0
+    assert formed == [load_feature_table(dataset, "binary").n]
 
 
 def test_run_config_file_with_flag_override(dataset, tmp_path):

@@ -4,8 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from nullmargin import compute_scatter, fisher_value, fit_nfst, project_null
-from nullmargin.errors import DegenerateDataError
+import nullmargin.selftrain
+from nullmargin import (
+    LoopConfig,
+    NullSpaceState,
+    SyntheticSpec,
+    compute_scatter,
+    fisher_value,
+    fit_nfst,
+    generate_synthetic,
+    project_null,
+    run_self_training,
+)
+from nullmargin.errors import DataValidationError, DegenerateDataError
 from nullmargin.nfst import _fix_column_signs, span_coefficients
 
 from conftest import make_table
@@ -252,3 +263,105 @@ def test_deterministic_fit():
     a = fit_nfst(table)
     b = fit_nfst(table)
     assert a.w_n.tobytes() == b.w_n.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# NullSpaceState: appending whole classes against a from-scratch fit
+# ---------------------------------------------------------------------------
+
+def assert_same_null_space(got, want, rows):
+    """Equal projectors W W^T and pairwise null-space distances of rows."""
+    np.testing.assert_allclose(got.w_n @ got.w_n.T, want.w_n @ want.w_n.T, rtol=0, atol=1e-9)
+    ref = pairwise(project_null(want, rows))
+    assert np.abs(pairwise(project_null(got, rows)) - ref).max() <= 1e-9 * ref.max()
+
+
+def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
+    # Three cameras: labeled classes have 3 rows, pseudo-classes 2, so every
+    # round appends new within-class directions to the held basis.
+    table = generate_synthetic(SyntheticSpec(
+        identities=40, cameras=3, dim=160, per_camera_transform_strength=0.3,
+        noise_sigma=0.3, seed=4,
+    ))
+    labeled_rows = [r for r in range(table.n) if table.identities[r] < 8]
+    unlabeled_rows = [r for r in range(table.n) if table.identities[r] >= 8]
+    labeled = table.subset(labeled_rows)
+    unlabeled = table.subset(unlabeled_rows).with_identities([None] * len(unlabeled_rows))
+
+    fits = []
+    real_fit = nullmargin.selftrain.fit_nk3ml
+
+    def recording_fit(current, kernel, state):
+        model = real_fit(current, kernel, state)
+        fits.append((current, model.nullproj, state.basis.shape[1]))
+        return model
+
+    monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", recording_fit)
+    run_self_training(labeled, unlabeled, LoopConfig())
+    assert len(fits) >= 4
+    ranks = [rank for _, _, rank in fits]
+    assert ranks == sorted(ranks) and ranks[-1] > ranks[0]
+    for current, incremental, _ in fits:
+        assert_same_null_space(incremental, fit_nfst(current), current.features)
+
+
+def test_repeated_label_raises_and_leaves_state_unchanged():
+    rng = np.random.default_rng(31)
+    state = NullSpaceState(12)
+    state.append_classes(rng.standard_normal((5, 12)), [3, 3, 7, 7, 7])
+    before = {k: (v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in vars(state).items()}
+    with pytest.raises(DataValidationError, match="already held"):
+        state.append_classes(rng.standard_normal((3, 12)), [9, 9, 7])
+    after = {k: (v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in vars(state).items()}
+    assert after == before
+
+
+def test_state_not_prefix_of_table_raises():
+    rng = np.random.default_rng(32)
+    table = random_sss_table(rng, classes=4, per_class=2, dim=20)
+    state = NullSpaceState(20)
+    fit_nfst(table.subset(range(4)), state)                  # classes 0 and 1
+    relabeled = table.with_identities([c + 10 for c in table.identities])
+    with pytest.raises(DataValidationError, match="prefix"):
+        fit_nfst(relabeled, state)
+    with pytest.raises(DataValidationError, match="prefix"):
+        fit_nfst(table.subset(range(3)), state)               # shorter than the state
+    with pytest.raises(DataValidationError, match="prefix"):
+        fit_nfst(table.subset([0, 1, 2, 4, 5, 6]), state)     # class 1 cut short
+    assert state.n == 4
+    fit_nfst(table, state)                                   # the real prefix appends
+    assert state.n == 8 and state.labels.tolist() == [0, 1, 2, 3]
+
+
+def test_class_in_held_span_adds_no_direction():
+    # The new class's one within-class row is a combination of held
+    # within-class rows: its residual off Q is rounding noise, which the kept
+    # rank scale cuts though it is the residual Gram's own largest eigenvalue.
+    rng = np.random.default_rng(33)
+    table = random_sss_table(rng, classes=4, per_class=3, dim=40)
+    state = NullSpaceState(40)
+    fit_nfst(table, state)
+    rank = state.basis.shape[1]
+    assert rank == 8
+    x = table.features
+    base = 50.0 * rng.standard_normal(40)
+    new_rows = np.vstack([base, base + 0.7 * (x[1] - x[0]) - 1.3 * (x[5] - x[4])])
+    grown = make_table(np.vstack([x, new_rows]), [0, 1] * 7, list(table.identities) + [9, 9])
+    incremental = fit_nfst(grown, state)
+    assert state.basis.shape[1] == rank
+    assert_same_null_space(incremental, fit_nfst(grown), grown.features)
+
+
+def test_singleton_classes_take_the_same_path():
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((7, 15))
+    table = make_table(x, [0, 1] * 3 + [0], list(range(7)))
+    state = NullSpaceState(15)
+    fit_nfst(table.subset(range(3)), state)
+    incremental = fit_nfst(table, state)
+    assert state.basis.shape == (15, 0)
+    assert incremental.w_n.shape == (15, 6)
+    np.testing.assert_allclose(
+        incremental.w_n @ incremental.w_n.T, null_range_projector(x, np.arange(7)), atol=1e-9
+    )
+    assert_same_null_space(incremental, fit_nfst(table), x)

@@ -1,17 +1,22 @@
+import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import nullmargin.evaluation
 from nullmargin import (
     KernelSpec,
+    LoopConfig,
     SplitSpec,
     embed,
     fit_nk3ml,
     load_model,
     make_split,
     model_checksum,
+    run_protocol,
     save_model,
 )
 from nullmargin.errors import DataValidationError, ModelFormatError, ModelVersionError
@@ -141,6 +146,32 @@ def test_save_load_round_trip(tmp_path, easy_model):
     x = split.probe.features
     assert embed(loaded, x).tobytes() == embed(model, x).tobytes()
     assert model_checksum(loaded) == model_checksum(model)
+
+
+def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
+    # One protocol trial gives both models: the loop's model in span
+    # coordinates and the lifted one the trial returns.
+    span_models = []
+    real_loop = nullmargin.evaluation.run_self_training
+
+    def recording_loop(*args):
+        model, trace = real_loop(*args)
+        span_models.append(model)
+        return model, trace
+
+    monkeypatch.setattr(nullmargin.evaluation, "run_self_training", recording_loop)
+    lifted = run_protocol(easy_table, SplitSpec(seed=4, trials=1), LoopConfig(), "semi_supervised")
+    (span_model,) = span_models
+    assert lifted.final_model.feature_dim == easy_table.dim > span_model.feature_dim
+    # a column-major w_n goes through the copying path of the writer
+    fortran = replace(span_model, nullproj=replace(
+        span_model.nullproj, w_n=np.asfortranarray(span_model.nullproj.w_n)
+    ))
+    for model in (lifted.final_model, span_model, fortran):
+        expected = hashlib.sha256(serialize_model(model)).hexdigest()
+        assert model_checksum(model) == expected
+    assert model_checksum(fortran) == model_checksum(span_model)
+    assert lifted.model_checksums == (model_checksum(lifted.final_model),)
 
 
 def test_load_bad_magic(tmp_path):
