@@ -43,7 +43,6 @@ from .errors import (
     NumericalError,
     ProtocolError,
     SelfTrainingError,
-    UndefinedFisherValueError,
     ZeroDistanceError,
 )
 from .evaluation import cmc, rank_gallery, run_protocols
@@ -69,7 +68,6 @@ _NUMERICAL_ERRORS = (
     SelfTrainingError,
     EmptyModelError,
     NumericalError,
-    UndefinedFisherValueError,
     np.linalg.LinAlgError,
 )
 
@@ -319,7 +317,7 @@ def cmd_mine(args) -> int:
         raise ConfigError(f"bad kernel flags: {err}") from err
     model = fit_nk3ml(labeled.labeled_subset(), kernel)
     ctx = build_anchor_context(unlabeled, model, kernel)
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=args.k)
+    pairs = mine_pseudo_classes(ctx, k=args.k)
     export_pseudo_classes_csv(pairs, args.output)
     print(f"anchor camera {ctx.anchor_camera}: {len(pairs)} pseudo-classes")
     return EXIT_OK

@@ -39,7 +39,10 @@ _DISTORT_RANK = 16
 
 
 def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=dtype)
+    try:
+        out = np.ascontiguousarray(arr, dtype=dtype)
+    except OverflowError as err:
+        raise DataValidationError(f"value out of {np.dtype(dtype)} range: {err}") from err
     out.setflags(write=False)
     return out
 
@@ -94,8 +97,10 @@ class FeatureTable:
             if self.within_view_ids.min() < 0:
                 raise DataValidationError("within_view_id must be nonnegative")
         for ident in self.identities:
-            if ident is not None and (not isinstance(ident, int) or ident < 0):
-                raise DataValidationError(f"identity {ident!r} must be a nonnegative integer or None")
+            if ident is not None and (not isinstance(ident, int) or not 0 <= ident < 1 << 63):
+                raise DataValidationError(
+                    f"identity {ident!r} must be a nonnegative signed 64-bit integer or None"
+                )
 
     @property
     def n(self) -> int:

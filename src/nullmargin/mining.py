@@ -26,10 +26,10 @@ from .nk3ml import Nk3mlModel, embed
 @dataclass
 class AnchorContext:
     anchor_camera: int
-    # (within_view_id, row indices into the unlabeled table), ascending ids
-    anchor_classes: tuple[tuple[int, np.ndarray], ...]
+    # (camera_id, within_view_id) -> row indices into the pool, ascending keys
+    groups: dict[tuple[int, int], np.ndarray]
     secondary: KernelDiscriminantModel
-    embedded: np.ndarray    # (n, l) primary embeddings of the unlabeled rows
+    embedded: np.ndarray    # (n, l) primary embeddings of the pool's rows
 
 
 @dataclass
@@ -71,19 +71,16 @@ def select_anchor(unlabeled: FeatureTable) -> int:
     return min(cam for cam, count in counts.items() if count == best)
 
 
-def find_anchor(unlabeled: FeatureTable) -> tuple[int, tuple[tuple[int, np.ndarray], ...]] | None:
-    """The anchor camera and its (within_view_id, rows) classes, or None when
-    the pool cannot host an anchor: fewer than 2 cameras, or fewer than 2
+def find_anchor(unlabeled: FeatureTable) -> tuple[int, dict[tuple[int, int], np.ndarray]] | None:
+    """The anchor camera and the pool's view_identity_groups, or None when the
+    pool cannot host an anchor: fewer than 2 cameras, or fewer than 2
     identities in the anchor camera."""
     if len(unlabeled.cameras()) < 2:
         return None
     anchor_camera = select_anchor(unlabeled)
-    anchor_classes = tuple(
-        (wvid, rows)
-        for (cam, wvid), rows in view_identity_groups(unlabeled).items()
-        if cam == anchor_camera
-    )
-    return (anchor_camera, anchor_classes) if len(anchor_classes) >= 2 else None
+    groups = view_identity_groups(unlabeled)
+    hosted = sum(cam == anchor_camera for cam, _ in groups)
+    return (anchor_camera, groups) if hosted >= 2 else None
 
 
 def build_anchor_context(
@@ -91,8 +88,8 @@ def build_anchor_context(
 ) -> AnchorContext:
     """Secondary max-margin space over the anchor camera's primary embeddings.
 
-    The whole pool is embedded once; the context keeps those embeddings for
-    mine_pseudo_classes on the same pool.
+    The whole pool is embedded once; the context keeps those embeddings and
+    the pool's (camera_id, within_view_id) groups for mine_pseudo_classes.
     """
     anchor = find_anchor(unlabeled)
     if anchor is None:
@@ -100,18 +97,16 @@ def build_anchor_context(
             "unlabeled set cannot host an anchor: need >= 2 cameras and "
             ">= 2 identities in the anchor camera"
         )
-    anchor_camera, anchor_classes = anchor
-    anchor_rows = np.concatenate([rows for _, rows in anchor_classes])
+    anchor_camera, groups = anchor
+    anchor_keys = [key for key in groups if key[0] == anchor_camera]
+    anchor_rows = np.concatenate([groups[key] for key in anchor_keys])
     anchor_labels = np.concatenate(
-        [np.full(len(rows), wvid, dtype=np.int64) for wvid, rows in anchor_classes]
+        [np.full(len(groups[key]), key[1], dtype=np.int64) for key in anchor_keys]
     )
     embedded = embed(primary, unlabeled.features)
     secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
     return AnchorContext(
-        anchor_camera=anchor_camera,
-        anchor_classes=anchor_classes,
-        secondary=secondary,
-        embedded=embedded,
+        anchor_camera=anchor_camera, groups=groups, secondary=secondary, embedded=embedded
     )
 
 
@@ -157,44 +152,25 @@ def k_reciprocal(
     return NeighborSets(k=k, neighbors=tuple(forward), reciprocal=reciprocal)
 
 
-def mine_pseudo_classes(
-    ctx: AnchorContext,
-    unlabeled: FeatureTable,
-    k: int = 1,
-    iteration: int = 0,
-) -> list[PseudoClass]:
+def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> list[PseudoClass]:
     """Mutual cross-view identity matches against the anchor camera.
 
-    ctx must come from build_anchor_context on the same unlabeled table.
-    Maps every unlabeled sample into the secondary space, aggregates each
-    (camera, within_view_id) identity to its centroid, and keeps anchor/other
-    pairs that are k-reciprocal neighbors there. Identities are used at most
-    once: candidate pairs are accepted greedily by descending affinity with
-    (anchor id, matched id) tie order, which is also the output order.
+    Maps every pool sample of the context into the secondary space,
+    aggregates each (camera, within_view_id) group to its centroid, and keeps
+    anchor/other pairs that are k-reciprocal neighbors there. Identities are
+    used at most once: candidate pairs are accepted greedily by descending
+    affinity with (anchor id, matched id) tie order, which is also the output
+    order.
     """
-    if unlabeled.n == 0:
-        raise DataValidationError("empty unlabeled set")
-    cameras = unlabeled.cameras()
-    others = [cam for cam in cameras if cam != ctx.anchor_camera]
-    if not others:
-        raise DataValidationError("no non-anchor cameras in the unlabeled set")
-    if ctx.embedded.shape[0] != unlabeled.n:
-        raise DataValidationError(
-            f"anchor context holds {ctx.embedded.shape[0]} rows, unlabeled table {unlabeled.n}"
-        )
-
     secondary_points = project_kernel(ctx.secondary, ctx.embedded)
-    groups = view_identity_groups(unlabeled)
-    centroids = {key: secondary_points[rows].mean(axis=0) for key, rows in groups.items()}
+    centroids = {key: secondary_points[rows].mean(axis=0) for key, rows in ctx.groups.items()}
 
-    anchor_ids = [(ctx.anchor_camera, wvid) for wvid, _ in ctx.anchor_classes]
+    anchor_ids = [key for key in centroids if key[0] == ctx.anchor_camera]
     anchor_matrix = np.vstack([centroids[key] for key in anchor_ids])
 
     candidates: list[PseudoClass] = []
-    for cam in others:
+    for cam in sorted({cam for cam, _ in centroids} - {ctx.anchor_camera}):
         other_ids = [key for key in centroids if key[0] == cam]
-        if not other_ids:
-            continue
         other_matrix = np.vstack([centroids[key] for key in other_ids])
         dists = cdist(anchor_matrix, other_matrix)
         sigma = float(dists.mean())

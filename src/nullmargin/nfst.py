@@ -191,12 +191,13 @@ class NullSpaceState:
 
 
 def fit_nfst(labeled: FeatureTable, state: NullSpaceState | None = None) -> NullProjector:
-    """Fit the c-1 null projecting directions of a fully labeled table.
+    """Append a fully labeled table's classes to a state and fit the c-1 null
+    projecting directions of every class it then holds.
 
-    With a state, the table's first state.n rows must hold exactly the
-    state's classes (DataValidationError otherwise); the rows past them are
-    appended to the state as new classes. Without one, all rows go to a
-    fresh state. See NullSpaceState for the construction.
+    Without a state, a fresh one takes all rows. The table must hold only
+    classes new to the state: append_classes rejects a held label or a wrong
+    dimension, leaving the state unchanged. See NullSpaceState for the
+    construction.
     """
     if labeled.n == 0:
         raise DataValidationError("cannot fit the null space of an empty table")
@@ -205,23 +206,8 @@ def fit_nfst(labeled: FeatureTable, state: NullSpaceState | None = None) -> Null
         raise DataValidationError("null-space input must contain labeled rows only")
     if state is None:
         state = NullSpaceState(labeled.dim)
-    if state.dim != labeled.dim:
-        raise DataValidationError(f"state dimension {state.dim} != table dimension {labeled.dim}")
-    if not _holds_prefix(state, labels):
-        raise DataValidationError("the state's classes are not a prefix of the table")
-    state.append_classes(labeled.features[state.n:], labels[state.n:])
+    state.append_classes(labeled.features, labels)
     return state.projector()
-
-
-def _holds_prefix(state: NullSpaceState, labels: np.ndarray) -> bool:
-    """Whether the first state.n labels are the state's classes and counts."""
-    if len(labels) < state.n:
-        return False
-    classes, counts = np.unique(labels[:state.n], return_counts=True)
-    order = np.argsort(state.labels)
-    return np.array_equal(classes, state.labels[order]) and np.array_equal(
-        counts, state.counts[order]
-    )
 
 
 def project_null(projector: NullProjector, x: np.ndarray) -> np.ndarray:

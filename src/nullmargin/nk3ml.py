@@ -51,15 +51,15 @@ def fit_nk3ml(
     kernel: KernelSpec = KernelSpec(),
     state: NullSpaceState | None = None,
 ) -> Nk3mlModel:
-    """Fit the primary space on a fully labeled table.
+    """Fit the primary space on every class of a state grown by a labeled table.
 
-    The null-space stage goes through fit_nfst with the given state (a fresh
-    one when none is given), so a loop that grows the table by whole classes
-    appends only the new ones. All rows of a class coincide in the null
-    space, so the margin stage trains on the state's c projected class
-    means, each standing for its class's row count: the same fit as on all n
-    projected rows, solved on c points. An 'auto' bandwidth is the mean over
-    all n(n-1)/2 row pairs, zero within-class pairs included.
+    The null-space stage goes through fit_nfst, which appends the table's
+    classes to the given state (a fresh one when none is given): the table
+    must hold only classes new to the state. All rows of a class coincide in
+    the null space, so the margin stage trains on the state's c projected
+    class means, each standing for its class's row count: the same fit as on
+    all n projected rows, solved on c points. An 'auto' bandwidth is the mean
+    over all n(n-1)/2 row pairs, zero within-class pairs included.
     """
     if state is None:
         state = NullSpaceState(labeled.dim)

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import FeatureTable, concat_tables
+# concat_tables is not called here: bench/spans.py traces it under this
+# module's name.
+from .dataio import FeatureTable, concat_tables  # noqa: F401
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
 from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
@@ -71,10 +73,6 @@ class LoopTrace:
         Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
-def _labeled_class_count(table: FeatureTable) -> int:
-    return len({ident for ident in table.identities if ident is not None})
-
-
 def _select_pairs(pairs: list[PseudoClass], cfg: LoopConfig) -> tuple[list[PseudoClass], float]:
     """Top slice of the affinity-ranked candidates for this round."""
     if len(pairs) < _SMALL_HARVEST:
@@ -93,36 +91,41 @@ def run_self_training(
 ) -> tuple[Nk3mlModel, LoopTrace]:
     """Run the loop; returns the final refitted model and the iteration trace.
 
-    The labeled table only grows by whole new classes, appended after its
-    rows, so one NullSpaceState serves every round's fit and each refit
-    appends only the round's new classes. Fit failures raise
-    SelfTrainingError with the trace accumulated so far.
+    One NullSpaceState holds the labeled set: the first fit appends the
+    labeled table's classes, each later refit only the round's moved rows,
+    in pool order, under fresh class labels. The AnchorContext of a round
+    holds the pool's (camera_id, within_view_id) groups that the moved rows
+    are taken from. Fit failures raise SelfTrainingError with the trace
+    accumulated so far.
     """
-    if _labeled_class_count(labeled) < 2:
+    real_labels = labeled.label_values()
+    if len(np.unique(real_labels)) < 2:
         raise DataValidationError("self-training needs >= 2 labeled classes to start")
     trace = LoopTrace()
-    current = labeled
+    new = labeled
     pool = unlabeled
-    real_labels = [ident for ident in labeled.identities if ident is not None]
-    next_label = max(PSEUDO_LABEL_BASE, max(real_labels) + 1)
+    next_label = max(PSEUDO_LABEL_BASE, int(real_labels.max()) + 1)
+    # each pseudo label moves at least two pool rows; all labels are int64
+    if next_label + unlabeled.n > np.iinfo(np.int64).max:
+        raise DataValidationError("labeled identities leave no int64 room for pseudo labels")
     state = NullSpaceState(labeled.dim)
 
     iteration = 0
     while True:
         try:
-            model = fit_nk3ml(current, cfg.kernel, state)
+            model = fit_nk3ml(new, cfg.kernel, state)
         except NullmarginError as err:
             raise SelfTrainingError(
                 f"primary fit failed at iteration {iteration}: {err}", trace=trace
             ) from err
         checksum = model_checksum(model)
 
-        classes_now = _labeled_class_count(current)
+        classes_now = len(state.labels)
         pairs = []
         if iteration < cfg.max_iterations and find_anchor(pool) is not None:
             try:
                 ctx = build_anchor_context(pool, model, cfg.kernel)
-                pairs = mine_pseudo_classes(ctx, pool, k=cfg.k, iteration=iteration)
+                pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
                 raise SelfTrainingError(
                     f"mining failed at iteration {iteration}: {err}", trace=trace
@@ -138,24 +141,12 @@ def run_self_training(
             IterationRecord(iteration, classes_now, len(pairs), len(accepted), threshold, checksum)
         )
 
-        label_of: dict[tuple[int, int], int] = {}
+        labels = np.full(pool.n, -1, dtype=np.int64)
         for pc in accepted:
-            label_of[pc.anchor_identity] = next_label
-            label_of[pc.matched_identity] = next_label
+            labels[ctx.groups[pc.anchor_identity]] = next_label
+            labels[ctx.groups[pc.matched_identity]] = next_label
             next_label += 1
-        move_mask = np.array(
-            [
-                (int(pool.camera_ids[i]), int(pool.within_view_ids[i])) in label_of
-                for i in range(pool.n)
-            ]
-        )
-        moved = pool.subset(move_mask)
-        moved = moved.with_identities(
-            [
-                label_of[(int(moved.camera_ids[i]), int(moved.within_view_ids[i]))]
-                for i in range(moved.n)
-            ]
-        )
-        current = concat_tables(current, moved)
-        pool = pool.subset(~move_mask)
+        move = labels >= 0
+        new = pool.subset(move).with_identities(labels[move].tolist())
+        pool = pool.subset(~move)
         iteration += 1

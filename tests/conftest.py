@@ -28,8 +28,11 @@ HOSTILE_TABLES = (
     "overflow_header.ssml",
     "non_utf8_id.ssml",
     "inf_feature.ssml",
+    "huge_identity.ssml",
     "non_utf8.csv",
     "nan_feature.csv",
+    "huge_identity.csv",
+    "huge_within_view.csv",
     "directory",
 )
 
@@ -47,6 +50,19 @@ def hostile_dir(tmp_path_factory):
     save_feature_table(table, out / "ok.ssml", "binary")
     save_feature_table(table, out / "ok.csv", "csv")
     ssml, csv = (out / "ok.ssml").read_bytes(), (out / "ok.csv").read_bytes()
+    # Each identity i is saved as 900 + i, then rewritten as 2**63 + i, past int64.
+    marked = table.with_identities([900 + ident for ident in table.identities])
+    save_feature_table(marked, out / "marked.ssml", "binary")
+    save_feature_table(marked, out / "marked.csv", "csv")
+    huge_ssml, huge_csv = (out / "marked.ssml").read_bytes(), (out / "marked.csv").read_bytes()
+    for ident in set(table.identities):
+        big = (1 << 63) + ident
+        huge_ssml = huge_ssml.replace(struct.pack("<Q", 900 + ident), struct.pack("<Q", big))
+        huge_csv = huge_csv.replace(b",%d," % (900 + ident), b",%d," % big)
+    # the first row's within_view_id (its fourth field) set to 2**64
+    header, first, rest = csv.split(b"\n", 2)
+    huge_wv = first.split(b",")
+    huge_wv[3] = b"%d" % (1 << 64)
     files = {
         "empty.ssml": b"",
         # 22-byte header claiming 2**20 rows of dimension 2**14 (a 128 GiB array)
@@ -55,8 +71,11 @@ def hostile_dir(tmp_path_factory):
         # the first byte of the first sample id, after the header and its u32 length
         "non_utf8_id.ssml": ssml[:26] + b"\xff" + ssml[27:],
         "inf_feature.ssml": ssml.replace(struct.pack("<d", 0.5), struct.pack("<d", np.inf)),
+        "huge_identity.ssml": huge_ssml,
         "non_utf8.csv": csv.replace(b"id", b"\xff", 1),
         "nan_feature.csv": csv.replace(b",0.5,", b",nan,"),
+        "huge_identity.csv": huge_csv,
+        "huge_within_view.csv": b"\n".join([header, b",".join(huge_wv), rest]),
     }
     for name, data in files.items():
         (out / name).write_bytes(data)

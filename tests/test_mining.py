@@ -14,7 +14,7 @@ from nullmargin import (
 )
 from nullmargin.errors import DataValidationError
 from nullmargin.kmmc import project_kernel
-from nullmargin.mining import export_pseudo_classes_csv
+from nullmargin.mining import export_pseudo_classes_csv, view_identity_groups
 from nullmargin.nk3ml import embed
 
 from conftest import make_table
@@ -162,7 +162,7 @@ def _mining_setup(noisefree_table, labeled_count=4):
 
 def test_mine_noise_free_finds_true_matches(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    pairs = mine_pseudo_classes(ctx, k=1)
     assert len(pairs) == 8
     for pc in pairs:
         assert pc.affinity == 1.0
@@ -191,7 +191,7 @@ def test_mine_unmatched_anchor_absent():
     model = fit_nk3ml(labeled, KernelSpec())
     unlabeled = make_table(feats, cams, [None] * 3, wv)
     ctx = build_anchor_context(unlabeled, model, KernelSpec())
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    pairs = mine_pseudo_classes(ctx, k=1)
     # camera 1 offers a single identity, so at most one anchor can pair and
     # the unmatched anchor identity must be absent from the output
     assert len(pairs) <= 1
@@ -201,7 +201,7 @@ def test_mine_unmatched_anchor_absent():
 
 def test_mine_matches_mutual_nearest_centroid_oracle(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    pairs = mine_pseudo_classes(ctx, k=1)
 
     secondary = project_kernel(ctx.secondary, embed(model, unlabeled.features))
     cents = {}
@@ -224,14 +224,14 @@ def test_mine_matches_mutual_nearest_centroid_oracle(easy_table):
 def test_mine_identities_used_once(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
     for k in (1, 3):
-        pairs = mine_pseudo_classes(ctx, unlabeled, k=k)
+        pairs = mine_pseudo_classes(ctx, k=k)
         seen = [pc.anchor_identity for pc in pairs] + [pc.matched_identity for pc in pairs]
         assert len(seen) == len(set(seen))
 
 
 def test_mine_affinities_sorted_in_unit_interval(easy_table):
     _, unlabeled, model, ctx = _mining_setup(easy_table, labeled_count=8)
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=2)
+    pairs = mine_pseudo_classes(ctx, k=2)
     affs = [pc.affinity for pc in pairs]
     assert all(0 < a <= 1 for a in affs)
     assert affs == sorted(affs, reverse=True)
@@ -243,20 +243,23 @@ def test_mine_row_permutation_invariant(noisefree_table):
     perm = rng.permutation(unlabeled.n)
     shuffled = unlabeled.subset(perm)
     ctx2 = build_anchor_context(shuffled, model, KernelSpec())
-    a = mine_pseudo_classes(ctx, unlabeled, k=1)
-    b = mine_pseudo_classes(ctx2, shuffled, k=1)
+    a = mine_pseudo_classes(ctx, k=1)
+    b = mine_pseudo_classes(ctx2, k=1)
     key = lambda pcs: [(pc.anchor_identity, pc.matched_identity, round(pc.affinity, 12)) for pc in pcs]
     assert key(a) == key(b)
 
 
 def test_secondary_keeps_anchor_classes_separated(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    anchor_rows = np.concatenate([rows for _, rows in ctx.anchor_classes])
+    anchor_classes = [
+        (wv, rows) for (cam, wv), rows in ctx.groups.items() if cam == ctx.anchor_camera
+    ]
+    anchor_rows = np.concatenate([rows for _, rows in anchor_classes])
     points = project_kernel(ctx.secondary, embed(model, unlabeled.features[anchor_rows]))
     labels = np.concatenate(
-        [np.full(len(rows), wv) for wv, rows in ctx.anchor_classes]
+        [np.full(len(rows), wv) for wv, rows in anchor_classes]
     )
-    cents = np.vstack([points[labels == wv].mean(axis=0) for wv, _ in ctx.anchor_classes])
+    cents = np.vstack([points[labels == wv].mean(axis=0) for wv, _ in anchor_classes])
     dists = cdist(cents, cents)
     off_diag = dists[~np.eye(len(cents), dtype=bool)]
     assert off_diag.min() > 0
@@ -264,7 +267,7 @@ def test_secondary_keeps_anchor_classes_separated(noisefree_table):
 
 def test_export_csv(tmp_path, noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    pairs = mine_pseudo_classes(ctx, k=1)
     path = tmp_path / "pseudo.csv"
     export_pseudo_classes_csv(pairs, path)
     lines = path.read_text().splitlines()
@@ -275,8 +278,8 @@ def test_export_csv(tmp_path, noisefree_table):
 def test_mine_requires_non_anchor_camera(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
     only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor_camera)
-    with pytest.raises(DataValidationError):
-        mine_pseudo_classes(ctx, only_anchor, k=1)
+    with pytest.raises(DataValidationError, match="cannot host an anchor"):
+        build_anchor_context(only_anchor, model, KernelSpec())
 
 
 def test_round_embeds_pool_once(noisefree_table, monkeypatch):
@@ -289,13 +292,21 @@ def test_round_embeds_pool_once(noisefree_table, monkeypatch):
 
     monkeypatch.setattr(nullmargin.mining, "embed", counting_embed)
     ctx = build_anchor_context(unlabeled, model, KernelSpec())
-    pairs = mine_pseudo_classes(ctx, unlabeled, k=1)
+    pairs = mine_pseudo_classes(ctx, k=1)
     assert calls == [unlabeled.n]
     np.testing.assert_array_equal(ctx.embedded, embed(model, unlabeled.features))
     assert len(pairs) == 8
 
 
-def test_mine_rejects_context_of_another_pool(noisefree_table):
+def test_round_groups_pool_once(noisefree_table, monkeypatch):
     _, unlabeled, _, ctx = _mining_setup(noisefree_table)
-    with pytest.raises(DataValidationError):
-        mine_pseudo_classes(ctx, unlabeled.subset(range(unlabeled.n - 2)), k=1)
+    want = view_identity_groups(unlabeled)
+    assert list(ctx.groups) == list(want)
+    for key, rows in want.items():
+        np.testing.assert_array_equal(ctx.groups[key], rows)
+
+    def no_regrouping(table):
+        raise AssertionError("mine_pseudo_classes regrouped the pool")
+
+    monkeypatch.setattr(nullmargin.mining, "view_identity_groups", no_regrouping)
+    assert len(mine_pseudo_classes(ctx, k=1)) == 8

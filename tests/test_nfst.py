@@ -10,6 +10,7 @@ from nullmargin import (
     NullSpaceState,
     SyntheticSpec,
     compute_scatter,
+    concat_tables,
     fisher_value,
     fit_nfst,
     generate_synthetic,
@@ -291,9 +292,11 @@ def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
     fits = []
     real_fit = nullmargin.selftrain.fit_nk3ml
 
-    def recording_fit(current, kernel, state):
-        model = real_fit(current, kernel, state)
-        fits.append((current, model.nullproj, state.basis.shape[1]))
+    def recording_fit(new, kernel, state):
+        # each round's table holds only classes the state does not hold yet
+        assert not np.isin(new.label_values(), state.labels).any()
+        model = real_fit(new, kernel, state)
+        fits.append((new, model.nullproj, state.basis.shape[1]))
         return model
 
     monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", recording_fit)
@@ -301,36 +304,30 @@ def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
     assert len(fits) >= 4
     ranks = [rank for _, _, rank in fits]
     assert ranks == sorted(ranks) and ranks[-1] > ranks[0]
-    for current, incremental, _ in fits:
-        assert_same_null_space(incremental, fit_nfst(current), current.features)
+    for round_ in range(len(fits)):
+        current = concat_tables(*(new for new, _, _ in fits[: round_ + 1]))
+        assert_same_null_space(fits[round_][1], fit_nfst(current), current.features)
 
 
 def test_repeated_label_raises_and_leaves_state_unchanged():
     rng = np.random.default_rng(31)
     state = NullSpaceState(12)
     state.append_classes(rng.standard_normal((5, 12)), [3, 3, 7, 7, 7])
-    before = {k: (v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in vars(state).items()}
+    held = make_table(rng.standard_normal((4, 12)), [0, 1] * 2, [9, 9, 3, 3])
+
+    def snapshot():
+        return {k: (v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in vars(state).items()}
+
+    before = snapshot()
     with pytest.raises(DataValidationError, match="already held"):
         state.append_classes(rng.standard_normal((3, 12)), [9, 9, 7])
-    after = {k: (v.tobytes() if isinstance(v, np.ndarray) else v) for k, v in vars(state).items()}
-    assert after == before
-
-
-def test_state_not_prefix_of_table_raises():
-    rng = np.random.default_rng(32)
-    table = random_sss_table(rng, classes=4, per_class=2, dim=20)
-    state = NullSpaceState(20)
-    fit_nfst(table.subset(range(4)), state)                  # classes 0 and 1
-    relabeled = table.with_identities([c + 10 for c in table.identities])
-    with pytest.raises(DataValidationError, match="prefix"):
-        fit_nfst(relabeled, state)
-    with pytest.raises(DataValidationError, match="prefix"):
-        fit_nfst(table.subset(range(3)), state)               # shorter than the state
-    with pytest.raises(DataValidationError, match="prefix"):
-        fit_nfst(table.subset([0, 1, 2, 4, 5, 6]), state)     # class 1 cut short
-    assert state.n == 4
-    fit_nfst(table, state)                                   # the real prefix appends
-    assert state.n == 8 and state.labels.tolist() == [0, 1, 2, 3]
+    with pytest.raises(DataValidationError, match="already held"):
+        fit_nfst(held, state)
+    with pytest.raises(DataValidationError, match="shape"):
+        fit_nfst(make_table(rng.standard_normal((2, 11)), [0, 1], [9, 9]), state)
+    assert snapshot() == before
+    fit_nfst(held.subset([0, 1]), state)                     # only the new class appends
+    assert state.n == 7 and state.labels.tolist() == [3, 7, 9]
 
 
 def test_class_in_held_span_adds_no_direction():
@@ -347,7 +344,7 @@ def test_class_in_held_span_adds_no_direction():
     base = 50.0 * rng.standard_normal(40)
     new_rows = np.vstack([base, base + 0.7 * (x[1] - x[0]) - 1.3 * (x[5] - x[4])])
     grown = make_table(np.vstack([x, new_rows]), [0, 1] * 7, list(table.identities) + [9, 9])
-    incremental = fit_nfst(grown, state)
+    incremental = fit_nfst(grown.subset([12, 13]), state)
     assert state.basis.shape[1] == rank
     assert_same_null_space(incremental, fit_nfst(grown), grown.features)
 
@@ -358,7 +355,7 @@ def test_singleton_classes_take_the_same_path():
     table = make_table(x, [0, 1] * 3 + [0], list(range(7)))
     state = NullSpaceState(15)
     fit_nfst(table.subset(range(3)), state)
-    incremental = fit_nfst(table, state)
+    incremental = fit_nfst(table.subset(range(3, 7)), state)
     assert state.basis.shape == (15, 0)
     assert incremental.w_n.shape == (15, 6)
     np.testing.assert_allclose(

@@ -92,6 +92,13 @@ def test_requires_two_labeled_classes(noisefree_12):
         run_self_training(labeled, unlabeled, LoopConfig())
 
 
+def test_labels_near_int64_max_leave_no_room_for_pseudo_labels(noisefree_12):
+    labeled, unlabeled = split_by_identity(noisefree_12, 3)
+    top = labeled.with_identities([(1 << 63) - 1 - ident for ident in labeled.identities])
+    with pytest.raises(DataValidationError, match="int64 room"):
+        run_self_training(top, unlabeled, LoopConfig())
+
+
 def test_trace_jsonl_export(tmp_path, noisefree_12):
     labeled, unlabeled = split_by_identity(noisefree_12, 3)
     _, trace = run_self_training(labeled, unlabeled, LoopConfig())
