@@ -15,10 +15,18 @@ so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n.
 The expanded Gram E K E^T (E the row-to-point indicator) with its jitter
 eps * I turns into K + eps * diag(1/mu) over the points.
 
+The rbf Gram takes its squared distances from one GEMM: with both point
+sets centred at the second set's mean, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b,
+negatives (rounding) clipped to 0. The primary fit, the secondary fit and
+project_kernel all build their Grams this way.
+
 All discriminants with positive eigenvalues are retained and normalized to
-a^T K a = 1. The same routine serves the primary space (over the null-space
-class points, weighted by their row counts) and the secondary space (over
-anchor-camera embeddings, one row each).
+a^T K a = 1. The solve returns K_j-orthonormal vectors (K_j = K + eps *
+diag(1/mu)), so a^T K a = 1 - sum_j (eps/mu_j) a_j^2 costs O(c^2) and serves
+both the jitter filter and the normalization. The same routine serves the
+primary space (over the null-space class points, weighted by their row
+counts) and the secondary space (over anchor-camera embeddings, one row
+each).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import pdist
 
 from .errors import (
     DataValidationError,
@@ -120,7 +128,11 @@ def resolve_bandwidth(points: np.ndarray, multiplicities=None) -> float:
 
 
 def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix with entry (i, j) = k(a_i, b_j)."""
+    """Gram matrix with entry (i, j) = k(a_i, b_j).
+
+    For rbf, both sets are centred at b's mean and the squared distances are
+    |a_i|^2 + |b_j|^2 - 2 a_i.b_j from one GEMM, clipped below at 0.
+    """
     a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -129,8 +141,16 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
         return a @ b.T
     if kernel.is_auto:
         raise DataValidationError("rbf gram needs a resolved numeric bandwidth")
-    sq = cdist(a, b, "sqeuclidean")
-    return np.exp(-sq / (2.0 * float(kernel.bandwidth) ** 2))
+    centre = b.mean(axis=0)
+    a = a - centre
+    b = b - centre
+    sq = a @ b.T
+    sq *= -2.0
+    sq += np.einsum("ij,ij->i", a, a)[:, None]
+    sq += np.einsum("ij,ij->i", b, b)
+    np.maximum(sq, 0.0, out=sq)
+    sq /= -2.0 * float(kernel.bandwidth) ** 2
+    return np.exp(sq, out=sq)
 
 
 def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities=None) -> np.ndarray:
@@ -190,9 +210,10 @@ def fit_nkmmc(
 
     Keeps every generalized eigenvector of (P - Q, K) whose eigenvalue
     exceeds EIG_POS_TOL * |lambda_max|, K-normalized to a^T K a = 1 with a
-    deterministic sign (first significant coefficient positive). Point j
-    stands for multiplicities[j] identical rows (default 1); see the module
-    docstring.
+    deterministic sign (first significant coefficient positive). The
+    K-energies come from the solve's K_j-orthonormality (module docstring),
+    not from products with K. Point j stands for multiplicities[j] identical
+    rows (default 1); see the module docstring.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     class_ids = np.asarray(classes)
@@ -219,32 +240,27 @@ def fit_nkmmc(
     k_jittered = k_matrix + np.diag(eps / mu)
 
     evals, vectors = _solve_generalized(s, k_jittered)
-    # Vectors whose K_jittered-energy is mostly jitter live in the numerical
-    # null space of K; they are artifacts of the conditioning step, not
-    # kernel-space discriminants, so drop them before the positivity rule.
-    k_energy = np.einsum("jk,jk->k", vectors, k_matrix @ vectors)
-    kj_energy = np.einsum("jk,jk->k", vectors, k_jittered @ vectors)
-    genuine = k_energy > 0.5 * kj_energy
+    # a^T K_j a = 1, so a^T K a is 1 less the jitter's share of the energy.
+    # Vectors whose energy is mostly jitter live in the numerical null space
+    # of K; they are artifacts of the conditioning step, not kernel-space
+    # discriminants, so drop them before the positivity rule.
+    k_energy = 1.0 - (eps / mu) @ np.square(vectors)
+    genuine = k_energy > 0.5
     evals = evals[genuine]
-    vectors = vectors[:, genuine]
     if evals.size == 0 or float(evals[0]) <= 0.0:
         raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")
     lam_max = float(evals[0])
     keep = evals > EIG_POS_TOL * abs(lam_max)
-    coeffs = vectors[:, keep].copy()
-    eigenvalues = evals[keep].copy()
-
-    sq_norms = np.einsum("jk,jk->k", coeffs, k_matrix @ coeffs)
-    if not np.all(sq_norms > 0):
-        raise NumericalError("a retained discriminant has nonpositive kernel norm")
-    coeffs /= np.sqrt(sq_norms)
+    kept = np.flatnonzero(genuine)[keep]
+    coeffs = vectors[:, kept]
+    coeffs /= np.sqrt(k_energy[kept])
     _fix_column_signs(coeffs)
     return KernelDiscriminantModel(
         train_points=points.copy(),
         kernel=kernel,
         resolved_bandwidth=bandwidth,
         coeffs=coeffs,
-        eigenvalues=eigenvalues,
+        eigenvalues=evals[keep],
         class_index=class_ids.copy(),
     )
 

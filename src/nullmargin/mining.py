@@ -50,12 +50,18 @@ class PseudoClass:
 
 
 def view_identity_groups(table: FeatureTable) -> dict[tuple[int, int], np.ndarray]:
-    """Row indices grouped by (camera_id, within_view_id)."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for row in range(table.n):
-        key = (int(table.camera_ids[row]), int(table.within_view_ids[row]))
-        groups.setdefault(key, []).append(row)
-    return {key: np.array(rows) for key, rows in sorted(groups.items())}
+    """Row indices grouped by (camera_id, within_view_id), ascending keys and
+    ascending rows within each group."""
+    if table.n == 0:
+        return {}
+    order = np.lexsort((table.within_view_ids, table.camera_ids))
+    cams = table.camera_ids[order]
+    views = table.within_view_ids[order]
+    starts = np.flatnonzero((cams[1:] != cams[:-1]) | (views[1:] != views[:-1])) + 1
+    return {
+        (int(cams[i]), int(views[i])): rows
+        for i, rows in zip(np.r_[0, starts], np.split(order, starts))
+    }
 
 
 def select_anchor(unlabeled: FeatureTable) -> int:
@@ -64,7 +70,7 @@ def select_anchor(unlabeled: FeatureTable) -> int:
     if len(cameras) < 2:
         raise DataValidationError(f"anchor selection needs >= 2 cameras, found {len(cameras)}")
     counts = {
-        cam: len({int(w) for w in unlabeled.within_view_ids[unlabeled.camera_ids == cam]})
+        cam: len(np.unique(unlabeled.within_view_ids[unlabeled.camera_ids == cam]))
         for cam in cameras
     }
     best = max(counts.values())
@@ -84,14 +90,17 @@ def find_anchor(unlabeled: FeatureTable) -> tuple[int, dict[tuple[int, int], np.
 
 
 def build_anchor_context(
-    unlabeled: FeatureTable, primary: Nk3mlModel, kernel: KernelSpec
+    unlabeled: FeatureTable, primary: Nk3mlModel, kernel: KernelSpec, anchor=None
 ) -> AnchorContext:
     """Secondary max-margin space over the anchor camera's primary embeddings.
 
     The whole pool is embedded once; the context keeps those embeddings and
     the pool's (camera_id, within_view_id) groups for mine_pseudo_classes.
+    A caller that already holds find_anchor(unlabeled) passes it as anchor,
+    so the pool is grouped once.
     """
-    anchor = find_anchor(unlabeled)
+    if anchor is None:
+        anchor = find_anchor(unlabeled)
     if anchor is None:
         raise DataValidationError(
             "unlabeled set cannot host an anchor: need >= 2 cameras and "
@@ -110,14 +119,7 @@ def build_anchor_context(
     )
 
 
-def _neighbor_lists(
-    queries: np.ndarray, gallery: np.ndarray, k: int, exclude_self: bool
-) -> list[np.ndarray]:
-    dist = cdist(np.atleast_2d(queries), np.atleast_2d(gallery))
-    if exclude_self:
-        if dist.shape[0] != dist.shape[1]:
-            raise DataValidationError("exclude_self requires queries and gallery to be the same set")
-        np.fill_diagonal(dist, np.inf)
+def _neighbor_lists(dist: np.ndarray, k: int, exclude_self: bool) -> list[np.ndarray]:
     # stable argsort: exact distance ties resolve to the lower gallery index
     order = np.argsort(dist, axis=1, kind="stable")
     out = []
@@ -135,7 +137,8 @@ def k_reciprocal(
     """Mutual top-k neighbors: R_k(q) = {g in N_k(q) : q in N_k(g)}.
 
     The reverse neighborhoods N_k(g) are computed with the queries acting as
-    the gallery of g. R_k(q) preserves the ascending-distance order of N_k(q).
+    the gallery of g, from the transpose of the one distance matrix.
+    R_k(q) preserves the ascending-distance order of N_k(q).
     """
     if k < 1:
         raise DataValidationError("k must be >= 1")
@@ -143,8 +146,13 @@ def k_reciprocal(
     gallery = np.atleast_2d(gallery)
     if gallery.shape[0] == 0:
         raise DataValidationError("empty gallery")
-    forward = _neighbor_lists(queries, gallery, k, exclude_self)
-    reverse = _neighbor_lists(gallery, queries, k, exclude_self)
+    dist = cdist(queries, gallery)
+    if exclude_self:
+        if dist.shape[0] != dist.shape[1]:
+            raise DataValidationError("exclude_self requires queries and gallery to be the same set")
+        np.fill_diagonal(dist, np.inf)
+    forward = _neighbor_lists(dist, k, exclude_self)
+    reverse = _neighbor_lists(dist.T, k, exclude_self)
     mutual = np.zeros((gallery.shape[0], queries.shape[0]), dtype=bool)
     for g, neigh in enumerate(reverse):
         mutual[g, neigh] = True
@@ -163,15 +171,19 @@ def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> l
     order.
     """
     secondary_points = project_kernel(ctx.secondary, ctx.embedded)
-    centroids = {key: secondary_points[rows].mean(axis=0) for key, rows in ctx.groups.items()}
+    keys = list(ctx.groups)
+    sizes = np.array([len(rows) for rows in ctx.groups.values()])
+    grouped = secondary_points[np.concatenate(list(ctx.groups.values()))]
+    centroids = np.add.reduceat(grouped, np.cumsum(sizes) - sizes, axis=0) / sizes[:, None]
+    cams = np.array([cam for cam, _ in keys])
 
-    anchor_ids = [key for key in centroids if key[0] == ctx.anchor_camera]
-    anchor_matrix = np.vstack([centroids[key] for key in anchor_ids])
+    anchor_ids = [key for key in keys if key[0] == ctx.anchor_camera]
+    anchor_matrix = centroids[cams == ctx.anchor_camera]
 
     candidates: list[PseudoClass] = []
-    for cam in sorted({cam for cam, _ in centroids} - {ctx.anchor_camera}):
-        other_ids = [key for key in centroids if key[0] == cam]
-        other_matrix = np.vstack([centroids[key] for key in other_ids])
+    for cam in sorted({cam for cam, _ in keys} - {ctx.anchor_camera}):
+        other_ids = [key for key in keys if key[0] == cam]
+        other_matrix = centroids[cams == cam]
         dists = cdist(anchor_matrix, other_matrix)
         sigma = float(dists.mean())
         neighbor_sets = k_reciprocal(anchor_matrix, other_matrix, k)

@@ -122,9 +122,10 @@ def run_self_training(
 
         classes_now = len(state.labels)
         pairs = []
-        if iteration < cfg.max_iterations and find_anchor(pool) is not None:
+        anchor = find_anchor(pool) if iteration < cfg.max_iterations else None
+        if anchor is not None:
             try:
-                ctx = build_anchor_context(pool, model, cfg.kernel)
+                ctx = build_anchor_context(pool, model, cfg.kernel, anchor)
                 pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
                 raise SelfTrainingError(

@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel, resolve_bandwidth
 from nullmargin.errors import DataValidationError, ZeroDistanceError
 from nullmargin.kmmc import (
+    EIG_POS_TOL,
     K_JITTER,
     KernelDiscriminantModel,
     _margin_operator,
@@ -77,6 +80,92 @@ def test_gram_linear_is_dot():
 def test_gram_dimension_mismatch():
     with pytest.raises(DataValidationError):
         gram(np.ones((2, 3)), np.ones((2, 4)), RBF)
+
+
+def cdist_gram(a, b, bandwidth):
+    return np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * bandwidth**2))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+def test_gram_rbf_matches_cdist(offset):
+    # The GEMM distances of points far from the origin lose nothing, since
+    # both sets are centred first.
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((7, 5)) + offset
+    b = rng.standard_normal((9, 5)) + offset
+    kernel = KernelSpec("rbf", 2.0)
+    np.testing.assert_allclose(gram(a, b, kernel), cdist_gram(a, b, 2.0), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(gram(b, b, kernel), cdist_gram(b, b, 2.0), rtol=1e-12, atol=0)
+
+
+def test_gram_rbf_far_query_is_exactly_zero():
+    rng = np.random.default_rng(41)
+    b = rng.standard_normal((6, 3))
+    far = np.vstack([b[:1], np.full((1, 3), 1e3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = gram(far, b, RBF)
+    assert np.all(k[1] == 0.0)
+    assert k[0, 0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_gram_rbf_self_diagonal_and_range():
+    # Rows offset from the origin and one repeated row, at the bandwidth a
+    # fit would resolve: every self and repeat entry is 1 within 1e-15, and
+    # no entry leaves [0, 1] (some squared self-distances round below 0).
+    rng = np.random.default_rng(42)
+    pts = rng.standard_normal((40, 7)) * 3.0 + 1e3
+    pts[5] = pts[2]
+    k = gram(pts, pts, KernelSpec("rbf", resolve_bandwidth(pts)))
+    assert np.abs(np.diag(k) - 1.0).max() <= 1e-15
+    assert abs(k[2, 5] - 1.0) <= 1e-15 and abs(k[5, 2] - 1.0) <= 1e-15
+    assert k.min() >= 0.0 and k.max() <= 1.0
+
+
+def test_gram_rbf_empty_queries():
+    b = np.random.default_rng(43).standard_normal((4, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = gram(np.empty((0, 3)), b, RBF)
+    assert k.shape == (0, 4)
+
+
+def rank_deficient_points(seed):
+    """12 weighted classes in 3 dimensions: the linear Gram has rank 3, so the
+    solve returns 9 vectors that live mostly in the jitter."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((12, 3)), np.arange(12), rng.integers(1, 5, 12).astype(float)
+
+
+@pytest.mark.parametrize(
+    "fixture", ["weighted-16", "weighted-17", "weighted-18", "rank-deficient-0", "rank-deficient-1"]
+)
+def test_energies_from_k_orthonormality_match_direct_products(fixture):
+    # Oracle: the K- and K_j-energies formed as products with the Gram, and
+    # the rule they fed, k_energy > 0.5 * kj_energy, then positivity.
+    name, seed = fixture.rsplit("-", 1)
+    if name == "weighted":
+        points, labels, counts = class_points(int(seed))
+        kernel = KernelSpec("rbf", "auto")
+    else:
+        points, labels, counts = rank_deficient_points(int(seed))
+        kernel = KernelSpec("linear")
+    model = fit_nkmmc(points, labels, kernel, counts)
+    k = gram(points, points, model.resolved_kernel())
+    k = (k + k.T) / 2
+    eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
+    k_j = k + np.diag(eps / counts)
+    evals, vectors = _solve_generalized(_margin_operator(k, labels, counts), k_j)
+    k_energy = np.einsum("jk,jk->k", vectors, k @ vectors)
+    kj_energy = np.einsum("jk,jk->k", vectors, k_j @ vectors)
+    kept = evals[k_energy > 0.5 * kj_energy]
+    kept = kept[kept > EIG_POS_TOL * abs(kept[0])]
+    assert model.eigenvalues.tobytes() == kept.tobytes()
+    if name == "rank-deficient":
+        assert model.output_dim == 3
+        assert np.count_nonzero(evals > EIG_POS_TOL * evals[0]) > 3   # the filter decides
+    norms = np.einsum("jk,jl,lk->k", model.coeffs, k, model.coeffs)
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
 
 
 def test_fit_separates_two_classes_linear():

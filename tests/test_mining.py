@@ -3,13 +3,16 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import nullmargin.mining
+import nullmargin.selftrain
 
 from nullmargin import (
     KernelSpec,
+    LoopConfig,
     build_anchor_context,
     fit_nk3ml,
     k_reciprocal,
     mine_pseudo_classes,
+    run_self_training,
     select_anchor,
 )
 from nullmargin.errors import DataValidationError
@@ -140,6 +143,60 @@ def test_k_reciprocal_cross_set_matches_brute_force():
         oracle = brute_reciprocal(queries, gallery, k=k)
         for i in range(12):
             assert sets.reciprocal[i].tolist() == oracle[i]
+
+
+def two_cdist_reciprocal(queries, gallery, k, exclude_self=False):
+    """k_reciprocal's construction with a second cdist for the reverse lists."""
+
+    def lists(q, g):
+        dist = cdist(q, g)
+        if exclude_self:
+            np.fill_diagonal(dist, np.inf)
+        order = np.argsort(dist, axis=1, kind="stable")
+        return [row[dist[i, row] < np.inf][:k] for i, row in enumerate(order)]
+
+    forward, reverse = lists(queries, gallery), lists(gallery, queries)
+    reciprocal = [[g for g in forward[i] if i in reverse[g]] for i in range(len(queries))]
+    return forward, reciprocal
+
+
+@pytest.mark.parametrize("exclude_self", [False, True])
+def test_k_reciprocal_matches_two_cdist_construction_with_ties(exclude_self):
+    # Points on a small integer grid, some repeated: many exact distance ties.
+    rng = np.random.default_rng(6)
+    for trial in range(40):
+        queries = rng.integers(0, 3, (int(rng.integers(1, 9)), 2)).astype(float)
+        if exclude_self:
+            gallery = queries
+        else:
+            gallery = rng.integers(0, 3, (int(rng.integers(1, 9)), 2)).astype(float)
+        k = int(rng.integers(1, 5))
+        sets = k_reciprocal(queries, gallery, k, exclude_self)
+        forward, reciprocal = two_cdist_reciprocal(queries, gallery, k, exclude_self)
+        assert [n.tolist() for n in sets.neighbors] == [n.tolist() for n in forward]
+        assert [r.tolist() for r in sets.reciprocal] == reciprocal
+
+
+def row_loop_groups(table):
+    """view_identity_groups' per-row construction."""
+    groups = {}
+    for row in range(table.n):
+        key = (int(table.camera_ids[row]), int(table.within_view_ids[row]))
+        groups.setdefault(key, []).append(row)
+    return {key: np.array(rows) for key, rows in sorted(groups.items())}
+
+
+def test_view_identity_groups_match_row_loop():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 17, 60):
+        cams = rng.integers(0, 4, n)
+        views = rng.integers(0, 6, n)
+        table = make_table(np.zeros((n, 1)), cams, [None] * n, within_view=views)
+        got, want = view_identity_groups(table), row_loop_groups(table)
+        assert list(got) == list(want)
+        for key, rows in want.items():
+            assert got[key].dtype == rows.dtype
+            assert got[key].tolist() == rows.tolist()
 
 
 def _mining_setup(noisefree_table, labeled_count=4):
@@ -310,3 +367,29 @@ def test_round_groups_pool_once(noisefree_table, monkeypatch):
 
     monkeypatch.setattr(nullmargin.mining, "view_identity_groups", no_regrouping)
     assert len(mine_pseudo_classes(ctx, k=1)) == 8
+
+
+def test_loop_groups_pool_once_per_round(noisefree_table, monkeypatch):
+    # Each loop round starts with its primary fit; between two fits the pool
+    # is grouped at most once, and exactly once in a round that mines.
+    labeled, unlabeled, _, _ = _mining_setup(noisefree_table, labeled_count=3)
+    events = []
+    real_fit, real_groups = nullmargin.selftrain.fit_nk3ml, view_identity_groups
+
+    def fit(*args):
+        events.append("fit")
+        return real_fit(*args)
+
+    def groups(table):
+        events.append("group")
+        return real_groups(table)
+
+    monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", fit)
+    monkeypatch.setattr(nullmargin.mining, "view_identity_groups", groups)
+    _, trace = run_self_training(labeled, unlabeled, LoopConfig())
+    per_round = [part.count("group") for part in " ".join(events).split("fit")[1:]]
+    assert len(per_round) == len(trace.records)
+    mined = [rec.pseudo_mined > 0 for rec in trace.records]
+    assert sum(mined) >= 2
+    for count, did_mine in zip(per_round, mined):
+        assert count == 1 if did_mine else count <= 1
