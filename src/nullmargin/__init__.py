@@ -37,9 +37,11 @@ from .kmmc import (
     resolve_bandwidth,
 )
 from .mining import (
+    Anchor,
     AnchorContext,
     PseudoClass,
     build_anchor_context,
+    find_anchor,
     k_reciprocal,
     mine_pseudo_classes,
     select_anchor,
@@ -57,6 +59,7 @@ from .scatter import ScatterStats, compute_scatter, fisher_value
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
 __all__ = [
+    "Anchor",
     "AnchorContext",
     "CmcCurve",
     "ExperimentSplit",
@@ -78,6 +81,7 @@ __all__ = [
     "compute_scatter",
     "concat_tables",
     "embed",
+    "find_anchor",
     "fisher_value",
     "fit_nfst",
     "fit_nk3ml",

@@ -47,7 +47,12 @@ from .errors import (
 )
 from .evaluation import cmc, rank_gallery, run_protocols
 from .kmmc import KernelSpec
-from .mining import build_anchor_context, export_pseudo_classes_csv, mine_pseudo_classes
+from .mining import (
+    build_anchor_context,
+    export_pseudo_classes_csv,
+    find_anchor,
+    mine_pseudo_classes,
+)
 from .nk3ml import embed, fit_nk3ml, load_model, save_model
 from .selftrain import LoopConfig
 
@@ -316,7 +321,13 @@ def cmd_mine(args) -> int:
     except (ValueError, DataValidationError) as err:
         raise ConfigError(f"bad kernel flags: {err}") from err
     model = fit_nk3ml(labeled.labeled_subset(), kernel)
-    ctx = build_anchor_context(unlabeled, model, kernel)
+    anchor = find_anchor(unlabeled)
+    if anchor is None:
+        raise DataValidationError(
+            "unlabeled set cannot host an anchor: need >= 2 cameras and "
+            ">= 2 identities in the anchor camera"
+        )
+    ctx = build_anchor_context(anchor, model, kernel)
     pairs = mine_pseudo_classes(ctx, k=args.k)
     export_pseudo_classes_csv(pairs, args.output)
     print(f"anchor camera {ctx.anchor_camera}: {len(pairs)} pseudo-classes")

@@ -77,42 +77,42 @@ def select_anchor(unlabeled: FeatureTable) -> int:
     return min(cam for cam, count in counts.items() if count == best)
 
 
-def find_anchor(unlabeled: FeatureTable) -> tuple[int, dict[tuple[int, int], np.ndarray]] | None:
-    """The anchor camera and the pool's view_identity_groups, or None when the
-    pool cannot host an anchor: fewer than 2 cameras, or fewer than 2
-    identities in the anchor camera."""
+@dataclass(frozen=True)
+class Anchor:
+    """A pool that can host an anchor: its anchor camera and its
+    view_identity_groups, formed once by find_anchor."""
+
+    pool: FeatureTable
+    camera: int
+    groups: dict[tuple[int, int], np.ndarray]
+
+
+def find_anchor(unlabeled: FeatureTable) -> Anchor | None:
+    """The pool's Anchor, or None when the pool cannot host an anchor: fewer
+    than 2 cameras, or fewer than 2 identities in the anchor camera."""
     if len(unlabeled.cameras()) < 2:
         return None
     anchor_camera = select_anchor(unlabeled)
     groups = view_identity_groups(unlabeled)
     hosted = sum(cam == anchor_camera for cam, _ in groups)
-    return (anchor_camera, groups) if hosted >= 2 else None
+    return Anchor(unlabeled, anchor_camera, groups) if hosted >= 2 else None
 
 
 def build_anchor_context(
-    unlabeled: FeatureTable, primary: Nk3mlModel, kernel: KernelSpec, anchor=None
+    anchor: Anchor, primary: Nk3mlModel, kernel: KernelSpec
 ) -> AnchorContext:
     """Secondary max-margin space over the anchor camera's primary embeddings.
 
-    The whole pool is embedded once; the context keeps those embeddings and
-    the pool's (camera_id, within_view_id) groups for mine_pseudo_classes.
-    A caller that already holds find_anchor(unlabeled) passes it as anchor,
-    so the pool is grouped once.
+    The anchor's whole pool is embedded once; the context keeps those
+    embeddings and the anchor's groups for mine_pseudo_classes.
     """
-    if anchor is None:
-        anchor = find_anchor(unlabeled)
-    if anchor is None:
-        raise DataValidationError(
-            "unlabeled set cannot host an anchor: need >= 2 cameras and "
-            ">= 2 identities in the anchor camera"
-        )
-    anchor_camera, groups = anchor
+    anchor_camera, groups = anchor.camera, anchor.groups
     anchor_keys = [key for key in groups if key[0] == anchor_camera]
     anchor_rows = np.concatenate([groups[key] for key in anchor_keys])
     anchor_labels = np.concatenate(
         [np.full(len(groups[key]), key[1], dtype=np.int64) for key in anchor_keys]
     )
-    embedded = embed(primary, unlabeled.features)
+    embedded = embed(primary, anchor.pool.features)
     secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
     return AnchorContext(
         anchor_camera=anchor_camera, groups=groups, secondary=secondary, embedded=embedded

@@ -125,7 +125,7 @@ def run_self_training(
         anchor = find_anchor(pool) if iteration < cfg.max_iterations else None
         if anchor is not None:
             try:
-                ctx = build_anchor_context(pool, model, cfg.kernel, anchor)
+                ctx = build_anchor_context(anchor, model, cfg.kernel)
                 pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
                 raise SelfTrainingError(

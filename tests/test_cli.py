@@ -305,6 +305,23 @@ def test_mine_subcommand(tmp_path, noisefree_table):
     assert len(lines) == 9  # 8 true pairs
 
 
+def test_mine_pool_without_anchor_exit_3(tmp_path, noisefree_table, capsys):
+    ids, cams = noisefree_table.identities, noisefree_table.camera_ids
+    labeled = noisefree_table.subset([r for r in range(len(ids)) if ids[r] < 4])
+    unlabeled = noisefree_table.subset(
+        [r for r in range(len(ids)) if ids[r] >= 4 and cams[r] == cams[0]]
+    )
+    lab_path = tmp_path / "labeled.csv"
+    unlab_path = tmp_path / "unlabeled.csv"
+    save_feature_table(labeled, lab_path, "csv")
+    save_feature_table(unlabeled, unlab_path, "csv")
+    out = tmp_path / "pseudo.csv"
+    code = run_cli("mine", "--labeled", lab_path, "--unlabeled", unlab_path, "-o", out)
+    assert code == 3
+    assert "cannot host an anchor" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
     monkeypatch.setenv("NULLMARGIN_THREADS", "2")
     out = tmp_path / "out"

@@ -17,7 +17,7 @@ from nullmargin import (
 )
 from nullmargin.errors import DataValidationError
 from nullmargin.kmmc import project_kernel
-from nullmargin.mining import export_pseudo_classes_csv, view_identity_groups
+from nullmargin.mining import export_pseudo_classes_csv, find_anchor, view_identity_groups
 from nullmargin.nk3ml import embed
 
 from conftest import make_table
@@ -213,7 +213,7 @@ def _mining_setup(noisefree_table, labeled_count=4):
     unlabeled = unlabeled.with_identities([None] * unlabeled.n)
     kernel = KernelSpec()
     model = fit_nk3ml(labeled, kernel)
-    ctx = build_anchor_context(unlabeled, model, kernel)
+    ctx = build_anchor_context(find_anchor(unlabeled), model, kernel)
     return labeled, unlabeled, model, ctx
 
 
@@ -247,7 +247,7 @@ def test_mine_unmatched_anchor_absent():
     labeled = make_table(labeled_feats, [0, 1, 0, 1], [0, 0, 1, 1], prefix="lab")
     model = fit_nk3ml(labeled, KernelSpec())
     unlabeled = make_table(feats, cams, [None] * 3, wv)
-    ctx = build_anchor_context(unlabeled, model, KernelSpec())
+    ctx = build_anchor_context(find_anchor(unlabeled), model, KernelSpec())
     pairs = mine_pseudo_classes(ctx, k=1)
     # camera 1 offers a single identity, so at most one anchor can pair and
     # the unmatched anchor identity must be absent from the output
@@ -299,7 +299,7 @@ def test_mine_row_permutation_invariant(noisefree_table):
     rng = np.random.default_rng(7)
     perm = rng.permutation(unlabeled.n)
     shuffled = unlabeled.subset(perm)
-    ctx2 = build_anchor_context(shuffled, model, KernelSpec())
+    ctx2 = build_anchor_context(find_anchor(shuffled), model, KernelSpec())
     a = mine_pseudo_classes(ctx, k=1)
     b = mine_pseudo_classes(ctx2, k=1)
     key = lambda pcs: [(pc.anchor_identity, pc.matched_identity, round(pc.affinity, 12)) for pc in pcs]
@@ -335,8 +335,11 @@ def test_export_csv(tmp_path, noisefree_table):
 def test_mine_requires_non_anchor_camera(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
     only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor_camera)
-    with pytest.raises(DataValidationError, match="cannot host an anchor"):
-        build_anchor_context(only_anchor, model, KernelSpec())
+    assert find_anchor(only_anchor) is None
+    # two cameras, but one identity in each: no anchor classes to separate
+    one_each = unlabeled.subset(unlabeled.within_view_ids == unlabeled.within_view_ids[0])
+    assert len(one_each.cameras()) >= 2
+    assert find_anchor(one_each) is None
 
 
 def test_round_embeds_pool_once(noisefree_table, monkeypatch):
@@ -348,7 +351,7 @@ def test_round_embeds_pool_once(noisefree_table, monkeypatch):
         return embed(m, x)
 
     monkeypatch.setattr(nullmargin.mining, "embed", counting_embed)
-    ctx = build_anchor_context(unlabeled, model, KernelSpec())
+    ctx = build_anchor_context(find_anchor(unlabeled), model, KernelSpec())
     pairs = mine_pseudo_classes(ctx, k=1)
     assert calls == [unlabeled.n]
     np.testing.assert_array_equal(ctx.embedded, embed(model, unlabeled.features))
