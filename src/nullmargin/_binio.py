@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import struct
 
 import numpy as np
@@ -55,31 +56,52 @@ class Writer:
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
 
+    def write_to(self, path) -> None:
+        """Write the parts to a file in order, without joining them."""
+        with open(path, "wb") as f:
+            for part in self.parts:
+                f.write(part)
+
 
 class Reader:
-    """Cursor over a byte buffer; raises DataFormatError on truncation.
+    """Cursor over a seekable binary stream; raises DataFormatError on truncation.
 
-    Reads return views into the buffer, so large arrays are not copied twice.
+    A size read from the data is checked against the bytes left in the
+    stream before anything is allocated for it; readinto fills a caller's
+    array without an intermediate copy.
     """
 
-    def __init__(self, data: bytes, context: str = "binary data"):
-        self._data = memoryview(data)
-        self._pos = 0
+    def __init__(self, stream, context: str = "binary data"):
+        self._stream = stream
+        self._pos = stream.tell()
+        self._end = stream.seek(0, io.SEEK_END)
+        stream.seek(self._pos)
         self._context = context
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
-    def raw(self, size: int) -> memoryview:
-        if size < 0 or self.remaining < size:
+    def _check(self, size: int, have: int | None = None) -> None:
+        have = self.remaining if have is None else have
+        if size < 0 or have < size:
             raise DataFormatError(
                 f"truncated {self._context}: needed {size} bytes at offset "
-                f"{self._pos}, have {self.remaining}"
+                f"{self._pos}, have {have}"
             )
-        out = self._data[self._pos:self._pos + size]
+
+    def raw(self, size: int) -> bytes:
+        self._check(size)
+        data = self._stream.read(size)
+        self._check(size, len(data))
         self._pos += size
-        return out
+        return data
+
+    def readinto(self, out: np.ndarray) -> None:
+        """Fill a C-contiguous array with its size in bytes from the stream."""
+        view = memoryview(out).cast("B")
+        self._check(view.nbytes, self._stream.readinto(view))
+        self._pos += view.nbytes
 
     def _unpack(self, fmt: str):
         (value,) = struct.unpack(fmt, self.raw(struct.calcsize(fmt)))

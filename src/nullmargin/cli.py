@@ -346,8 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--identities", type=int, required=True)
     p_synth.add_argument("--cameras", type=int, default=2)
     p_synth.add_argument("--dim", type=int, required=True)
-    p_synth.add_argument("--transform-strength", type=float, default=0.0)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.0)
+    p_synth.add_argument("--transform-strength", type=float, default=0.0,
+                         help="per-camera linear distortion (default 0)")
+    p_synth.add_argument("--noise-sigma", type=float, default=0.0, help=(
+        "per-row Gaussian noise (default 0). With both defaults every camera sees the "
+        "same row of an identity, so on 3+ cameras a semi_supervised run exits 4 (data "
+        "not in general position) once a round mines an identity an earlier "
+        "pseudo-class holds"))
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("-o", "--output", required=True, help=".csv or binary path")
     p_synth.set_defaults(func=cmd_synth)

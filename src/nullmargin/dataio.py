@@ -17,7 +17,6 @@ Two on-disk layouts are supported:
 from __future__ import annotations
 
 import math
-import mmap
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -334,7 +333,7 @@ def save_feature_table(table: FeatureTable, path, format: str) -> None:
     if format == "csv":
         _save_csv(table, path)
     elif format == "binary":
-        path.write_bytes(_to_binary(table))
+        _table_writer(table).write_to(path)
     else:
         raise DataFormatError(f"unknown table format {format!r}")
 
@@ -346,11 +345,8 @@ def load_feature_table(path, format: str) -> FeatureTable:
     if format == "csv":
         return _load_csv(path)
     if format == "binary":
-        # Mapped rather than read, so rows are copied once, from the page
-        # cache straight into the feature matrix.
         with path.open("rb") as f:
-            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) if path.stat().st_size else b""
-        return _from_binary(data, context=str(path))
+            return _from_binary(f, context=str(path))
     raise DataFormatError(f"unknown table format {format!r}")
 
 
@@ -423,7 +419,7 @@ def _load_csv(path: Path) -> FeatureTable:
         raise DataFormatError(f"{path}: {err}") from err
 
 
-def _to_binary(table: FeatureTable) -> bytes:
+def _table_writer(table: FeatureTable) -> Writer:
     w = Writer()
     w.raw(TABLE_MAGIC)
     w.u16(TABLE_VERSION)
@@ -440,11 +436,13 @@ def _to_binary(table: FeatureTable) -> bytes:
             w.u64(ident)
         w.u64(int(table.within_view_ids[i]))
         w.f64_array(table.features[i])
-    return w.getvalue()
+    return w
 
 
-def _from_binary(data: bytes | mmap.mmap, context: str = "table") -> FeatureTable:
-    r = Reader(data, context=context)
+def _from_binary(stream, context: str = "table") -> FeatureTable:
+    """A table read from a seekable binary stream in one pass; each row's
+    features are read straight into the preallocated feature matrix."""
+    r = Reader(stream, context=context)
     if r.raw(4) != TABLE_MAGIC:
         raise DataFormatError(f"{context}: bad magic, not a feature-table file")
     version = r.u16()
@@ -460,7 +458,7 @@ def _from_binary(data: bytes | mmap.mmap, context: str = "table") -> FeatureTabl
             f"which {r.remaining} remaining bytes cannot hold"
         )
     sample_ids, camera_ids, identities, wv_ids = [], [], [], []
-    feats = np.empty((n, dim), dtype=np.float64)
+    feats = np.empty((n, dim), dtype="<f8")
     for i in range(n):
         sid = r.raw(r.u32())
         try:
@@ -470,7 +468,7 @@ def _from_binary(data: bytes | mmap.mmap, context: str = "table") -> FeatureTabl
         camera_ids.append(r.u16())
         identities.append(r.u64() if r.u8() else None)
         wv_ids.append(r.u64())
-        feats[i] = r.f64_array(dim)
+        r.readinto(feats[i])
     try:
         return FeatureTable(
             sample_ids=tuple(sample_ids),

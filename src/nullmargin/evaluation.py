@@ -10,6 +10,7 @@ per-trial accuracy percentages.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -26,6 +27,10 @@ from .selftrain import LoopConfig, LoopTrace, run_self_training
 DEFAULT_RANKS = (1, 5, 10, 20)
 
 MODES = ("labeled_only", "semi_supervised")
+
+# Width of the feature-column blocks a trial's model is lifted in. The lifted
+# model's bits depend on this constant alone, not on the host's core count.
+LIFT_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -135,12 +140,41 @@ def _run_trial(
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)
     curve = cmc(rankings, probe.identities, gallery.identities, ns)
-    basis = table.features[train].T
-    lifted = NullProjector(
-        w_n=basis @ (coeffs @ model.nullproj.w_n), mean=basis @ (coeffs @ model.nullproj.mean)
-    )
-    model = replace(model, nullproj=lifted)
+    model = replace(model, nullproj=_lift(table.features, train, coeffs, model.nullproj))
     return curve, model_checksum(model), model.margin.resolved_bandwidth, model, trace
+
+
+def _lift(
+    features: np.ndarray, train: np.ndarray, coeffs: np.ndarray, span: NullProjector
+) -> NullProjector:
+    """A projector fitted in span coordinates, in feature coordinates:
+    w_n = T^T (A w), mean = T^T (A m) for the train rows T = features[train].
+
+    T is never gathered whole. Each LIFT_BLOCK-wide column block of both
+    products is formed from that block of the train rows, into preallocated
+    outputs, on min(usable cores, blocks) threads, each GEMM at the caller's
+    BLAS thread count; a dimension within one block runs inline.
+    """
+    w_span, mean_span = coeffs @ span.w_n, coeffs @ span.mean
+    dim = features.shape[1]
+    w_n = np.empty((dim, w_span.shape[1]))
+    mean = np.empty(dim)
+
+    def lift_block(start: int) -> None:
+        block = features[train, start:start + LIFT_BLOCK].T
+        np.matmul(block, w_span, out=w_n[start:start + LIFT_BLOCK])
+        np.matmul(block, mean_span, out=mean[start:start + LIFT_BLOCK])
+
+    starts = range(0, dim, LIFT_BLOCK)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lift_block, starts))
+    else:
+        for start in starts:
+            lift_block(start)
+    return NullProjector(w_n=w_n, mean=mean)
 
 
 def _rows(part: FeatureTable) -> np.ndarray:
@@ -190,14 +224,21 @@ def _table_gram(table: FeatureTable) -> np.ndarray:
 
 def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
     trials = range(spec.trials)
+
+    def trial(t: int) -> tuple:
+        curve, checksum, bandwidth, model, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
+        if t != trials[-1]:
+            # Only the last trial's lifted model (d x (c-1) values) and trace
+            # are kept, so a run holds one model, not one per trial.
+            model = trace = None
+        return curve, checksum, bandwidth, model, trace
+
     with blas_threads(1):
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda t: _run_trial(table, spec, cfg, mode, ns, t, gram), trials)
-                )
+                results = list(pool.map(trial, trials))
         else:
-            results = [_run_trial(table, spec, cfg, mode, ns, t, gram) for t in trials]
+            results = [trial(t) for t in trials]
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple(

@@ -34,11 +34,14 @@ class AnchorContext:
 
 @dataclass
 class NeighborSets:
-    """Per-query top-k neighbor lists and their mutual (k-reciprocal) parts."""
+    """Per-query top-k neighbor lists, their mutual (k-reciprocal) parts, and
+    the (n_queries, n_gallery) distance matrix they were ranked from (inf on
+    the diagonal under exclude_self)."""
 
     k: int
     neighbors: tuple[np.ndarray, ...]
     reciprocal: tuple[np.ndarray, ...]
+    distances: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -157,7 +160,7 @@ def k_reciprocal(
     for g, neigh in enumerate(reverse):
         mutual[g, neigh] = True
     reciprocal = tuple(neigh[mutual[neigh, i]] for i, neigh in enumerate(forward))
-    return NeighborSets(k=k, neighbors=tuple(forward), reciprocal=reciprocal)
+    return NeighborSets(k=k, neighbors=tuple(forward), reciprocal=reciprocal, distances=dist)
 
 
 def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> list[PseudoClass]:
@@ -183,10 +186,9 @@ def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> l
     candidates: list[PseudoClass] = []
     for cam in sorted({cam for cam, _ in keys} - {ctx.anchor_camera}):
         other_ids = [key for key in keys if key[0] == cam]
-        other_matrix = centroids[cams == cam]
-        dists = cdist(anchor_matrix, other_matrix)
+        neighbor_sets = k_reciprocal(anchor_matrix, centroids[cams == cam], k)
+        dists = neighbor_sets.distances
         sigma = float(dists.mean())
-        neighbor_sets = k_reciprocal(anchor_matrix, other_matrix, k)
         for i, matches in enumerate(neighbor_sets.reciprocal):
             for g in matches:
                 dist = float(dists[i, g])

@@ -10,6 +10,7 @@ Euclidean distance on embeddings.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,21 +124,21 @@ def deserialize_model(data: bytes, context: str = "model") -> Nk3mlModel:
 
 
 def _deserialize(data: bytes, context: str) -> Nk3mlModel:
-    r = Reader(data, context=context)
+    r = Reader(io.BytesIO(data), context=context)
     if r.raw(4) != MODEL_MAGIC:
         raise ModelFormatError(f"{context}: bad magic, not a model container")
     version = r.u16()
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{context}: unsupported model version {version}")
 
-    block = Reader(r.raw(r.u64()), context=f"{context} null-space block")
+    block = Reader(io.BytesIO(r.raw(r.u64())), context=f"{context} null-space block")
     dim = block.u64()
     n_dirs = block.u64()
     mean = block.f64_array(dim)
     w_n = block.f64_array(dim * n_dirs, shape=(dim, n_dirs))
     nullproj = NullProjector(w_n=w_n, mean=mean)
 
-    block = Reader(r.raw(r.u64()), context=f"{context} margin block")
+    block = Reader(io.BytesIO(r.raw(r.u64())), context=f"{context} margin block")
     kind_code = block.u8()
     if kind_code not in _KERNEL_NAMES:
         raise ModelFormatError(f"{context}: unknown kernel code {kind_code}")
@@ -167,7 +168,7 @@ def _deserialize(data: bytes, context: str) -> Nk3mlModel:
 
 
 def save_model(model: Nk3mlModel, path) -> None:
-    Path(path).write_bytes(serialize_model(model))
+    _model_writer(model).write_to(path)
 
 
 def load_model(path) -> Nk3mlModel:

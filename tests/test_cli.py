@@ -204,6 +204,43 @@ def test_run_outputs_identical_across_blas_and_trial_threads(tmp_path):
         assert files == first, f"outputs of {case} differ from (unset, 1)"
 
 
+def test_run_with_a_lifted_block_width_is_identical_at_trial_threads_1_and_2(tmp_path):
+    # dim above one lift block, so each trial lifts its model block by block.
+    data = tmp_path / "data.ssml"
+    assert run_cli(
+        "synth", "--identities", 16, "--dim", nullmargin.evaluation.LIFT_BLOCK + 77,
+        "--transform-strength", 0.5, "--noise-sigma", 0.5, "--seed", 6, "-o", data,
+    ) == 0
+    outputs = []
+    out = tmp_path / "out"      # one path, since report.json echoes it
+    for threads in (1, 2):
+        assert run_cli(
+            "run", "--input", data, "-o", out, "--mode", "both", "--seed", 3,
+            "--trials", 2, "--threads", threads,
+        ) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        echo = b'"run.threads": %d' % threads
+        assert files["report.json"].count(echo) == 1
+        files["report.json"] = files["report.json"].replace(echo, b'"run.threads": N')
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
+
+
+def test_synth_defaults_repeat_rows_across_cameras_and_the_loop_exits_4(tmp_path, capsys):
+    # With no noise and no transform every camera sees the same row of an
+    # identity; once a mined pseudo-class repeats an identity the null space
+    # loses directions, which is a numerical error, not a crash.
+    synth = ("synth", "--identities", 30, "--cameras", 4, "--dim", 120, "--seed", 9)
+    run = ("run", "--mode", "semi_supervised", "--trials", 1)
+    assert run_cli(*synth, "-o", tmp_path / "plain.ssml") == 0
+    assert run_cli(*run, "--input", tmp_path / "plain.ssml", "-o", tmp_path / "plain") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical:") and "not in general position" in err
+    assert "Traceback" not in err
+    assert run_cli(*synth, "--noise-sigma", 0.5, "-o", tmp_path / "noisy.ssml") == 0
+    assert run_cli(*run, "--input", tmp_path / "noisy.ssml", "-o", tmp_path / "noisy") == 0
+
+
 def test_embed_collapse_and_empty(dataset, tmp_path):
     out = tmp_path / "out"
     assert run_cli(

@@ -1,9 +1,15 @@
+import io
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nullmargin
 from nullmargin import (
     SplitSpec,
     SyntheticSpec,
@@ -12,7 +18,7 @@ from nullmargin import (
     make_split,
     save_feature_table,
 )
-from nullmargin.dataio import _from_binary, _to_binary, table_format_for
+from nullmargin.dataio import _from_binary, _table_writer, table_format_for
 from nullmargin.errors import DataFormatError, DataValidationError
 
 from conftest import HOSTILE_TABLES, make_table
@@ -76,13 +82,13 @@ def test_non_finite_features_rejected(value):
 
 
 def test_binary_within_view_id_beyond_int64_rejected():
-    data = _to_binary(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0]))
+    data = _table_writer(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0])).getvalue()
     # the last row's u64 within-view id precedes its one f64 feature
     data = data[:-16] + struct.pack("<Q", (1 << 64) - 1) + data[-8:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no lossy cast on the way
         with pytest.raises(DataFormatError, match="nonnegative"):
-            _from_binary(data)
+            _from_binary(io.BytesIO(data))
 
 
 def test_finite_features_whose_sum_overflows_accepted():
@@ -107,6 +113,55 @@ def test_binary_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "t2.ssml"
     save_feature_table(loaded, path2, "binary")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):
+    rng = np.random.default_rng(3)
+    table = make_table(
+        rng.standard_normal((12, 9)), cameras=[i % 3 for i in range(12)],
+        identities=[None if i % 4 == 0 else i // 2 for i in range(12)],
+    )
+    path = tmp_path / "t.ssml"
+    save_feature_table(table, path, "binary")
+    assert path.read_bytes() == _table_writer(table).getvalue()
+
+
+# The child reads its peak resident set from VmHWM, the high-water mark of
+# its own address space, which starts afresh at exec. ru_maxrss would not:
+# it carries the resident size of the process that spawned the child.
+_LOAD_PEAK = """
+import sys
+from nullmargin import load_feature_table
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+table = load_feature_table(sys.argv[1], "binary")
+print((peak() - before) * 1024, table.features.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_binary_load_holds_the_features_once(tmp_path):
+    # The reader fills the feature matrix row by row from a buffered stream,
+    # so loading grows the peak resident set by about one feature matrix,
+    # not by the file plus a copy of it.
+    rng = np.random.default_rng(5)
+    table = make_table(rng.standard_normal((200, 32000)), cameras=[i % 2 for i in range(200)],
+                       identities=[i // 2 for i in range(200)])
+    path = tmp_path / "big.ssml"
+    save_feature_table(table, path, "binary")
+    del table
+    src = Path(nullmargin.__file__).resolve().parent.parent
+    path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path_var)
+    out = subprocess.run([sys.executable, "-c", _LOAD_PEAK, str(path)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    grown, nbytes = map(int, out.stdout.split())
+    assert nbytes == 200 * 32000 * 8
+    assert grown < 1.25 * nbytes, f"load grew the peak RSS by {grown / nbytes:.2f} feature matrices"
 
 
 def test_csv_round_trip_value_preserving(tmp_path):

@@ -1,9 +1,14 @@
+import gc
+import os
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import nullmargin.evaluation
 from nullmargin import (
     LoopConfig,
     SplitSpec,
@@ -19,7 +24,9 @@ from nullmargin import (
     run_self_training,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
-from nullmargin.evaluation import single_shot_view
+from nullmargin.evaluation import LIFT_BLOCK, _lift, single_shot_view
+from nullmargin.nfst import NullProjector
+from nullmargin.nk3ml import serialize_model
 
 from conftest import make_table
 
@@ -214,3 +221,73 @@ def test_cmc_invariant_to_gallery_permutation(easy_table):
         ns,
     )
     assert base.ranks == moved.ranks
+
+
+def use_cores(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("dim", [2 * LIFT_BLOCK + 123, 300])
+def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, monkeypatch):
+    # The lift forms T^T (A w) block by block without gathering T; its bits
+    # must not depend on how many workers run the blocks, and it must agree
+    # with the product over the gathered train rows.
+    rng = np.random.default_rng(dim)
+    features = rng.standard_normal((40, dim))
+    train = rng.permutation(40)[:25]
+    coeffs = rng.standard_normal((25, 20))
+    span = NullProjector(w_n=rng.standard_normal((20, 6)), mean=rng.standard_normal(20))
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(nullmargin.evaluation, "ThreadPoolExecutor", RecordingPool)
+    lifted = []
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        lifted.append(_lift(features, train, coeffs, span))
+    one, two = lifted
+    assert pools == ([2] if dim > LIFT_BLOCK else [])
+    assert one.w_n.tobytes() == two.w_n.tobytes()
+    assert one.mean.tobytes() == two.mean.tobytes()
+    basis = features[train].T
+    for got, part in ((one.w_n, span.w_n), (one.mean, span.mean)):
+        want = basis @ (coeffs @ part)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
+    table = generate_synthetic(SyntheticSpec(
+        identities=16, cameras=2, dim=LIFT_BLOCK + 300,
+        per_camera_transform_strength=0.5, noise_sigma=0.5, seed=3,
+    ))
+    spec = SplitSpec(seed=2, trials=2)
+    runs = []
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        runs.append(run_protocol(table, spec, LoopConfig(), "semi_supervised", ns=(1, 5)))
+    one, two = runs
+    assert one.model_checksums == two.model_checksums
+    assert serialize_model(one.final_model) == serialize_model(two.final_model)
+
+
+def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
+    models = []
+    real_trial = nullmargin.evaluation._run_trial
+
+    def recording_trial(*args):
+        outcome = real_trial(*args)
+        models.append(weakref.ref(outcome[3]))
+        return outcome
+
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", recording_trial)
+    spec = SplitSpec(seed=6, trials=3)
+    result = run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only")
+    gc.collect()
+    assert [ref() is not None for ref in models] == [False, False, True]
+    assert models[-1]() is result.final_model
+    assert result.model_checksums[-1] == model_checksum(result.final_model)

@@ -8,8 +8,10 @@ import nullmargin.selftrain
 from nullmargin import (
     KernelSpec,
     LoopConfig,
+    SyntheticSpec,
     build_anchor_context,
     fit_nk3ml,
+    generate_synthetic,
     k_reciprocal,
     mine_pseudo_classes,
     run_self_training,
@@ -356,6 +358,38 @@ def test_round_embeds_pool_once(noisefree_table, monkeypatch):
     assert calls == [unlabeled.n]
     np.testing.assert_array_equal(ctx.embedded, embed(model, unlabeled.features))
     assert len(pairs) == 8
+
+
+def test_mine_forms_one_distance_matrix_per_camera(monkeypatch):
+    # The affinities and sigma come from the matrix k_reciprocal ranked.
+    table = generate_synthetic(SyntheticSpec(
+        identities=14, cameras=3, dim=30, per_camera_transform_strength=0.3,
+        noise_sigma=0.05, seed=12,
+    ))
+    labeled = table.subset([r for r in range(table.n) if table.identities[r] < 5])
+    pool = table.subset([r for r in range(table.n) if table.identities[r] >= 5])
+    pool = pool.with_identities([None] * pool.n)
+    ctx = build_anchor_context(find_anchor(pool), fit_nk3ml(labeled), KernelSpec())
+    expected = mine_pseudo_classes(ctx, k=1)
+    shapes = []
+
+    def counting_cdist(a, b):
+        shapes.append((len(a), len(b)))
+        return cdist(a, b)
+
+    monkeypatch.setattr(nullmargin.mining, "cdist", counting_cdist)
+    assert mine_pseudo_classes(ctx, k=1) == expected
+    assert shapes == [(9, 9), (9, 9)]
+    assert len(expected) >= 6
+
+
+def test_k_reciprocal_carries_the_ranked_distances():
+    rng = np.random.default_rng(2)
+    queries, gallery = rng.standard_normal((7, 3)), rng.standard_normal((5, 3))
+    sets = k_reciprocal(queries, gallery, 2)
+    np.testing.assert_array_equal(sets.distances, cdist(queries, gallery))
+    square = k_reciprocal(queries, queries, 2, exclude_self=True)
+    assert np.isinf(np.diag(square.distances)).all()
 
 
 def test_round_groups_pool_once(noisefree_table, monkeypatch):

@@ -148,6 +148,15 @@ def test_save_load_round_trip(tmp_path, easy_model):
     assert model_checksum(loaded) == model_checksum(model)
 
 
+def test_save_model_writes_the_joined_container(tmp_path, easy_model):
+    # save_model writes the writer's parts one by one; the file must equal
+    # the container joined in memory.
+    model, _ = easy_model
+    path = tmp_path / "m.nk3m"
+    save_model(model, path)
+    assert path.read_bytes() == serialize_model(model)
+
+
 def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
     # One protocol trial gives both models: the loop's model in span
     # coordinates and the lifted one the trial returns.

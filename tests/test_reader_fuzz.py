@@ -2,10 +2,11 @@
 accept a mutant or raise DataFormatError (ModelFormatError is one), nothing
 else."""
 
+import io
 import random
 
 from nullmargin import SyntheticSpec, fit_nk3ml, generate_synthetic
-from nullmargin.dataio import _from_binary, _to_binary
+from nullmargin.dataio import _from_binary, _table_writer
 from nullmargin.errors import DataFormatError
 from nullmargin.nk3ml import deserialize_model, serialize_model
 
@@ -35,7 +36,8 @@ def assert_only_format_errors(read, data: bytes, seed: int) -> None:
 
 def test_table_reader_fuzz():
     table = generate_synthetic(SyntheticSpec(identities=4, cameras=2, dim=3, noise_sigma=0.1))
-    assert_only_format_errors(_from_binary, _to_binary(table), seed=1)
+    data = _table_writer(table).getvalue()
+    assert_only_format_errors(lambda mutant: _from_binary(io.BytesIO(mutant)), data, seed=1)
 
 
 def test_model_reader_fuzz():
