@@ -64,18 +64,21 @@ class Writer:
 
 
 class Reader:
-    """Cursor over a seekable binary stream; raises DataFormatError on truncation.
+    """Cursor over a seekable binary stream, or over its next ``end - tell()``
+    bytes; raises DataFormatError on truncation.
 
-    A size read from the data is checked against the bytes left in the
-    stream before anything is allocated for it; readinto fills a caller's
-    array without an intermediate copy.
+    A size read from the data is checked against the bytes left before
+    anything is allocated for it; readinto and the array readers fill
+    arrays straight from the stream, without an intermediate copy.
     """
 
-    def __init__(self, stream, context: str = "binary data"):
+    def __init__(self, stream, context: str = "binary data", end: int | None = None):
         self._stream = stream
         self._pos = stream.tell()
-        self._end = stream.seek(0, io.SEEK_END)
-        stream.seek(self._pos)
+        if end is None:
+            end = stream.seek(0, io.SEEK_END)
+            stream.seek(self._pos)
+        self._end = end
         self._context = context
 
     @property
@@ -103,6 +106,19 @@ class Reader:
         self._check(view.nbytes, self._stream.readinto(view))
         self._pos += view.nbytes
 
+    def block(self, context: str) -> Reader:
+        """A reader over the next u64-length-prefixed block, read in place.
+
+        This reader moves past the whole block at once, and its next block()
+        resumes there, so bytes the block reader leaves unread are skipped.
+        """
+        self._stream.seek(self._pos)
+        size = self.u64()
+        self._check(size)
+        inner = Reader(self._stream, context=context, end=self._pos + size)
+        self._pos += size
+        return inner
+
     def _unpack(self, fmt: str):
         (value,) = struct.unpack(fmt, self.raw(struct.calcsize(fmt)))
         return value
@@ -122,9 +138,14 @@ class Reader:
     def f64(self) -> float:
         return self._unpack("<d")
 
+    def _array(self, dtype: str, count: int, shape) -> np.ndarray:
+        self._check(count * 8)
+        out = np.empty(count, dtype=dtype)
+        self.readinto(out)
+        return out.reshape(shape) if shape is not None else out
+
     def f64_array(self, count: int, shape: tuple[int, ...] | None = None) -> np.ndarray:
-        arr = np.frombuffer(self.raw(count * 8), dtype="<f8").astype(np.float64)
-        return arr.reshape(shape) if shape is not None else arr
+        return self._array("<f8", count, shape)
 
     def i64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.raw(count * 8), dtype="<i8").astype(np.int64)
+        return self._array("<i8", count, None)

@@ -232,8 +232,11 @@ def cmd_synth(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_feature_table(table, out, table_format_for(out))
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    print(f"{digest}  {out}")
+    digest = hashlib.sha256()
+    with out.open("rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    print(f"{digest.hexdigest()}  {out}")
     return EXIT_OK
 
 

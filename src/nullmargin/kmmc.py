@@ -11,16 +11,24 @@ with coefficients gamma_j summed over each point's copies:
     P = sum_i (n_i/n) (m_i - m)(m_i - m)^T
     m_i = sum_{j in C_i} mu_j k_j / n_i,   m = sum_j mu_j k_j / n
 
-so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n.
+so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n;
+Q is formed over the points that share their class only.
 The expanded Gram E K E^T (E the row-to-point indicator) with its jitter
 eps * I turns into K + eps * diag(1/mu) over the points.
 
-The rbf Gram takes its squared distances from one GEMM: with both point
-sets centred at the second set's mean, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b,
-negatives (rounding) clipped to 0. The primary fit, the secondary fit and
-project_kernel all build their Grams this way.
+Every rbf Gram, and the auto bandwidth, take their squared distances from
+one GEMM: with both point sets centred at the second set's mean,
+|a - b|^2 = |a|^2 + |b|^2 - 2 a.b. An entry at or below the rounding bound
+of that sum, 2 (p + 1) eps (|a|^2 + |b|^2) in p dimensions, is set to
+exactly 0, so coincident rows are at distance 0 and negatives never reach
+the square root. A fit forms one such matrix, over one centred copy of its
+points and the symmetric product A A^T, and reads both the auto bandwidth
+(the weighted mean of its square roots) and the Gram off it; the primary
+fit, the secondary fit and project_kernel all build their Grams this way.
 
-All discriminants with positive eigenvalues are retained and normalized to
+The generalized eigenproblem is one LAPACK call (sygvd, which reduces by
+the Cholesky factor of K_j and solves by divide and conquer). All
+discriminants with positive eigenvalues are retained and normalized to
 a^T K a = 1. The solve returns K_j-orthonormal vectors (K_j = K + eps *
 diag(1/mu)), so a^T K a = 1 - sum_j (eps/mu_j) a_j^2 costs O(c^2) and serves
 both the jitter filter and the normalization. The same routine serves the
@@ -35,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.spatial.distance import pdist
 
 from .errors import (
     DataValidationError,
@@ -43,9 +50,9 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _fix_column_signs
+from .nfst import _EPS, _fix_column_signs
 
-# Conditioning jitter added to K before the Cholesky reduction, relative to
+# Conditioning jitter added to K before the generalized solve, relative to
 # the mean diagonal scale. This is not statistical regularization; the
 # closed-form solution needs none.
 K_JITTER = 1e-8
@@ -111,6 +118,41 @@ def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
     return mu
 
 
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (m_a, m_b) from one GEMM, with both sets centred at
+    b's mean; entries at or below the sum's rounding bound are exactly 0. A
+    set's distances to itself (a is b) take one centred copy and A A^T."""
+    same = a is b
+    centre = b.mean(axis=0)
+    b = b - centre
+    a = b if same else a - centre
+    norm_b = np.einsum("ij,ij->i", b, b)
+    norms = (norm_b if same else np.einsum("ij,ij->i", a, a))[:, None] + norm_b
+    sq = a @ b.T
+    sq *= -2.0
+    sq += norms
+    norms *= 2 * (a.shape[1] + 1) * _EPS
+    sq[sq <= norms] = 0.0
+    return sq
+
+
+def _mean_distance(sq: np.ndarray, mu: np.ndarray) -> float:
+    """Mean distance over the n(n-1)/2 rows the points stand for, from their
+    squared-distance matrix: pair (i < j) counts mu_i * mu_j times."""
+    rows, cols = np.triu_indices(len(mu), 1)
+    n = mu.sum()
+    mean = float((np.sqrt(sq[rows, cols]) * (mu[rows] * mu[cols])).sum() / (n * (n - 1) / 2))
+    if mean == 0.0:
+        raise ZeroDistanceError("all points identical; no distance scale for the kernel")
+    return mean
+
+
+def _rbf(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-sq / (2 bandwidth^2)), in place."""
+    sq /= -2.0 * bandwidth**2
+    return np.exp(sq, out=sq)
+
+
 def resolve_bandwidth(points: np.ndarray, multiplicities=None) -> float:
     """Mean Euclidean distance over all n(n-1)/2 pairs of the rows the points
     stand for: pair (i, j) counts mu_i * mu_j times, and the zero-distance
@@ -119,20 +161,12 @@ def resolve_bandwidth(points: np.ndarray, multiplicities=None) -> float:
     if points.shape[0] < 2:
         raise DataValidationError("bandwidth needs at least 2 points")
     mu = _multiplicities(points, multiplicities)
-    rows, cols = np.triu_indices(len(mu), 1)                 # pdist's pair order
-    n = mu.sum()
-    mean = float((pdist(points) * (mu[rows] * mu[cols])).sum() / (n * (n - 1) / 2))
-    if mean == 0.0:
-        raise ZeroDistanceError("all points identical; no distance scale for the kernel")
-    return mean
+    return _mean_distance(_squared_distances(points, points), mu)
 
 
 def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix with entry (i, j) = k(a_i, b_j).
-
-    For rbf, both sets are centred at b's mean and the squared distances are
-    |a_i|^2 + |b_j|^2 - 2 a_i.b_j from one GEMM, clipped below at 0.
-    """
+    """Gram matrix with entry (i, j) = k(a_i, b_j); rbf distances as in the
+    module docstring."""
     a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
     if a.shape[1] != b.shape[1]:
@@ -141,16 +175,7 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
         return a @ b.T
     if kernel.is_auto:
         raise DataValidationError("rbf gram needs a resolved numeric bandwidth")
-    centre = b.mean(axis=0)
-    a = a - centre
-    b = b - centre
-    sq = a @ b.T
-    sq *= -2.0
-    sq += np.einsum("ij,ij->i", a, a)[:, None]
-    sq += np.einsum("ij,ij->i", b, b)
-    np.maximum(sq, 0.0, out=sq)
-    sq /= -2.0 * float(kernel.bandwidth) ** 2
-    return np.exp(sq, out=sq)
+    return _rbf(_squared_distances(a, b), float(kernel.bandwidth))
 
 
 def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities=None) -> np.ndarray:
@@ -169,8 +194,9 @@ def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities
     class_means = (k_matrix @ indicator) / counts          # column j = kernel mean of class j
     global_mean = (k_matrix * mu).sum(axis=1) / n
 
-    centered = k_matrix - class_means[:, inverse]          # all K_i blocks column-centered
-    centered *= np.sqrt(mu)
+    # All K_i blocks column-centred; a point alone in its class adds nothing.
+    shared = np.bincount(inverse)[inverse] > 1
+    centered = (k_matrix[:, shared] - class_means[:, inverse[shared]]) * np.sqrt(mu[shared])
     q = (centered @ centered.T) / n
     diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / n)
     p = diffs @ diffs.T
@@ -179,28 +205,27 @@ def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities
 
 
 def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of s @ a = lambda * k_jittered @ a, descending.
+    """Eigenpairs of s @ a = lambda * k_jittered @ a, descending, from one
+    LAPACK sygvd call; eigenvectors are K_jittered-orthonormal.
 
-    Cholesky-reduces to a standard symmetric problem and back-transforms;
-    eigenvectors are K_jittered-orthonormal.
+    Both operands are symmetric and are overwritten: their transposes are the
+    Fortran-ordered views LAPACK works in, so no copy is made. A jittered
+    Gram that is not positive definite, or a non-finite entry, raises
+    NumericalError.
     """
+    diag = np.diagonal(k_jittered).copy()
     try:
-        chol = np.linalg.cholesky(k_jittered)
+        evals, vectors = scipy.linalg.eigh(
+            s.T, k_jittered.T, driver="gvd", overwrite_a=True, overwrite_b=True
+        )
     except np.linalg.LinAlgError as err:
-        diag = np.diag(k_jittered)
         raise NumericalError(
             "Cholesky of the jittered Gram matrix failed "
             f"(diag range [{diag.min():.3e}, {diag.max():.3e}], trace {diag.sum():.3e})"
         ) from err
-    half = scipy.linalg.solve_triangular(chol, s, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.T, lower=True).T
-    reduced = (reduced + reduced.T) / 2
-    evals, evecs = np.linalg.eigh(reduced)
-    order = np.argsort(evals)[::-1]
-    evals = evals[order]
-    evecs = evecs[:, order]
-    vectors = scipy.linalg.solve_triangular(chol.T, evecs, lower=False)
-    return evals, vectors
+    except ValueError as err:
+        raise NumericalError(f"margin eigenproblem has non-finite entries ({err})") from err
+    return evals[::-1], vectors[:, ::-1]
 
 
 def fit_nkmmc(
@@ -223,15 +248,13 @@ def fit_nkmmc(
         raise DataValidationError("maximum margin criterion needs at least 2 classes")
     mu = _multiplicities(points, multiplicities)
 
-    if kernel.kind == "rbf" and kernel.is_auto:
-        bandwidth = resolve_bandwidth(points, mu)
-    elif kernel.kind == "rbf":
-        bandwidth = float(kernel.bandwidth)
+    if kernel.kind == "rbf":
+        sq = _squared_distances(points, points)
+        bandwidth = _mean_distance(sq, mu) if kernel.is_auto else float(kernel.bandwidth)
+        k_matrix = _rbf(sq, bandwidth)
     else:
         bandwidth = 1.0
-    resolved = KernelSpec(kernel.kind, bandwidth) if kernel.kind == "rbf" else kernel
-
-    k_matrix = gram(points, points, resolved)
+        k_matrix = points @ points.T
     k_matrix = (k_matrix + k_matrix.T) / 2
     s = _margin_operator(k_matrix, class_ids, mu)
     # eps * I over the n expanded rows, with eps relative to their mean

@@ -79,12 +79,14 @@ def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
     return evecs[:, keep] / np.sqrt(evals[keep])
 
 
-def _fix_column_signs(matrix: np.ndarray) -> None:
-    """Flip columns in place so each first significant coefficient is positive."""
+def _fix_column_signs(matrix: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each first significant coefficient is
+    positive; returns the mask of flipped columns."""
     magnitude = np.abs(matrix)
     significant = magnitude > 1e-12 * magnitude.max(axis=0, initial=0.0)
-    first = matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])]
-    matrix[:, first < 0] *= -1.0
+    flipped = matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])] < 0
+    matrix[:, flipped] *= -1.0
+    return flipped
 
 
 class NullSpaceState:
@@ -158,8 +160,9 @@ class NullSpaceState:
         self.means = np.vstack([self.means, means])
         self.scale = scale
 
-    def projector(self) -> NullProjector:
-        """The c-1 null projecting directions of the classes held.
+    def projector(self) -> tuple[NullProjector, np.ndarray]:
+        """The c-1 null projecting directions of the classes held, and the
+        classes' points in the null space.
 
         The between-class vectors sqrt(n_i) (m_i - m), m the count-weighted
         mean of the class means, have the residual R (d, c) off Q. Its rank is
@@ -167,6 +170,11 @@ class NullSpaceState:
         R V diag(lam)^(-1/2) over the c-1 largest eigenpairs of R^T R. Raises
         DegenerateDataError when fewer than c-1 eigenvalues exceed
         NULL_TOL * trace(S_b), i.e. the data are not in general position.
+
+        W_N is orthogonal to Q, so class i's point W_N^T (m_i - m) is
+        W_N^T R e_i / sqrt(n_i) = diag(lam)^(1/2) V^T e_i / sqrt(n_i): row i
+        of the (c, c-1) points is read off the same eigenpairs, with W_N's
+        column signs, and no d-wide product is formed.
         """
         wanted = len(self.labels) - 1
         if wanted < 1:
@@ -185,14 +193,19 @@ class NullSpaceState:
                 found=found,
                 expected=wanted,
             )
-        w_n = residual @ (evecs[:, 1:] / np.sqrt(evals[1:]))           # c-1 largest
-        _fix_column_signs(w_n)
-        return NullProjector(w_n=w_n, mean=mean)
+        root_evals = np.sqrt(evals[1:])                                # c-1 largest
+        w_n = residual @ (evecs[:, 1:] / root_evals)
+        points = evecs[:, 1:] * (root_evals / root[:, None])
+        points[:, _fix_column_signs(w_n)] *= -1.0
+        return NullProjector(w_n=w_n, mean=mean), points
 
 
-def fit_nfst(labeled: FeatureTable, state: NullSpaceState | None = None) -> NullProjector:
+def fit_nfst(
+    labeled: FeatureTable, state: NullSpaceState | None = None
+) -> tuple[NullProjector, np.ndarray]:
     """Append a fully labeled table's classes to a state and fit the c-1 null
-    projecting directions of every class it then holds.
+    projecting directions of every class it then holds; returns them with
+    the (c, c-1) class points, in the state's class order.
 
     Without a state, a fresh one takes all rows. The table must hold only
     classes new to the state: append_classes rejects a held label or a wrong

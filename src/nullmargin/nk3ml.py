@@ -57,15 +57,15 @@ def fit_nk3ml(
     The null-space stage goes through fit_nfst, which appends the table's
     classes to the given state (a fresh one when none is given): the table
     must hold only classes new to the state. All rows of a class coincide in
-    the null space, so the margin stage trains on the state's c projected
-    class means, each standing for its class's row count: the same fit as on
-    all n projected rows, solved on c points. An 'auto' bandwidth is the mean
-    over all n(n-1)/2 row pairs, zero within-class pairs included.
+    the null space, so the margin stage trains on the state's c class points,
+    read off the null-space eigensolve (NullSpaceState.projector), each
+    standing for its class's row count: the same fit as on all n projected
+    rows, solved on c points. An 'auto' bandwidth is the mean over all
+    n(n-1)/2 row pairs, zero within-class pairs included.
     """
     if state is None:
         state = NullSpaceState(labeled.dim)
-    projector = fit_nfst(labeled, state)
-    points = project_null(projector, state.means)
+    projector, points = fit_nfst(labeled, state)
     return Nk3mlModel(
         nullproj=projector, margin=fit_nkmmc(points, state.labels, kernel, state.counts)
     )
@@ -115,30 +115,56 @@ def serialize_model(model: Nk3mlModel) -> bytes:
 
 
 def deserialize_model(data: bytes, context: str = "model") -> Nk3mlModel:
+    return _read_model(io.BytesIO(data), context)
+
+
+def load_model(path) -> Nk3mlModel:
+    """Read a model file in one pass, each array straight into its own
+    buffer."""
+    path = Path(path)
+    if not path.is_file():
+        raise ModelFormatError(f"no such file: {path}")
+    with path.open("rb") as f:
+        return _read_model(f, str(path))
+
+
+def _read_model(stream, context: str) -> Nk3mlModel:
     try:
-        return _deserialize(data, context)
+        return _parse_model(stream, context)
     except ModelFormatError:
         raise
     except (DataFormatError, DataValidationError) as err:
         raise ModelFormatError(str(err)) from err
 
 
-def _deserialize(data: bytes, context: str) -> Nk3mlModel:
-    r = Reader(io.BytesIO(data), context=context)
+def _check_payload(block: Reader, rows: int, values: int, context: str) -> None:
+    """A stage has rows, and its declared values, 8 bytes each, fit in the
+    block: checked before anything is allocated, it bounds every declared
+    dimension by the bytes left."""
+    if rows == 0 or 8 * values > block.remaining:
+        raise ModelFormatError(
+            f"{context}: block declares {values} values in {rows} rows, "
+            f"which {block.remaining} remaining bytes cannot hold"
+        )
+
+
+def _parse_model(stream, context: str) -> Nk3mlModel:
+    r = Reader(stream, context=context)
     if r.raw(4) != MODEL_MAGIC:
         raise ModelFormatError(f"{context}: bad magic, not a model container")
     version = r.u16()
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{context}: unsupported model version {version}")
 
-    block = Reader(io.BytesIO(r.raw(r.u64())), context=f"{context} null-space block")
+    block = r.block(f"{context} null-space block")
     dim = block.u64()
     n_dirs = block.u64()
+    _check_payload(block, dim, dim + dim * n_dirs, context)
     mean = block.f64_array(dim)
     w_n = block.f64_array(dim * n_dirs, shape=(dim, n_dirs))
     nullproj = NullProjector(w_n=w_n, mean=mean)
 
-    block = Reader(io.BytesIO(r.raw(r.u64())), context=f"{context} margin block")
+    block = r.block(f"{context} margin block")
     kind_code = block.u8()
     if kind_code not in _KERNEL_NAMES:
         raise ModelFormatError(f"{context}: unknown kernel code {kind_code}")
@@ -146,6 +172,7 @@ def _deserialize(data: bytes, context: str) -> Nk3mlModel:
     m = block.u64()
     p = block.u64()
     n_disc = block.u64()
+    _check_payload(block, m, m * p + m * n_disc + n_disc + m, context)
     train_points = block.f64_array(m * p, shape=(m, p))
     coeffs = block.f64_array(m * n_disc, shape=(m, n_disc))
     eigenvalues = block.f64_array(n_disc)
@@ -169,13 +196,6 @@ def _deserialize(data: bytes, context: str) -> Nk3mlModel:
 
 def save_model(model: Nk3mlModel, path) -> None:
     _model_writer(model).write_to(path)
-
-
-def load_model(path) -> Nk3mlModel:
-    path = Path(path)
-    if not path.is_file():
-        raise ModelFormatError(f"no such file: {path}")
-    return deserialize_model(path.read_bytes(), context=str(path))
 
 
 def model_checksum(model: Nk3mlModel) -> str:

@@ -66,7 +66,7 @@ def test_nfst_collapse_20_fixtures():
     t0 = time.perf_counter()
     for _ in range(20):
         table, c, d = random_sss_fixture(rng)
-        proj = fit_nfst(table)
+        proj, _ = fit_nfst(table)
         assert proj.w_n.shape == (d, c - 1), "expected exactly c-1 NPDs"
         ortho_err = np.abs(proj.w_n.T @ proj.w_n - np.eye(c - 1)).max()
         assert ortho_err <= 1e-8, f"orthonormality error {ortho_err}"
@@ -86,7 +86,7 @@ def test_nfst_constraint_witness():
     rng = np.random.default_rng(77)
     for _ in range(5):
         table, c, d = random_sss_fixture(rng)
-        proj = fit_nfst(table)
+        proj, _ = fit_nfst(table)
         s_b, s_w, _ = loop_scatter(table.features, table.label_values())
         for k in range(c - 1):
             w = proj.w_n[:, k]

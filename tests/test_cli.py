@@ -50,6 +50,20 @@ def test_synth_row_count_and_checksum(tmp_path, capsys):
     assert first == second == hashlib.sha256(out2.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("name", ["t.ssml", "t.csv"])
+def test_synth_digest_streams_the_written_file(tmp_path, capsys, monkeypatch, name):
+    out = tmp_path / name
+
+    def no_whole_reads(self):
+        raise AssertionError("synth read the whole table back")
+
+    monkeypatch.setattr(type(out), "read_bytes", no_whole_reads)
+    assert run_cli("synth", "--identities", 10, "--dim", 8, "--seed", 1, "-o", out) == 0
+    printed = capsys.readouterr().out.split()
+    monkeypatch.undo()
+    assert printed == [hashlib.sha256(out.read_bytes()).hexdigest(), str(out)]
+
+
 def test_synth_invalid_spec_exits_2(tmp_path):
     assert run_cli("synth", "--identities", 1, "--dim", 8, "-o", tmp_path / "x.ssml") == 2
 

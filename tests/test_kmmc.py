@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist, pdist
 
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel, resolve_bandwidth
-from nullmargin.errors import DataValidationError, ZeroDistanceError
+from nullmargin.errors import DataValidationError, NumericalError, ZeroDistanceError
 from nullmargin.kmmc import (
     EIG_POS_TOL,
     K_JITTER,
@@ -42,6 +42,21 @@ def test_bandwidth_matches_double_loop():
         for j in range(i + 1, 50):
             dists.append(np.linalg.norm(pts[i] - pts[j]))
     assert resolve_bandwidth(pts) == np.mean(dists)
+
+
+def test_bandwidth_of_repeated_rows_matches_weighted_pdist():
+    # Copies of a row sit at distance exactly 0 after the rounding floor, so
+    # the rows' mean distance is the pdist mean of the distinct points with
+    # each pair weighted by its copies, zero-distance pairs counted.
+    rng = np.random.default_rng(44)
+    distinct = rng.standard_normal((30, 6)) * 2.0 + 1e3
+    copies = rng.integers(1, 5, 30)
+    rows = np.repeat(distinct, copies, axis=0)
+    i, j = np.triu_indices(30, 1)
+    n = copies.sum()
+    expected = (pdist(distinct) * copies[i] * copies[j]).sum() / (n * (n - 1) / 2)
+    assert resolve_bandwidth(rows) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert resolve_bandwidth(distinct, copies) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_bandwidth_identical_points():
@@ -155,7 +170,7 @@ def test_energies_from_k_orthonormality_match_direct_products(fixture):
     k = (k + k.T) / 2
     eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
     k_j = k + np.diag(eps / counts)
-    evals, vectors = _solve_generalized(_margin_operator(k, labels, counts), k_j)
+    evals, vectors = _solve_generalized(_margin_operator(k, labels, counts), k_j.copy())
     k_energy = np.einsum("jk,jk->k", vectors, k @ vectors)
     kj_energy = np.einsum("jk,jk->k", vectors, k_j @ vectors)
     kept = evals[k_energy > 0.5 * kj_energy]
@@ -309,7 +324,7 @@ def test_eigenvector_set_invariant_under_operator_scaling():
     s = _margin_operator(k, labels)
     m = len(points)
     k_j = k + 1e-8 * (np.trace(k) / m) * np.eye(m)
-    evals_a, vecs_a = _solve_generalized(s, k_j)
+    evals_a, vecs_a = _solve_generalized(s.copy(), k_j.copy())
     evals_b, vecs_b = _solve_generalized(3.7 * s, k_j)
     np.testing.assert_allclose(evals_b, 3.7 * evals_a, rtol=1e-9, atol=1e-12)
     # same eigenvector set up to sign
@@ -317,6 +332,21 @@ def test_eigenvector_set_invariant_under_operator_scaling():
         a, b = vecs_a[:, j], vecs_b[:, j]
         sign = 1.0 if a @ b >= 0 else -1.0
         np.testing.assert_allclose(b, sign * a, atol=1e-7 * max(1.0, np.abs(a).max()))
+
+
+def test_solve_rejects_a_jittered_gram_that_is_not_positive_definite():
+    # The factorisation fails at the second minor, after it has overwritten
+    # part of k_j; the message still reports the input's diagonal.
+    k_j = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
+    with pytest.raises(NumericalError, match=r"Cholesky .*\(diag range \[1\.000e\+00, 4\.000e\+00\], trace 6\.000e\+00\)"):
+        _solve_generalized(np.eye(3), k_j)
+
+
+def test_solve_rejects_a_non_finite_operator():
+    s = np.eye(3)
+    s[1, 2] = s[2, 1] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        _solve_generalized(s, np.eye(3))
 
 
 def test_margin_witness_on_separable_fixture():

@@ -63,7 +63,7 @@ def test_minimal_two_singletons():
     table = make_table(
         [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], cameras=[0, 1], identities=[0, 1]
     )
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     assert proj.w_n.shape == (3, 1)
     a = project_null(proj, table.features[0])
     b = project_null(proj, table.features[1])
@@ -73,7 +73,7 @@ def test_minimal_two_singletons():
 def test_collapse_two_classes():
     rng = np.random.default_rng(2)
     table = random_sss_table(rng, classes=2, per_class=2, dim=10)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     assert proj.w_n.shape == (10, 1)
     stats = compute_scatter(table)
     w = proj.w_n[:, 0]
@@ -86,7 +86,7 @@ def test_collapse_two_classes():
 def test_five_classes_singular_points():
     rng = np.random.default_rng(3)
     table = random_sss_table(rng, classes=5, per_class=3, dim=50)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     assert proj.w_n.shape == (50, 4)
     np.testing.assert_allclose(proj.w_n.T @ proj.w_n, np.eye(4), atol=1e-8)
     projected = project_null(proj, table.features)
@@ -102,7 +102,7 @@ def test_five_classes_singular_points():
 def test_npd_constraints_against_loop_oracle():
     rng = np.random.default_rng(4)
     table = random_sss_table(rng, classes=4, per_class=3, dim=40)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     s_b, s_w, _ = loop_scatter(table.features, table.label_values())
     d = table.dim
     for k in range(proj.w_n.shape[1]):
@@ -114,7 +114,7 @@ def test_npd_constraints_against_loop_oracle():
 def test_npd_is_fisher_infinite():
     rng = np.random.default_rng(5)
     table = random_sss_table(rng, classes=3, per_class=2, dim=20)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     stats = compute_scatter(table)
     for k in range(proj.w_n.shape[1]):
         assert fisher_value(stats, proj.w_n[:, k]) == math.inf
@@ -123,7 +123,7 @@ def test_npd_is_fisher_infinite():
 def test_projection_centering_and_linearity():
     rng = np.random.default_rng(6)
     table = random_sss_table(rng, classes=3, per_class=2, dim=15)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     np.testing.assert_allclose(project_null(proj, proj.mean), 0.0, atol=1e-12)
     x1, x2 = rng.standard_normal((2, 15))
     a = 0.3
@@ -135,7 +135,7 @@ def test_projection_centering_and_linearity():
 def test_zero_within_variance_property():
     rng = np.random.default_rng(7)
     table = random_sss_table(rng, classes=6, per_class=4, dim=60)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     projected = project_null(proj, table.features)
     labels = table.label_values()
     within = sum(
@@ -171,7 +171,7 @@ def test_tiny_within_spread_stays_out_of_null_space():
     table = make_table(feats, cameras=[0, 1, 0, 1], identities=[0, 0, 1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        proj = fit_nfst(table)
+        proj, _ = fit_nfst(table)
     assert proj.w_n.shape == (3, 1)
     within = compute_scatter(table).within_factor
     norms = np.linalg.norm(within, axis=1)
@@ -226,7 +226,7 @@ def test_null_space_against_dense_oracle(seed, dim_offset):
     sizes = [1, 1] + list(rng.integers(1, 6, size=6))
     n = sum(sizes)
     table = sized_table(rng, sizes, dim=n + dim_offset, duplicate=True)
-    proj = fit_nfst(table)
+    proj, _ = fit_nfst(table)
     c = len(sizes)
     assert proj.w_n.shape == (table.dim, c - 1)
     oracle = null_range_projector(table.features, table.label_values())
@@ -261,8 +261,8 @@ def test_fix_column_signs_matches_column_loop():
 def test_deterministic_fit():
     rng = np.random.default_rng(9)
     table = random_sss_table(rng, classes=4, per_class=2, dim=30)
-    a = fit_nfst(table)
-    b = fit_nfst(table)
+    a, _ = fit_nfst(table)
+    b, _ = fit_nfst(table)
     assert a.w_n.tobytes() == b.w_n.tobytes()
 
 
@@ -306,7 +306,7 @@ def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
     assert ranks == sorted(ranks) and ranks[-1] > ranks[0]
     for round_ in range(len(fits)):
         current = concat_tables(*(new for new, _, _ in fits[: round_ + 1]))
-        assert_same_null_space(fits[round_][1], fit_nfst(current), current.features)
+        assert_same_null_space(fits[round_][1], fit_nfst(current)[0], current.features)
 
 
 def test_repeated_label_raises_and_leaves_state_unchanged():
@@ -344,9 +344,9 @@ def test_class_in_held_span_adds_no_direction():
     base = 50.0 * rng.standard_normal(40)
     new_rows = np.vstack([base, base + 0.7 * (x[1] - x[0]) - 1.3 * (x[5] - x[4])])
     grown = make_table(np.vstack([x, new_rows]), [0, 1] * 7, list(table.identities) + [9, 9])
-    incremental = fit_nfst(grown.subset([12, 13]), state)
+    incremental, _ = fit_nfst(grown.subset([12, 13]), state)
     assert state.basis.shape[1] == rank
-    assert_same_null_space(incremental, fit_nfst(grown), grown.features)
+    assert_same_null_space(incremental, fit_nfst(grown)[0], grown.features)
 
 
 def test_singleton_classes_take_the_same_path():
@@ -355,10 +355,31 @@ def test_singleton_classes_take_the_same_path():
     table = make_table(x, [0, 1] * 3 + [0], list(range(7)))
     state = NullSpaceState(15)
     fit_nfst(table.subset(range(3)), state)
-    incremental = fit_nfst(table.subset(range(3, 7)), state)
+    incremental, _ = fit_nfst(table.subset(range(3, 7)), state)
     assert state.basis.shape == (15, 0)
     assert incremental.w_n.shape == (15, 6)
     np.testing.assert_allclose(
         incremental.w_n @ incremental.w_n.T, null_range_projector(x, np.arange(7)), atol=1e-9
     )
-    assert_same_null_space(incremental, fit_nfst(table), x)
+    assert_same_null_space(incremental, fit_nfst(table)[0], x)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_projector_points_are_the_projected_class_means(seed):
+    # Oracle for the class points read off the eigensolve: W_N^T (m_i - m)
+    # for every held class, column signs included, after each of 4 appends
+    # of classes with 1 to 4 rows.
+    rng = np.random.default_rng(700 + seed)
+    dim = 400
+    state = NullSpaceState(dim)
+    label = 0
+    for _ in range(4):
+        counts = rng.integers(1, 5, 12)
+        labels = np.repeat(np.arange(label, label + 12), counts)
+        label += 12
+        centres = 3.0 * rng.standard_normal((12, dim)) + 50.0
+        rows = centres[labels - labels[0]] + rng.standard_normal((len(labels), dim))
+        proj, points = fit_nfst(make_table(rows, np.arange(len(labels)) % 2, labels.tolist()), state)
+        expected = project_null(proj, state.means)
+        assert points.shape == expected.shape == (len(state.labels), len(state.labels) - 1)
+        np.testing.assert_allclose(points, expected, rtol=0, atol=1e-9 * np.abs(expected).max())

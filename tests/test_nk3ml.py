@@ -7,6 +7,10 @@ import pytest
 from scipy.spatial.distance import cdist
 
 import nullmargin.evaluation
+import nullmargin.kmmc
+import nullmargin.nfst
+import nullmargin.nk3ml
+import scipy.spatial.distance
 from nullmargin import (
     KernelSpec,
     LoopConfig,
@@ -21,7 +25,7 @@ from nullmargin import (
 )
 from nullmargin.errors import DataValidationError, ModelFormatError, ModelVersionError
 from nullmargin.kmmc import fit_nkmmc, project_kernel
-from nullmargin.nfst import fit_nfst, project_null
+from nullmargin.nfst import NullSpaceState, fit_nfst, project_null
 from nullmargin.nk3ml import MODEL_MAGIC, Nk3mlModel, deserialize_model, serialize_model
 
 from conftest import labeled_gaussians, make_table
@@ -71,7 +75,7 @@ def test_model_with_duplicated_margin_rows_still_loads():
     # all n projected rows (fit_nkmmc without multiplicities still fits them
     # exactly as it did then); it keeps loading and embeds like the c-point fit.
     table = unequal_classes_table()
-    projector = fit_nfst(table)
+    projector, _ = fit_nfst(table)
     margin = fit_nkmmc(project_null(projector, table.features), table.label_values(), KernelSpec())
     loaded = deserialize_model(serialize_model(Nk3mlModel(nullproj=projector, margin=margin)))
     assert loaded.margin.train_points.shape[0] == table.n
@@ -181,6 +185,79 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
         assert model_checksum(model) == expected
     assert model_checksum(fortran) == model_checksum(span_model)
     assert lifted.model_checksums == (model_checksum(lifted.final_model),)
+
+
+def test_refit_round_forms_no_pairwise_distances_and_no_projections(monkeypatch):
+    # A loop round's margin stage takes its class points from the null-space
+    # solve and its auto bandwidth from the Gram's own distance matrix.
+    table = unequal_classes_table()
+    labels = table.label_values()
+    state = NullSpaceState(table.dim)
+    fit_nk3ml(table.subset(np.flatnonzero(labels < 20)), KernelSpec(), state)
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (nullmargin.nk3ml, nullmargin.nfst):
+        monkeypatch.setattr(module, "project_null", counted("project_null", project_null))
+    monkeypatch.setattr(
+        scipy.spatial.distance, "pdist", counted("pdist", scipy.spatial.distance.pdist)
+    )
+    assert not hasattr(nullmargin.kmmc, "pdist")            # no name bound past the patch
+    model = fit_nk3ml(table.subset(np.flatnonzero(labels >= 20)), KernelSpec(), state)
+    assert model.class_count == len(np.unique(labels))
+    assert calls == []
+
+
+def test_load_model_reads_blocks_from_the_file(tmp_path, easy_model, monkeypatch):
+    # The file is read block by block in place, never whole; unknown bytes at
+    # the end of a block are skipped as in the in-memory reader.
+    model, split = easy_model
+    data = serialize_model(model)
+    (block1_len,) = struct.unpack_from("<Q", data, 6)
+    block1_end = 6 + 8 + block1_len
+    patched = bytearray(data)
+    patched[block1_end:block1_end] = b"\x07" * 12
+    struct.pack_into("<Q", patched, 6, block1_len + 12)
+    path = tmp_path / "m.nk3m"
+    path.write_bytes(bytes(patched))
+
+    def no_whole_reads(self):
+        raise AssertionError("load_model read the whole file")
+
+    monkeypatch.setattr(type(path), "read_bytes", no_whole_reads)
+    loaded = load_model(path)
+    x = split.probe.features[:3]
+    assert embed(loaded, x).tobytes() == embed(model, x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        struct.pack("<QQQ", 16, 0, 2**64 - 1),                      # no rows, huge width
+        struct.pack("<QQQ", 16, 2**61, 2),                          # values past the block
+        struct.pack("<Q", 2**63),                                   # block past the file
+    ],
+)
+def test_load_rejects_hostile_null_block_before_allocating(tmp_path, block):
+    path = tmp_path / "hostile.nk3m"
+    path.write_bytes(MODEL_MAGIC + struct.pack("<H", 1) + block + b"\x00" * 64)
+    with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+def test_load_rejects_margin_block_without_rows(easy_model):
+    model, _ = easy_model
+    data = bytearray(serialize_model(model))
+    (block1_len,) = struct.unpack_from("<Q", data, 6)
+    margin = 6 + 8 + block1_len + 8                    # past the margin block's length
+    struct.pack_into("<QQQ", data, margin + 1 + 8, 0, 2**64 - 1, 0)   # m, p, n_disc
+    with pytest.raises(ModelFormatError, match="0 rows"):
+        deserialize_model(bytes(data))
 
 
 def test_load_bad_magic(tmp_path):
