@@ -34,7 +34,6 @@ from .kmmc import (
     fit_nkmmc,
     gram,
     project_kernel,
-    resolve_bandwidth,
 )
 from .mining import (
     Anchor,
@@ -44,7 +43,6 @@ from .mining import (
     find_anchor,
     k_reciprocal,
     mine_pseudo_classes,
-    select_anchor,
 )
 from .nfst import NullProjector, NullSpaceState, fit_nfst, project_null
 from .nk3ml import (
@@ -97,11 +95,9 @@ __all__ = [
     "project_kernel",
     "project_null",
     "rank_gallery",
-    "resolve_bandwidth",
     "run_protocol",
     "run_protocols",
     "run_self_training",
     "save_feature_table",
     "save_model",
-    "select_anchor",
 ]

@@ -91,6 +91,8 @@ def _parse_ranks(value: str) -> tuple[int, ...]:
     ranks = tuple(int(part) for part in value.replace(" ", "").split(","))
     if any(n < 1 for n in ranks):
         raise ValueError("ranks must be positive integers")
+    if len(set(ranks)) != len(ranks):
+        raise ValueError("ranks must be distinct")
     return ranks
 
 
@@ -279,15 +281,16 @@ def cmd_run(args) -> int:
     (output / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    for mode in modes:
-        print(f"{mode}: rank-1 = {report['results'][mode]['cmc']['1']:.2f}")
+    for mode, result in zip(modes, results):
+        n, acc = result.curve.ranks[0]
+        print(f"{mode}: rank-{n} = {acc:.2f}")
     return EXIT_OK
 
 
 def cmd_embed(args) -> int:
     model = load_model(args.model)
     table = _load_table(args.data)
-    header = "sample_id," + ",".join(f"e{j}" for j in range(model.output_dim))
+    header = "sample_id," + ",".join(f"e{j}" for j in range(model.margin.output_dim))
     lines = [header]
     if table.n:
         vectors = embed(model, table.features)
@@ -314,8 +317,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    labeled = _load_table(args.labeled)
-    unlabeled = _load_table(args.unlabeled)
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     try:
         kernel = KernelSpec(
             kind=args.kernel,
@@ -323,6 +326,8 @@ def cmd_mine(args) -> int:
         )
     except (ValueError, DataValidationError) as err:
         raise ConfigError(f"bad kernel flags: {err}") from err
+    labeled = _load_table(args.labeled)
+    unlabeled = _load_table(args.unlabeled)
     model = fit_nk3ml(labeled.labeled_subset(), kernel)
     anchor = find_anchor(unlabeled)
     if anchor is None:
@@ -333,7 +338,7 @@ def cmd_mine(args) -> int:
     ctx = build_anchor_context(anchor, model, kernel)
     pairs = mine_pseudo_classes(ctx, k=args.k)
     export_pseudo_classes_csv(pairs, args.output)
-    print(f"anchor camera {ctx.anchor_camera}: {len(pairs)} pseudo-classes")
+    print(f"anchor camera {anchor.camera}: {len(pairs)} pseudo-classes")
     return EXIT_OK
 
 

@@ -66,10 +66,14 @@ def rank_gallery(model: Nk3mlModel, probe: FeatureTable, gallery: FeatureTable) 
 def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCurve:
     """Rank-N accuracies from per-probe gallery rankings.
 
-    Raises ProtocolError (naming the identity) if a probe identity never
-    occurs in the gallery; extra gallery-only identities are fine.
+    Raises DataValidationError for a probe without an identity, and
+    ProtocolError (naming the identity) if a probe identity never occurs in
+    the gallery; extra gallery-only identities and unlabeled gallery rows are
+    fine.
     """
     probe_ids = list(probe_identities)
+    if None in probe_ids:
+        raise DataValidationError(f"probe row {probe_ids.index(None)} has no identity")
     gallery_ids = np.asarray(list(gallery_identities))
     if rankings.shape != (len(probe_ids), len(gallery_ids)):
         raise DataValidationError(
@@ -153,7 +157,7 @@ def _lift(
     T is never gathered whole. Each LIFT_BLOCK-wide column block of both
     products is formed from that block of the train rows, into preallocated
     outputs, on min(usable cores, blocks) threads, each GEMM at the caller's
-    BLAS thread count; a dimension within one block runs inline.
+    BLAS thread count.
     """
     w_span, mean_span = coeffs @ span.w_n, coeffs @ span.mean
     dim = features.shape[1]
@@ -167,13 +171,8 @@ def _lift(
 
     starts = range(0, dim, LIFT_BLOCK)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lift_block, starts))
-    else:
-        for start in starts:
-            lift_block(start)
+    with ThreadPoolExecutor(max_workers=min(cores or 1, len(starts))) as pool:
+        list(pool.map(lift_block, starts))
     return NullProjector(w_n=w_n, mean=mean)
 
 
@@ -195,9 +194,9 @@ def run_protocol(
     The table Gram X X^T is formed once, at the BLAS library's own thread
     count; each trial takes its train, probe and gallery products from it.
     Trials run with BLAS at one thread, so no result depends on the BLAS
-    thread count. They are independent; with threads > 1 they run on a
-    thread pool and results are still accumulated in trial order, so output
-    is identical at any thread count.
+    thread count. They are independent and run on a pool of `threads`
+    threads; results are accumulated in trial order, so output is identical
+    at any thread count.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 
@@ -214,12 +213,8 @@ def run_protocols(
     for mode in modes:
         if mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    gram = _table_gram(table)
+    gram = table.features @ table.features.T
     return tuple(_protocol(table, spec, cfg, mode, ns, threads, gram) for mode in modes)
-
-
-def _table_gram(table: FeatureTable) -> np.ndarray:
-    return table.features @ table.features.T
 
 
 def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
@@ -233,12 +228,8 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
             model = trace = None
         return curve, checksum, bandwidth, model, trace
 
-    with blas_threads(1):
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(trial, trials))
-        else:
-            results = [trial(t) for t in trials]
+    with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(trial, trials))
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple(

@@ -12,7 +12,9 @@ with coefficients gamma_j summed over each point's copies:
     m_i = sum_{j in C_i} mu_j k_j / n_i,   m = sum_j mu_j k_j / n
 
 so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n;
-Q is formed over the points that share their class only.
+Q is formed over the points that share their class only. K and P - Q come
+from A A^T products, which BLAS forms as exactly symmetric matrices (syrk),
+and the solve reads one triangle, so neither is symmetrized.
 The expanded Gram E K E^T (E the row-to-point indicator) with its jitter
 eps * I turns into K + eps * diag(1/mu) over the points.
 
@@ -25,6 +27,8 @@ the square root. A fit forms one such matrix, over one centred copy of its
 points and the symmetric product A A^T, and reads both the auto bandwidth
 (the weighted mean of its square roots) and the Gram off it; the primary
 fit, the secondary fit and project_kernel all build their Grams this way.
+A fitted model carries its resolved kernel: rbf with the numeric bandwidth
+its fit used, or linear.
 
 The generalized eigenproblem is one LAPACK call (sygvd, which reduces by
 the Cholesky factor of K_j and solves by divide and conquer). All
@@ -39,6 +43,7 @@ each).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +67,8 @@ EIG_POS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and bandwidth policy ('auto' = mean pairwise distance)."""
+    """Kernel family and bandwidth policy: 'auto' (mean pairwise distance) or
+    a number whose 2 * bandwidth^2, the rbf divisor, is a positive finite float."""
 
     kind: str = "rbf"
     bandwidth: float | str = "auto"
@@ -73,8 +79,10 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise DataValidationError(f"bandwidth must be 'auto' or a number, got {self.bandwidth!r}")
-        elif not self.bandwidth > 0:
-            raise DataValidationError("numeric bandwidth must be positive")
+        elif not (self.bandwidth > 0 and 0.0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
+            raise DataValidationError(
+                f"numeric bandwidth must be > 0 with 2 * bandwidth^2 finite and > 0, got {self.bandwidth!r}"
+            )
 
     @property
     def is_auto(self) -> bool:
@@ -87,8 +95,7 @@ class KernelDiscriminantModel:
     sum_j coeffs[j, k] * k(train_points[j], x)."""
 
     train_points: np.ndarray        # (m, p)
-    kernel: KernelSpec
-    resolved_bandwidth: float       # 1.0 (unused) for the linear kernel
+    kernel: KernelSpec              # resolved: rbf with a numeric bandwidth, or linear
     coeffs: np.ndarray              # (m, l)
     eigenvalues: np.ndarray         # (l,) strictly positive, descending
     class_index: np.ndarray         # (m,) training labels
@@ -101,10 +108,10 @@ class KernelDiscriminantModel:
     def output_dim(self) -> int:
         return self.coeffs.shape[1]
 
-    def resolved_kernel(self) -> KernelSpec:
-        if self.kernel.kind == "rbf":
-            return KernelSpec("rbf", self.resolved_bandwidth)
-        return self.kernel
+    @property
+    def resolved_bandwidth(self) -> float:
+        """The rbf bandwidth; 1.0 (unused) for the linear kernel."""
+        return float(self.kernel.bandwidth) if self.kernel.kind == "rbf" else 1.0
 
 
 def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
@@ -153,24 +160,13 @@ def _rbf(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def resolve_bandwidth(points: np.ndarray, multiplicities=None) -> float:
-    """Mean Euclidean distance over all n(n-1)/2 pairs of the rows the points
-    stand for: pair (i, j) counts mu_i * mu_j times, and the zero-distance
-    pairs among copies of one point count too."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if points.shape[0] < 2:
-        raise DataValidationError("bandwidth needs at least 2 points")
-    mu = _multiplicities(points, multiplicities)
-    return _mean_distance(_squared_distances(points, points), mu)
-
-
 def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.ndarray:
-    """Gram matrix with entry (i, j) = k(a_i, b_j); rbf distances as in the
-    module docstring."""
-    a = np.atleast_2d(np.asarray(points_a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(points_b, dtype=np.float64))
-    if a.shape[1] != b.shape[1]:
-        raise DataValidationError(f"point dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    """Gram matrix with entry (i, j) = k(a_i, b_j) of two sets of rows of one
+    dimension; rbf distances as in the module docstring."""
+    a = np.asarray(points_a, dtype=np.float64)
+    b = np.asarray(points_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DataValidationError(f"gram needs rows of one dimension, got {a.shape} and {b.shape}")
     if kernel.kind == "linear":
         return a @ b.T
     if kernel.is_auto:
@@ -178,14 +174,13 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
     return _rbf(_squared_distances(a, b), float(kernel.bandwidth))
 
 
-def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities=None) -> np.ndarray:
-    """P - Q over the Gram matrix, symmetrized.
+def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """P - Q over the Gram matrix, for points of multiplicities mu.
 
     All class blocks are assembled into two rank-batched products so the cost
     is a pair of GEMMs rather than a per-class loop.
     """
     m = k_matrix.shape[0]
-    mu = _multiplicities(k_matrix, multiplicities)
     n = mu.sum()
     _, inverse = np.unique(class_ids, return_inverse=True)
     counts = np.bincount(inverse, weights=mu)             # rows per class
@@ -200,8 +195,7 @@ def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, multiplicities
     q = (centered @ centered.T) / n
     diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / n)
     p = diffs @ diffs.T
-    s = p - q
-    return (s + s.T) / 2
+    return p - q
 
 
 def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,7 +234,7 @@ def fit_nkmmc(
     not from products with K. Point j stands for multiplicities[j] identical
     rows (default 1); see the module docstring.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points = np.array(points, dtype=np.float64, order="C", ndmin=2)
     class_ids = np.asarray(classes)
     if class_ids.shape != (points.shape[0],):
         raise DataValidationError("one class label per training point required")
@@ -250,12 +244,11 @@ def fit_nkmmc(
 
     if kernel.kind == "rbf":
         sq = _squared_distances(points, points)
-        bandwidth = _mean_distance(sq, mu) if kernel.is_auto else float(kernel.bandwidth)
-        k_matrix = _rbf(sq, bandwidth)
+        if kernel.is_auto:
+            kernel = KernelSpec("rbf", _mean_distance(sq, mu))
+        k_matrix = _rbf(sq, float(kernel.bandwidth))
     else:
-        bandwidth = 1.0
         k_matrix = points @ points.T
-    k_matrix = (k_matrix + k_matrix.T) / 2
     s = _margin_operator(k_matrix, class_ids, mu)
     # eps * I over the n expanded rows, with eps relative to their mean
     # diagonal, is eps * diag(1/mu) over the points.
@@ -279,9 +272,8 @@ def fit_nkmmc(
     coeffs /= np.sqrt(k_energy[kept])
     _fix_column_signs(coeffs)
     return KernelDiscriminantModel(
-        train_points=points.copy(),
+        train_points=points,
         kernel=kernel,
-        resolved_bandwidth=bandwidth,
         coeffs=coeffs,
         eigenvalues=evals[keep],
         class_index=class_ids.copy(),
@@ -289,13 +281,5 @@ def fit_nkmmc(
 
 
 def project_kernel(model: KernelDiscriminantModel, x: np.ndarray) -> np.ndarray:
-    """Map x through the fitted discriminants; (p,) -> (l,) or (m, p) -> (m, l)."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != model.input_dim:
-        raise DataValidationError(
-            f"input dimension {x2.shape[1]} does not match model dimension {model.input_dim}"
-        )
-    out = gram(x2, model.train_points, model.resolved_kernel()) @ model.coeffs
-    return out[0] if single else out
+    """Map rows x (m, p) through the fitted discriminants to (m, l)."""
+    return gram(x, model.train_points, model.kernel) @ model.coeffs

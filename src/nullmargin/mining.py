@@ -1,7 +1,9 @@
 """Cross-view pseudo-class mining in the secondary discriminative space.
 
-The anchor camera (most distinct within-view identities) defines a secondary
-maximum-margin space trained on its unlabeled samples' primary embeddings.
+The anchor camera (most within-view identities, ties to the lowest id),
+which find_anchor reads off the pool's (camera, within_view_id) groups,
+defines a secondary maximum-margin space trained on its unlabeled samples'
+primary embeddings.
 Identities from other cameras are matched to anchor identities by mutual
 top-k (k-reciprocal) nearest-neighbor search over identity centroids in that
 space; each surviving mutual pair becomes a pseudo-class with affinity
@@ -24,21 +26,11 @@ from .nk3ml import Nk3mlModel, embed
 
 
 @dataclass
-class AnchorContext:
-    anchor_camera: int
-    # (camera_id, within_view_id) -> row indices into the pool, ascending keys
-    groups: dict[tuple[int, int], np.ndarray]
-    secondary: KernelDiscriminantModel
-    embedded: np.ndarray    # (n, l) primary embeddings of the pool's rows
-
-
-@dataclass
 class NeighborSets:
     """Per-query top-k neighbor lists, their mutual (k-reciprocal) parts, and
     the (n_queries, n_gallery) distance matrix they were ranked from (inf on
     the diagonal under exclude_self)."""
 
-    k: int
     neighbors: tuple[np.ndarray, ...]
     reciprocal: tuple[np.ndarray, ...]
     distances: np.ndarray
@@ -67,19 +59,6 @@ def view_identity_groups(table: FeatureTable) -> dict[tuple[int, int], np.ndarra
     }
 
 
-def select_anchor(unlabeled: FeatureTable) -> int:
-    """Camera with the most distinct within-view identities; ties -> lowest id."""
-    cameras = unlabeled.cameras()
-    if len(cameras) < 2:
-        raise DataValidationError(f"anchor selection needs >= 2 cameras, found {len(cameras)}")
-    counts = {
-        cam: len(np.unique(unlabeled.within_view_ids[unlabeled.camera_ids == cam]))
-        for cam in cameras
-    }
-    best = max(counts.values())
-    return min(cam for cam, count in counts.items() if count == best)
-
-
 @dataclass(frozen=True)
 class Anchor:
     """A pool that can host an anchor: its anchor camera and its
@@ -87,18 +66,26 @@ class Anchor:
 
     pool: FeatureTable
     camera: int
+    # (camera_id, within_view_id) -> row indices into the pool, ascending keys
     groups: dict[tuple[int, int], np.ndarray]
+
+
+@dataclass
+class AnchorContext:
+    anchor: Anchor
+    secondary: KernelDiscriminantModel
+    embedded: np.ndarray    # (n, l) primary embeddings of the pool's rows
 
 
 def find_anchor(unlabeled: FeatureTable) -> Anchor | None:
     """The pool's Anchor, or None when the pool cannot host an anchor: fewer
-    than 2 cameras, or fewer than 2 identities in the anchor camera."""
-    if len(unlabeled.cameras()) < 2:
-        return None
-    anchor_camera = select_anchor(unlabeled)
+    than 2 cameras, or fewer than 2 identities in the anchor camera. The
+    anchor camera has the most groups; ties go to the lowest camera id."""
     groups = view_identity_groups(unlabeled)
-    hosted = sum(cam == anchor_camera for cam, _ in groups)
-    return Anchor(unlabeled, anchor_camera, groups) if hosted >= 2 else None
+    cameras, counts = np.unique([cam for cam, _ in groups], return_counts=True)
+    if len(cameras) < 2 or counts.max() < 2:
+        return None
+    return Anchor(unlabeled, int(cameras[counts.argmax()]), groups)
 
 
 def build_anchor_context(
@@ -107,19 +94,17 @@ def build_anchor_context(
     """Secondary max-margin space over the anchor camera's primary embeddings.
 
     The anchor's whole pool is embedded once; the context keeps those
-    embeddings and the anchor's groups for mine_pseudo_classes.
+    embeddings and the anchor for mine_pseudo_classes.
     """
-    anchor_camera, groups = anchor.camera, anchor.groups
-    anchor_keys = [key for key in groups if key[0] == anchor_camera]
+    groups = anchor.groups
+    anchor_keys = [key for key in groups if key[0] == anchor.camera]
     anchor_rows = np.concatenate([groups[key] for key in anchor_keys])
     anchor_labels = np.concatenate(
         [np.full(len(groups[key]), key[1], dtype=np.int64) for key in anchor_keys]
     )
     embedded = embed(primary, anchor.pool.features)
     secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
-    return AnchorContext(
-        anchor_camera=anchor_camera, groups=groups, secondary=secondary, embedded=embedded
-    )
+    return AnchorContext(anchor=anchor, secondary=secondary, embedded=embedded)
 
 
 def _neighbor_lists(dist: np.ndarray, k: int, exclude_self: bool) -> list[np.ndarray]:
@@ -160,7 +145,7 @@ def k_reciprocal(
     for g, neigh in enumerate(reverse):
         mutual[g, neigh] = True
     reciprocal = tuple(neigh[mutual[neigh, i]] for i, neigh in enumerate(forward))
-    return NeighborSets(k=k, neighbors=tuple(forward), reciprocal=reciprocal, distances=dist)
+    return NeighborSets(neighbors=tuple(forward), reciprocal=reciprocal, distances=dist)
 
 
 def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> list[PseudoClass]:
@@ -174,17 +159,18 @@ def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> l
     order.
     """
     secondary_points = project_kernel(ctx.secondary, ctx.embedded)
-    keys = list(ctx.groups)
-    sizes = np.array([len(rows) for rows in ctx.groups.values()])
-    grouped = secondary_points[np.concatenate(list(ctx.groups.values()))]
+    groups, anchor_camera = ctx.anchor.groups, ctx.anchor.camera
+    keys = list(groups)
+    sizes = np.array([len(rows) for rows in groups.values()])
+    grouped = secondary_points[np.concatenate(list(groups.values()))]
     centroids = np.add.reduceat(grouped, np.cumsum(sizes) - sizes, axis=0) / sizes[:, None]
     cams = np.array([cam for cam, _ in keys])
 
-    anchor_ids = [key for key in keys if key[0] == ctx.anchor_camera]
-    anchor_matrix = centroids[cams == ctx.anchor_camera]
+    anchor_ids = [key for key in keys if key[0] == anchor_camera]
+    anchor_matrix = centroids[cams == anchor_camera]
 
     candidates: list[PseudoClass] = []
-    for cam in sorted({cam for cam, _ in keys} - {ctx.anchor_camera}):
+    for cam in sorted({cam for cam, _ in keys} - {anchor_camera}):
         other_ids = [key for key in keys if key[0] == cam]
         neighbor_sets = k_reciprocal(anchor_matrix, centroids[cams == cam], k)
         dists = neighbor_sets.distances

@@ -55,10 +55,6 @@ class NullProjector:
     def n_directions(self) -> int:
         return self.w_n.shape[1]
 
-    @property
-    def class_count(self) -> int:
-        return self.n_directions + 1
-
 
 def _rank_cut(evals: np.ndarray, scale: float, rows: int, dim: int) -> np.ndarray:
     """Gram eigenvalues above scale * max(rows, dim) * eps (the tolerance of
@@ -224,16 +220,8 @@ def fit_nfst(
 
 
 def project_null(projector: NullProjector, x: np.ndarray) -> np.ndarray:
-    """Project vectors into the null space: W_N^T (x - mean).
-
-    Accepts a single vector (d,) or a batch (m, d) and returns matching shape.
-    """
+    """Project rows x (m, d) into the null space: W_N^T (x - mean), (m, c-1)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    x2 = np.atleast_2d(x)
-    if x2.shape[1] != projector.dim:
-        raise DataValidationError(
-            f"input dimension {x2.shape[1]} does not match projector dimension {projector.dim}"
-        )
-    out = (x2 - projector.mean) @ projector.w_n
-    return out[0] if single else out
+    if x.ndim != 2 or x.shape[1] != projector.dim:
+        raise DataValidationError(f"input {x.shape} is not rows of dimension {projector.dim}")
+    return (x - projector.mean) @ projector.w_n

@@ -34,18 +34,6 @@ class Nk3mlModel:
     nullproj: NullProjector
     margin: KernelDiscriminantModel
 
-    @property
-    def class_count(self) -> int:
-        return self.nullproj.class_count
-
-    @property
-    def feature_dim(self) -> int:
-        return self.nullproj.dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.margin.output_dim
-
 
 def fit_nk3ml(
     labeled: FeatureTable,
@@ -72,7 +60,7 @@ def fit_nk3ml(
 
 
 def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
-    """Full-pipeline embedding; (d,) -> (l,) or (m, d) -> (m, l)."""
+    """Full-pipeline embedding of rows, (m, d) -> (m, l)."""
     return project_kernel(model.margin, project_null(model.nullproj, x))
 
 
@@ -180,8 +168,7 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
     kind = _KERNEL_NAMES[kind_code]
     margin = KernelDiscriminantModel(
         train_points=train_points,
-        kernel=KernelSpec(kind, bandwidth if kind == "rbf" else "auto"),
-        resolved_bandwidth=bandwidth,
+        kernel=KernelSpec(kind, bandwidth) if kind == "rbf" else KernelSpec(kind),
         coeffs=coeffs,
         eigenvalues=eigenvalues,
         class_index=class_index,

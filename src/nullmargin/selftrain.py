@@ -93,10 +93,9 @@ def run_self_training(
 
     One NullSpaceState holds the labeled set: the first fit appends the
     labeled table's classes, each later refit only the round's moved rows,
-    in pool order, under fresh class labels. The AnchorContext of a round
-    holds the pool's (camera_id, within_view_id) groups that the moved rows
-    are taken from. Fit failures raise SelfTrainingError with the trace
-    accumulated so far.
+    in pool order, under fresh class labels. The round's Anchor holds the
+    pool's (camera_id, within_view_id) groups that the moved rows are taken
+    from. Fit failures raise SelfTrainingError with the trace so far.
     """
     real_labels = labeled.label_values()
     if len(np.unique(real_labels)) < 2:
@@ -144,8 +143,8 @@ def run_self_training(
 
         labels = np.full(pool.n, -1, dtype=np.int64)
         for pc in accepted:
-            labels[ctx.groups[pc.anchor_identity]] = next_label
-            labels[ctx.groups[pc.matched_identity]] = next_label
+            labels[anchor.groups[pc.anchor_identity]] = next_label
+            labels[anchor.groups[pc.matched_identity]] = next_label
             next_label += 1
         move = labels >= 0
         new = pool.subset(move).with_identities(labels[move].tolist())

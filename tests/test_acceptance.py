@@ -108,9 +108,9 @@ def test_nkmmc_eigen_optimality():
         )
         labels = np.repeat(np.arange(c), per_class)
         model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-        k_matrix = gram(points, points, model.resolved_kernel())
+        k_matrix = gram(points, points, model.kernel)
         k_matrix = (k_matrix + k_matrix.T) / 2
-        s = _margin_operator(k_matrix, labels)
+        s = _margin_operator(k_matrix, labels, np.ones(len(labels)))
         m = len(points)
         k_j = k_matrix + 1e-8 * (np.trace(k_matrix) / m) * np.eye(m)
 

@@ -111,20 +111,22 @@ def test_run_both_emits_paired_reports(dataset, tmp_path):
 
 
 def test_run_both_forms_one_table_gram(dataset, tmp_path, monkeypatch):
-    formed = []
-    real_gram = nullmargin.evaluation._table_gram
+    # Both modes' trials read the one table Gram run_protocols formed.
+    grams = []
+    real_protocol = nullmargin.evaluation._protocol
 
-    def counting_gram(table):
-        formed.append(table.n)
-        return real_gram(table)
+    def recording_protocol(*args):
+        grams.append(args[-1])
+        return real_protocol(*args)
 
-    monkeypatch.setattr(nullmargin.evaluation, "_table_gram", counting_gram)
+    monkeypatch.setattr(nullmargin.evaluation, "_protocol", recording_protocol)
     code = run_cli(
         "run", "--input", dataset, "-o", tmp_path / "out", "--mode", "both",
         "--seed", 7, "--trials", 2,
     )
     assert code == 0
-    assert formed == [load_feature_table(dataset, "binary").n]
+    n = load_feature_table(dataset, "binary").n
+    assert len(grams) == 2 and grams[0] is grams[1] and grams[0].shape == (n, n)
 
 
 def test_run_config_file_with_flag_override(dataset, tmp_path):
@@ -405,3 +407,74 @@ def test_hostile_table_exit_3(hostile_dir, tmp_path, capsys, name):
     path = hostile_dir / name
     assert run_cli("run", "--input", path, "-o", tmp_path / "o", "--trials", 1) == 3
     assert capsys.readouterr().err.startswith("error: data:")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("run", "--ranks", "5,10"), 0),
+    (("run", "--ranks", "1,1,5"), 2),
+    (("run", "--bandwidth", "inf"), 2),
+    (("run", "--bandwidth", "1e-300"), 2),
+    (("mine", "--k", "0"), 2),
+    (("mine", "--bandwidth", "inf"), 2),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_flags_end_in_their_exit_code(dataset, tmp_path, capsys, argv, code):
+    command, *flags = argv
+    out = tmp_path / "out"
+    if command == "run":
+        args = ("run", "--input", dataset, "-o", out, "--mode", "both", "--trials", 1, *flags)
+    else:
+        args = ("mine", "--labeled", dataset, "--unlabeled", dataset, "-o", out, *flags)
+    assert run_cli(*args) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code:
+        assert captured.err.startswith("error: config:")
+        assert not out.exists()
+        return
+    # A run without rank 1 prints each mode's first requested rank.
+    assert [line.split(" = ")[0] for line in captured.out.splitlines()] == [
+        "labeled_only: rank-5", "semi_supervised: rank-5",
+    ]
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["results"]["labeled_only"]["cmc"]) == ["10", "5"]
+
+
+def test_eval_scores_labeled_probes_only(dataset, tmp_path, capsys):
+    from nullmargin import SplitSpec, concat_tables, make_split
+    from nullmargin.cli import derive_seed
+
+    model = tmp_path / "out" / "model.nk3m"
+    assert run_cli(
+        "run", "--input", dataset, "-o", model.parent, "--mode", "labeled_only",
+        "--seed", 4, "--trials", 1,
+    ) == 0
+    split = make_split(load_feature_table(dataset, "binary"), SplitSpec(derive_seed(4, "split")), 0)
+    unlabeled_probe = split.probe.with_identities([None] * split.probe.n)
+    paths = {}
+    for name, table in (
+        ("probe", split.probe),
+        ("unlabeled_probe", unlabeled_probe),
+        ("unlabeled_gallery", split.gallery.with_identities([None] * split.gallery.n)),
+        # Each probe's unlabeled copy sits at distance 0, ahead of its match.
+        ("distractor_gallery", concat_tables(split.gallery, unlabeled_probe)),
+    ):
+        paths[name] = tmp_path / f"{name}.csv"
+        save_feature_table(table, paths[name], "csv")
+    capsys.readouterr()
+
+    def evaluate(probe, gallery, ranks="1,5"):
+        cmc_path = tmp_path / "cmc.csv"
+        cmc_path.unlink(missing_ok=True)
+        code = run_cli("eval", "--model", model, "--probe", paths[probe],
+                       "--gallery", paths[gallery], "--ranks", ranks, "-o", cmc_path)
+        return code, capsys.readouterr(), cmc_path.exists()
+
+    code, captured, written = evaluate("unlabeled_probe", "unlabeled_gallery")
+    assert (code, written) == (3, False)
+    assert captured.err.startswith("error: data: probe row 0 has no identity")
+    code, captured, written = evaluate("probe", "distractor_gallery")
+    assert (code, written) == (0, True)
+    assert captured.out.splitlines()[0] == "rank-1: 0.00"
+    code, captured, written = evaluate("probe", "distractor_gallery", ranks="1,1,5")
+    assert (code, written) == (2, False)
+    assert captured.err.startswith("error: config:")

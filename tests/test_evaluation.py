@@ -150,7 +150,7 @@ def assert_run_protocol_equals_direct(table, spec, mode, side):
     assert (table.dim < n_train) == (side == ">")
     assert result.per_trial[0] == direct
     lifted = result.final_model
-    assert lifted.feature_dim == table.dim
+    assert lifted.nullproj.dim == table.dim
     assert result.model_checksums[0] == model_checksum(lifted)
     expected = pdist(embed(model, table.features))
     np.testing.assert_allclose(
@@ -250,7 +250,7 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
         use_cores(monkeypatch, cores)
         lifted.append(_lift(features, train, coeffs, span))
     one, two = lifted
-    assert pools == ([2] if dim > LIFT_BLOCK else [])
+    assert pools == ([1, 2] if dim > LIFT_BLOCK else [1, 1])     # min(cores, blocks)
     assert one.w_n.tobytes() == two.w_n.tobytes()
     assert one.mean.tobytes() == two.mean.tobytes()
     basis = features[train].T

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist, pdist
 
-from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel, resolve_bandwidth
-from nullmargin.errors import DataValidationError, NumericalError, ZeroDistanceError
+import nullmargin.kmmc
+from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel
+from nullmargin.errors import DataValidationError, EmptyModelError, NumericalError, ZeroDistanceError
 from nullmargin.kmmc import (
     EIG_POS_TOL,
     K_JITTER,
@@ -25,12 +26,17 @@ def two_blob_points(rng, per_class=3, dim=2, gap=6.0):
     return points, labels
 
 
+def auto_bandwidth(points, classes, multiplicities=None):
+    """The bandwidth an 'auto' rbf fit resolves."""
+    return fit_nkmmc(points, classes, KernelSpec("rbf", "auto"), multiplicities).resolved_bandwidth
+
+
 def test_bandwidth_two_points():
-    assert resolve_bandwidth(np.array([[0.0, 0.0], [2.0, 0.0]])) == 2.0
+    assert auto_bandwidth(np.array([[0.0, 0.0], [2.0, 0.0]]), [0, 1]) == 2.0
 
 
 def test_bandwidth_collinear():
-    got = resolve_bandwidth(np.array([[0.0], [1.0], [2.0]]))
+    got = auto_bandwidth(np.array([[0.0], [1.0], [2.0]]), [0, 1, 2])
     assert np.isclose(got, 4.0 / 3.0)
 
 
@@ -41,7 +47,7 @@ def test_bandwidth_matches_double_loop():
     for i in range(50):
         for j in range(i + 1, 50):
             dists.append(np.linalg.norm(pts[i] - pts[j]))
-    assert resolve_bandwidth(pts) == np.mean(dists)
+    assert auto_bandwidth(pts, np.arange(50) % 5) == np.mean(dists)
 
 
 def test_bandwidth_of_repeated_rows_matches_weighted_pdist():
@@ -55,13 +61,28 @@ def test_bandwidth_of_repeated_rows_matches_weighted_pdist():
     i, j = np.triu_indices(30, 1)
     n = copies.sum()
     expected = (pdist(distinct) * copies[i] * copies[j]).sum() / (n * (n - 1) / 2)
-    assert resolve_bandwidth(rows) == pytest.approx(expected, rel=1e-12, abs=0)
-    assert resolve_bandwidth(distinct, copies) == pytest.approx(expected, rel=1e-12, abs=0)
+    labels = np.arange(30)
+    got = auto_bandwidth(rows, np.repeat(labels, copies))
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+    assert auto_bandwidth(distinct, labels, copies) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_bandwidth_identical_points():
     with pytest.raises(ZeroDistanceError):
-        resolve_bandwidth(np.ones((4, 3)))
+        auto_bandwidth(np.ones((4, 3)), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("bandwidth, valid", [
+    (0.0, False), (-1.0, False), (np.nan, False), (np.inf, False), (1e-300, False),
+    (1e160, False), (1e-150, True), (1.0, True), (1e150, True),
+])
+def test_numeric_bandwidth_needs_a_positive_finite_rbf_divisor(bandwidth, valid):
+    # 2 * bandwidth^2, the rbf divisor, must be a positive finite float.
+    if valid:
+        assert KernelSpec("rbf", bandwidth).bandwidth == bandwidth
+    else:
+        with pytest.raises(DataValidationError, match="bandwidth"):
+            KernelSpec("rbf", bandwidth)
 
 
 def test_gram_rbf_diagonal_ones():
@@ -131,7 +152,7 @@ def test_gram_rbf_self_diagonal_and_range():
     rng = np.random.default_rng(42)
     pts = rng.standard_normal((40, 7)) * 3.0 + 1e3
     pts[5] = pts[2]
-    k = gram(pts, pts, KernelSpec("rbf", resolve_bandwidth(pts)))
+    k = gram(pts, pts, KernelSpec("rbf", auto_bandwidth(pts, np.arange(40) % 4)))
     assert np.abs(np.diag(k) - 1.0).max() <= 1e-15
     assert abs(k[2, 5] - 1.0) <= 1e-15 and abs(k[5, 2] - 1.0) <= 1e-15
     assert k.min() >= 0.0 and k.max() <= 1.0
@@ -166,7 +187,7 @@ def test_energies_from_k_orthonormality_match_direct_products(fixture):
         points, labels, counts = rank_deficient_points(int(seed))
         kernel = KernelSpec("linear")
     model = fit_nkmmc(points, labels, kernel, counts)
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     k = (k + k.T) / 2
     eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
     k_j = k + np.diag(eps / counts)
@@ -199,8 +220,6 @@ def test_fit_single_class_rejected():
 
 
 def test_fit_no_positive_eigenvalues():
-    from nullmargin.errors import EmptyModelError
-
     # Both classes share the same mean, so the between-means term vanishes
     # and the margin operator is negative semidefinite.
     points = np.array([[-1.0], [1.0], [-2.0], [2.0]])
@@ -213,7 +232,7 @@ def test_unit_kernel_norm_constraint():
     rng = np.random.default_rng(6)
     points, labels = two_blob_points(rng, per_class=5, dim=3)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     for j in range(model.output_dim):
         a = model.coeffs[:, j]
         assert abs(a @ k @ a - 1.0) < 1e-6
@@ -223,8 +242,8 @@ def test_rayleigh_optimality_monte_carlo():
     rng = np.random.default_rng(7)
     points, labels = two_blob_points(rng, per_class=4, dim=3)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    k = gram(points, points, model.resolved_kernel())
-    s = _margin_operator(k, labels)
+    k = gram(points, points, model.kernel)
+    s = _margin_operator(k, labels, np.ones(len(labels)))
     top = model.coeffs[:, 0]
     best_fit = top @ s @ top
     r = rng.standard_normal((len(points), 1000))
@@ -238,9 +257,9 @@ def test_generalized_eigen_residual():
     rng = np.random.default_rng(8)
     points, labels = two_blob_points(rng, per_class=6, dim=4)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     k = (k + k.T) / 2
-    s = _margin_operator(k, labels)
+    s = _margin_operator(k, labels, np.ones(len(labels)))
     m = len(points)
     k_j = k + 1e-8 * (np.trace(k) / m) * np.eye(m)
     s_norm = np.linalg.norm(s, 2)
@@ -254,7 +273,7 @@ def test_k_orthogonality_of_discriminants():
     rng = np.random.default_rng(9)
     points, labels = two_blob_points(rng, per_class=6, dim=4)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     cross = model.coeffs.T @ k @ model.coeffs
     off = cross - np.diag(np.diag(cross))
     assert np.abs(off).max() <= 1e-6
@@ -265,12 +284,13 @@ def test_projection_single_point_model():
     model = KernelDiscriminantModel(
         train_points=t,
         kernel=KernelSpec("rbf", 0.5),
-        resolved_bandwidth=0.5,
         coeffs=np.array([[3.5]]),
         eigenvalues=np.array([1.0]),
         class_index=np.array([0]),
     )
-    np.testing.assert_allclose(project_kernel(model, t[0]), [3.5])
+    np.testing.assert_allclose(project_kernel(model, t), [[3.5]])
+    with pytest.raises(DataValidationError, match="rows"):
+        project_kernel(model, t[0])             # a single vector is not rows
 
 
 def test_projection_batch_equals_gram_product():
@@ -278,7 +298,7 @@ def test_projection_batch_equals_gram_product():
     points, labels = two_blob_points(rng, per_class=4, dim=3)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
     batch = project_kernel(model, points)
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     np.testing.assert_allclose(batch, k @ model.coeffs, atol=1e-12)
     loop = np.array([
         [
@@ -294,7 +314,7 @@ def test_projection_far_point_decays():
     rng = np.random.default_rng(11)
     points, labels = two_blob_points(rng, per_class=3, dim=2)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
-    far = np.full(2, 1e6)
+    far = np.full((1, 2), 1e6)
     out = project_kernel(model, far)
     assert np.linalg.norm(out) <= 1e-6 * np.linalg.norm(model.coeffs)
 
@@ -307,7 +327,6 @@ def test_projection_row_permutation_invariance():
     permuted = KernelDiscriminantModel(
         train_points=model.train_points[perm],
         kernel=model.kernel,
-        resolved_bandwidth=model.resolved_bandwidth,
         coeffs=model.coeffs[perm],
         eigenvalues=model.eigenvalues,
         class_index=model.class_index[perm],
@@ -321,7 +340,7 @@ def test_eigenvector_set_invariant_under_operator_scaling():
     points, labels = two_blob_points(rng, per_class=5, dim=3)
     k = gram(points, points, KernelSpec("rbf", 2.0))
     k = (k + k.T) / 2
-    s = _margin_operator(k, labels)
+    s = _margin_operator(k, labels, np.ones(len(labels)))
     m = len(points)
     k_j = k + 1e-8 * (np.trace(k) / m) * np.eye(m)
     evals_a, vecs_a = _solve_generalized(s.copy(), k_j.copy())
@@ -386,7 +405,7 @@ def class_points(seed, classes=9):
 
 def test_bandwidth_with_multiplicities():
     # rows 0, 2, 2: pairs (0,2), (0,2), (2,2) -> mean 4/3
-    got = resolve_bandwidth(np.array([[0.0], [2.0]]), np.array([1, 2]))
+    got = auto_bandwidth(np.array([[0.0], [2.0]]), [0, 1], np.array([1, 2]))
     assert np.isclose(got, 4.0 / 3.0)
 
 
@@ -438,7 +457,7 @@ def test_weighted_operator_is_centred_class_scatter():
 def test_weighted_normalisation_and_eigen_residual():
     points, labels, counts = class_points(17)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     k = (k + k.T) / 2
     s = _margin_operator(k, labels, counts)
     eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
@@ -456,10 +475,37 @@ def test_weighted_rayleigh_optimality_monte_carlo():
     rng = np.random.default_rng(18)
     points, labels, counts = class_points(18)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
-    k = gram(points, points, model.resolved_kernel())
+    k = gram(points, points, model.kernel)
     s = _margin_operator(k, labels, counts)
     top = model.coeffs[:, 0]
     r = rng.standard_normal((len(points), 2000))
     r /= np.sqrt(np.einsum("jk,jl,lk->k", r, k, r))
     random_best = np.einsum("jk,jl,lk->k", r, s, r).max()
     assert top @ s @ top >= random_best - 1e-8 * abs(top @ s @ top)
+
+
+@pytest.mark.parametrize("name", ["rbf-auto", "linear"])
+def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
+    # Neither is symmetrized: K and P - Q come from A A^T products, which
+    # BLAS forms exactly symmetric, repeated rows and multiplicities included.
+    seen = []
+
+    def recording(k_matrix, class_ids, mu):
+        s = _margin_operator(k_matrix, class_ids, mu)
+        seen.append((k_matrix.copy(), s.copy()))           # the solve overwrites s
+        return s
+
+    monkeypatch.setattr(nullmargin.kmmc, "_margin_operator", recording)
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        m, dim = int(rng.integers(4, 60)), int(rng.integers(1, 40))
+        points = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0) + rng.uniform(-1e3, 1e3)
+        points[rng.integers(m, size=m // 3)] = points[rng.integers(m, size=m // 3)]
+        labels = np.r_[0, 1, rng.integers(0, max(2, m // 3), m - 2)]
+        try:
+            fit_nkmmc(points, labels, KERNELS[name], rng.integers(1, 5, m).astype(float))
+        except EmptyModelError:
+            pass
+    assert len(seen) == 30
+    for k_matrix, s in seen:
+        assert np.array_equal(k_matrix, k_matrix.T) and np.array_equal(s, s.T)

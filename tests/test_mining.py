@@ -15,7 +15,6 @@ from nullmargin import (
     k_reciprocal,
     mine_pseudo_classes,
     run_self_training,
-    select_anchor,
 )
 from nullmargin.errors import DataValidationError
 from nullmargin.kmmc import project_kernel
@@ -50,33 +49,32 @@ def brute_reciprocal(queries, gallery, k, exclude_self=False):
     return [[g for g in forward[i] if i in reverse[g]] for i in range(len(queries))]
 
 
-def test_select_anchor_argmax():
+def test_find_anchor_argmax():
     # camera 0: identities {0,1,2,3,4}; camera 1: identities {0,1,2}
     cams = [0] * 5 + [1] * 3
     wv = [0, 1, 2, 3, 4, 0, 1, 2]
     table = make_table(np.random.default_rng(0).standard_normal((8, 3)), cams, [None] * 8, wv)
-    assert select_anchor(table) == 0
+    assert find_anchor(table).camera == 0
 
 
-def test_select_anchor_tie_breaks_low():
+def test_find_anchor_tie_breaks_low():
     cams = [1, 1, 0, 0]
     wv = [0, 1, 0, 1]
     table = make_table(np.ones((4, 2)), cams, [None] * 4, wv)
-    assert select_anchor(table) == 0
+    assert find_anchor(table).camera == 0
 
 
-def test_select_anchor_counts_identities_not_images():
+def test_find_anchor_counts_identities_not_images():
     # camera 0: 3 identities x 4 images; camera 1: 5 identities x 1 image
     cams = [0] * 12 + [1] * 5
     wv = [i // 4 for i in range(12)] + list(range(5))
     table = make_table(np.random.default_rng(1).standard_normal((17, 2)), cams, [None] * 17, wv)
-    assert select_anchor(table) == 1
+    assert find_anchor(table).camera == 1
 
 
-def test_select_anchor_single_camera_errors():
+def test_find_anchor_single_camera_is_none():
     table = make_table(np.ones((3, 2)), [0, 0, 0], [None] * 3, [0, 1, 2])
-    with pytest.raises(DataValidationError):
-        select_anchor(table)
+    assert find_anchor(table) is None
 
 
 def test_knn_fig4a_relations():
@@ -268,8 +266,8 @@ def test_mine_matches_mutual_nearest_centroid_oracle(easy_table):
         key = (int(unlabeled.camera_ids[row]), int(unlabeled.within_view_ids[row]))
         cents.setdefault(key, []).append(secondary[row])
     cents = {key: np.mean(v, axis=0) for key, v in cents.items()}
-    anchor_keys = sorted(k for k in cents if k[0] == ctx.anchor_camera)
-    other_keys = sorted(k for k in cents if k[0] != ctx.anchor_camera)
+    anchor_keys = sorted(k for k in cents if k[0] == ctx.anchor.camera)
+    other_keys = sorted(k for k in cents if k[0] != ctx.anchor.camera)
     expected = set()
     for akey in anchor_keys:
         dists = [np.linalg.norm(cents[akey] - cents[o]) for o in other_keys]
@@ -311,7 +309,7 @@ def test_mine_row_permutation_invariant(noisefree_table):
 def test_secondary_keeps_anchor_classes_separated(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
     anchor_classes = [
-        (wv, rows) for (cam, wv), rows in ctx.groups.items() if cam == ctx.anchor_camera
+        (wv, rows) for (cam, wv), rows in ctx.anchor.groups.items() if cam == ctx.anchor.camera
     ]
     anchor_rows = np.concatenate([rows for _, rows in anchor_classes])
     points = project_kernel(ctx.secondary, embed(model, unlabeled.features[anchor_rows]))
@@ -336,7 +334,7 @@ def test_export_csv(tmp_path, noisefree_table):
 
 def test_mine_requires_non_anchor_camera(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor_camera)
+    only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor.camera)
     assert find_anchor(only_anchor) is None
     # two cameras, but one identity in each: no anchor classes to separate
     one_each = unlabeled.subset(unlabeled.within_view_ids == unlabeled.within_view_ids[0])
@@ -395,9 +393,9 @@ def test_k_reciprocal_carries_the_ranked_distances():
 def test_round_groups_pool_once(noisefree_table, monkeypatch):
     _, unlabeled, _, ctx = _mining_setup(noisefree_table)
     want = view_identity_groups(unlabeled)
-    assert list(ctx.groups) == list(want)
+    assert list(ctx.anchor.groups) == list(want)
     for key, rows in want.items():
-        np.testing.assert_array_equal(ctx.groups[key], rows)
+        np.testing.assert_array_equal(ctx.anchor.groups[key], rows)
 
     def no_regrouping(table):
         raise AssertionError("mine_pseudo_classes regrouped the pool")

@@ -65,8 +65,7 @@ def test_minimal_two_singletons():
     )
     proj, _ = fit_nfst(table)
     assert proj.w_n.shape == (3, 1)
-    a = project_null(proj, table.features[0])
-    b = project_null(proj, table.features[1])
+    a, b = project_null(proj, table.features)
     assert abs(a[0] - b[0]) > 1e-8
 
 
@@ -78,7 +77,7 @@ def test_collapse_two_classes():
     stats = compute_scatter(table)
     w = proj.w_n[:, 0]
     assert stats.within_quadratic(w) <= 1e-8 * stats.trace_within / 10
-    outs = [project_null(proj, x)[0] for x in table.features]
+    outs = project_null(proj, table.features)[:, 0]
     assert abs(outs[0] - outs[1]) < 1e-8
     assert abs(outs[2] - outs[3]) < 1e-8
 
@@ -124,8 +123,8 @@ def test_projection_centering_and_linearity():
     rng = np.random.default_rng(6)
     table = random_sss_table(rng, classes=3, per_class=2, dim=15)
     proj, _ = fit_nfst(table)
-    np.testing.assert_allclose(project_null(proj, proj.mean), 0.0, atol=1e-12)
-    x1, x2 = rng.standard_normal((2, 15))
+    np.testing.assert_allclose(project_null(proj, proj.mean[None]), 0.0, atol=1e-12)
+    x1, x2 = rng.standard_normal((2, 1, 15))
     a = 0.3
     lhs = project_null(proj, a * x1 + (1 - a) * x2)
     rhs = a * project_null(proj, x1) + (1 - a) * project_null(proj, x2)

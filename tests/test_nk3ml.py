@@ -45,7 +45,7 @@ def test_minimal_two_class_pipeline():
     )
     model = fit_nk3ml(table)
     assert model.nullproj.n_directions == 1
-    assert model.output_dim >= 1
+    assert model.margin.output_dim >= 1
 
 
 def unequal_classes_table():
@@ -130,7 +130,18 @@ def test_embed_deterministic(easy_model):
 def test_embed_dimension_mismatch(easy_model):
     model, _ = easy_model
     with pytest.raises(DataValidationError):
-        embed(model, np.ones(model.feature_dim + 1))
+        embed(model, np.ones((1, model.nullproj.dim + 1)))
+
+
+def test_projections_take_rows_only(easy_model):
+    model, split = easy_model
+    x = split.gallery.features
+    assert embed(model, x[:1]).shape == (1, model.margin.output_dim)
+    for project, source in ((embed, model), (project_null, model.nullproj)):
+        with pytest.raises(DataValidationError, match="rows"):
+            project(source, x[0])
+        with pytest.raises(DataValidationError, match="rows"):
+            project(source, x[None])
 
 
 def test_training_sample_maps_to_class_point(easy_model):
@@ -175,7 +186,7 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
     monkeypatch.setattr(nullmargin.evaluation, "run_self_training", recording_loop)
     lifted = run_protocol(easy_table, SplitSpec(seed=4, trials=1), LoopConfig(), "semi_supervised")
     (span_model,) = span_models
-    assert lifted.final_model.feature_dim == easy_table.dim > span_model.feature_dim
+    assert lifted.final_model.nullproj.dim == easy_table.dim > span_model.nullproj.dim
     # a column-major w_n goes through the copying path of the writer
     fortran = replace(span_model, nullproj=replace(
         span_model.nullproj, w_n=np.asfortranarray(span_model.nullproj.w_n)
@@ -209,7 +220,7 @@ def test_refit_round_forms_no_pairwise_distances_and_no_projections(monkeypatch)
     )
     assert not hasattr(nullmargin.kmmc, "pdist")            # no name bound past the patch
     model = fit_nk3ml(table.subset(np.flatnonzero(labels >= 20)), KernelSpec(), state)
-    assert model.class_count == len(np.unique(labels))
+    assert len(model.margin.class_index) == len(np.unique(labels))
     assert calls == []
 
 
@@ -326,7 +337,7 @@ def test_rank_ordering_sanity(easy_table):
 
 def test_embed_is_locally_smooth(easy_model):
     model, split = easy_model
-    x = split.probe.features[0]
+    x = split.probe.features[:1]
     out = embed(model, x)
     delta = np.full_like(x, 1e-9 * np.linalg.norm(x) / np.sqrt(x.size))
     out2 = embed(model, x + delta)

@@ -25,7 +25,7 @@ def test_empty_unlabeled_single_fit(noisefree_12):
     model, trace = run_self_training(labeled, unlabeled.subset([]), LoopConfig())
     assert len(trace.records) == 1
     assert trace.records[0].pseudo_mined == 0
-    assert model.class_count == 12
+    assert len(model.margin.class_index) == 12
 
 
 def test_nine_identities_quartile_schedule(noisefree_12):
@@ -43,7 +43,7 @@ def test_nine_identities_quartile_schedule(noisefree_12):
     accepted = [r.pseudo_accepted for r in mining_rounds]
     assert accepted == [3, 2, 1, 3]
     # pool strictly shrinks; all 9 absorbed
-    assert model.class_count == 12
+    assert len(model.margin.class_index) == 12
     counts = [r.labeled_classes for r in trace.records]
     assert counts == sorted(counts)
     assert all(b > a for a, b in zip(counts, counts[1:]))
@@ -56,7 +56,7 @@ def test_max_iterations_caps_mining(noisefree_12):
     assert len(mining_rounds) == 1
     # final refit happened after augmentation
     assert trace.records[-1].labeled_classes == 3 + trace.records[0].pseudo_accepted
-    assert model.class_count == trace.records[-1].labeled_classes
+    assert len(model.margin.class_index) == trace.records[-1].labeled_classes
 
 
 def test_loop_determinism(noisefree_12):
@@ -75,7 +75,7 @@ def test_pseudo_labels_disjoint_namespace(noisefree_12):
     # recover final labels by rerunning the absorption through the trace is
     # indirect; instead check the model grew and no ground-truth id >= base
     assert all(ident < PSEUDO_LABEL_BASE for ident in labeled.identities)
-    assert model.class_count == 12
+    assert len(model.margin.class_index) == 12
 
 
 def test_no_identity_duplication(noisefree_12):
@@ -83,7 +83,7 @@ def test_no_identity_duplication(noisefree_12):
     model, trace = run_self_training(labeled, unlabeled, LoopConfig())
     total_accepted = sum(r.pseudo_accepted for r in trace.records)
     assert total_accepted == 9
-    assert model.class_count == 3 + total_accepted
+    assert len(model.margin.class_index) == 3 + total_accepted
 
 
 def test_requires_two_labeled_classes(noisefree_12):
