@@ -14,7 +14,6 @@ from .dataio import (
     FeatureTable,
     SplitSpec,
     SyntheticSpec,
-    concat_tables,
     generate_synthetic,
     load_feature_table,
     make_split,
@@ -53,7 +52,6 @@ from .nk3ml import (
     model_checksum,
     save_model,
 )
-from .scatter import ScatterStats, compute_scatter, fisher_value
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
 __all__ = [
@@ -71,16 +69,12 @@ __all__ = [
     "NullSpaceState",
     "ProtocolResult",
     "PseudoClass",
-    "ScatterStats",
     "SplitSpec",
     "SyntheticSpec",
     "build_anchor_context",
     "cmc",
-    "compute_scatter",
-    "concat_tables",
     "embed",
     "find_anchor",
-    "fisher_value",
     "fit_nfst",
     "fit_nk3ml",
     "fit_nkmmc",

@@ -53,9 +53,6 @@ class Writer:
     def i64_array(self, arr: np.ndarray) -> None:
         self.raw(np.ascontiguousarray(arr, dtype="<i8").reshape(-1))
 
-    def getvalue(self) -> bytes:
-        return b"".join(self.parts)
-
     def write_to(self, path) -> None:
         """Write the parts to a file in order, without joining them."""
         with open(path, "wb") as f:

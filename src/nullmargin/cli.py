@@ -7,7 +7,9 @@ model checksums, resolved bandwidths), trace.jsonl for self-training modes,
 and the final model. Config files are flat `section.key = value` lines;
 command-line flags override file values; unknown keys are rejected.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 data error (an unusable input or
+output path included), 4 numerical failure; the base class of each error
+in nullmargin.errors decides which.
 """
 
 from __future__ import annotations
@@ -34,17 +36,7 @@ from .dataio import (
     save_feature_table,
     table_format_for,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DataValidationError,
-    DegenerateDataError,
-    EmptyModelError,
-    NumericalError,
-    ProtocolError,
-    SelfTrainingError,
-    ZeroDistanceError,
-)
+from .errors import ConfigError, DataError, DataValidationError, NumericalError
 from .evaluation import cmc, rank_gallery, run_protocols
 from .kmmc import KernelSpec
 from .mining import (
@@ -60,21 +52,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
-
-_DATA_ERRORS = (
-    DataFormatError,
-    DataValidationError,
-    ProtocolError,
-    DegenerateDataError,
-    ZeroDistanceError,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    SelfTrainingError,
-    EmptyModelError,
-    NumericalError,
-    np.linalg.LinAlgError,
-)
 
 
 def derive_seed(master: int, label: str) -> int:
@@ -405,10 +382,10 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as err:
+    except (NumericalError, np.linalg.LinAlgError) as err:
         print(f"error: numerical: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except _DATA_ERRORS as err:
+    except (DataError, OSError) as err:
         print(f"error: data: {err}", file=sys.stderr)
         return EXIT_DATA
 

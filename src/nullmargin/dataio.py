@@ -122,9 +122,13 @@ class FeatureTable:
     def subset(self, indices) -> FeatureTable:
         idx = np.asarray(indices)
         if idx.dtype == bool:
+            if idx.shape != (self.n,):
+                raise DataValidationError(f"mask has shape {idx.shape}, expected ({self.n},)")
             idx = np.flatnonzero(idx)
         else:
             idx = idx.astype(np.int64)
+            if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+                raise DataValidationError(f"row indices must lie in [0, {self.n})")
         return FeatureTable(
             sample_ids=tuple(self.sample_ids[i] for i in idx),
             camera_ids=self.camera_ids[idx],
@@ -380,20 +384,21 @@ def _load_csv(path: Path) -> FeatureTable:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise DataFormatError(f"{path}: not UTF-8 text ({err})") from err
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # (physical line number, line) of the non-blank lines
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     fixed = ["sample_id", "camera_id", "identity", "within_view_id"]
     if header[: len(fixed)] != fixed or len(header) == len(fixed):
-        raise DataFormatError(f"{path}: malformed header {lines[0]!r}")
+        raise DataFormatError(f"{path}: malformed header {lines[0][1]!r}")
     dim = len(header) - len(fixed)
     for j, name in enumerate(header[len(fixed):]):
         if name != f"f{j}":
             raise DataFormatError(f"{path}: malformed header, expected f{j}, got {name!r}")
 
     sample_ids, camera_ids, identities, wv_ids, rows = [], [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(fixed) + dim:
             raise DataFormatError(

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-CLI exit-code mapping: config problems exit 2, data problems exit 3,
-numerical failures exit 4 (see cli.EXIT_*).
+Every error derives from one of three base classes, and the base class is
+the CLI's exit code: ConfigError exits 2, DataError exits 3 and
+NumericalError exits 4 (see cli.main).
 """
 
 
@@ -13,15 +14,23 @@ class ConfigError(NullmarginError):
     """Invalid or unknown configuration key/value."""
 
 
-class DataFormatError(NullmarginError):
+class DataError(NullmarginError):
+    """The input data or an input/output path cannot be used."""
+
+
+class NumericalError(NullmarginError):
+    """An eigensolver or factorization failed; message carries diagnostics."""
+
+
+class DataFormatError(DataError):
     """A file does not conform to the declared CSV or binary layout."""
 
 
-class DataValidationError(NullmarginError):
+class DataValidationError(DataError):
     """Input data violates a structural precondition (bad labels, bad splits)."""
 
 
-class ProtocolError(NullmarginError):
+class ProtocolError(DataError):
     """Evaluation protocol violation, e.g. a probe identity missing from the gallery."""
 
 
@@ -33,7 +42,7 @@ class ModelVersionError(ModelFormatError):
     """Serialized model container has an unsupported version."""
 
 
-class DegenerateDataError(NullmarginError):
+class DegenerateDataError(DataError):
     """Data not in general position: fewer null directions than classes - 1.
 
     Carries the number of directions actually found.
@@ -45,23 +54,15 @@ class DegenerateDataError(NullmarginError):
         self.expected = expected
 
 
-class UndefinedFisherValueError(NullmarginError):
-    """Fisher ratio is 0/0 for the given direction."""
-
-
-class ZeroDistanceError(NullmarginError):
+class ZeroDistanceError(DataError):
     """All points coincide; no pairwise distance scale exists."""
 
 
-class EmptyModelError(NullmarginError):
+class EmptyModelError(NumericalError):
     """The margin eigenproblem produced no positive eigenvalues."""
 
 
-class NumericalError(NullmarginError):
-    """An eigensolver or factorization failed; message carries diagnostics."""
-
-
-class SelfTrainingError(NullmarginError):
+class SelfTrainingError(NumericalError):
     """A fit inside the self-training loop failed; carries the trace so far."""
 
     def __init__(self, message: str, trace=None):

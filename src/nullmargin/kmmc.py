@@ -56,6 +56,7 @@ from .errors import (
     ZeroDistanceError,
 )
 from .nfst import _EPS, _fix_column_signs
+from .scatter import class_sums
 
 # Conditioning jitter added to K before the generalized solve, relative to
 # the mean diagonal scale. This is not statistical regularization; the
@@ -177,20 +178,20 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
 def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """P - Q over the Gram matrix, for points of multiplicities mu.
 
-    All class blocks are assembled into two rank-batched products so the cost
-    is a pair of GEMMs rather than a per-class loop.
+    The class kernel means are class sums of K's mu-weighted rows (K is
+    symmetric), and all class blocks are assembled into one rank-batched
+    product for Q rather than a per-class loop.
     """
-    m = k_matrix.shape[0]
     n = mu.sum()
     _, inverse = np.unique(class_ids, return_inverse=True)
+    sizes = np.bincount(inverse)                          # points per class
     counts = np.bincount(inverse, weights=mu)             # rows per class
-    indicator = np.zeros((m, len(counts)))
-    indicator[np.arange(m), inverse] = mu
-    class_means = (k_matrix @ indicator) / counts          # column j = kernel mean of class j
+    # column j = kernel mean of class j
+    class_means = class_sums(k_matrix * mu[:, None], inverse, sizes).T / counts
     global_mean = (k_matrix * mu).sum(axis=1) / n
 
     # All K_i blocks column-centred; a point alone in its class adds nothing.
-    shared = np.bincount(inverse)[inverse] > 1
+    shared = sizes[inverse] > 1
     centered = (k_matrix[:, shared] - class_means[:, inverse[shared]]) * np.sqrt(mu[shared])
     q = (centered @ centered.T) / n
     diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / n)

@@ -30,7 +30,7 @@ from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError
 # compute_scatter is not called here: bench/spans.py traces it under this
 # module's name.
-from .scatter import class_means, compute_scatter  # noqa: F401
+from .scatter import class_sums, compute_scatter  # noqa: F401
 
 # Eigenvalues of R^T R at or below NULL_TOL * trace(S_b) carry no null
 # direction: the between-class vectors have no part outside the within-class
@@ -137,7 +137,7 @@ class NullSpaceState:
         held = new[np.isin(new, self.labels)]
         if held.size:
             raise DataValidationError(f"classes already held: {held.tolist()}")
-        means = class_means(rows, inverse, counts)
+        means = class_sums(rows, inverse, counts) / counts[:, None]
         within = np.delete(rows - means[inverse], first, axis=0)     # (m - c_new, d)
         for _ in range(2):
             within -= (within @ self.basis) @ self.basis.T
@@ -179,9 +179,9 @@ class NullSpaceState:
         mean = weights @ self.means
         root = np.sqrt(self.counts)
         residual = (self.residuals - (self.residuals @ weights)[:, None]) * root
-        trace_between = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
+        trace_b = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
         evals, evecs = np.linalg.eigh(residual.T @ residual)          # ascending
-        found = int(np.count_nonzero(evals > NULL_TOL * trace_between))
+        found = int(np.count_nonzero(evals > NULL_TOL * trace_b))
         if found < wanted:
             raise DegenerateDataError(
                 f"data not in general position: found {found} null directions, "

@@ -10,7 +10,6 @@ Euclidean distance on embeddings.
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -96,14 +95,6 @@ def _model_writer(model: Nk3mlModel) -> Writer:
     margin_block.i64_array(margin.class_index)
     w.block(margin_block)
     return w
-
-
-def serialize_model(model: Nk3mlModel) -> bytes:
-    return _model_writer(model).getvalue()
-
-
-def deserialize_model(data: bytes, context: str = "model") -> Nk3mlModel:
-    return _read_model(io.BytesIO(data), context)
 
 
 def load_model(path) -> Nk3mlModel:

@@ -1,9 +1,11 @@
+import io
 import struct
 
 import numpy as np
 import pytest
 
 from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
+from nullmargin.nk3ml import _model_writer, _read_model
 
 
 def make_table(features, cameras, identities, within_view=None, prefix="s"):
@@ -19,6 +21,16 @@ def make_table(features, cameras, identities, within_view=None, prefix="s"):
         within_view_ids=np.asarray(within_view),
         features=features,
     )
+
+
+def model_bytes(model) -> bytes:
+    """The container bytes save_model writes for a model."""
+    return b"".join(_model_writer(model).parts)
+
+
+def read_model(data: bytes):
+    """A model parsed from container bytes as load_model parses a file."""
+    return _read_model(io.BytesIO(data), "model")
 
 
 # Table paths every loader must reject with DataFormatError (CLI exit 3).

@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import nullmargin
+import nullmargin.cli
+import nullmargin.errors
 import nullmargin.evaluation
-from nullmargin import load_feature_table
+from nullmargin import fit_nk3ml, load_feature_table, save_model
 from nullmargin.cli import main
+from nullmargin.errors import ConfigError, DataError, NullmarginError, NumericalError
 
 from nullmargin import save_feature_table
 
@@ -402,6 +405,44 @@ def test_bad_model_file_exit_3(tmp_path, dataset, capsys):
         assert capsys.readouterr().err.startswith("error: data:")
 
 
+@pytest.mark.parametrize("command", ["run", "synth", "embed"])
+def test_unusable_output_path_exits_3(dataset, tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "run":
+        argv = ("run", "--input", dataset, "-o", blocker, "--trials", 1)
+    elif command == "synth":
+        argv = ("synth", "--identities", 4, "--dim", 3, "-o", blocker / "x.ssml")
+    else:
+        table = load_feature_table(dataset, "binary")
+        model = tmp_path / "model.nk3m"
+        labeled = table.subset([r for r in range(table.n) if table.identities[r] < 8])
+        save_model(fit_nk3ml(labeled), model)
+        argv = ("embed", "--model", model, "--data", dataset, "-o", blocker / "e.csv")
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: data:") and "Traceback" not in err
+
+
+ERROR_CLASSES = [
+    cls for cls in vars(nullmargin.errors).values()
+    if isinstance(cls, type) and issubclass(cls, Exception) and cls is not NullmarginError
+]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_each_error_class_has_one_exit_code(tmp_path, capsys, monkeypatch, cls):
+    codes = {ConfigError: 2, DataError: 3, NumericalError: 4}
+    [code] = [code for base, code in codes.items() if issubclass(cls, base)]
+
+    def fail(args):
+        raise cls.__new__(cls, "injected")
+
+    monkeypatch.setattr(nullmargin.cli, "cmd_synth", fail)
+    assert run_cli("synth", "--identities", 4, "--dim", 3, "-o", tmp_path / "x.ssml") == code
+    assert capsys.readouterr().err.endswith(": injected\n")
+
+
 @pytest.mark.parametrize("name", HOSTILE_TABLES)
 def test_hostile_table_exit_3(hostile_dir, tmp_path, capsys, name):
     path = hostile_dir / name
@@ -440,8 +481,9 @@ def test_flags_end_in_their_exit_code(dataset, tmp_path, capsys, argv, code):
 
 
 def test_eval_scores_labeled_probes_only(dataset, tmp_path, capsys):
-    from nullmargin import SplitSpec, concat_tables, make_split
+    from nullmargin import SplitSpec, make_split
     from nullmargin.cli import derive_seed
+    from nullmargin.dataio import concat_tables
 
     model = tmp_path / "out" / "model.nk3m"
     assert run_cli(

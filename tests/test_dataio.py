@@ -57,6 +57,38 @@ def test_csv_malformed_header(tmp_path):
         load_feature_table(path, "csv")
 
 
+def test_csv_error_names_the_physical_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "sample_id,camera_id,identity,within_view_id,f0,f1\n"
+        "\n"
+        "a,0,1,0,1.0,2.0\n"
+        "   \n"
+        "b,0,x,1,2.0\n"
+    )
+    with pytest.raises(DataFormatError, match=r"bad\.csv:5: row has 1 features"):
+        load_feature_table(path, "csv")
+    path.write_text(path.read_text().replace("b,0,x,1,2.0", "b,0,x,1,2.0,3.0"))
+    with pytest.raises(DataFormatError, match=r"bad\.csv:5: invalid literal"):
+        load_feature_table(path, "csv")
+
+
+@pytest.mark.parametrize("rows", [
+    np.array([True]),
+    np.array([True, False, True, False]),
+    np.ones((3, 1), dtype=bool),
+    [-1],
+    [0, 3],
+], ids=["short mask", "long mask", "2-d mask", "negative index", "index past the end"])
+def test_subset_rejects_bad_masks_and_indices(rows):
+    table = make_table([[1.0], [2.0], [3.0]], cameras=[0, 1, 0], identities=[0, 0, 1])
+    with pytest.raises(DataValidationError):
+        table.subset(rows)
+    assert table.subset(np.array([False, True, True])).sample_ids == ("s1", "s2")
+    assert table.subset([2, 0]).sample_ids == ("s2", "s0")
+    assert table.subset([]).n == 0
+
+
 def test_duplicate_sample_id_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text(
@@ -82,7 +114,9 @@ def test_non_finite_features_rejected(value):
 
 
 def test_binary_within_view_id_beyond_int64_rejected():
-    data = _table_writer(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0])).getvalue()
+    data = b"".join(
+        _table_writer(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0])).parts
+    )
     # the last row's u64 within-view id precedes its one f64 feature
     data = data[:-16] + struct.pack("<Q", (1 << 64) - 1) + data[-8:]
     with warnings.catch_warnings():
@@ -123,7 +157,7 @@ def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):
     )
     path = tmp_path / "t.ssml"
     save_feature_table(table, path, "binary")
-    assert path.read_bytes() == _table_writer(table).getvalue()
+    assert path.read_bytes() == b"".join(_table_writer(table).parts)
 
 
 # The child reads its peak resident set from VmHWM, the high-water mark of

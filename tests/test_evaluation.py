@@ -26,9 +26,8 @@ from nullmargin import (
 from nullmargin.errors import DataValidationError, ProtocolError
 from nullmargin.evaluation import LIFT_BLOCK, _lift, single_shot_view
 from nullmargin.nfst import NullProjector
-from nullmargin.nk3ml import serialize_model
 
-from conftest import make_table
+from conftest import make_table, model_bytes
 
 
 def identity_rankings(order_rows):
@@ -272,7 +271,7 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
         runs.append(run_protocol(table, spec, LoopConfig(), "semi_supervised", ns=(1, 5)))
     one, two = runs
     assert one.model_checksums == two.model_checksums
-    assert serialize_model(one.final_model) == serialize_model(two.final_model)
+    assert model_bytes(one.final_model) == model_bytes(two.final_model)
 
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):

