@@ -190,6 +190,17 @@ def _load_table(path) -> FeatureTable:
     return load_feature_table(path, table_format_for(path))
 
 
+def _output_file(value) -> Path:
+    """An output file path, checked before any input is read: it must not be
+    a directory, and its parent must be one."""
+    path = Path(value)
+    if path.is_dir():
+        raise DataError(f"output {path} is a directory")
+    if not path.parent.is_dir():
+        raise DataError(f"cannot write {path}: {path.parent} is not a directory")
+    return path
+
+
 def _write_cmc_csv(curve, path: Path) -> None:
     lines = ["N,accuracy"] + [f"{n},{repr(acc)}" for n, acc in curve.ranks]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -237,9 +248,9 @@ def _mode_result_entry(result) -> dict:
 
 def cmd_run(args) -> int:
     cfg = _resolve_run_config(args)
-    table = _load_table(cfg.values["run.input"])
     output = cfg.values["run.output"]
     output.mkdir(parents=True, exist_ok=True)
+    table = _load_table(cfg.values["run.input"])
     both = cfg.values["run.mode"] == "both"
     modes = ("labeled_only", "semi_supervised") if both else (cfg.values["run.mode"],)
 
@@ -265,6 +276,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    output = _output_file(args.output)
     model = load_model(args.model)
     table = _load_table(args.data)
     header = "sample_id," + ",".join(f"e{j}" for j in range(model.margin.output_dim))
@@ -273,21 +285,22 @@ def cmd_embed(args) -> int:
         vectors = embed(model, table.features)
         for i in range(table.n):
             lines.append(table.sample_ids[i] + "," + ",".join(repr(float(v)) for v in vectors[i]))
-    Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    output.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    probe = _load_table(args.probe)
-    gallery = _load_table(args.gallery)
     try:
         ranks = _parse_ranks(args.ranks)
     except ValueError as err:
         raise ConfigError(f"bad --ranks value {args.ranks!r}") from err
+    output = _output_file(args.output)
+    model = load_model(args.model)
+    probe = _load_table(args.probe)
+    gallery = _load_table(args.gallery)
     rankings = rank_gallery(model, probe, gallery)
     curve = cmc(rankings, probe.identities, gallery.identities, ranks)
-    _write_cmc_csv(curve, Path(args.output))
+    _write_cmc_csv(curve, output)
     for n, acc in curve.ranks:
         print(f"rank-{n}: {acc:.2f}")
     return EXIT_OK
@@ -303,6 +316,7 @@ def cmd_mine(args) -> int:
         )
     except (ValueError, DataValidationError) as err:
         raise ConfigError(f"bad kernel flags: {err}") from err
+    output = _output_file(args.output)
     labeled = _load_table(args.labeled)
     unlabeled = _load_table(args.unlabeled)
     model = fit_nk3ml(labeled.labeled_subset(), kernel)
@@ -314,7 +328,7 @@ def cmd_mine(args) -> int:
         )
     ctx = build_anchor_context(anchor, model, kernel)
     pairs = mine_pseudo_classes(ctx, k=args.k)
-    export_pseudo_classes_csv(pairs, args.output)
+    export_pseudo_classes_csv(pairs, output)
     print(f"anchor camera {anchor.camera}: {len(pairs)} pseudo-classes")
     return EXIT_OK
 

@@ -122,24 +122,28 @@ def _run_trial(
     # number, so its parts name rows of the table and copy no features.
     row_view = replace(table, features=np.arange(table.n, dtype=np.float64)[:, None])
     split: ExperimentSplit = make_split(row_view, spec, trial)
-    train = np.concatenate([_rows(split.labeled), _rows(split.unlabeled)])
-    # The trial runs in the coordinates x -> U^T x of the orthonormal basis
-    # U = T^T A of the train span (T the train rows). Every fitted direction
-    # and mean lies in that span, so the change of basis preserves scatter,
-    # null directions, kernel distances and rankings exactly while each fit
-    # works in at most n_train dimensions; the final model is lifted back
-    # with U. A row's coordinates x T^T A come from the table Gram.
+    # The trial runs in the coordinates x -> U^T x of an orthonormal basis
+    # U = T^T A of the span of the train rows T its fit reads: the labeled
+    # rows for a labeled_only trial, labeled and unlabeled rows for a
+    # semi_supervised one, whose loop embeds and moves pool rows. Every fitted
+    # direction and mean lies in that span, so the change of basis preserves
+    # scatter, null directions, kernel distances and rankings exactly while
+    # each fit works in at most n_train dimensions; the final model is lifted
+    # back with U. A row's coordinates x T^T A come from the table Gram.
+    train = _rows(split.labeled)
+    if mode != "labeled_only":
+        train = np.concatenate([train, _rows(split.unlabeled)])
     coeffs = span_coefficients(gram[np.ix_(train, train)], table.dim)
 
     def to_span(part: FeatureTable) -> FeatureTable:
         return replace(part, features=gram[np.ix_(_rows(part), train)] @ coeffs)
 
-    labeled, unlabeled = to_span(split.labeled), to_span(split.unlabeled)
+    labeled = to_span(split.labeled)
     if mode == "labeled_only":
         model = fit_nk3ml(labeled, cfg.kernel)
         trace = None
     else:
-        model, trace = run_self_training(labeled, unlabeled, cfg)
+        model, trace = run_self_training(labeled, to_span(split.unlabeled), cfg)
     probe = to_span(single_shot_view(split.probe, spec.seed, trial))
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)

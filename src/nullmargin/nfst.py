@@ -6,9 +6,15 @@ span of the within-class rows. The construction has three steps: an
 orthonormal basis Q of the within-class span from the eigendecomposition of
 the small Gram matrix of the within-class rows, the residual R of the
 between-class vectors off that span, and an orthonormal basis of the column
-span of R from the eigendecomposition of the c x c matrix R^T R. Every
+span of R from a pivoted Cholesky factor of the c x c matrix R^T R. Every
 column w of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all
 samples of one class project onto a single point.
+
+Where any orthonormal basis of a span will do (a protocol trial's span, and
+W_N), it comes from the pivoted Cholesky factor P^T G P = L L^T of the
+span's Gram matrix G, stopped at the first pivot at or below a tolerance:
+with A = P L^-T over the r pivots kept, the r pivoted vectors times A are
+orthonormal, for a fraction of the cost of an eigendecomposition of G.
 
 A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
 set that grows by whole classes, as the self-training loop grows it. A new
@@ -25,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpstrf, dtrtri
 
 from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError
@@ -32,9 +39,9 @@ from .errors import DataValidationError, DegenerateDataError
 # module's name.
 from .scatter import class_sums, compute_scatter  # noqa: F401
 
-# Eigenvalues of R^T R at or below NULL_TOL * trace(S_b) carry no null
-# direction: the between-class vectors have no part outside the within-class
-# span along them.
+# Pivots of R^T R at or below NULL_TOL * trace(S_b) carry no null direction:
+# the between-class vectors have no part outside the within-class span along
+# them.
 NULL_TOL = 1e-10
 
 _EPS = np.finfo(np.float64).eps
@@ -56,23 +63,34 @@ class NullProjector:
         return self.w_n.shape[1]
 
 
-def _rank_cut(evals: np.ndarray, scale: float, rows: int, dim: int) -> np.ndarray:
-    """Gram eigenvalues above scale * max(rows, dim) * eps (the tolerance of
-    numpy.linalg.matrix_rank, applied to Gram eigenvalues)."""
-    return evals > scale * max(rows, dim) * _EPS
+def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pivoted Cholesky factor P^T gram P = L L^T of a positive semidefinite
+    (n, n) matrix, stopped at the first pivot at or below tol.
+
+    Returns the pivot order (n,) and the r factored columns L[:, :r] (n, r),
+    lower triangular in their first r rows, r the count of pivots above tol.
+    """
+    factor, piv, rank, _ = dpstrf(gram, tol=tol, lower=1)
+    return piv - 1, np.tril(factor[:, :rank])
 
 
 def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
     """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the
     span of n rows of dimension dim, given their Gram matrix rows @ rows.T.
 
-    With gram = V diag(lam) V^T, A = V_r diag(lam_r)^(-1/2), where r counts
-    the eigenvalues above lam_max * max(n, dim) * eps. Dependent and duplicate
-    rows add no column; an empty (0, 0) Gram gives a (0, 0) array.
+    A = P L^-T from the pivoted Cholesky factor P^T gram P = L L^T, stopped
+    at pivots at or below max(n, dim) * eps * max(diag gram) (the tolerance
+    of numpy.linalg.matrix_rank, applied to the pivots): A is zero outside
+    the r pivot rows, which span the others. Dependent and duplicate rows add
+    no column; an empty (0, 0) Gram gives a (0, 0) array.
     """
-    evals, evecs = np.linalg.eigh(gram)                       # ascending
-    keep = _rank_cut(evals, evals.max(initial=0.0), gram.shape[0], dim)
-    return evecs[:, keep] / np.sqrt(evals[keep])
+    n = gram.shape[0]
+    tol = max(n, dim) * _EPS * float(np.diagonal(gram).max(initial=0.0))
+    piv, factor = _pivoted_cholesky(gram, tol)
+    rank = factor.shape[1]
+    coeffs = np.zeros((n, rank))
+    coeffs[piv[:rank]] = dtrtri(factor[:rank], lower=1)[0].T
+    return coeffs
 
 
 def _fix_column_signs(matrix: np.ndarray) -> np.ndarray:
@@ -120,8 +138,10 @@ class NullSpaceState:
         first row (the rows sum to zero, so the span is the same), are
         projected off Q twice, which keeps them orthogonal to Q to working
         precision (Giraud, Langou & Rozložník, 2005). Q gains the span of
-        what is left, cut by the span_coefficients rule with the kept scale,
-        so a row already in the span adds no direction.
+        what is left, from the eigenpairs of its Gram above numpy's
+        matrix_rank tolerance max(rows, d) * eps taken relative to the kept
+        scale, not to this Gram's own largest eigenvalue, so a row already in
+        the span (a residual of rounding noise) adds no direction.
         """
         rows = np.asarray(rows, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -144,7 +164,7 @@ class NullSpaceState:
         evals, evecs = np.linalg.eigh(within @ within.T)              # ascending
         scale = max(self.scale, evals.max(initial=0.0))
         within_rows = self.n - len(self.labels) + within.shape[0]
-        keep = _rank_cut(evals, scale, within_rows, self.dim)
+        keep = evals > scale * max(within_rows, self.dim) * _EPS
         directions = within.T @ (evecs[:, keep] / np.sqrt(evals[keep]))  # (d, k)
         basis = np.hstack([self.basis, directions])
         old = self.residuals - directions @ (directions.T @ self.residuals)
@@ -162,15 +182,17 @@ class NullSpaceState:
 
         The between-class vectors sqrt(n_i) (m_i - m), m the count-weighted
         mean of the class means, have the residual R (d, c) off Q. Its rank is
-        at most c-1, as the count-weighted sum of the columns is zero; W_N =
-        R V diag(lam)^(-1/2) over the c-1 largest eigenpairs of R^T R. Raises
-        DegenerateDataError when fewer than c-1 eigenvalues exceed
-        NULL_TOL * trace(S_b), i.e. the data are not in general position.
+        at most c-1, as the count-weighted sum of the columns is zero. With
+        the pivoted Cholesky factor P^T G P = L L^T of G = R^T R, W_N = R A
+        for A = P L^-T over the first c-1 pivots. Raises DegenerateDataError
+        when fewer than c-1 pivots exceed NULL_TOL * trace(S_b), i.e. the data
+        are not in general position.
 
         W_N is orthogonal to Q, so class i's point W_N^T (m_i - m) is
-        W_N^T R e_i / sqrt(n_i) = diag(lam)^(1/2) V^T e_i / sqrt(n_i): row i
-        of the (c, c-1) points is read off the same eigenpairs, with W_N's
-        column signs, and no d-wide product is formed.
+        W_N^T R e_i / sqrt(n_i) = (A^T G)^T e_i / sqrt(n_i), and G A is the
+        factor's first c-1 columns, P L[:, :c-1]: row i of the (c, c-1)
+        points is read off the factor, with W_N's column signs, and no d-wide
+        product is formed.
         """
         wanted = len(self.labels) - 1
         if wanted < 1:
@@ -180,8 +202,8 @@ class NullSpaceState:
         root = np.sqrt(self.counts)
         residual = (self.residuals - (self.residuals @ weights)[:, None]) * root
         trace_b = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
-        evals, evecs = np.linalg.eigh(residual.T @ residual)          # ascending
-        found = int(np.count_nonzero(evals > NULL_TOL * trace_b))
+        piv, factor = _pivoted_cholesky(residual.T @ residual, NULL_TOL * trace_b)
+        found = factor.shape[1]
         if found < wanted:
             raise DegenerateDataError(
                 f"data not in general position: found {found} null directions, "
@@ -189,9 +211,11 @@ class NullSpaceState:
                 found=found,
                 expected=wanted,
             )
-        root_evals = np.sqrt(evals[1:])                                # c-1 largest
-        w_n = residual @ (evecs[:, 1:] / root_evals)
-        points = evecs[:, 1:] * (root_evals / root[:, None])
+        factor = factor[:, :wanted]
+        w_n = residual[:, piv[:wanted]] @ dtrtri(factor[:wanted], lower=1)[0].T
+        points = np.empty_like(factor)
+        points[piv] = factor
+        points /= root[:, None]
         points[:, _fix_column_signs(w_n)] *= -1.0
         return NullProjector(w_n=w_n, mean=mean), points
 

@@ -45,7 +45,7 @@ def fit_nk3ml(
     classes to the given state (a fresh one when none is given): the table
     must hold only classes new to the state. All rows of a class coincide in
     the null space, so the margin stage trains on the state's c class points,
-    read off the null-space eigensolve (NullSpaceState.projector), each
+    read off the null-space factor (NullSpaceState.projector), each
     standing for its class's row count: the same fit as on all n projected
     rows, solved on c points. An 'auto' bandwidth is the mean over all
     n(n-1)/2 row pairs, zero within-class pairs included.

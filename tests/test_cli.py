@@ -405,23 +405,70 @@ def test_bad_model_file_exit_3(tmp_path, dataset, capsys):
         assert capsys.readouterr().err.startswith("error: data:")
 
 
-@pytest.mark.parametrize("command", ["run", "synth", "embed"])
-def test_unusable_output_path_exits_3(dataset, tmp_path, capsys, command):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    if command == "run":
-        argv = ("run", "--input", dataset, "-o", blocker, "--trials", 1)
-    elif command == "synth":
-        argv = ("synth", "--identities", 4, "--dim", 3, "-o", blocker / "x.ssml")
-    else:
-        table = load_feature_table(dataset, "binary")
-        model = tmp_path / "model.nk3m"
-        labeled = table.subset([r for r in range(table.n) if table.identities[r] < 8])
-        save_model(fit_nk3ml(labeled), model)
-        argv = ("embed", "--model", model, "--data", dataset, "-o", blocker / "e.csv")
+@pytest.fixture(scope="module")
+def saved_model(dataset, tmp_path_factory):
+    table = load_feature_table(dataset, "binary")
+    model = tmp_path_factory.mktemp("model") / "model.nk3m"
+    save_model(fit_nk3ml(table.subset([r for r in range(table.n) if table.identities[r] < 8])), model)
+    return model
+
+
+def spy_loads(monkeypatch):
+    """Record every table load the CLI makes; returns the list of paths."""
+    loads = []
+    real_load = nullmargin.cli._load_table
+
+    def spy(path):
+        loads.append(path)
+        return real_load(path)
+
+    monkeypatch.setattr(nullmargin.cli, "_load_table", spy)
+    return loads
+
+
+def command_argv(command, dataset, model):
+    """A command's arguments before -o: its inputs all exist and are valid."""
+    return {
+        "run": ("run", "--input", dataset, "--trials", 1),
+        "synth": ("synth", "--identities", 4, "--dim", 3),
+        "embed": ("embed", "--model", model, "--data", dataset),
+        "eval": ("eval", "--model", model, "--probe", dataset, "--gallery", dataset),
+        "mine": ("mine", "--labeled", dataset, "--unlabeled", dataset),
+    }[command]
+
+
+def assert_exits_3_before_loading(monkeypatch, capsys, argv):
+    # The path fails before any input is loaded, not when the output is
+    # first written after the fit, ranking or mining.
+    loads = spy_loads(monkeypatch)
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: data:") and "Traceback" not in err
+    assert loads == []
+
+
+@pytest.mark.parametrize("command", ["run", "synth", "embed", "eval", "mine"])
+def test_unusable_output_path_exits_3(dataset, saved_model, tmp_path, capsys, monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    output = blocker if command == "run" else blocker / "out.csv"
+    argv = command_argv(command, dataset, saved_model)
+    assert_exits_3_before_loading(monkeypatch, capsys, (*argv, "-o", output))
+
+
+@pytest.mark.parametrize("command", ["embed", "eval", "mine"])
+def test_directory_output_file_exits_3(dataset, saved_model, tmp_path, capsys, monkeypatch, command):
+    argv = command_argv(command, dataset, saved_model)
+    assert_exits_3_before_loading(monkeypatch, capsys, (*argv, "-o", tmp_path))
+
+
+def test_eval_bad_ranks_exit_2_before_loading(dataset, saved_model, tmp_path, capsys, monkeypatch):
+    loads = spy_loads(monkeypatch)
+    out = tmp_path / "cmc.csv"
+    assert run_cli("eval", "--model", saved_model, "--probe", dataset, "--gallery", dataset,
+                   "--ranks", "1,x", "-o", out) == 2
+    assert capsys.readouterr().err.startswith("error: config: bad --ranks value")
+    assert loads == [] and not out.exists()
 
 
 ERROR_CLASSES = [

@@ -2,6 +2,7 @@ import gc
 import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from nullmargin import (
     run_self_training,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
-from nullmargin.evaluation import LIFT_BLOCK, _lift, single_shot_view
+from nullmargin.evaluation import LIFT_BLOCK, MODES, _lift, single_shot_view
 from nullmargin.nfst import NullProjector
 
 from conftest import make_table, model_bytes
@@ -290,3 +291,67 @@ def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     assert [ref() is not None for ref in models] == [False, False, True]
     assert models[-1]() is result.final_model
     assert result.model_checksums[-1] == model_checksum(result.final_model)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trial_span_holds_the_rows_its_fit_reads(easy_table, monkeypatch, mode):
+    # labeled_only fits read the labeled rows alone; the loop also embeds and
+    # moves the unlabeled pool, so its span holds both.
+    grams = []
+    real_span = nullmargin.evaluation.span_coefficients
+
+    def spy(gram, dim):
+        grams.append(gram.shape)
+        return real_span(gram, dim)
+
+    monkeypatch.setattr(nullmargin.evaluation, "span_coefficients", spy)
+    spec = SplitSpec(seed=3, trials=1)
+    run_protocol(easy_table, spec, LoopConfig(), mode)
+    split = make_split(easy_table, spec, 0)
+    n = split.labeled.n + (split.unlabeled.n if mode == "semi_supervised" else 0)
+    assert grams == [(n, n)]
+
+
+def full_span_labeled_trial(table, spec, ns):
+    """Trial 0 of a labeled_only run fitted and ranked in the span of all
+    train rows, labeled and unlabeled, from an eigh basis of their Gram."""
+    split = make_split(table, spec, 0)
+    train = np.vstack([split.labeled.features, split.unlabeled.features])
+    evals, evecs = np.linalg.eigh(train @ train.T)
+    keep = evals > evals.max() * max(train.shape) * np.finfo(float).eps
+    basis = train.T @ (evecs[:, keep] / np.sqrt(evals[keep]))
+
+    def to_span(part):
+        return replace(part, features=part.features @ basis)
+
+    model = fit_nk3ml(to_span(split.labeled), LoopConfig().kernel)
+    probe = single_shot_view(split.probe, spec.seed, 0)
+    gallery = single_shot_view(split.gallery, spec.seed, 0)
+    curve = cmc(
+        rank_gallery(model, to_span(probe), to_span(gallery)), probe.identities,
+        gallery.identities, ns,
+    )
+    rows = np.vstack([probe.features, gallery.features])
+    return curve, pdist(embed(model, rows @ basis)), rows
+
+
+# The tiny stand-ins of the benchmark's viper and multicam shapes
+# (identities, cameras, dim, per-camera strength, noise).
+TINY_SHAPES = {"viper_tiny": (40, 2, 400, 0.0, 1.75), "multicam_tiny": (40, 4, 100, 0.85, 1.5)}
+
+
+@pytest.mark.parametrize("shape", sorted(TINY_SHAPES))
+@pytest.mark.parametrize("seed", [1, 7])
+def test_labeled_only_trial_equals_a_fit_in_the_full_train_span(shape, seed):
+    identities, cameras, dim, strength, noise = TINY_SHAPES[shape]
+    table = generate_synthetic(SyntheticSpec(
+        identities=identities, cameras=cameras, dim=dim,
+        per_camera_transform_strength=strength, noise_sigma=noise, seed=seed,
+    ))
+    spec, ns = SplitSpec(seed=seed, trials=1), (1, 5, 10, 20)
+    result = run_protocol(table, spec, LoopConfig(), "labeled_only", ns=ns)
+    curve, expected, rows = full_span_labeled_trial(table, spec, ns)
+    assert result.per_trial[0] == curve
+    np.testing.assert_allclose(
+        pdist(embed(result.final_model, rows)), expected, rtol=0, atol=1e-9 * expected.max()
+    )

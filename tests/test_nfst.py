@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,13 +11,14 @@ from nullmargin import (
     NullSpaceState,
     SyntheticSpec,
     fit_nfst,
+    fit_nk3ml,
     generate_synthetic,
     project_null,
     run_self_training,
 )
 from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
-from nullmargin.nfst import _fix_column_signs, span_coefficients
+from nullmargin.nfst import NullProjector, _fix_column_signs, span_coefficients
 from nullmargin.scatter import compute_scatter
 
 from conftest import make_table
@@ -56,6 +58,23 @@ def test_span_coefficients_drop_dependent_rows():
     assert span_basis(dependent).shape == (30, 5)
     # centered rows lose one dimension
     assert span_basis(rows - rows.mean(axis=0)).shape == (30, 4)
+
+
+def test_span_coefficients_column_count_is_the_matrix_rank():
+    # Rank-deficient rows: duplicates and linear combinations of other rows,
+    # interleaved at random. The basis is orthonormal to 1e-10 and has one
+    # column per dimension numpy's matrix_rank finds.
+    rng = np.random.default_rng(12)
+    for case in range(40):
+        independent, dim = rng.integers(1, 25), rng.integers(5, 60)
+        base = rng.standard_normal((independent, dim)) * 10.0 ** rng.uniform(-3, 3)
+        mix = rng.standard_normal((rng.integers(1, 20), independent))
+        mix[rng.random(mix.shape) < 0.5] = 0.0                 # sparse combinations
+        copies = base[rng.integers(0, independent, rng.integers(0, 6))]
+        rows = np.vstack([base, mix @ base, copies])[rng.permutation(independent + len(mix) + len(copies))]
+        basis = rows.T @ span_coefficients(rows @ rows.T, dim)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-10)
+        assert basis.shape[1] == np.linalg.matrix_rank(rows), case
 
 
 def test_minimal_two_singletons():
@@ -381,3 +400,51 @@ def test_projector_points_are_the_projected_class_means(seed):
         expected = project_null(proj, state.means)
         assert points.shape == expected.shape == (len(state.labels), len(state.labels) - 1)
         np.testing.assert_allclose(points, expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+
+
+def eigh_projector(state):
+    """W_N from the eigendecomposition of R^T R over its c-1 largest eigenpairs."""
+    weights = state.counts / state.n
+    root = np.sqrt(state.counts)
+    residual = (state.residuals - (state.residuals @ weights)[:, None]) * root
+    evals, evecs = np.linalg.eigh(residual.T @ residual)
+    return NullProjector(w_n=residual @ (evecs[:, 1:] / np.sqrt(evals[1:])), mean=weights @ state.means)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_projector_matches_an_eigh_oracle_after_every_append(seed):
+    rng = np.random.default_rng(800 + seed)
+    dim = 120
+    state = NullSpaceState(dim)
+    rows = np.zeros((0, dim))
+    for round_ in range(4):
+        counts = rng.integers(1, 4, 6)
+        labels = np.repeat(np.arange(6 * round_, 6 * round_ + 6), counts)
+        new = 4.0 * rng.standard_normal((6, dim))[labels - labels[0]]
+        new += rng.standard_normal((len(labels), dim))
+        rows = np.vstack([rows, new])
+        state.append_classes(new, labels)
+        proj, _ = state.projector()
+        assert proj.w_n.shape == (dim, len(state.labels) - 1)
+        np.testing.assert_allclose(proj.w_n.T @ proj.w_n, np.eye(proj.n_directions), atol=1e-10)
+        assert_same_null_space(proj, eigh_projector(state), rows)
+
+
+def test_refit_round_calls_eigh_only_from_append_classes(monkeypatch):
+    # Only the within-class basis takes an eigendecomposition; the span and
+    # null bases come from pivoted Cholesky factors.
+    rng = np.random.default_rng(35)
+    table = random_sss_table(rng, classes=12, per_class=3, dim=80)
+    state = NullSpaceState(table.dim)
+    fit_nk3ml(table.subset(range(18)), state=state)
+    callers = []
+    real_eigh = np.linalg.eigh
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    fit_nk3ml(table.subset(range(18, 36)), state=state)
+    span_coefficients(table.features @ table.features.T, table.dim)
+    assert callers == ["append_classes"]
