@@ -117,7 +117,7 @@ def _run_trial(
     ns,
     trial: int,
     gram: np.ndarray,
-) -> tuple[CmcCurve, str, float, Nk3mlModel, LoopTrace | None]:
+) -> tuple[CmcCurve, Nk3mlModel, np.ndarray, np.ndarray, LoopTrace | None]:
     # The split runs on a view of the table whose one feature is the row
     # number, so its parts name rows of the table and copy no features.
     row_view = replace(table, features=np.arange(table.n, dtype=np.float64)[:, None])
@@ -128,8 +128,8 @@ def _run_trial(
     # semi_supervised one, whose loop embeds and moves pool rows. Every fitted
     # direction and mean lies in that span, so the change of basis preserves
     # scatter, null directions, kernel distances and rankings exactly while
-    # each fit works in at most n_train dimensions; the final model is lifted
-    # back with U. A row's coordinates x T^T A come from the table Gram.
+    # each fit works in at most n_train dimensions; the model stays there, and
+    # _lift maps it back with U. A row's coordinates x T^T A come from the table Gram.
     train = _rows(split.labeled)
     if mode != "labeled_only":
         train = np.concatenate([train, _rows(split.unlabeled)])
@@ -147,9 +147,7 @@ def _run_trial(
     probe = to_span(single_shot_view(split.probe, spec.seed, trial))
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)
-    curve = cmc(rankings, probe.identities, gallery.identities, ns)
-    model = replace(model, nullproj=_lift(table.features, train, coeffs, model.nullproj))
-    return curve, model_checksum(model), model.margin.resolved_bandwidth, model, trace
+    return cmc(rankings, probe.identities, gallery.identities, ns), model, train, coeffs, trace
 
 
 def _lift(
@@ -158,10 +156,10 @@ def _lift(
     """A projector fitted in span coordinates, in feature coordinates:
     w_n = T^T (A w), mean = T^T (A m) for the train rows T = features[train].
 
-    T is never gathered whole. Each LIFT_BLOCK-wide column block of both
-    products is formed from that block of the train rows, into preallocated
-    outputs, on min(usable cores, blocks) threads, each GEMM at the caller's
-    BLAS thread count.
+    A run lifts one model per mode, after its trials. T is never gathered
+    whole. Each LIFT_BLOCK-wide column block of both products is formed from
+    that block of the train rows, into preallocated outputs, on min(usable
+    cores, blocks) threads, each GEMM at the caller's BLAS thread count.
     """
     w_span, mean_span = coeffs @ span.w_n, coeffs @ span.mean
     dim = features.shape[1]
@@ -200,7 +198,8 @@ def run_protocol(
     Trials run with BLAS at one thread, so no result depends on the BLAS
     thread count. They are independent and run on a pool of `threads`
     threads; results are accumulated in trial order, so output is identical
-    at any thread count.
+    at any thread count. Each trial but the last hashes its span-coordinate
+    model; the last one's is lifted and hashed on that pool after all return.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 
@@ -222,18 +221,21 @@ def run_protocols(
 
 
 def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
-    trials = range(spec.trials)
-
     def trial(t: int) -> tuple:
-        curve, checksum, bandwidth, model, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
-        if t != trials[-1]:
-            # Only the last trial's lifted model (d x (c-1) values) and trace
-            # are kept, so a run holds one model, not one per trial.
-            model = trace = None
-        return curve, checksum, bandwidth, model, trace
+        curve, model, train, coeffs, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
+        # A run holds one model and trace, the last trial's; the others leave a checksum.
+        kept = (model, train, coeffs, trace) if t == spec.trials - 1 else model_checksum(model)
+        return curve, model.margin.resolved_bandwidth, kept
+
+    def lift(model, train, coeffs, trace) -> tuple:
+        # Lifted and hashed in one pool task, as a trial did: hashing on the
+        # calling thread after the pool raised peak RSS by ~20 MiB in some runs.
+        model = replace(model, nullproj=_lift(table.features, train, coeffs, model.nullproj))
+        return model, model_checksum(model), trace
 
     with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(trial, trials))
+        results = list(pool.map(trial, range(spec.trials)))
+        model, checksum, trace = pool.submit(lift, *results[-1][2]).result()
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple(
@@ -243,8 +245,8 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
     return ProtocolResult(
         curve=CmcCurve(ranks=mean_ranks, trials_averaged=spec.trials),
         per_trial=per_trial,
-        model_checksums=tuple(res[1] for res in results),
-        bandwidths=tuple(res[2] for res in results),
-        final_model=results[-1][3],
-        final_trace=results[-1][4],
+        model_checksums=tuple(res[2] for res in results[:-1]) + (checksum,),
+        bandwidths=tuple(res[1] for res in results),
+        final_model=model,
+        final_trace=trace,
     )

@@ -102,10 +102,6 @@ class KernelDiscriminantModel:
     class_index: np.ndarray         # (m,) training labels
 
     @property
-    def input_dim(self) -> int:
-        return self.train_points.shape[1]
-
-    @property
     def output_dim(self) -> int:
         return self.coeffs.shape[1]
 

@@ -164,11 +164,13 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
         eigenvalues=eigenvalues,
         class_index=class_index,
     )
-    if nullproj.n_directions != margin.input_dim:
-        raise ModelFormatError(
-            f"{context}: stage dimensions disagree "
-            f"({nullproj.n_directions} null directions vs margin input {margin.input_dim})"
-        )
+    if n_dirs == 0 or n_disc == 0 or n_dirs != p:
+        raise ModelFormatError(f"{context}: {n_dirs} null directions, margin input {p}, {n_disc} "
+                               "discriminants: none may be 0, and inputs must equal directions")
+    for name, values in (("mean", mean), ("w_n", w_n), ("train_points", train_points),
+                         ("coeffs", coeffs), ("eigenvalues", eigenvalues)):
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{context}: non-finite values in {name}")
     return Nk3mlModel(nullproj=nullproj, margin=margin)
 
 

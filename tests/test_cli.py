@@ -12,7 +12,7 @@ import nullmargin
 import nullmargin.cli
 import nullmargin.errors
 import nullmargin.evaluation
-from nullmargin import fit_nk3ml, load_feature_table, save_model
+from nullmargin import fit_nk3ml, load_feature_table, load_model, save_model
 from nullmargin.cli import main
 from nullmargin.errors import ConfigError, DataError, NullmarginError, NumericalError
 
@@ -403,6 +403,39 @@ def test_bad_model_file_exit_3(tmp_path, dataset, capsys):
     for model in (bad, directory):
         assert run_cli("embed", "--model", model, "--data", dataset, "-o", tmp_path / "e.csv") == 3
         assert capsys.readouterr().err.startswith("error: data:")
+
+
+@pytest.mark.parametrize("command", ["embed", "eval"])
+@pytest.mark.parametrize("flaw", ["nan_w_n", "inf_train_points", "no_discriminants"])
+def test_unusable_model_file_exit_3(tmp_path, dataset, saved_model, capsys, command, flaw):
+    # Each flaw used to embed as NaN rows or rank by tie order, and exit 0.
+    model = load_model(saved_model)
+    if flaw == "nan_w_n":
+        model.nullproj.w_n[0, 0] = np.nan
+    elif flaw == "inf_train_points":
+        model.margin.train_points[-1, 0] = np.inf
+    else:
+        model.margin.coeffs = model.margin.coeffs[:, :0]
+        model.margin.eigenvalues = model.margin.eigenvalues[:0]
+    bad = tmp_path / "bad.nk3m"
+    save_model(model, bad)
+    argv = command_argv(command, dataset, bad)
+    assert run_cli(*argv, "-o", tmp_path / "out.csv") == 3
+    assert capsys.readouterr().err.startswith("error: data:")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_report_last_checksum_is_the_written_model(dataset, tmp_path):
+    # Non-final per-trial checksums name span-coordinate models; the last
+    # one names the lifted model the run writes.
+    out = tmp_path / "out"
+    assert run_cli("run", "--input", dataset, "-o", out, "--mode", "both", "--trials", 3) == 0
+    report = json.loads((out / "report.json").read_text())
+    for mode in ("labeled_only", "semi_supervised"):
+        checksums = [t["model_checksum"] for t in report["results"][mode]["per_trial"]]
+        written = hashlib.sha256((out / f"model_{mode}.nk3m").read_bytes()).hexdigest()
+        assert len(set(checksums)) == 3
+        assert checksums[-1] == written
 
 
 @pytest.fixture(scope="module")

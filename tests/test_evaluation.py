@@ -1,7 +1,9 @@
 import gc
 import os
+import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from nullmargin import (
     model_checksum,
     rank_gallery,
     run_protocol,
+    run_protocols,
     run_self_training,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
@@ -276,21 +279,82 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
 
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
-    models = []
+    # Trials return span-coordinate models; the run releases the non-final
+    # ones and keeps the last one's margin stage under its lifted projector.
+    models, margins = [], []
     real_trial = nullmargin.evaluation._run_trial
 
     def recording_trial(*args):
         outcome = real_trial(*args)
-        models.append(weakref.ref(outcome[3]))
+        models.append(weakref.ref(outcome[1]))
+        margins.append(outcome[1].margin if args[5] == 2 else None)
         return outcome
 
     monkeypatch.setattr(nullmargin.evaluation, "_run_trial", recording_trial)
     spec = SplitSpec(seed=6, trials=3)
     result = run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only")
     gc.collect()
-    assert [ref() is not None for ref in models] == [False, False, True]
-    assert models[-1]() is result.final_model
+    assert [ref() is not None for ref in models[:-1]] == [False, False]
+    assert result.final_model.margin is margins[-1]
+    assert result.final_model.nullproj.dim == noisefree_table.dim
     assert result.model_checksums[-1] == model_checksum(result.final_model)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, threads):
+    lock = threading.Lock()
+    running, returned, lifts, span_models = [0], [0], [], {}
+    real_trial, real_lift = nullmargin.evaluation._run_trial, nullmargin.evaluation._lift
+
+    def spy_trial(*args):
+        with lock:
+            running[0] += 1
+        outcome = real_trial(*args)
+        with lock:
+            running[0] -= 1
+            returned[0] += 1
+            span_models[args[3], args[5]] = outcome[1]
+        return outcome
+
+    def spy_lift(*args):
+        with lock:
+            lifts.append((running[0], returned[0]))
+        return real_lift(*args)
+
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", spy_trial)
+    monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
+    spec = SplitSpec(seed=2, trials=3)
+    results = run_protocols(easy_table, spec, LoopConfig(), MODES, threads=threads)
+    # (trials running, trials returned) at each lift: one lift per mode, each
+    # once all of that mode's trials have returned.
+    assert lifts == [(0, 3), (0, 6)]
+    for mode, result in zip(MODES, results):
+        spans = [model_checksum(span_models[mode, t]) for t in range(3)]
+        assert list(result.model_checksums[:-1]) == spans[:-1]
+        assert result.model_checksums[-1] == model_checksum(result.final_model) != spans[-1]
+        assert result.final_model.nullproj.dim == easy_table.dim
+
+
+def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch):
+    counts, at_lift = [], []
+    real_lift = nullmargin.evaluation._lift
+
+    @contextmanager
+    def recording_blas_threads(count):
+        counts.append(count)
+        try:
+            yield
+        finally:
+            counts.pop()
+
+    def spy_lift(*args):
+        at_lift.append(list(counts))
+        return real_lift(*args)
+
+    monkeypatch.setattr(nullmargin.evaluation, "blas_threads", recording_blas_threads)
+    monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
+    run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only", threads=2)
+    assert at_lift == [[1]]
 
 
 @pytest.mark.parametrize("mode", MODES)

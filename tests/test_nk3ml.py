@@ -174,7 +174,7 @@ def test_save_model_writes_the_joined_container(tmp_path, easy_model):
 
 def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
     # One protocol trial gives both models: the loop's model in span
-    # coordinates and the lifted one the trial returns.
+    # coordinates and the lifted one the run returns.
     span_models = []
     real_loop = nullmargin.evaluation.run_self_training
 
@@ -300,6 +300,53 @@ def test_load_invalid_bandwidth(easy_model):
     assert data.count(bandwidth) == 1
     with pytest.raises(ModelFormatError):
         read_model(data.replace(bandwidth, struct.pack("<d", -1.0)))
+
+
+def with_arrays(model, **arrays):
+    """The model with some stage arrays replaced: mean and w_n live in the
+    null-space stage, the others in the margin stage."""
+    null = {k: v for k, v in arrays.items() if k in ("mean", "w_n")}
+    margin = {k: v for k, v in arrays.items() if k not in null}
+    return Nk3mlModel(replace(model.nullproj, **null), replace(model.margin, **margin))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["mean", "w_n", "train_points", "coeffs", "eigenvalues"])
+def test_load_rejects_non_finite_arrays(tmp_path, easy_model, name, bad):
+    # No fit writes a non-finite value; embed would turn one into NaN rows.
+    model, _ = easy_model
+    stage = model.nullproj if name in ("mean", "w_n") else model.margin
+    values = getattr(stage, name).copy()
+    values.flat[values.size // 2] = bad
+    path = tmp_path / "bad.nk3m"
+    save_model(with_arrays(model, **{name: values}), path)
+    with pytest.raises(ModelFormatError, match=f"non-finite values in {name}$"):
+        load_model(path)
+
+
+def test_load_rejects_zero_null_directions_or_discriminants(tmp_path, easy_model):
+    # No fit keeps no null direction or no discriminant; eval would rank by
+    # tie order.
+    model, _ = easy_model
+    no_directions = with_arrays(
+        model, w_n=model.nullproj.w_n[:, :0], train_points=model.margin.train_points[:, :0]
+    )
+    no_discriminants = with_arrays(
+        model, coeffs=model.margin.coeffs[:, :0], eigenvalues=model.margin.eigenvalues[:0]
+    )
+    for bad, counts in ((no_directions, "0 null directions, margin input 0,"),
+                        (no_discriminants, f"input {model.nullproj.n_directions}, 0 discriminants")):
+        path = tmp_path / "bad.nk3m"
+        save_model(bad, path)
+        with pytest.raises(ModelFormatError, match=counts):
+            load_model(path)
+
+
+def test_load_rejects_stages_of_different_widths(easy_model):
+    model, _ = easy_model
+    narrow = with_arrays(model, w_n=model.nullproj.w_n[:, :-1])
+    with pytest.raises(ModelFormatError, match="inputs must equal directions"):
+        read_model(model_bytes(narrow))
 
 
 def test_v1_reader_skips_fields_added_later(easy_model):
