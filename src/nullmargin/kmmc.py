@@ -55,7 +55,7 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _EPS, _fix_column_signs
+from .nfst import _EPS
 from .scatter import class_sums
 
 # Conditioning jitter added to K before the generalized solve, relative to
@@ -217,6 +217,13 @@ def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarra
     except ValueError as err:
         raise NumericalError(f"margin eigenproblem has non-finite entries ({err})") from err
     return evals[::-1], vectors[:, ::-1]
+
+
+def _fix_column_signs(matrix: np.ndarray) -> None:
+    """Flip columns in place so each first significant coefficient is positive."""
+    magnitude = np.abs(matrix)
+    significant = magnitude > 1e-12 * magnitude.max(axis=0, initial=0.0)
+    matrix[:, matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])] < 0] *= -1.0
 
 
 def fit_nkmmc(

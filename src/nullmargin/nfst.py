@@ -3,18 +3,17 @@
 The null space of S_w inside the span of the centered rows is the part of
 the between-class vectors (the rows of the S_b factor) that lies outside the
 span of the within-class rows. The construction has three steps: an
-orthonormal basis Q of the within-class span from the eigendecomposition of
-the small Gram matrix of the within-class rows, the residual R of the
-between-class vectors off that span, and an orthonormal basis of the column
-span of R from a pivoted Cholesky factor of the c x c matrix R^T R. Every
-column w of W_N then satisfies w^T S_w w = 0 and w^T S_b w > 0, so all
-samples of one class project onto a single point.
+orthonormal basis Q of the within-class span, the residual R of the
+between-class vectors off that span, and an orthonormal basis W_N of the
+column span of R. Every column w of W_N then satisfies w^T S_w w = 0 and
+w^T S_b w > 0, so all samples of one class project onto a single point.
 
-Where any orthonormal basis of a span will do (a protocol trial's span, and
-W_N), it comes from the pivoted Cholesky factor P^T G P = L L^T of the
-span's Gram matrix G, stopped at the first pivot at or below a tolerance:
-with A = P L^-T over the r pivots kept, the r pivoted vectors times A are
-orthonormal, for a fraction of the cost of an eigendecomposition of G.
+Every basis here, and every rank cut, comes from one routine: the pivoted
+Cholesky factor P^T G P = L L^T of the Gram matrix G of the vectors that
+span it, stopped at the first pivot at or below a tolerance. With
+B = L^-T over the r pivots kept, the r pivoted vectors times B are
+orthonormal, for a fraction of the cost of an eigendecomposition of G. That
+gives a protocol trial's span, Q, and W_N.
 
 A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
 set that grows by whole classes, as the self-training loop grows it. A new
@@ -63,15 +62,21 @@ class NullProjector:
         return self.w_n.shape[1]
 
 
-def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pivoted Cholesky factor P^T gram P = L L^T of a positive semidefinite
-    (n, n) matrix, stopped at the first pivot at or below tol.
+    (n, n) matrix, stopped at the first pivot L_jj^2 at or below tol.
 
-    Returns the pivot order (n,) and the r factored columns L[:, :r] (n, r),
-    lower triangular in their first r rows, r the count of pivots above tol.
+    Returns the pivot order (n,), the r factored columns L[:, :r] (n, r),
+    lower triangular in their first r rows, and B = L[:r, :r]^-T (r, r), r
+    the count of pivots above tol: the r pivoted vectors times B are an
+    orthonormal basis of the span of all n. dpstrf checks only the pivots
+    after the first against tol, so r is counted here.
     """
     factor, piv, rank, _ = dpstrf(gram, tol=tol, lower=1)
-    return piv - 1, np.tril(factor[:, :rank])
+    rank = int(np.count_nonzero(np.diagonal(factor)[:rank] ** 2 > tol))
+    factor = np.tril(factor[:, :rank])
+    inv_t = dtrtri(factor[:rank], lower=1)[0].T if rank else np.zeros((0, 0))
+    return piv - 1, factor, inv_t
 
 
 def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
@@ -86,21 +91,10 @@ def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
     """
     n = gram.shape[0]
     tol = max(n, dim) * _EPS * float(np.diagonal(gram).max(initial=0.0))
-    piv, factor = _pivoted_cholesky(gram, tol)
-    rank = factor.shape[1]
-    coeffs = np.zeros((n, rank))
-    coeffs[piv[:rank]] = dtrtri(factor[:rank], lower=1)[0].T
+    piv, _, inv_t = _pivoted_cholesky(gram, tol)
+    coeffs = np.zeros((n, len(inv_t)))
+    coeffs[piv[: len(inv_t)]] = inv_t
     return coeffs
-
-
-def _fix_column_signs(matrix: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each first significant coefficient is
-    positive; returns the mask of flipped columns."""
-    magnitude = np.abs(matrix)
-    significant = magnitude > 1e-12 * magnitude.max(axis=0, initial=0.0)
-    flipped = matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])] < 0
-    matrix[:, flipped] *= -1.0
-    return flipped
 
 
 class NullSpaceState:
@@ -108,9 +102,9 @@ class NullSpaceState:
 
     Holds the orthonormal within-class basis Q (d, r), the class labels,
     counts and means in append order, the means' residuals off Q (d, c), and
-    the rank scale: the largest eigenvalue of any appended residual's Gram
-    (the first append's is the within-class Gram itself), which never
-    shrinks.
+    the rank scale: the largest squared norm of any within-class row
+    appended, taken before its projection off Q, which never shrinks. That
+    is the first pivot a factor of all within-class rows at once would take.
     """
 
     def __init__(self, dim: int):
@@ -138,10 +132,10 @@ class NullSpaceState:
         first row (the rows sum to zero, so the span is the same), are
         projected off Q twice, which keeps them orthogonal to Q to working
         precision (Giraud, Langou & Rozložník, 2005). Q gains the span of
-        what is left, from the eigenpairs of its Gram above numpy's
-        matrix_rank tolerance max(rows, d) * eps taken relative to the kept
-        scale, not to this Gram's own largest eigenvalue, so a row already in
-        the span (a residual of rounding noise) adds no direction.
+        what is left, from the pivoted Cholesky factor of its Gram, stopped
+        at numpy's matrix_rank tolerance max(rows, d) * eps taken relative to
+        the kept scale, not to this Gram's own largest pivot, so a row
+        already in the span (a residual of rounding noise) adds no direction.
         """
         rows = np.asarray(rows, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -159,13 +153,13 @@ class NullSpaceState:
             raise DataValidationError(f"classes already held: {held.tolist()}")
         means = class_sums(rows, inverse, counts) / counts[:, None]
         within = np.delete(rows - means[inverse], first, axis=0)     # (m - c_new, d)
+        scale = max(self.scale, float(np.square(within).sum(axis=1).max(initial=0.0)))
         for _ in range(2):
             within -= (within @ self.basis) @ self.basis.T
-        evals, evecs = np.linalg.eigh(within @ within.T)              # ascending
-        scale = max(self.scale, evals.max(initial=0.0))
         within_rows = self.n - len(self.labels) + within.shape[0]
-        keep = evals > scale * max(within_rows, self.dim) * _EPS
-        directions = within.T @ (evecs[:, keep] / np.sqrt(evals[keep]))  # (d, k)
+        tol = scale * max(within_rows, self.dim) * _EPS
+        piv, _, inv_t = _pivoted_cholesky(within @ within.T, tol)
+        directions = within[piv[: len(inv_t)]].T @ inv_t              # (d, k)
         basis = np.hstack([self.basis, directions])
         old = self.residuals - directions @ (directions.T @ self.residuals)
         fresh = means.T - basis @ (basis.T @ means.T)
@@ -183,16 +177,16 @@ class NullSpaceState:
         The between-class vectors sqrt(n_i) (m_i - m), m the count-weighted
         mean of the class means, have the residual R (d, c) off Q. Its rank is
         at most c-1, as the count-weighted sum of the columns is zero. With
-        the pivoted Cholesky factor P^T G P = L L^T of G = R^T R, W_N = R A
-        for A = P L^-T over the first c-1 pivots. Raises DegenerateDataError
+        the pivoted Cholesky factor P^T G P = L L^T of G = R^T R, W_N = R P B
+        for B = L^-T over the first c-1 pivots. Raises DegenerateDataError
         when fewer than c-1 pivots exceed NULL_TOL * trace(S_b), i.e. the data
         are not in general position.
 
         W_N is orthogonal to Q, so class i's point W_N^T (m_i - m) is
-        W_N^T R e_i / sqrt(n_i) = (A^T G)^T e_i / sqrt(n_i), and G A is the
-        factor's first c-1 columns, P L[:, :c-1]: row i of the (c, c-1)
-        points is read off the factor, with W_N's column signs, and no d-wide
-        product is formed.
+        W_N^T R e_i / sqrt(n_i) = (B^T P^T G)^T e_i / sqrt(n_i), and G P B is
+        the factor's first c-1 columns, P L[:, :c-1]: row i of the (c, c-1)
+        points is read off the factor, and no d-wide product is formed. The
+        factor's positive diagonal fixes each column's sign.
         """
         wanted = len(self.labels) - 1
         if wanted < 1:
@@ -202,7 +196,7 @@ class NullSpaceState:
         root = np.sqrt(self.counts)
         residual = (self.residuals - (self.residuals @ weights)[:, None]) * root
         trace_b = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
-        piv, factor = _pivoted_cholesky(residual.T @ residual, NULL_TOL * trace_b)
+        piv, factor, inv_t = _pivoted_cholesky(residual.T @ residual, NULL_TOL * trace_b)
         found = factor.shape[1]
         if found < wanted:
             raise DegenerateDataError(
@@ -211,12 +205,8 @@ class NullSpaceState:
                 found=found,
                 expected=wanted,
             )
-        factor = factor[:, :wanted]
-        w_n = residual[:, piv[:wanted]] @ dtrtri(factor[:wanted], lower=1)[0].T
-        points = np.empty_like(factor)
-        points[piv] = factor
-        points /= root[:, None]
-        points[:, _fix_column_signs(w_n)] *= -1.0
+        w_n = residual[:, piv[:wanted]] @ inv_t[:wanted, :wanted]
+        points = factor[np.argsort(piv), :wanted] / root[:, None]
         return NullProjector(w_n=w_n, mean=mean), points
 
 

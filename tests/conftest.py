@@ -124,3 +124,16 @@ def easy_table():
         seed=11,
     )
     return generate_synthetic(spec)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    """Fail a passing test whose captured output holds a LAPACK argument error
+    (its xerbla prints " ** On entry to <routine> parameter number ...")."""
+    outcome = yield
+    report = outcome.get_result()
+    # sections hold every phase so far; each is named "Captured <stream> <phase>"
+    printed = (text for name, text in report.sections if name.endswith(f" {report.when}"))
+    if report.passed and any("On entry to" in text for text in printed):
+        report.outcome = "failed"
+        report.longrepr = f"LAPACK printed an argument error during {report.when}"

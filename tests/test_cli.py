@@ -18,7 +18,7 @@ from nullmargin.errors import ConfigError, DataError, NullmarginError, Numerical
 
 from nullmargin import save_feature_table
 
-from conftest import HOSTILE_TABLES
+from conftest import HOSTILE_TABLES, make_table
 
 
 # Variables OpenBLAS reads its default thread count from.
@@ -375,6 +375,24 @@ def test_mine_pool_without_anchor_exit_3(tmp_path, noisefree_table, capsys):
     code = run_cli("mine", "--labeled", lab_path, "--unlabeled", unlab_path, "-o", out)
     assert code == 3
     assert "cannot host an anchor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mine_labeled_set_not_in_general_position_exit_3(tmp_path, noisefree_table, capsys):
+    # Class 1 is class 0 moved along its own within-class direction, so the
+    # labeled set has no null direction.
+    rng = np.random.default_rng(36)
+    a, u = rng.standard_normal((2, noisefree_table.dim))
+    rows = np.vstack([a, a + u, a + 3.0 * u, a + 4.0 * u])
+    labeled = make_table(rows, [0, 1, 0, 1], [0, 0, 1, 1])
+    lab_path = tmp_path / "labeled.csv"
+    unlab_path = tmp_path / "unlabeled.csv"
+    save_feature_table(labeled, lab_path, "csv")
+    save_feature_table(noisefree_table.with_identities([None] * noisefree_table.n), unlab_path, "csv")
+    out = tmp_path / "pseudo.csv"
+    code = run_cli("mine", "--labeled", lab_path, "--unlabeled", unlab_path, "-o", out)
+    assert code == 3
+    assert "general position" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -18,7 +18,8 @@ from nullmargin import (
 )
 from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
-from nullmargin.nfst import NullProjector, _fix_column_signs, span_coefficients
+from nullmargin.kmmc import _fix_column_signs
+from nullmargin.nfst import NullProjector, span_coefficients
 from nullmargin.scatter import compute_scatter
 
 from conftest import make_table
@@ -173,6 +174,19 @@ def test_degenerate_data_raises():
     assert excinfo.value.found < excinfo.value.expected
 
 
+def test_between_vector_in_within_span_raises():
+    # Class 1 is class 0 moved by 3u along its own within-class direction u:
+    # the between-class vector's residual off the within-class span is
+    # rounding noise, which counts as no null direction.
+    rng = np.random.default_rng(36)
+    a, u = rng.standard_normal((2, 30))
+    b = a + 3.0 * u
+    table = make_table(np.vstack([a, a + u, b, b + u]), [0, 1, 0, 1], [0, 0, 1, 1])
+    expected = "not in general position: found 0 null directions, expected 1"
+    with pytest.raises(DegenerateDataError, match=expected):
+        fit_nfst(table)
+
+
 def test_tiny_within_spread_stays_out_of_null_space():
     # Class 1's within-class spread along e3 is tiny but real: e3 belongs to
     # the within-class span, so the single null direction is e2 alone.
@@ -323,7 +337,10 @@ def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
     assert ranks == sorted(ranks) and ranks[-1] > ranks[0]
     for round_ in range(len(fits)):
         current = concat_tables(*(new for new, _, _ in fits[: round_ + 1]))
-        assert_same_null_space(fits[round_][1], fit_nfst(current)[0], current.features)
+        fresh = NullSpaceState(current.dim)
+        assert_same_null_space(fits[round_][1], fit_nfst(current, fresh)[0], current.features)
+        # the kept rank scale cuts as a factor of all rows so far would
+        assert ranks[round_] == fresh.basis.shape[1]
 
 
 def test_repeated_label_raises_and_leaves_state_unchanged():
@@ -364,6 +381,22 @@ def test_class_in_held_span_adds_no_direction():
     incremental, _ = fit_nfst(grown.subset([12, 13]), state)
     assert state.basis.shape[1] == rank
     assert_same_null_space(incremental, fit_nfst(grown)[0], grown.features)
+
+
+def test_later_tiny_spread_is_cut_as_a_scratch_fit_cuts_it():
+    # The new class's within-class spread is real but far below the cut a
+    # factor of all within-class rows takes: the kept scale cuts it too,
+    # where this append's own scale would keep it as a direction.
+    rng = np.random.default_rng(37)
+    table = random_sss_table(rng, classes=4, per_class=3, dim=40)
+    state = NullSpaceState(40)
+    fit_nfst(table, state)
+    base = rng.standard_normal(40)
+    new_rows = np.vstack([base, base + 2e-7 * rng.standard_normal(40)])
+    fit_nfst(make_table(new_rows, [0, 1], [9, 9]), state)
+    fresh = NullSpaceState(40)
+    fresh.append_classes(np.vstack([table.features, new_rows]), list(table.identities) + [9, 9])
+    assert state.basis.shape[1] == fresh.basis.shape[1] == 8
 
 
 def test_singleton_classes_take_the_same_path():
@@ -430,9 +463,9 @@ def test_projector_matches_an_eigh_oracle_after_every_append(seed):
         assert_same_null_space(proj, eigh_projector(state), rows)
 
 
-def test_refit_round_calls_eigh_only_from_append_classes(monkeypatch):
-    # Only the within-class basis takes an eigendecomposition; the span and
-    # null bases come from pivoted Cholesky factors.
+def test_refit_round_and_span_call_no_eigh(monkeypatch):
+    # The span, within-class and null bases all come from pivoted Cholesky
+    # factors.
     rng = np.random.default_rng(35)
     table = random_sss_table(rng, classes=12, per_class=3, dim=80)
     state = NullSpaceState(table.dim)
@@ -447,4 +480,4 @@ def test_refit_round_calls_eigh_only_from_append_classes(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     fit_nk3ml(table.subset(range(18, 36)), state=state)
     span_coefficients(table.features @ table.features.T, table.dim)
-    assert callers == ["append_classes"]
+    assert callers == []
