@@ -37,7 +37,7 @@ from .dataio import (
     table_format_for,
 )
 from .errors import ConfigError, DataError, DataValidationError, NumericalError
-from .evaluation import cmc, rank_gallery, run_protocols
+from .evaluation import DEFAULT_RANKS, MODES, cmc, rank_gallery, run_protocols
 from .kmmc import KernelSpec
 from .mining import (
     build_anchor_context,
@@ -84,22 +84,23 @@ class _Setting(NamedTuple):
     help: str | None = None
 
 
+_MODE_CHOICES = f"{', '.join(MODES)} or both"
+
 # Every `run` setting, by config key.
 _RUN_KEYS = {
     "run.input": _Setting(None, Path, "--input", "dataset file (.csv or binary)"),
     "run.output": _Setting(None, Path, "--output", "output directory"),
-    "run.mode": _Setting("semi_supervised", str, "--mode", "labeled_only, semi_supervised or both"),
+    "run.mode": _Setting("semi_supervised", str, "--mode", _MODE_CHOICES),
     "run.seed": _Setting("0", int, "--seed"),
     "run.threads": _Setting(None, int, "--threads", "trial parallelism (env NULLMARGIN_THREADS)"),
     "run.ranks": _Setting(
-        "1,5,10,20", _parse_ranks, "--ranks", "comma-separated CMC ranks, e.g. 1,5,10,20"
+        ",".join(map(str, DEFAULT_RANKS)), _parse_ranks, "--ranks", "comma-separated CMC ranks"
     ),
     "split.labeled_fraction": _Setting("1/3", Fraction, "--labeled-fraction", "e.g. 1/3 or 0.25"),
     "split.trials": _Setting("10", int, "--trials"),
     "loop.k": _Setting("1", int, "--k", "reciprocal-neighbor k"),
     "loop.quantile": _Setting("0.25", float, "--quantile"),
     "loop.max_iterations": _Setting("20", int, "--max-iterations"),
-    "loop.min_new_classes": _Setting("1", int, "--min-new-classes"),
     "kernel.kind": _Setting("rbf", str, "--kernel", "rbf or linear"),
     "kernel.bandwidth": _Setting("auto", _parse_bandwidth, "--bandwidth", "'auto' or a positive number"),
 }
@@ -158,10 +159,8 @@ def _resolve_run_config(args) -> RunConfig:
             values[key] = _RUN_KEYS[key].parse(value)
         except (ValueError, ZeroDivisionError) as err:
             raise ConfigError(f"bad value for {key}: {value!r} ({err})") from err
-    if values["run.mode"] not in ("labeled_only", "semi_supervised", "both"):
-        raise ConfigError(
-            f"run.mode must be labeled_only, semi_supervised or both, got {values['run.mode']!r}"
-        )
+    if values["run.mode"] not in (*MODES, "both"):
+        raise ConfigError(f"run.mode must be {_MODE_CHOICES}, got {values['run.mode']!r}")
     if values["run.threads"] < 1:
         raise ConfigError("threads must be >= 1")
     try:
@@ -174,7 +173,6 @@ def _resolve_run_config(args) -> RunConfig:
             k=values["loop.k"],
             quantile=values["loop.quantile"],
             max_iterations=values["loop.max_iterations"],
-            min_new_classes=values["loop.min_new_classes"],
             kernel=KernelSpec(kind=values["kernel.kind"], bandwidth=values["kernel.bandwidth"]),
         )
     except DataValidationError as err:
@@ -233,7 +231,7 @@ def cmd_synth(args) -> int:
 def _mode_result_entry(result) -> dict:
     return {
         "cmc": {str(n): acc for n, acc in result.curve.ranks},
-        "trials": result.curve.trials_averaged,
+        "trials": len(result.per_trial),
         "per_trial": [
             {
                 "trial": t,
@@ -252,7 +250,7 @@ def cmd_run(args) -> int:
     output.mkdir(parents=True, exist_ok=True)
     table = _load_table(cfg.values["run.input"])
     both = cfg.values["run.mode"] == "both"
-    modes = ("labeled_only", "semi_supervised") if both else (cfg.values["run.mode"],)
+    modes = MODES if both else (cfg.values["run.mode"],)
 
     report = {"config": cfg.echo(), "results": {}}
     results = run_protocols(
@@ -307,27 +305,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
     try:
-        kernel = KernelSpec(
-            kind=args.kernel,
-            bandwidth=_parse_bandwidth(args.bandwidth or "auto"),
+        loop = LoopConfig(
+            k=args.k, kernel=KernelSpec(kind=args.kernel, bandwidth=_parse_bandwidth(args.bandwidth))
         )
     except (ValueError, DataValidationError) as err:
-        raise ConfigError(f"bad kernel flags: {err}") from err
+        raise ConfigError(f"bad mining flags: {err}") from err
     output = _output_file(args.output)
     labeled = _load_table(args.labeled)
     unlabeled = _load_table(args.unlabeled)
-    model = fit_nk3ml(labeled.labeled_subset(), kernel)
+    model = fit_nk3ml(labeled.subset([i is not None for i in labeled.identities]), loop.kernel)
     anchor = find_anchor(unlabeled)
     if anchor is None:
         raise DataValidationError(
             "unlabeled set cannot host an anchor: need >= 2 cameras and "
             ">= 2 identities in the anchor camera"
         )
-    ctx = build_anchor_context(anchor, model, kernel)
-    pairs = mine_pseudo_classes(ctx, k=args.k)
+    ctx = build_anchor_context(anchor, model, loop.kernel)
+    pairs = mine_pseudo_classes(ctx, k=loop.k)
     export_pseudo_classes_csv(pairs, output)
     print(f"anchor camera {anchor.camera}: {len(pairs)} pseudo-classes")
     return EXIT_OK
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--probe", required=True)
     p_eval.add_argument("--gallery", required=True)
-    p_eval.add_argument("--ranks", default="1,5,10,20")
+    p_eval.add_argument("--ranks", default=_RUN_KEYS["run.ranks"].default)
     p_eval.add_argument("-o", "--output", required=True, help="cmc CSV path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -381,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine.add_argument("--labeled", required=True)
     p_mine.add_argument("--unlabeled", required=True)
     p_mine.add_argument("--kernel", choices=["rbf", "linear"], default="rbf")
-    p_mine.add_argument("--bandwidth")
+    p_mine.add_argument("--bandwidth", default="auto")
     p_mine.add_argument("--k", type=int, default=1)
     p_mine.add_argument("-o", "--output", required=True, help="pseudo-class CSV path")
     p_mine.set_defaults(func=cmd_mine)

@@ -109,9 +109,6 @@ class FeatureTable:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def labeled_mask(self) -> np.ndarray:
-        return np.array([ident is not None for ident in self.identities], dtype=bool)
-
     def label_values(self) -> np.ndarray:
         """Identity labels of the labeled rows, in row order."""
         return np.array([i for i in self.identities if i is not None], dtype=np.int64)
@@ -136,9 +133,6 @@ class FeatureTable:
             within_view_ids=self.within_view_ids[idx],
             features=self.features[idx],
         )
-
-    def labeled_subset(self) -> FeatureTable:
-        return self.subset(self.labeled_mask())
 
     def with_identities(self, identities) -> FeatureTable:
         """Same rows with replaced identity column (features untouched)."""
@@ -205,12 +199,16 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.identities < 2:
             raise DataValidationError("identities must be >= 2")
-        if self.cameras < 2:
-            raise DataValidationError("cameras must be >= 2")
+        if not 2 <= self.cameras <= 1 << 16:
+            raise DataValidationError("cameras must be in [2, 65536] (camera ids are 16-bit)")
         if self.dim < 2:
             raise DataValidationError("dim must be >= 2")
-        if self.per_camera_transform_strength < 0 or self.noise_sigma < 0:
-            raise DataValidationError("transform strength and noise sigma must be nonnegative")
+        # The largest arrays generated, the table and the camera factors, hold
+        # identities * cameras and _DISTORT_RANK rows of dim float64s.
+        if max(self.identities * self.cameras, _DISTORT_RANK) * self.dim > np.iinfo(np.intp).max // 8:
+            raise DataValidationError("identities * cameras * dim is too large for an array")
+        if not (0 <= self.per_camera_transform_strength < math.inf and 0 <= self.noise_sigma < math.inf):
+            raise DataValidationError("transform strength and noise sigma must be finite and >= 0")
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:

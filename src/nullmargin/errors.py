@@ -63,8 +63,5 @@ class EmptyModelError(NumericalError):
 
 
 class SelfTrainingError(NumericalError):
-    """A fit inside the self-training loop failed; carries the trace so far."""
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """A fit or mining step inside the self-training loop failed; the message
+    names the iteration."""

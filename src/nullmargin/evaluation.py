@@ -36,7 +36,6 @@ LIFT_BLOCK = 2048
 @dataclass(frozen=True)
 class CmcCurve:
     ranks: tuple[tuple[int, float], ...]   # (N, accuracy percentage)
-    trials_averaged: int
 
     def accuracy_at(self, n: int) -> float:
         for rank, acc in self.ranks:
@@ -90,7 +89,7 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
         (int(n), 100.0 * float(np.count_nonzero(positions <= n)) / len(probe_ids))
         for n in ns
     )
-    return CmcCurve(ranks=ranks, trials_averaged=1)
+    return CmcCurve(ranks=ranks)
 
 
 def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable:
@@ -243,7 +242,7 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
         for n in ns
     )
     return ProtocolResult(
-        curve=CmcCurve(ranks=mean_ranks, trials_averaged=spec.trials),
+        curve=CmcCurve(ranks=mean_ranks),
         per_trial=per_trial,
         model_checksums=tuple(res[2] for res in results[:-1]) + (checksum,),
         bandwidths=tuple(res[1] for res in results),

@@ -44,7 +44,7 @@ def compute_scatter(table: FeatureTable) -> ScatterStats:
     """Scatter statistics of a fully labeled table.
 
     Requires at least two classes and rejects unlabeled rows; restrict the
-    table first (``table.labeled_subset()``).
+    table to its labeled rows first (``table.subset(mask)``).
     """
     if table.n == 0:
         raise DataValidationError("cannot compute scatter of an empty table")

@@ -40,7 +40,6 @@ class LoopConfig:
     k: int = 1
     quantile: float = 0.25
     max_iterations: int = 20
-    min_new_classes: int = 1
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
@@ -50,8 +49,6 @@ class LoopConfig:
             raise DataValidationError("max_iterations must be >= 1")
         if self.k < 1:
             raise DataValidationError("k must be >= 1")
-        if self.min_new_classes < 1:
-            raise DataValidationError("min_new_classes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -75,11 +72,8 @@ class LoopTrace:
 
 def _select_pairs(pairs: list[PseudoClass], cfg: LoopConfig) -> tuple[list[PseudoClass], float]:
     """Top slice of the affinity-ranked candidates for this round."""
-    if len(pairs) < _SMALL_HARVEST:
-        keep = len(pairs)
-    else:
-        keep = max(math.ceil(len(pairs) * cfg.quantile), cfg.min_new_classes)
-        keep = min(keep, len(pairs))
+    # 0 < quantile <= 1, so 1 <= keep <= len(pairs)
+    keep = len(pairs) if len(pairs) < _SMALL_HARVEST else math.ceil(len(pairs) * cfg.quantile)
     accepted = pairs[:keep]
     return accepted, accepted[-1].affinity
 
@@ -95,7 +89,8 @@ def run_self_training(
     labeled table's classes, each later refit only the round's moved rows,
     in pool order, under fresh class labels. The round's Anchor holds the
     pool's (camera_id, within_view_id) groups that the moved rows are taken
-    from. Fit failures raise SelfTrainingError with the trace so far.
+    from. A failed fit or mining step raises SelfTrainingError naming the
+    iteration.
     """
     real_labels = labeled.label_values()
     if len(np.unique(real_labels)) < 2:
@@ -114,9 +109,7 @@ def run_self_training(
         try:
             model = fit_nk3ml(new, cfg.kernel, state)
         except NullmarginError as err:
-            raise SelfTrainingError(
-                f"primary fit failed at iteration {iteration}: {err}", trace=trace
-            ) from err
+            raise SelfTrainingError(f"primary fit failed at iteration {iteration}: {err}") from err
         checksum = model_checksum(model)
 
         classes_now = len(state.labels)
@@ -127,9 +120,7 @@ def run_self_training(
                 ctx = build_anchor_context(anchor, model, cfg.kernel)
                 pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
-                raise SelfTrainingError(
-                    f"mining failed at iteration {iteration}: {err}", trace=trace
-                ) from err
+                raise SelfTrainingError(f"mining failed at iteration {iteration}: {err}") from err
         if not pairs:
             trace.records.append(
                 IterationRecord(iteration, classes_now, 0, 0, None, checksum)

@@ -67,8 +67,19 @@ def test_synth_digest_streams_the_written_file(tmp_path, capsys, monkeypatch, na
     assert printed == [hashlib.sha256(out.read_bytes()).hexdigest(), str(out)]
 
 
-def test_synth_invalid_spec_exits_2(tmp_path):
-    assert run_cli("synth", "--identities", 1, "--dim", 8, "-o", tmp_path / "x.ssml") == 2
+def test_synth_invalid_spec_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.ssml"
+    for flags in (
+        ("--identities", 1, "--dim", 8),
+        ("--identities", 2, "--dim", 8, "--noise-sigma", "nan"),
+        ("--identities", 2, "--dim", 8, "--transform-strength", "inf"),
+        ("--identities", 2, "--dim", 8, "--cameras", 70000),
+        ("--identities", 2, "--dim", 1 << 62),
+    ):
+        assert run_cli("synth", *flags, "-o", out) == 2, flags
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_run_labeled_only_report(dataset, tmp_path):
@@ -157,9 +168,11 @@ def test_run_unknown_config_key_exits_2(dataset, tmp_path, capsys):
     unknown_key.write_text("run.modus = labeled_only\n")
     non_utf8 = tmp_path / "latin1.cfg"
     non_utf8.write_bytes(b"run.mode = labeled_only  # \xe9\n")
+    removed_key = tmp_path / "removed.cfg"
+    removed_key.write_text("loop.min_new_classes = 1\n")
     directory = tmp_path / "cfg.d"
     directory.mkdir()
-    for cfg in (unknown_key, non_utf8, directory, tmp_path / "missing.cfg"):
+    for cfg in (unknown_key, non_utf8, removed_key, directory, tmp_path / "missing.cfg"):
         assert run_cli("run", "--config", cfg, "--input", dataset, "-o", tmp_path / "o") == 2
         assert capsys.readouterr().err.startswith("error: config:")
 

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 
 from nullmargin import LoopConfig, SyntheticSpec, generate_synthetic, run_self_training
 from nullmargin.errors import DataValidationError
-from nullmargin.selftrain import PSEUDO_LABEL_BASE
+from nullmargin.mining import PseudoClass
+from nullmargin.selftrain import PSEUDO_LABEL_BASE, _select_pairs
 
 
 def split_by_identity(table, labeled_count):
@@ -124,3 +126,15 @@ def test_config_validation():
         LoopConfig(max_iterations=0)
     with pytest.raises(DataValidationError):
         LoopConfig(k=0)
+
+
+def test_select_pairs_keeps_small_harvests_whole_and_a_quantile_of_the_rest():
+    for quantile in (1e-9, 0.25, 1.0):
+        cfg = LoopConfig(quantile=quantile)
+        for n in range(1, 61):
+            pairs = [PseudoClass((0, i), (1, i), float(n - i)) for i in range(n)]
+            accepted, threshold = _select_pairs(pairs, cfg)
+            keep = n if n < 4 else math.ceil(quantile * n)
+            assert 1 <= keep <= n
+            assert accepted == pairs[:keep]
+            assert threshold == pairs[keep - 1].affinity
