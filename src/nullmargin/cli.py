@@ -8,8 +8,8 @@ and the final model. Config files are flat `section.key = value` lines;
 command-line flags override file values; unknown keys are rejected.
 
 Exit codes: 0 success, 2 config error, 3 data error (an unusable input or
-output path included), 4 numerical failure; the base class of each error
-in nullmargin.errors decides which.
+output path and running out of memory included), 4 numerical failure; the
+base class of each error in nullmargin.errors decides which.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .dataio import (
 )
 from .errors import ConfigError, DataError, DataValidationError, NumericalError
 from .evaluation import DEFAULT_RANKS, MODES, cmc, rank_gallery, run_protocols
-from .kmmc import KernelSpec
+from .kmmc import KERNEL_KINDS, KernelSpec
 from .mining import (
     build_anchor_context,
     export_pseudo_classes_csv,
@@ -78,7 +77,7 @@ def _parse_bandwidth(value: str) -> float | str:
 
 
 class _Setting(NamedTuple):
-    default: str | None         # config-file syntax; None: required or resolved later
+    default: str | None         # config-file syntax; None: required
     parse: Callable[[str], object]
     flag: str                   # `run` flag; it overrides the config file
     help: str | None = None
@@ -92,7 +91,7 @@ _RUN_KEYS = {
     "run.output": _Setting(None, Path, "--output", "output directory"),
     "run.mode": _Setting("semi_supervised", str, "--mode", _MODE_CHOICES),
     "run.seed": _Setting("0", int, "--seed"),
-    "run.threads": _Setting(None, int, "--threads", "trial parallelism (env NULLMARGIN_THREADS)"),
+    "run.threads": _Setting("1", int, "--threads", "trial parallelism"),
     "run.ranks": _Setting(
         ",".join(map(str, DEFAULT_RANKS)), _parse_ranks, "--ranks", "comma-separated CMC ranks"
     ),
@@ -101,7 +100,7 @@ _RUN_KEYS = {
     "loop.k": _Setting("1", int, "--k", "reciprocal-neighbor k"),
     "loop.quantile": _Setting("0.25", float, "--quantile"),
     "loop.max_iterations": _Setting("20", int, "--max-iterations"),
-    "kernel.kind": _Setting("rbf", str, "--kernel", "rbf or linear"),
+    "kernel.kind": _Setting("rbf", str, "--kernel", " or ".join(KERNEL_KINDS)),
     "kernel.bandwidth": _Setting("auto", _parse_bandwidth, "--bandwidth", "'auto' or a positive number"),
 }
 
@@ -151,8 +150,6 @@ def _resolve_run_config(args) -> RunConfig:
         raise ConfigError("no input dataset given (flag --input or config run.input)")
     if raw["run.output"] is None:
         raise ConfigError("no output directory given (flag --output or config run.output)")
-    if raw["run.threads"] is None:
-        raw["run.threads"] = os.environ.get("NULLMARGIN_THREADS", "1")
     values = {}
     for key, value in raw.items():
         try:
@@ -262,7 +259,7 @@ def cmd_run(args) -> int:
         suffix = f"_{mode}" if both else ""
         _write_cmc_csv(result.curve, output / f"cmc{suffix}.csv")
         save_model(result.final_model, output / f"model{suffix}.nk3m")
-        if mode == "semi_supervised" and result.final_trace is not None:
+        if result.final_trace is not None:
             result.final_trace.write_jsonl(output / "trace.jsonl")
     (output / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -375,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="one pseudo-class mining round (debugging)")
     p_mine.add_argument("--labeled", required=True)
     p_mine.add_argument("--unlabeled", required=True)
-    p_mine.add_argument("--kernel", choices=["rbf", "linear"], default="rbf")
+    p_mine.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
     p_mine.add_argument("--bandwidth", default="auto")
     p_mine.add_argument("--k", type=int, default=1)
     p_mine.add_argument("-o", "--output", required=True, help="pseudo-class CSV path")
@@ -396,6 +393,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (DataError, OSError) as err:
         print(f"error: data: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as err:
+        print(f"error: data: out of memory ({err})", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -11,7 +11,8 @@ Two on-disk layouts are supported:
   UTF-8, ``.`` decimal separator, empty identity field = unlabeled.
 * binary: magic ``SSML``, u16 version=1, u64 n, u64 d, then per sample
   u32 id-length + id bytes, u16 camera_id, u8 has_identity,
-  u64 identity (if present), u64 within_view_id, d little-endian f64.
+  u64 identity (if present), u64 within_view_id, d little-endian f64;
+  nothing follows the n-th sample.
 """
 
 from __future__ import annotations
@@ -168,11 +169,9 @@ class SplitSpec:
     trials: int = 10
 
     def __post_init__(self):
-        frac = self.labeled_fraction
-        if not isinstance(frac, Fraction):
-            # Exact decimal semantics; float 1/3 would floor-divide wrongly.
-            frac = Fraction(str(frac)) if isinstance(frac, float) else Fraction(frac)
-            object.__setattr__(self, "labeled_fraction", frac)
+        # Read from its text, a float keeps its exact decimal value (0.1 is
+        # 1/10, not the nearest binary fraction).
+        object.__setattr__(self, "labeled_fraction", Fraction(str(self.labeled_fraction)))
         if not (0 < self.labeled_fraction <= 1):
             raise DataValidationError("labeled_fraction must be in (0, 1]")
         if self.trials < 1:
@@ -472,6 +471,8 @@ def _from_binary(stream, context: str = "table") -> FeatureTable:
         identities.append(r.u64() if r.u8() else None)
         wv_ids.append(r.u64())
         r.readinto(feats[i])
+    if r.remaining:
+        raise DataFormatError(f"{context}: {r.remaining} bytes after the {n} rows the header declares")
     try:
         return FeatureTable(
             sample_ids=tuple(sample_ids),

@@ -64,6 +64,8 @@ from .scatter import class_sums
 K_JITTER = 1e-8
 # Eigenvalues above this fraction of |lambda_max| count as positive.
 EIG_POS_TOL = 1e-9
+# Kernel families; a kind's index is its code in the model file.
+KERNEL_KINDS = ("linear", "rbf")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class KernelSpec:
     bandwidth: float | str = "auto"
 
     def __post_init__(self):
-        if self.kind not in ("rbf", "linear"):
+        if self.kind not in KERNEL_KINDS:
             raise DataValidationError(f"unknown kernel kind {self.kind!r}")
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":

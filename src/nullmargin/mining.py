@@ -107,18 +107,6 @@ def build_anchor_context(
     return AnchorContext(anchor=anchor, secondary=secondary, embedded=embedded)
 
 
-def _neighbor_lists(dist: np.ndarray, k: int, exclude_self: bool) -> list[np.ndarray]:
-    # stable argsort: exact distance ties resolve to the lower gallery index
-    order = np.argsort(dist, axis=1, kind="stable")
-    out = []
-    for i in range(dist.shape[0]):
-        row = order[i]
-        if exclude_self:
-            row = row[dist[i, row] < np.inf]
-        out.append(row[:k])
-    return out
-
-
 def k_reciprocal(
     queries: np.ndarray, gallery: np.ndarray, k: int, exclude_self: bool = False
 ) -> NeighborSets:
@@ -139,11 +127,12 @@ def k_reciprocal(
         if dist.shape[0] != dist.shape[1]:
             raise DataValidationError("exclude_self requires queries and gallery to be the same set")
         np.fill_diagonal(dist, np.inf)
-    forward = _neighbor_lists(dist, k, exclude_self)
-    reverse = _neighbor_lists(dist.T, k, exclude_self)
-    mutual = np.zeros((gallery.shape[0], queries.shape[0]), dtype=bool)
-    for g, neigh in enumerate(reverse):
-        mutual[g, neigh] = True
+    # Stable sorts: exact distance ties resolve to the lower index. Under
+    # exclude_self a row's own (inf) entry sorts last, past the cut.
+    forward = np.argsort(dist, axis=1, kind="stable")[:, : min(k, dist.shape[1] - exclude_self)]
+    reverse = np.argsort(dist.T, axis=1, kind="stable")[:, : min(k, dist.shape[0] - exclude_self)]
+    mutual = np.zeros(dist.T.shape, dtype=bool)
+    np.put_along_axis(mutual, reverse, True, axis=1)
     reciprocal = tuple(neigh[mutual[neigh, i]] for i, neigh in enumerate(forward))
     return NeighborSets(neighbors=tuple(forward), reciprocal=reciprocal, distances=dist)
 

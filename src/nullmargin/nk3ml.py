@@ -18,14 +18,11 @@ import numpy as np
 from ._binio import Reader, Writer
 from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
-from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
+from .kmmc import KERNEL_KINDS, KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nfst import NullProjector, NullSpaceState, fit_nfst, project_null
 
 MODEL_MAGIC = b"NK3M"
 MODEL_VERSION = 1
-
-_KERNEL_CODES = {"linear": 0, "rbf": 1}
-_KERNEL_NAMES = {code: name for name, code in _KERNEL_CODES.items()}
 
 
 @dataclass
@@ -66,7 +63,8 @@ def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Versioned binary container: magic, version, dims, then one length-prefixed
 # block per stage. Unknown trailing bytes inside a block are skipped, so
-# fields appended under a later version do not break older payload layouts.
+# fields appended under a later version do not break older payload layouts;
+# bytes after the last block are an error.
 # ---------------------------------------------------------------------------
 
 def _model_writer(model: Nk3mlModel) -> Writer:
@@ -83,7 +81,7 @@ def _model_writer(model: Nk3mlModel) -> Writer:
 
     margin = model.margin
     margin_block = Writer()
-    margin_block.u8(_KERNEL_CODES[margin.kernel.kind])
+    margin_block.u8(KERNEL_KINDS.index(margin.kernel.kind))
     margin_block.f64(margin.resolved_bandwidth)
     m, p = margin.train_points.shape
     margin_block.u64(m)
@@ -145,8 +143,9 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
 
     block = r.block(f"{context} margin block")
     kind_code = block.u8()
-    if kind_code not in _KERNEL_NAMES:
+    if kind_code >= len(KERNEL_KINDS):
         raise ModelFormatError(f"{context}: unknown kernel code {kind_code}")
+    kind = KERNEL_KINDS[kind_code]
     bandwidth = block.f64()
     m = block.u64()
     p = block.u64()
@@ -156,7 +155,8 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
     coeffs = block.f64_array(m * n_disc, shape=(m, n_disc))
     eigenvalues = block.f64_array(n_disc)
     class_index = block.i64_array(m)
-    kind = _KERNEL_NAMES[kind_code]
+    if r.remaining:
+        raise ModelFormatError(f"{context}: {r.remaining} bytes after the margin block")
     margin = KernelDiscriminantModel(
         train_points=train_points,
         kernel=KernelSpec(kind, bandwidth) if kind == "rbf" else KernelSpec(kind),

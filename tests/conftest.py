@@ -41,6 +41,8 @@ HOSTILE_TABLES = (
     "non_utf8_id.ssml",
     "inf_feature.ssml",
     "huge_identity.ssml",
+    "trailing_bytes.ssml",
+    "header_undercount.ssml",
     "non_utf8.csv",
     "nan_feature.csv",
     "huge_identity.csv",
@@ -84,6 +86,9 @@ def hostile_dir(tmp_path_factory):
         "non_utf8_id.ssml": ssml[:26] + b"\xff" + ssml[27:],
         "inf_feature.ssml": ssml.replace(struct.pack("<d", 0.5), struct.pack("<d", np.inf)),
         "huge_identity.ssml": huge_ssml,
+        "trailing_bytes.ssml": ssml + b"\x00" * 7,
+        # the header's row count (after magic and version) says 20 of the 24 rows
+        "header_undercount.ssml": ssml[:6] + struct.pack("<Q", table.n - 4) + ssml[14:],
         "non_utf8.csv": csv.replace(b"id", b"\xff", 1),
         "nan_feature.csv": csv.replace(b",0.5,", b",nan,"),
         "huge_identity.csv": huge_csv,

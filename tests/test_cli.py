@@ -410,6 +410,8 @@ def test_mine_labeled_set_not_in_general_position_exit_3(tmp_path, noisefree_tab
 
 
 def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
+    # run.threads comes from the flag or the config file only; the
+    # environment is not a third source.
     monkeypatch.setenv("NULLMARGIN_THREADS", "2")
     out = tmp_path / "out"
     code = run_cli(
@@ -418,7 +420,7 @@ def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
     )
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["run.threads"] == 2
+    assert report["config"]["run.threads"] == 1
 
 
 def test_data_error_exit_3(tmp_path):
@@ -426,14 +428,17 @@ def test_data_error_exit_3(tmp_path):
     assert run_cli("run", "--input", missing, "-o", tmp_path / "o", "--trials", 1) == 3
 
 
-def test_bad_model_file_exit_3(tmp_path, dataset, capsys):
+def test_bad_model_file_exit_3(tmp_path, dataset, saved_model, capsys):
     bad = tmp_path / "bad.nk3m"
     bad.write_bytes(b"not a model")
     directory = tmp_path / "model.nk3m"
     directory.mkdir()
-    for model in (bad, directory):
+    appended = tmp_path / "appended.nk3m"
+    appended.write_bytes(saved_model.read_bytes() + b"\x00" * 3)
+    for model in (bad, directory, appended):
         assert run_cli("embed", "--model", model, "--data", dataset, "-o", tmp_path / "e.csv") == 3
         assert capsys.readouterr().err.startswith("error: data:")
+        assert not (tmp_path / "e.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["embed", "eval"])
@@ -554,11 +559,37 @@ def test_each_error_class_has_one_exit_code(tmp_path, capsys, monkeypatch, cls):
     assert capsys.readouterr().err.endswith(": injected\n")
 
 
+# A run the hostile tables' well-formed source completes (test below), so
+# each hostile table's exit 3 comes from its flaw.
+HOSTILE_RUN = ("--trials", 1, "--labeled-fraction", "1/2")
+
+
+def test_hostile_tables_source_runs(hostile_dir, tmp_path):
+    assert run_cli("run", "--input", hostile_dir / "ok.ssml", "-o", tmp_path / "o", *HOSTILE_RUN) == 0
+
+
 @pytest.mark.parametrize("name", HOSTILE_TABLES)
 def test_hostile_table_exit_3(hostile_dir, tmp_path, capsys, name):
     path = hostile_dir / name
-    assert run_cli("run", "--input", path, "-o", tmp_path / "o", "--trials", 1) == 3
+    assert run_cli("run", "--input", path, "-o", tmp_path / "o", *HOSTILE_RUN) == 3
     assert capsys.readouterr().err.startswith("error: data:")
+    assert not any((tmp_path / "o").iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "run"])
+def test_out_of_memory_exit_3(dataset, tmp_path, capsys, monkeypatch, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. PiB")
+
+    if command == "synth":
+        monkeypatch.setattr(nullmargin.cli, "cmd_synth", exhausted)
+        argv = ("synth", "--identities", 4, "--dim", 3, "-o", tmp_path / "x.ssml")
+    else:
+        monkeypatch.setattr(nullmargin.cli, "run_protocols", exhausted)
+        argv = ("run", "--input", dataset, "-o", tmp_path / "o", "--trials", 1)
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: data: out of memory (Unable to allocate 512. PiB)\n"
 
 
 @pytest.mark.parametrize("argv, code", [

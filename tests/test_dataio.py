@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,18 @@ def test_split_too_few_identities():
     table = generate_synthetic(SyntheticSpec(identities=3, cameras=2, dim=5, seed=0))
     with pytest.raises(DataValidationError, match="4"):
         make_split(table, SplitSpec(seed=0, trials=1), 0)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (0.25, Fraction(1, 4)),
+    ("1/4", Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(1, 4)),
+    (1, Fraction(1)),
+    (0.1, Fraction(1, 10)),     # its decimal text, not the nearest binary fraction
+])
+def test_split_spec_reads_the_labeled_fraction_exactly(value, expected):
+    frac = SplitSpec(seed=0, labeled_fraction=value).labeled_fraction
+    assert type(frac) is Fraction and frac == expected
 
 
 def test_split_zero_labeled_fraction_errors():

@@ -293,6 +293,22 @@ def test_load_truncated(easy_model):
         read_model(data[: len(data) // 2])
 
 
+def test_load_rejects_bytes_after_the_last_block(easy_model):
+    model, _ = easy_model
+    with pytest.raises(ModelFormatError, match="3 bytes after the margin block"):
+        read_model(model_bytes(model) + b"\x00" * 3)
+
+
+@pytest.mark.parametrize("kind, code", [("linear", 0), ("rbf", 1)])
+def test_kernel_codes_are_pinned(easy_model, kind, code):
+    # Files written earlier keep their meaning: a reordered kind list would
+    # still round-trip, so the code byte itself is pinned.
+    _, split = easy_model
+    data = model_bytes(fit_nk3ml(split.labeled, KernelSpec(kind)))
+    (null_block_len,) = struct.unpack_from("<Q", data, 4 + 2)
+    assert data[4 + 2 + 8 + null_block_len + 8] == code
+
+
 def test_load_invalid_bandwidth(easy_model):
     model, _ = easy_model
     bandwidth = struct.pack("<d", model.margin.resolved_bandwidth)
