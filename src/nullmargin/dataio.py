@@ -171,7 +171,13 @@ class SplitSpec:
     def __post_init__(self):
         # Read from its text, a float keeps its exact decimal value (0.1 is
         # 1/10, not the nearest binary fraction).
-        object.__setattr__(self, "labeled_fraction", Fraction(str(self.labeled_fraction)))
+        try:
+            fraction = Fraction(str(self.labeled_fraction))
+        except (ValueError, ZeroDivisionError) as err:
+            raise DataValidationError(
+                f"labeled_fraction {self.labeled_fraction!r} is not a fraction: {err}"
+            ) from err
+        object.__setattr__(self, "labeled_fraction", fraction)
         if not (0 < self.labeled_fraction <= 1):
             raise DataValidationError("labeled_fraction must be in (0, 1]")
         if self.trials < 1:

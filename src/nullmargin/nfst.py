@@ -21,8 +21,11 @@ class leaves the within-class rows of the held classes unchanged, so Q only
 gains directions: appending classes orthogonalises their within-class rows
 against Q and extends Q from their residual's Gram (after Liu et al.,
 "Incremental Kernel Null Space Discriminant Analysis for Novelty
-Detection", CVPR 2017). The null basis is then rebuilt from the c residuals
-alone.
+Detection", CVPR 2017). The state also keeps the residuals' c x c Gram H and
+the means' squared norms, which an append updates from the new directions
+and classes alone. So a round forms no d x c^2 product: the projector
+centres H in O(c^2), takes trace(S_b) from the squared norms, and forms the
+null basis from c-1 residual columns by one triangular multiply.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpstrf, dtrtri
 
 from .dataio import FeatureTable
@@ -101,10 +105,19 @@ class NullSpaceState:
     """Within-class span and class means of a labeled set grown by whole classes.
 
     Holds the orthonormal within-class basis Q (d, r), the class labels,
-    counts and means in append order, the means' residuals off Q (d, c), and
-    the rank scale: the largest squared norm of any within-class row
-    appended, taken before its projection off Q, which never shrinks. That
-    is the first pivot a factor of all within-class rows at once would take.
+    counts and means in append order, and the rank scale: the largest squared
+    norm of any within-class row appended, taken before its projection off Q,
+    which never shrinks. That is the first pivot a factor of all within-class
+    rows at once would take.
+
+    The means are also kept relative to a fixed origin, the count-weighted
+    mean of the first classes appended: their residuals E off Q (d, c), the
+    c x c Gram H = E^T E, and each class's squared norm |m_i - origin|^2.
+    Centring is invariant to the origin, and an origin near the data keeps a
+    large common offset out of H and the squared norms, where the
+    projector's O(c^2) centring would cancel it. So a round forms no
+    d x c^2 product: an append updates H in d x c x c_new, and the projector
+    forms W_N from c-1 columns of E.
     """
 
     def __init__(self, dim: int):
@@ -112,7 +125,10 @@ class NullSpaceState:
         self.labels = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros(0, dtype=np.int64)
         self.means = np.zeros((0, dim))
+        self.origin = np.zeros(dim)
         self.residuals = np.zeros((dim, 0))
+        self.gram = np.zeros((0, 0))
+        self.sq_norms = np.zeros(0)
         self.scale = 0.0
 
     @property
@@ -136,6 +152,10 @@ class NullSpaceState:
         at numpy's matrix_rank tolerance max(rows, d) * eps taken relative to
         the kept scale, not to this Gram's own largest pivot, so a row
         already in the span (a residual of rounding noise) adds no direction.
+
+        The new directions D take the held residuals E to E' = E - D D^T E,
+        and H's held block to H - (D^T E)^T (D^T E), as D^T D = I; the new
+        classes' residuals F add F^T [E', F] as H's new rows and columns.
         """
         rows = np.asarray(rows, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -161,10 +181,21 @@ class NullSpaceState:
         piv, _, inv_t = _pivoted_cholesky(within @ within.T, tol)
         directions = within[piv[: len(inv_t)]].T @ inv_t              # (d, k)
         basis = np.hstack([self.basis, directions])
-        old = self.residuals - directions @ (directions.T @ self.residuals)
-        fresh = means.T - basis @ (basis.T @ means.T)
+        origin = self.origin if len(self.labels) else counts @ means / counts.sum()
+        shifted = means - origin
+        along = directions.T @ self.residuals                          # (k, c_old)
+        fresh = shifted - (shifted @ basis) @ basis.T                  # (c_new, d)
+        residuals = np.hstack([self.residuals - directions @ along, fresh.T])
+        c_old = len(self.labels)
+        gram = np.empty((residuals.shape[1], residuals.shape[1]))
+        gram[:c_old, :c_old] = self.gram - along.T @ along
+        gram[c_old:] = fresh @ residuals
+        gram[:c_old, c_old:] = gram[c_old:, :c_old].T
         self.basis = basis
-        self.residuals = np.hstack([old, fresh])
+        self.origin = origin
+        self.residuals = residuals
+        self.gram = gram
+        self.sq_norms = np.concatenate([self.sq_norms, np.square(shifted).sum(axis=1)])
         self.labels = np.concatenate([self.labels, new])
         self.counts = np.concatenate([self.counts, counts])
         self.means = np.vstack([self.means, means])
@@ -176,11 +207,13 @@ class NullSpaceState:
 
         The between-class vectors sqrt(n_i) (m_i - m), m the count-weighted
         mean of the class means, have the residual R (d, c) off Q. Its rank is
-        at most c-1, as the count-weighted sum of the columns is zero. With
-        the pivoted Cholesky factor P^T G P = L L^T of G = R^T R, W_N = R P B
-        for B = L^-T over the first c-1 pivots. Raises DegenerateDataError
-        when fewer than c-1 pivots exceed NULL_TOL * trace(S_b), i.e. the data
-        are not in general position.
+        at most c-1, as the count-weighted sum of the columns is zero. Its
+        Gram G = R^T R is H centred and scaled in O(c^2), and trace(S_b) is
+        counts . sq_norms - n |m - origin|^2. With the pivoted Cholesky factor
+        P^T G P = L L^T, W_N = R P B for B = L^-T over the first c-1 pivots,
+        formed from those c-1 columns of R alone by one triangular multiply.
+        Raises DegenerateDataError when fewer than c-1 pivots exceed
+        NULL_TOL * trace(S_b), i.e. the data are not in general position.
 
         W_N is orthogonal to Q, so class i's point W_N^T (m_i - m) is
         W_N^T R e_i / sqrt(n_i) = (B^T P^T G)^T e_i / sqrt(n_i), and G P B is
@@ -194,9 +227,11 @@ class NullSpaceState:
         weights = self.counts / self.n
         mean = weights @ self.means
         root = np.sqrt(self.counts)
-        residual = (self.residuals - (self.residuals @ weights)[:, None]) * root
-        trace_b = float(np.sum(((self.means - mean) * root[:, None]) ** 2))
-        piv, factor, inv_t = _pivoted_cholesky(residual.T @ residual, NULL_TOL * trace_b)
+        # G = diag(root) (H - h 1^T - 1 h^T + (w^T h) 1 1^T) diag(root), h = H w
+        h = self.gram @ weights
+        gram = (self.gram - h[:, None] - h[None, :] + weights @ h) * np.outer(root, root)
+        trace_b = float(self.counts @ self.sq_norms - self.n * np.square(mean - self.origin).sum())
+        piv, factor, inv_t = _pivoted_cholesky(gram, NULL_TOL * trace_b)
         found = factor.shape[1]
         if found < wanted:
             raise DegenerateDataError(
@@ -205,7 +240,13 @@ class NullSpaceState:
                 found=found,
                 expected=wanted,
             )
-        w_n = residual[:, piv[:wanted]] @ inv_t[:wanted, :wanted]
+        kept = piv[:wanted]
+        columns = self.residuals[:, kept]
+        columns -= (self.residuals @ weights)[:, None]
+        columns *= root[kept]
+        # W_N^T = B^T columns^T, on the Fortran view of the C-ordered columns:
+        # W_N comes back C-ordered, as a loaded model holds it.
+        w_n = dtrmm(1.0, inv_t[:wanted, :wanted], columns.T, trans_a=1, overwrite_b=1).T
         points = factor[np.argsort(piv), :wanted] / root[:, None]
         return NullProjector(w_n=w_n, mean=mean), points
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -95,7 +96,6 @@ def run_self_training(
     real_labels = labeled.label_values()
     if len(np.unique(real_labels)) < 2:
         raise DataValidationError("self-training needs >= 2 labeled classes to start")
-    trace = LoopTrace()
     new = labeled
     pool = unlabeled
     next_label = max(PSEUDO_LABEL_BASE, int(real_labels.max()) + 1)
@@ -103,41 +103,43 @@ def run_self_training(
     if next_label + unlabeled.n > np.iinfo(np.int64).max:
         raise DataValidationError("labeled identities leave no int64 room for pseudo labels")
     state = NullSpaceState(labeled.dim)
-
-    iteration = 0
-    while True:
-        try:
-            model = fit_nk3ml(new, cfg.kernel, state)
-        except NullmarginError as err:
-            raise SelfTrainingError(f"primary fit failed at iteration {iteration}: {err}") from err
-        checksum = model_checksum(model)
-
-        classes_now = len(state.labels)
-        pairs = []
-        anchor = find_anchor(pool) if iteration < cfg.max_iterations else None
-        if anchor is not None:
+    # Each round's model is hashed on one helper thread, which sha256 lets run
+    # beside the round's mining and the next refit (it releases the GIL); the
+    # records take their checksums, in round order, once the loop is done.
+    rounds = []
+    with ThreadPoolExecutor(max_workers=1) as hasher:
+        iteration = 0
+        while True:
             try:
-                ctx = build_anchor_context(anchor, model, cfg.kernel)
-                pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
+                model = fit_nk3ml(new, cfg.kernel, state)
             except NullmarginError as err:
-                raise SelfTrainingError(f"mining failed at iteration {iteration}: {err}") from err
-        if not pairs:
-            trace.records.append(
-                IterationRecord(iteration, classes_now, 0, 0, None, checksum)
-            )
-            return model, trace
+                raise SelfTrainingError(f"primary fit failed at iteration {iteration}: {err}") from err
+            checksum = hasher.submit(model_checksum, model)
 
-        accepted, threshold = _select_pairs(pairs, cfg)
-        trace.records.append(
-            IterationRecord(iteration, classes_now, len(pairs), len(accepted), threshold, checksum)
-        )
+            classes_now = len(state.labels)
+            pairs = []
+            anchor = find_anchor(pool) if iteration < cfg.max_iterations else None
+            if anchor is not None:
+                try:
+                    ctx = build_anchor_context(anchor, model, cfg.kernel)
+                    pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
+                except NullmarginError as err:
+                    raise SelfTrainingError(f"mining failed at iteration {iteration}: {err}") from err
+            if not pairs:
+                rounds.append(((iteration, classes_now, 0, 0, None), checksum))
+                break
 
-        labels = np.full(pool.n, -1, dtype=np.int64)
-        for pc in accepted:
-            labels[anchor.groups[pc.anchor_identity]] = next_label
-            labels[anchor.groups[pc.matched_identity]] = next_label
-            next_label += 1
-        move = labels >= 0
-        new = pool.subset(move).with_identities(labels[move].tolist())
-        pool = pool.subset(~move)
-        iteration += 1
+            accepted, threshold = _select_pairs(pairs, cfg)
+            rounds.append(((iteration, classes_now, len(pairs), len(accepted), threshold), checksum))
+
+            labels = np.full(pool.n, -1, dtype=np.int64)
+            for pc in accepted:
+                labels[anchor.groups[pc.anchor_identity]] = next_label
+                labels[anchor.groups[pc.matched_identity]] = next_label
+                next_label += 1
+            move = labels >= 0
+            new = pool.subset(move).with_identities(labels[move].tolist())
+            pool = pool.subset(~move)
+            iteration += 1
+    records = [IterationRecord(*fields, checksum.result()) for fields, checksum in rounds]
+    return model, LoopTrace(records)

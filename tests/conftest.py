@@ -1,5 +1,6 @@
 import io
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -142,3 +143,14 @@ def pytest_runtest_makereport(item, call):
     if report.passed and any("On entry to" in text for text in printed):
         report.outcome = "failed"
         report.longrepr = f"LAPACK printed an argument error during {report.when}"
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves behind a thread it started, such as a pool
+    worker never joined."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before]
+    if leaked:
+        pytest.fail(f"threads left running: {leaked}")

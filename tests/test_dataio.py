@@ -294,6 +294,12 @@ def test_split_spec_reads_the_labeled_fraction_exactly(value, expected):
     assert type(frac) is Fraction and frac == expected
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1/0"])
+def test_split_spec_rejects_a_malformed_labeled_fraction(value):
+    with pytest.raises(DataValidationError, match="labeled_fraction"):
+        SplitSpec(seed=0, labeled_fraction=value)
+
+
 def test_split_zero_labeled_fraction_errors():
     table = generate_synthetic(SyntheticSpec(identities=8, cameras=2, dim=5, seed=0))
     with pytest.raises(DataValidationError, match="zero"):

@@ -1,10 +1,12 @@
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import nullmargin.nfst
 import nullmargin.selftrain
 from nullmargin import (
     LoopConfig,
@@ -19,7 +21,7 @@ from nullmargin import (
 from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
 from nullmargin.kmmc import _fix_column_signs
-from nullmargin.nfst import NullProjector, span_coefficients
+from nullmargin.nfst import NULL_TOL, NullProjector, span_coefficients
 from nullmargin.scatter import compute_scatter
 
 from conftest import make_table
@@ -308,17 +310,23 @@ def assert_same_null_space(got, want, rows):
     assert np.abs(pairwise(project_null(got, rows)) - ref).max() <= 1e-9 * ref.max()
 
 
-def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
-    # Three cameras: labeled classes have 3 rows, pseudo-classes 2, so every
-    # round appends new within-class directions to the held basis.
+def loop_tables(offset=0.0):
+    """Labeled and unlabeled tables of the loop fixture, every feature moved
+    by offset. Three cameras: labeled classes have 3 rows, pseudo-classes 2,
+    so every round appends new within-class directions to the held basis."""
     table = generate_synthetic(SyntheticSpec(
         identities=40, cameras=3, dim=160, per_camera_transform_strength=0.3,
         noise_sigma=0.3, seed=4,
     ))
+    table = replace(table, features=table.features + offset)
     labeled_rows = [r for r in range(table.n) if table.identities[r] < 8]
     unlabeled_rows = [r for r in range(table.n) if table.identities[r] >= 8]
-    labeled = table.subset(labeled_rows)
     unlabeled = table.subset(unlabeled_rows).with_identities([None] * len(unlabeled_rows))
+    return table.subset(labeled_rows), unlabeled
+
+
+def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
+    labeled, unlabeled = loop_tables()
 
     fits = []
     real_fit = nullmargin.selftrain.fit_nk3ml
@@ -341,6 +349,45 @@ def test_state_matches_scratch_fit_on_every_loop_round(monkeypatch):
         assert_same_null_space(fits[round_][1], fit_nfst(current, fresh)[0], current.features)
         # the kept rank scale cuts as a factor of all rows so far would
         assert ranks[round_] == fresh.basis.shape[1]
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3])
+def test_kept_gram_and_between_trace_match_direct_forms_on_every_loop_round(monkeypatch, offset):
+    # The kept H against R^T R of the kept residuals, the residuals against
+    # the means' residuals off Q, and the projector's cut NULL_TOL * trace(S_b)
+    # against the d-wide sum. A +1e3 offset on every feature makes each
+    # |m_i|^2 about 1.6e8 against a between-class trace of about 3e2 per row,
+    # which the norm identity cancels unless the state's origin removes it.
+    labeled, unlabeled = loop_tables(offset)
+    cuts = []
+    real_cholesky = nullmargin.nfst._pivoted_cholesky
+
+    def recording_cholesky(gram, tol):
+        cuts.append(tol)
+        return real_cholesky(gram, tol)
+
+    rounds = []
+    real_fit = nullmargin.selftrain.fit_nk3ml
+
+    def checking_fit(new, kernel, state):
+        model = real_fit(new, kernel, state)
+        shifted = state.means - state.origin
+        expected = shifted.T - state.basis @ (state.basis.T @ shifted.T)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(state.residuals, expected, rtol=0, atol=1e-12 * scale)
+        weights = state.counts / state.n
+        between = float(state.counts @ np.square(state.means - weights @ state.means).sum(axis=1))
+        # the projector's factor is the fit's last
+        assert cuts[-1] == pytest.approx(NULL_TOL * between, rel=1e-12, abs=0)
+        drift = np.abs(state.gram - state.residuals.T @ state.residuals).max()
+        assert drift <= 1e-3 * cuts[-1]
+        rounds.append(len(state.labels))
+        return model
+
+    monkeypatch.setattr(nullmargin.nfst, "_pivoted_cholesky", recording_cholesky)
+    monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", checking_fit)
+    run_self_training(labeled, unlabeled, LoopConfig())
+    assert len(rounds) >= 4 and rounds == sorted(rounds)
 
 
 def test_repeated_label_raises_and_leaves_state_unchanged():

@@ -1,10 +1,20 @@
 import json
 import math
+import threading
 
 import pytest
 
-from nullmargin import LoopConfig, SyntheticSpec, generate_synthetic, run_self_training
-from nullmargin.errors import DataValidationError
+import nullmargin.selftrain
+from nullmargin import (
+    LoopConfig,
+    SyntheticSpec,
+    generate_synthetic,
+    run_self_training,
+    save_feature_table,
+)
+from nullmargin.cli import main
+from nullmargin.errors import DataValidationError, EmptyModelError, SelfTrainingError
+from nullmargin.nk3ml import model_checksum
 from nullmargin.mining import PseudoClass
 from nullmargin.selftrain import PSEUDO_LABEL_BASE, _select_pairs
 
@@ -117,6 +127,68 @@ def test_trace_jsonl_export(tmp_path, noisefree_12):
         "affinity_threshold",
         "model_checksum",
     }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, threads):
+    # Rounds hash on a helper thread; each trace.jsonl record still names the
+    # model its round fitted, as hashed here on the loop's own thread, in
+    # round order. Two trials, so at --threads 2 two loops run at once.
+    table = generate_synthetic(SyntheticSpec(identities=24, cameras=3, dim=40, noise_sigma=0.3, seed=3))
+    data = tmp_path / "t.ssml"
+    save_feature_table(table, data, "binary")
+    loops = {}      # id(state) -> (state, loop thread, inline checksums in round order)
+    hashed_on = []
+    real_fit = nullmargin.selftrain.fit_nk3ml
+    real_checksum = nullmargin.selftrain.model_checksum
+
+    def recording_fit(new, kernel, state):
+        model = real_fit(new, kernel, state)
+        # the state is kept alive, so its id names one loop
+        loops.setdefault(id(state), (state, threading.current_thread(), []))[2].append(
+            model_checksum(model)
+        )
+        return model
+
+    def recording_checksum(model):
+        hashed_on.append(threading.current_thread())
+        return real_checksum(model)
+
+    monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", recording_fit)
+    monkeypatch.setattr(nullmargin.selftrain, "model_checksum", recording_checksum)
+    out = tmp_path / "out"
+    assert main(["run", "--input", str(data), "-o", str(out), "--mode", "semi_supervised",
+                 "--trials", "2", "--threads", str(threads), "--seed", "4"]) == 0
+    traced = [json.loads(line)["model_checksum"] for line in (out / "trace.jsonl").read_text().splitlines()]
+    inline = [sums for _, _, sums in loops.values()]
+    assert len(inline) == 2 and min(map(len, inline)) >= 2
+    assert traced in inline
+    if threads == 1:
+        assert traced == inline[-1]                  # the last trial's loop
+    assert len(hashed_on) == sum(map(len, inline))
+    assert not {t for _, t, _ in loops.values()} & set(hashed_on)
+
+
+@pytest.mark.parametrize("stage, target", [
+    ("primary fit", "fit_nk3ml"),
+    ("mining", "mine_pseudo_classes"),
+])
+def test_a_failing_round_names_its_iteration_and_leaves_no_thread(monkeypatch, noisefree_12, stage, target):
+    labeled, unlabeled = split_by_identity(noisefree_12, 3)
+    real = getattr(nullmargin.selftrain, target)
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise EmptyModelError("forced failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nullmargin.selftrain, target, failing)
+    before = set(threading.enumerate())
+    with pytest.raises(SelfTrainingError, match=f"{stage} failed at iteration 2: forced failure"):
+        run_self_training(labeled, unlabeled, LoopConfig())
+    assert set(threading.enumerate()) <= before
 
 
 def test_config_validation():
