@@ -23,9 +23,10 @@ against Q and extends Q from their residual's Gram (after Liu et al.,
 "Incremental Kernel Null Space Discriminant Analysis for Novelty
 Detection", CVPR 2017). The state also keeps the residuals' c x c Gram H and
 the means' squared norms, which an append updates from the new directions
-and classes alone. So a round forms no d x c^2 product: the projector
-centres H in O(c^2), takes trace(S_b) from the squared norms, and forms the
-null basis from c-1 residual columns by one triangular multiply.
+and classes alone. So a round forms no d x c^2 product beyond the null
+basis itself: the projector centres H in O(c^2), takes trace(S_b) from the
+squared norms, and forms the null basis from c-1 residual columns by one
+triangular multiply.
 """
 
 from __future__ import annotations
@@ -115,9 +116,9 @@ class NullSpaceState:
     c x c Gram H = E^T E, and each class's squared norm |m_i - origin|^2.
     Centring is invariant to the origin, and an origin near the data keeps a
     large common offset out of H and the squared norms, where the
-    projector's O(c^2) centring would cancel it. So a round forms no
-    d x c^2 product: an append updates H in d x c x c_new, and the projector
-    forms W_N from c-1 columns of E.
+    projector's O(c^2) centring would cancel it. An append updates H in
+    d x c x c_new, and the projector forms W_N from c-1 columns of E, so a
+    round forms no other d x c^2 product.
     """
 
     def __init__(self, dim: int):
