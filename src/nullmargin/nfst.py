@@ -182,13 +182,13 @@ class NullSpaceState:
         piv, _, inv_t = _pivoted_cholesky(within @ within.T, tol)
         directions = within[piv[: len(inv_t)]].T @ inv_t              # (d, k)
         basis = np.hstack([self.basis, directions])
-        origin = self.origin if len(self.labels) else counts @ means / counts.sum()
+        c_old = len(self.labels)
+        origin = self.origin if c_old else counts @ means / counts.sum()
         shifted = means - origin
         along = directions.T @ self.residuals                          # (k, c_old)
         fresh = shifted - (shifted @ basis) @ basis.T                  # (c_new, d)
         residuals = np.hstack([self.residuals - directions @ along, fresh.T])
-        c_old = len(self.labels)
-        gram = np.empty((residuals.shape[1], residuals.shape[1]))
+        gram = np.empty((c_old + len(new),) * 2)
         gram[:c_old, :c_old] = self.gram - along.T @ along
         gram[c_old:] = fresh @ residuals
         gram[:c_old, c_old:] = gram[c_old:, :c_old].T
