@@ -14,8 +14,8 @@ from nullmargin import (
 )
 from nullmargin.cli import main
 from nullmargin.errors import DataValidationError, EmptyModelError, SelfTrainingError
-from nullmargin.nk3ml import model_checksum
 from nullmargin.mining import PseudoClass
+from nullmargin.nk3ml import model_checksum
 from nullmargin.selftrain import PSEUDO_LABEL_BASE, _select_pairs
 
 
