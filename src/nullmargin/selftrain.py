@@ -103,9 +103,10 @@ def run_self_training(
     if next_label + unlabeled.n > np.iinfo(np.int64).max:
         raise DataValidationError("labeled identities leave no int64 room for pseudo labels")
     state = NullSpaceState(labeled.dim)
-    # Each round's model is hashed on one helper thread, which sha256 lets run
-    # beside the round's mining and the next refit (it releases the GIL); the
-    # records take their checksums, in round order, once the loop is done.
+    # Each round's model is hashed on one helper thread, which can run beside
+    # the round's mining and the next refit on a free core (sha256 releases
+    # the GIL); the records take their checksums, in round order, once the
+    # loop is done.
     rounds = []
     with ThreadPoolExecutor(max_workers=1) as hasher:
         iteration = 0
