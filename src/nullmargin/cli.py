@@ -372,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="one pseudo-class mining round (debugging)")
     p_mine.add_argument("--labeled", required=True)
     p_mine.add_argument("--unlabeled", required=True)
-    p_mine.add_argument("--kernel", choices=KERNEL_KINDS, default="rbf")
-    p_mine.add_argument("--bandwidth", default="auto")
-    p_mine.add_argument("--k", type=int, default=1)
+    p_mine.add_argument("--kernel", choices=KERNEL_KINDS, default=_RUN_KEYS["kernel.kind"].default)
+    p_mine.add_argument("--bandwidth", default=_RUN_KEYS["kernel.bandwidth"].default)
+    p_mine.add_argument("--k", type=int, default=_RUN_KEYS["loop.k"].default)
     p_mine.add_argument("-o", "--output", required=True, help="pseudo-class CSV path")
     p_mine.set_defaults(func=cmd_mine)
     return parser

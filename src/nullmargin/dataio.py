@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,9 +114,6 @@ class FeatureTable:
         """Identity labels of the labeled rows, in row order."""
         return np.array([i for i in self.identities if i is not None], dtype=np.int64)
 
-    def cameras(self) -> tuple[int, ...]:
-        return tuple(sorted(int(c) for c in np.unique(self.camera_ids))) if self.n else ()
-
     def subset(self, indices) -> FeatureTable:
         idx = np.asarray(indices)
         if idx.dtype == bool:
@@ -135,15 +132,20 @@ class FeatureTable:
             features=self.features[idx],
         )
 
-    def with_identities(self, identities) -> FeatureTable:
-        """Same rows with replaced identity column (features untouched)."""
-        return FeatureTable(
-            sample_ids=self.sample_ids,
-            camera_ids=self.camera_ids,
-            identities=tuple(identities),
-            within_view_ids=self.within_view_ids,
-            features=self.features,
-        )
+
+def group_rows(first: np.ndarray, second: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+    """Row indices grouped by the key pair (first[i], second[i]), ascending
+    keys and ascending rows within each group."""
+    if len(first) == 0:
+        return {}
+    order = np.lexsort((second, first))
+    firsts, seconds = first[order], second[order]
+    change = (firsts[1:] != firsts[:-1]) | (seconds[1:] != seconds[:-1])
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()]
+    # Slices of the order, not np.split, whose per-group cost dominates at
+    # one row per key.
+    keys = zip(firsts[starts].tolist(), seconds[starts].tolist())
+    return {key: order[i:j] for key, i, j in zip(keys, starts, [*starts[1:], len(order)])}
 
 
 def concat_tables(first: FeatureTable, *rest: FeatureTable) -> FeatureTable:
@@ -290,7 +292,7 @@ def make_split(table: FeatureTable, spec: SplitSpec, trial: int) -> ExperimentSp
     # Probe camera: smallest camera that hosts no single-camera identity, so
     # distractors always land in the gallery and the split stays a partition.
     distractor_cams = {next(iter(ident_cams[i])) for i in distractors}
-    probe_candidates = [c for c in table.cameras() if c not in distractor_cams]
+    probe_candidates = sorted(set(table.camera_ids.tolist()) - distractor_cams)
     if not probe_candidates:
         raise DataValidationError("every camera hosts gallery-only identities; no probe camera")
     probe_camera = probe_candidates[0]
@@ -321,11 +323,9 @@ def make_split(table: FeatureTable, spec: SplitSpec, trial: int) -> ExperimentSp
         else:
             gallery_rows.append(row)
 
-    unlabeled = table.subset(unlabeled_rows)
-    unlabeled = unlabeled.with_identities([None] * unlabeled.n)
     return ExperimentSplit(
         labeled=table.subset(labeled_rows),
-        unlabeled=unlabeled,
+        unlabeled=replace(table.subset(unlabeled_rows), identities=(None,) * len(unlabeled_rows)),
         probe=table.subset(probe_rows),
         gallery=table.subset(gallery_rows),
     )

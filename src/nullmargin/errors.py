@@ -43,15 +43,7 @@ class ModelVersionError(ModelFormatError):
 
 
 class DegenerateDataError(DataError):
-    """Data not in general position: fewer null directions than classes - 1.
-
-    Carries the number of directions actually found.
-    """
-
-    def __init__(self, message: str, found: int, expected: int):
-        super().__init__(message)
-        self.found = found
-        self.expected = expected
+    """Data not in general position: fewer null directions than classes - 1."""
 
 
 class ZeroDistanceError(DataError):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._blas import blas_threads
-from .dataio import ExperimentSplit, FeatureTable, SplitSpec, make_split, _trial_rng
+from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _trial_rng
 from .errors import DataValidationError, ProtocolError
 from .nfst import NullProjector, span_coefficients
 from .nk3ml import Nk3mlModel, embed, fit_nk3ml, model_checksum
@@ -94,17 +94,12 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
 
 def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable:
     """One image per (identity, camera), chosen by the trial's stream."""
+    if None in table.identities:
+        raise DataValidationError("single-shot reduction needs labeled probe/gallery rows")
     rng = _trial_rng(seed ^ 0x5351, trial)   # decorrelated from the split stream
-    keep: list[int] = []
-    groups: dict[tuple[int, int], list[int]] = {}
-    for row in range(table.n):
-        ident = table.identities[row]
-        if ident is None:
-            raise DataValidationError("single-shot reduction needs labeled probe/gallery rows")
-        groups.setdefault((ident, int(table.camera_ids[row])), []).append(row)
-    for key in sorted(groups):
-        rows = groups[key]
-        keep.append(rows[0] if len(rows) == 1 else rows[int(rng.integers(len(rows)))])
+    groups = group_rows(np.array(table.identities, dtype=np.int64), table.camera_ids)
+    keep = [rows[0] if len(rows) == 1 else rows[int(rng.integers(len(rows)))]
+            for rows in groups.values()]
     return table.subset(sorted(keep))
 
 
@@ -211,10 +206,19 @@ def run_protocols(
     ns=DEFAULT_RANKS,
     threads: int = 1,
 ) -> tuple[ProtocolResult, ...]:
-    """run_protocol for each of several modes, in order, on one table Gram."""
+    """run_protocol for each of several modes, in order, on one table Gram.
+
+    The protocol splits and scores by identity, so every row needs one.
+    """
     for mode in modes:
         if mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    if None in table.identities:
+        row = table.identities.index(None)
+        raise DataValidationError(
+            f"row {row} (sample_id {table.sample_ids[row]!r}) has no identity; "
+            "the protocol needs one on every row"
+        )
     gram = table.features @ table.features.T
     return tuple(_protocol(table, spec, cfg, mode, ns, threads, gram) for mode in modes)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataio import FeatureTable
+from .dataio import FeatureTable, group_rows
 from .errors import DataValidationError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nk3ml import Nk3mlModel, embed
@@ -47,16 +47,7 @@ class PseudoClass:
 def view_identity_groups(table: FeatureTable) -> dict[tuple[int, int], np.ndarray]:
     """Row indices grouped by (camera_id, within_view_id), ascending keys and
     ascending rows within each group."""
-    if table.n == 0:
-        return {}
-    order = np.lexsort((table.within_view_ids, table.camera_ids))
-    cams = table.camera_ids[order]
-    views = table.within_view_ids[order]
-    starts = np.flatnonzero((cams[1:] != cams[:-1]) | (views[1:] != views[:-1])) + 1
-    return {
-        (int(cams[i]), int(views[i])): rows
-        for i, rows in zip(np.r_[0, starts], np.split(order, starts))
-    }
+    return group_rows(table.camera_ids, table.within_view_ids)
 
 
 @dataclass(frozen=True)

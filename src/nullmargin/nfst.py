@@ -237,9 +237,7 @@ class NullSpaceState:
         if found < wanted:
             raise DegenerateDataError(
                 f"data not in general position: found {found} null directions, "
-                f"expected {wanted}",
-                found=found,
-                expected=wanted,
+                f"expected {wanted}"
             )
         kept = piv[:wanted]
         columns = self.residuals[:, kept]

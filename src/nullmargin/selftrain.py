@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +139,7 @@ def run_self_training(
                 labels[anchor.groups[pc.matched_identity]] = next_label
                 next_label += 1
             move = labels >= 0
-            new = pool.subset(move).with_identities(labels[move].tolist())
+            new = replace(pool.subset(move), identities=labels[move].tolist())
             pool = pool.subset(~move)
             iteration += 1
     records = [IterationRecord(*fields, checksum.result()) for fields, checksum in rounds]

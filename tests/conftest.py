@@ -1,6 +1,7 @@
 import io
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def hostile_dir(tmp_path_factory):
     save_feature_table(table, out / "ok.csv", "csv")
     ssml, csv = (out / "ok.ssml").read_bytes(), (out / "ok.csv").read_bytes()
     # Each identity i is saved as 900 + i, then rewritten as 2**63 + i, past int64.
-    marked = table.with_identities([900 + ident for ident in table.identities])
+    marked = replace(table, identities=[900 + ident for ident in table.identities])
     save_feature_table(marked, out / "marked.ssml", "binary")
     save_feature_table(marked, out / "marked.csv", "csv")
     huge_ssml, huge_csv = (out / "marked.ssml").read_bytes(), (out / "marked.csv").read_bytes()

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import nullmargin
 import nullmargin.cli
 import nullmargin.errors
 import nullmargin.evaluation
-from nullmargin import fit_nk3ml, load_feature_table, load_model, save_model
+from nullmargin import KernelSpec, fit_nk3ml, load_feature_table, load_model, save_model
 from nullmargin.cli import main
 from nullmargin.errors import ConfigError, DataError, NullmarginError, NumericalError
 
@@ -355,13 +356,19 @@ def test_eval_subcommand(dataset, tmp_path):
     assert len(lines) == 3
 
 
+def test_mine_defaults_are_runs():
+    parser = nullmargin.cli.build_parser()
+    mine = parser.parse_args(["mine", "--labeled", "l.csv", "--unlabeled", "u.csv", "-o", "p.csv"])
+    run = nullmargin.cli._resolve_run_config(parser.parse_args(["run", "--input", "d.ssml", "-o", "o"]))
+    kernel = KernelSpec(kind=mine.kernel, bandwidth=nullmargin.cli._parse_bandwidth(mine.bandwidth))
+    assert (mine.k, kernel) == (run.loop.k, run.loop.kernel)
+
+
 def test_mine_subcommand(tmp_path, noisefree_table):
     labeled_rows = [r for r in range(noisefree_table.n) if noisefree_table.identities[r] < 4]
     unlabeled_rows = [r for r in range(noisefree_table.n) if noisefree_table.identities[r] >= 4]
     labeled = noisefree_table.subset(labeled_rows)
-    unlabeled = noisefree_table.subset(unlabeled_rows).with_identities(
-        [None] * len(unlabeled_rows)
-    )
+    unlabeled = replace(noisefree_table.subset(unlabeled_rows), identities=[None] * len(unlabeled_rows))
     lab_path = tmp_path / "labeled.csv"
     unlab_path = tmp_path / "unlabeled.csv"
     save_feature_table(labeled, lab_path, "csv")
@@ -401,7 +408,7 @@ def test_mine_labeled_set_not_in_general_position_exit_3(tmp_path, noisefree_tab
     lab_path = tmp_path / "labeled.csv"
     unlab_path = tmp_path / "unlabeled.csv"
     save_feature_table(labeled, lab_path, "csv")
-    save_feature_table(noisefree_table.with_identities([None] * noisefree_table.n), unlab_path, "csv")
+    save_feature_table(replace(noisefree_table, identities=[None] * noisefree_table.n), unlab_path, "csv")
     out = tmp_path / "pseudo.csv"
     code = run_cli("mine", "--labeled", lab_path, "--unlabeled", unlab_path, "-o", out)
     assert code == 3
@@ -426,6 +433,22 @@ def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
 def test_data_error_exit_3(tmp_path):
     missing = tmp_path / "missing.ssml"
     assert run_cli("run", "--input", missing, "-o", tmp_path / "o", "--trials", 1) == 3
+
+
+def test_run_rejects_row_without_identity(tmp_path, dataset, capsys):
+    # The protocol splits and scores by identity: an unlabeled row is named
+    # up front, not met inside a trial's single-shot reduction.
+    from nullmargin.dataio import concat_tables
+
+    table = load_feature_table(dataset, "binary")
+    extra = replace(table.subset([0, 1, 2]), sample_ids=("u0", "u1", "u2"), identities=[None] * 3)
+    path = tmp_path / "partly_labeled.csv"
+    save_feature_table(concat_tables(table, extra), path, "csv")
+    assert run_cli("run", "--input", path, "-o", tmp_path / "o", "--trials", 1) == 3
+    assert capsys.readouterr().err == (
+        f"error: data: row {table.n} (sample_id 'u0') has no identity; "
+        "the protocol needs one on every row\n"
+    )
 
 
 def test_bad_model_file_exit_3(tmp_path, dataset, saved_model, capsys):
@@ -633,12 +656,12 @@ def test_eval_scores_labeled_probes_only(dataset, tmp_path, capsys):
         "--seed", 4, "--trials", 1,
     ) == 0
     split = make_split(load_feature_table(dataset, "binary"), SplitSpec(derive_seed(4, "split")), 0)
-    unlabeled_probe = split.probe.with_identities([None] * split.probe.n)
+    unlabeled_probe = replace(split.probe, identities=[None] * split.probe.n)
     paths = {}
     for name, table in (
         ("probe", split.probe),
         ("unlabeled_probe", unlabeled_probe),
-        ("unlabeled_gallery", split.gallery.with_identities([None] * split.gallery.n)),
+        ("unlabeled_gallery", replace(split.gallery, identities=[None] * split.gallery.n)),
         # Each probe's unlabeled copy sits at distance 0, ahead of its match.
         ("distractor_gallery", concat_tables(split.gallery, unlabeled_probe)),
     ):

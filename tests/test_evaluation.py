@@ -130,6 +130,20 @@ def test_single_shot_view_one_image_per_identity_camera():
     assert seen == {(4, 0), (4, 1), (5, 1), (5, 0)}
 
 
+def test_single_shot_view_picks_are_pinned():
+    # Five (identity, camera) groups hold three interleaved rows each, three
+    # hold one. The trial stream draws once per multi-row group, in ascending
+    # (identity, camera) order, so these exact rows pin the draw order.
+    cams = [1, 0, 1, 0, 0, 1, 1, 0, 2, 0, 1, 0, 2, 2, 1, 0, 2, 1]
+    idents = [7, 3, 3, 7, 7, 3, 7, 3, 3, 7, 7, 3, 7, 3, 3, 9, 3, 12]
+    table = make_table(np.arange(len(cams), dtype=float)[:, None], cams, idents)
+    kept = {
+        trial: single_shot_view(table, seed=11, trial=trial).features[:, 0].astype(int).tolist()
+        for trial in (2, 3)
+    }
+    assert kept == {2: [1, 4, 6, 12, 14, 15, 16, 17], 3: [0, 9, 11, 12, 13, 14, 15, 17]}
+
+
 def direct_trial(table, spec, cfg, mode, ns):
     """Trial 0 of run_protocol fitted and ranked in feature coordinates."""
     split = make_split(table, spec, 0)

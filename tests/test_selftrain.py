@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +24,7 @@ def split_by_identity(table, labeled_count):
     labeled_rows = [r for r in range(table.n) if table.identities[r] < labeled_count]
     unlabeled_rows = [r for r in range(table.n) if table.identities[r] >= labeled_count]
     labeled = table.subset(labeled_rows)
-    unlabeled = table.subset(unlabeled_rows).with_identities([None] * len(unlabeled_rows))
+    unlabeled = replace(table.subset(unlabeled_rows), identities=[None] * len(unlabeled_rows))
     return labeled, unlabeled
 
 
@@ -106,7 +107,7 @@ def test_requires_two_labeled_classes(noisefree_12):
 
 def test_labels_near_int64_max_leave_no_room_for_pseudo_labels(noisefree_12):
     labeled, unlabeled = split_by_identity(noisefree_12, 3)
-    top = labeled.with_identities([(1 << 63) - 1 - ident for ident in labeled.identities])
+    top = replace(labeled, identities=[(1 << 63) - 1 - ident for ident in labeled.identities])
     with pytest.raises(DataValidationError, match="int64 room"):
         run_self_training(top, unlabeled, LoopConfig())
 
