@@ -82,25 +82,31 @@ class Reader:
     def remaining(self) -> int:
         return self._end - self._pos
 
-    def _check(self, size: int, have: int | None = None) -> None:
-        have = self.remaining if have is None else have
+    def _truncated(self, size: int, have: int) -> DataFormatError:
+        return DataFormatError(
+            f"truncated {self._context}: needed {size} bytes at offset "
+            f"{self._pos}, have {have}"
+        )
+
+    def _check(self, size: int) -> None:
+        have = self._end - self._pos
         if size < 0 or have < size:
-            raise DataFormatError(
-                f"truncated {self._context}: needed {size} bytes at offset "
-                f"{self._pos}, have {have}"
-            )
+            raise self._truncated(size, have)
 
     def raw(self, size: int) -> bytes:
         self._check(size)
         data = self._stream.read(size)
-        self._check(size, len(data))
+        if len(data) < size:
+            raise self._truncated(size, len(data))
         self._pos += size
         return data
 
     def readinto(self, out: np.ndarray) -> None:
         """Fill a C-contiguous array with its size in bytes from the stream."""
         view = memoryview(out).cast("B")
-        self._check(view.nbytes, self._stream.readinto(view))
+        got = self._stream.readinto(view)
+        if got < view.nbytes:
+            raise self._truncated(view.nbytes, got)
         self._pos += view.nbytes
 
     def block(self, context: str) -> Reader:
@@ -125,9 +131,6 @@ class Reader:
 
     def u16(self) -> int:
         return self._unpack("<H")
-
-    def u32(self) -> int:
-        return self._unpack("<I")
 
     def u64(self) -> int:
         return self._unpack("<Q")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,16 @@ from .errors import DataFormatError, DataValidationError
 TABLE_MAGIC = b"SSML"
 TABLE_VERSION = 1
 
-_SAMPLE_ID_RE = re.compile(r"^[A-Za-z0-9_]+$")
+_SAMPLE_ID_RE = re.compile(r"[A-Za-z0-9_]+")
+
+# A binary table is read through a buffer of this size: rows of a few KB come
+# out of it, and a larger feature payload is read straight into the matrix.
+_READ_BUFFER = 1 << 16
+# A binary row after its u32 id length and id: u16 camera_id, u8
+# has_identity, then the identity if present, else the within-view id.
+_ID_LENGTH = struct.Struct("<I")
+_ROW_FIELDS = struct.Struct("<HBQ")
+_U64 = struct.Struct("<Q")
 
 # Rank of the per-camera random distortion in generate_synthetic. Kept low so
 # generation stays O(n * dim * rank) and works at dim ~ 3e4.
@@ -86,7 +96,7 @@ class FeatureTable:
             raise DataValidationError("identities must have one entry per sample")
         seen: set[str] = set()
         for sid in self.sample_ids:
-            if not _SAMPLE_ID_RE.match(sid):
+            if not _SAMPLE_ID_RE.fullmatch(sid):
                 raise DataValidationError(f"sample_id {sid!r} is not alphanumeric/underscore")
             if sid in seen:
                 raise DataValidationError(f"duplicate sample_id {sid!r}")
@@ -352,7 +362,7 @@ def load_feature_table(path, format: str) -> FeatureTable:
     if format == "csv":
         return _load_csv(path)
     if format == "binary":
-        with path.open("rb") as f:
+        with path.open("rb", buffering=_READ_BUFFER) as f:
             return _from_binary(f, context=str(path))
     raise DataFormatError(f"unknown table format {format!r}")
 
@@ -448,8 +458,9 @@ def _table_writer(table: FeatureTable) -> Writer:
 
 
 def _from_binary(stream, context: str = "table") -> FeatureTable:
-    """A table read from a seekable binary stream in one pass; each row's
-    features are read straight into the preallocated feature matrix."""
+    """A table read from a seekable binary stream in one pass; each row takes
+    at most three bounds-checked reads before its features, which are read
+    into the preallocated feature matrix."""
     r = Reader(stream, context=context)
     if r.raw(4) != TABLE_MAGIC:
         raise DataFormatError(f"{context}: bad magic, not a feature-table file")
@@ -468,14 +479,20 @@ def _from_binary(stream, context: str = "table") -> FeatureTable:
     sample_ids, camera_ids, identities, wv_ids = [], [], [], []
     feats = np.empty((n, dim), dtype="<f8")
     for i in range(n):
-        sid = r.raw(r.u32())
+        (size,) = _ID_LENGTH.unpack(r.raw(_ID_LENGTH.size))
+        head = r.raw(size + _ROW_FIELDS.size)
         try:
-            sample_ids.append(str(sid, "utf-8"))
+            sample_ids.append(str(head[:size], "utf-8"))
         except UnicodeDecodeError as err:
             raise DataFormatError(f"{context}: sample id of row {i} is not UTF-8") from err
-        camera_ids.append(r.u16())
-        identities.append(r.u64() if r.u8() else None)
-        wv_ids.append(r.u64())
+        camera, labeled, first = _ROW_FIELDS.unpack_from(head, size)
+        camera_ids.append(camera)
+        if labeled:
+            identities.append(first)
+            (first,) = _U64.unpack(r.raw(_U64.size))
+        else:
+            identities.append(None)
+        wv_ids.append(first)
         r.readinto(feats[i])
     if r.remaining:
         raise DataFormatError(f"{context}: {r.remaining} bytes after the {n} rows the header declares")

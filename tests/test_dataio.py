@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,13 +132,30 @@ def test_finite_features_whose_sum_overflows_accepted():
     assert table.features.max() == 1e308
 
 
-def test_binary_round_trip_bit_exact(tmp_path):
+def test_sample_id_with_a_trailing_newline_rejected():
+    table = make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, None])
+    with pytest.raises(DataValidationError, match="alphanumeric"):
+        replace(table, sample_ids=("a\n", "b"))
+
+
+def test_binary_sample_id_with_a_trailing_newline_is_a_format_error():
+    table = make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, None])
+    table = replace(table, sample_ids=("a_", "b"))
+    data = b"".join(_table_writer(table).parts).replace(b"a_", b"a\n")
+    with pytest.raises(DataFormatError, match="alphanumeric"):
+        _from_binary(io.BytesIO(data))
+
+
+def assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=0):
     rng = np.random.default_rng(42)
+    identities = [int(i) for i in rng.integers(0, 40, size=n)]
+    if unlabeled_every:
+        identities[::unlabeled_every] = [None] * len(identities[::unlabeled_every])
     table = make_table(
-        rng.standard_normal((100, 50)),
-        cameras=rng.integers(0, 2, size=100),
-        identities=[int(i) for i in rng.integers(0, 40, size=100)],
-        within_view=rng.integers(0, 40, size=100),
+        rng.standard_normal((n, dim)),
+        cameras=rng.integers(0, 2, size=n),
+        identities=identities,
+        within_view=rng.integers(0, 40, size=n),
     )
     path = tmp_path / "t.ssml"
     save_feature_table(table, path, "binary")
@@ -145,9 +163,33 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert loaded.features.tobytes() == table.features.tobytes()
     assert loaded.sample_ids == table.sample_ids
     assert loaded.identities == table.identities
+    assert loaded.camera_ids.tobytes() == table.camera_ids.tobytes()
+    assert loaded.within_view_ids.tobytes() == table.within_view_ids.tobytes()
     path2 = tmp_path / "t2.ssml"
     save_feature_table(loaded, path2, "binary")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_binary_round_trip_bit_exact(tmp_path):
+    assert_binary_round_trip_bit_exact(tmp_path, 100, 50)
+
+
+# Rows of 400 B and of 80 KB, either side of the loader's 64 KiB read
+# buffer, each table with labeled and unlabeled rows.
+@pytest.mark.parametrize("n, dim", [(300, 50), (6, 10000)], ids=["small rows", "large rows"])
+def test_binary_round_trip_of_mixed_rows_bit_exact(tmp_path, n, dim):
+    assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=3)
+
+
+def test_binary_table_truncated_anywhere_is_a_format_error():
+    table = replace(make_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], cameras=[0, 1, 1],
+                               identities=[7, None, 7], within_view=[7, 3, 7]),
+                    sample_ids=("a", "row_1", "bc"))
+    data = b"".join(_table_writer(table).parts)
+    assert _from_binary(io.BytesIO(data)).identities == (7, None, 7)
+    for end in range(len(data)):
+        with pytest.raises(DataFormatError):
+            _from_binary(io.BytesIO(data[:end]))
 
 
 def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):
@@ -178,14 +220,13 @@ print((peak() - before) * 1024, table.features.nbytes)
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_binary_load_holds_the_features_once(tmp_path):
+def assert_binary_load_holds_the_features_once(tmp_path, n, dim):
     # The reader fills the feature matrix row by row from a buffered stream,
     # so loading grows the peak resident set by about one feature matrix,
     # not by the file plus a copy of it.
     rng = np.random.default_rng(5)
-    table = make_table(rng.standard_normal((200, 32000)), cameras=[i % 2 for i in range(200)],
-                       identities=[i // 2 for i in range(200)])
+    table = make_table(rng.standard_normal((n, dim)), cameras=[i % 2 for i in range(n)],
+                       identities=[i // 2 for i in range(n)])
     path = tmp_path / "big.ssml"
     save_feature_table(table, path, "binary")
     del table
@@ -195,8 +236,20 @@ def test_binary_load_holds_the_features_once(tmp_path):
     out = subprocess.run([sys.executable, "-c", _LOAD_PEAK, str(path)], env=env,
                          check=True, capture_output=True, text=True, timeout=120)
     grown, nbytes = map(int, out.stdout.split())
-    assert nbytes == 200 * 32000 * 8
+    assert nbytes == n * dim * 8
     assert grown < 1.25 * nbytes, f"load grew the peak RSS by {grown / nbytes:.2f} feature matrices"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_binary_load_holds_the_features_once(tmp_path):
+    # 256 KB rows: past the 64 KiB read buffer, read straight into the matrix
+    assert_binary_load_holds_the_features_once(tmp_path, 200, 32000)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_binary_load_of_small_rows_holds_the_features_once(tmp_path):
+    # 8 KB rows: copied out of the read buffer; the same 51 MB of features
+    assert_binary_load_holds_the_features_once(tmp_path, 6400, 1000)
 
 
 def test_csv_round_trip_value_preserving(tmp_path):

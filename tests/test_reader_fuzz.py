@@ -4,6 +4,7 @@ else."""
 
 import io
 import random
+from dataclasses import replace
 
 from nullmargin import SyntheticSpec, fit_nk3ml, generate_synthetic
 from nullmargin.dataio import _from_binary, _table_writer
@@ -36,7 +37,12 @@ def assert_only_format_errors(read, data: bytes, seed: int) -> None:
 
 
 def test_table_reader_fuzz():
-    table = generate_synthetic(SyntheticSpec(identities=4, cameras=2, dim=3, noise_sigma=0.1))
+    # Labeled and unlabeled rows, and ids of two lengths (s0..s9, s10..s11),
+    # so every branch of the row reader sees truncations and bit flips.
+    table = generate_synthetic(SyntheticSpec(identities=6, cameras=2, dim=3, noise_sigma=0.1))
+    table = replace(table, sample_ids=[f"s{i}" for i in range(table.n)],
+                    identities=[None if i % 3 == 0 else ident
+                                for i, ident in enumerate(table.identities)])
     data = b"".join(_table_writer(table).parts)
     assert_only_format_errors(lambda mutant: _from_binary(io.BytesIO(mutant)), data, seed=1)
 
