@@ -30,7 +30,11 @@ MODES = ("labeled_only", "semi_supervised")
 
 # Width of the feature-column blocks a trial's model is lifted in. The lifted
 # model's bits depend on this constant alone, not on the host's core count.
-LIFT_BLOCK = 2048
+# Each lift worker gathers at most n_train x LIFT_BLOCK train-row values
+# (2.6 MB at 632 train rows). On a 2-vCPU host the viper-shape lift took the
+# same time at any width from 256 to 2048 columns, so 512 lowers peak memory
+# at no cost in time.
+LIFT_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,8 @@ def _lift(
     A run lifts one model per mode, after its trials. T is never gathered
     whole. Each LIFT_BLOCK-wide column block of both products is formed from
     that block of the train rows, into preallocated outputs, on min(usable
-    cores, blocks) threads, each GEMM at the caller's BLAS thread count.
+    cores, blocks) threads, each GEMM at the caller's BLAS thread count. So
+    each thread holds at most n_train x LIFT_BLOCK gathered values at a time.
     """
     w_span, mean_span = coeffs @ span.w_n, coeffs @ span.mean
     dim = features.shape[1]

@@ -1,6 +1,7 @@
 import gc
 import os
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -275,6 +276,30 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
         want = basis @ (coeffs @ part)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_lift_holds_one_gathered_train_block_per_worker(cores, monkeypatch):
+    # Besides its outputs and the two span products, the lift may hold only
+    # one gathered n_train x LIFT_BLOCK block per worker at a time: gathering
+    # all of T, or copying a block again, breaks the bound. tracemalloc sees
+    # numpy's buffers on every thread.
+    rng = np.random.default_rng(cores)
+    n_train, dim, rank, directions = 600, 5 * LIFT_BLOCK + 123, 40, 6
+    features = rng.standard_normal((650, dim))
+    train = np.sort(rng.permutation(650)[:n_train])
+    coeffs = rng.standard_normal((n_train, rank))
+    span = NullProjector(w_n=rng.standard_normal((rank, directions)), mean=rng.standard_normal(rank))
+    use_cores(monkeypatch, cores)
+    tracemalloc.start()
+    try:
+        lifted = _lift(features, train, coeffs, span)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = lifted.w_n.nbytes + lifted.mean.nbytes + n_train * (directions + 1) * 8
+    workers = min(cores, -(-dim // LIFT_BLOCK))
+    assert peak - held <= 1.1 * workers * n_train * LIFT_BLOCK * 8
 
 
 def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
