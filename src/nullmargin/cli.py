@@ -43,6 +43,7 @@ from .mining import (
     export_pseudo_classes_csv,
     find_anchor,
     mine_pseudo_classes,
+    view_identity_groups,
 )
 from .nk3ml import embed, fit_nk3ml, load_model, save_model
 from .selftrain import LoopConfig
@@ -312,7 +313,7 @@ def cmd_mine(args) -> int:
     labeled = _load_table(args.labeled)
     unlabeled = _load_table(args.unlabeled)
     model = fit_nk3ml(labeled.subset([i is not None for i in labeled.identities]), loop.kernel)
-    anchor = find_anchor(unlabeled)
+    anchor = find_anchor(unlabeled.features, view_identity_groups(unlabeled))
     if anchor is None:
         raise DataValidationError(
             "unlabeled set cannot host an anchor: need >= 2 cameras and "

@@ -52,7 +52,8 @@ def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
     try:
         out = np.ascontiguousarray(arr, dtype=dtype)
     except OverflowError as err:
-        raise DataValidationError(f"value out of {np.dtype(dtype)} range: {err}") from err
+        # only id columns get here: Python ints past int64, as a loader passes them
+        raise DataValidationError("camera/within-view ids must be nonnegative, in [0, 2**63)") from err
     out.setflags(write=False)
     return out
 
@@ -428,9 +429,9 @@ def _load_csv(path: Path) -> FeatureTable:
     try:
         return FeatureTable(
             sample_ids=tuple(sample_ids),
-            camera_ids=np.array(camera_ids),
+            camera_ids=camera_ids,
             identities=tuple(identities),
-            within_view_ids=np.array(wv_ids),
+            within_view_ids=wv_ids,
             features=np.array(rows, dtype=np.float64).reshape(len(rows), dim),
         )
     except DataValidationError as err:
@@ -499,9 +500,9 @@ def _from_binary(stream, context: str = "table") -> FeatureTable:
     try:
         return FeatureTable(
             sample_ids=tuple(sample_ids),
-            camera_ids=np.array(camera_ids),
+            camera_ids=camera_ids,
             identities=tuple(identities),
-            within_view_ids=np.array(wv_ids, dtype=np.uint64),
+            within_view_ids=wv_ids,
             features=feats,
         )
     except DataValidationError as err:

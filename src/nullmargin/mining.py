@@ -1,9 +1,9 @@
 """Cross-view pseudo-class mining in the secondary discriminative space.
 
+A pool is its (camera, within_view_id) groups of rows of a feature matrix.
 The anchor camera (most within-view identities, ties to the lowest id),
-which find_anchor reads off the pool's (camera, within_view_id) groups,
-defines a secondary maximum-margin space trained on its unlabeled samples'
-primary embeddings.
+which find_anchor reads off those groups, defines a secondary maximum-margin
+space trained on its unlabeled samples' primary embeddings.
 Identities from other cameras are matched to anchor identities by mutual
 top-k (k-reciprocal) nearest-neighbor search over identity centroids in that
 space; each surviving mutual pair becomes a pseudo-class with affinity
@@ -52,12 +52,12 @@ def view_identity_groups(table: FeatureTable) -> dict[tuple[int, int], np.ndarra
 
 @dataclass(frozen=True)
 class Anchor:
-    """A pool that can host an anchor: its anchor camera and its
-    view_identity_groups, formed once by find_anchor."""
+    """A pool that can host an anchor: its rows' features, its anchor camera
+    and its groups, formed once by find_anchor."""
 
-    pool: FeatureTable
+    features: np.ndarray    # (n, d) the pool's rows, in ascending row order
     camera: int
-    # (camera_id, within_view_id) -> row indices into the pool, ascending keys
+    # (camera_id, within_view_id) -> positions in features, ascending keys
     groups: dict[tuple[int, int], np.ndarray]
 
 
@@ -68,15 +68,21 @@ class AnchorContext:
     embedded: np.ndarray    # (n, l) primary embeddings of the pool's rows
 
 
-def find_anchor(unlabeled: FeatureTable) -> Anchor | None:
-    """The pool's Anchor, or None when the pool cannot host an anchor: fewer
-    than 2 cameras, or fewer than 2 identities in the anchor camera. The
-    anchor camera has the most groups; ties go to the lowest camera id."""
-    groups = view_identity_groups(unlabeled)
+def find_anchor(features: np.ndarray, groups: dict[tuple[int, int], np.ndarray]) -> Anchor | None:
+    """The Anchor of the pool that groups (row indices into features) hold,
+    or None when it cannot host an anchor: fewer than 2 cameras, or fewer
+    than 2 identities in the anchor camera. The anchor camera has the most
+    groups; ties go to the lowest camera id."""
     cameras, counts = np.unique([cam for cam, _ in groups], return_counts=True)
     if len(cameras) < 2 or counts.max() < 2:
         return None
-    return Anchor(unlabeled, int(cameras[counts.argmax()]), groups)
+    members = np.concatenate(list(groups.values()))
+    rows = np.sort(members)
+    # each group's positions among the pool's rows, taken in ascending order
+    at = np.searchsorted(rows, members)
+    ends = np.cumsum([len(group) for group in groups.values()]).tolist()
+    positions = {key: at[i:j] for key, i, j in zip(groups, [0, *ends], ends)}
+    return Anchor(features[rows], int(cameras[counts.argmax()]), positions)
 
 
 def build_anchor_context(
@@ -93,7 +99,7 @@ def build_anchor_context(
     anchor_labels = np.concatenate(
         [np.full(len(groups[key]), key[1], dtype=np.int64) for key in anchor_keys]
     )
-    embedded = embed(primary, anchor.pool.features)
+    embedded = embed(primary, anchor.features)
     secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
     return AnchorContext(anchor=anchor, secondary=secondary, embedded=embedded)
 

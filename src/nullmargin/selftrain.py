@@ -3,7 +3,8 @@
 Each round fits the primary space on the current labeled set, mines
 cross-view pseudo-classes from the unlabeled pool, keeps the top quarter of
 the round's candidates (by affinity rank; small harvests are kept whole), and
-moves the matched samples into the labeled set under fresh class labels. The
+moves the matched (camera_id, within_view_id) groups of the pool, which is
+grouped once, into the labeled set under fresh class labels. The
 loop stops when no pairs survive, the pool can no longer host an anchor, or
 the round cap is reached. A final refit on the augmented labeled set is
 always returned. Every accepting round strictly grows the labeled class
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -25,7 +25,9 @@ import numpy as np
 from .dataio import FeatureTable, concat_tables  # noqa: F401
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
-from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
+from .mining import (
+    PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes, view_identity_groups,
+)
 from .nfst import NullSpaceState
 from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum
 
@@ -88,59 +90,49 @@ def run_self_training(
 
     One NullSpaceState holds the labeled set: the first fit appends the
     labeled table's classes, each later refit only the round's moved rows,
-    in pool order, under fresh class labels. The round's Anchor holds the
-    pool's (camera_id, within_view_id) groups that the moved rows are taken
-    from. A failed fit or mining step raises SelfTrainingError naming the
+    in unlabeled row order, under fresh class labels. The pool is
+    view_identity_groups(unlabeled), formed once; a round pops the groups it
+    moves. A failed fit or mining step raises SelfTrainingError naming the
     iteration.
     """
     real_labels = labeled.label_values()
     if len(np.unique(real_labels)) < 2:
         raise DataValidationError("self-training needs >= 2 labeled classes to start")
     new = labeled
-    pool = unlabeled
+    pool = view_identity_groups(unlabeled)
     next_label = max(PSEUDO_LABEL_BASE, int(real_labels.max()) + 1)
     # each pseudo label moves at least two pool rows; all labels are int64
     if next_label + unlabeled.n > np.iinfo(np.int64).max:
         raise DataValidationError("labeled identities leave no int64 room for pseudo labels")
     state = NullSpaceState(labeled.dim)
-    # Each round's model is hashed on one helper thread, which can run beside
-    # the round's mining and the next refit on a free core (sha256 releases
-    # the GIL); the records take their checksums, in round order, once the
-    # loop is done.
-    rounds = []
-    with ThreadPoolExecutor(max_workers=1) as hasher:
-        iteration = 0
-        while True:
+    records = []
+    for iteration in range(cfg.max_iterations + 1):
+        try:
+            model = fit_nk3ml(new, cfg.kernel, state)
+        except NullmarginError as err:
+            raise SelfTrainingError(f"primary fit failed at iteration {iteration}: {err}") from err
+        checksum = model_checksum(model)
+
+        pairs = []
+        anchor = find_anchor(unlabeled.features, pool) if iteration < cfg.max_iterations else None
+        if anchor is not None:
             try:
-                model = fit_nk3ml(new, cfg.kernel, state)
+                ctx = build_anchor_context(anchor, model, cfg.kernel)
+                pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
             except NullmarginError as err:
-                raise SelfTrainingError(f"primary fit failed at iteration {iteration}: {err}") from err
-            checksum = hasher.submit(model_checksum, model)
+                raise SelfTrainingError(f"mining failed at iteration {iteration}: {err}") from err
+        accepted, threshold = _select_pairs(pairs, cfg) if pairs else ([], None)
+        records.append(IterationRecord(
+            iteration, len(state.labels), len(pairs), len(accepted), threshold, checksum
+        ))
+        if not pairs:
+            break
 
-            classes_now = len(state.labels)
-            pairs = []
-            anchor = find_anchor(pool) if iteration < cfg.max_iterations else None
-            if anchor is not None:
-                try:
-                    ctx = build_anchor_context(anchor, model, cfg.kernel)
-                    pairs = mine_pseudo_classes(ctx, k=cfg.k, iteration=iteration)
-                except NullmarginError as err:
-                    raise SelfTrainingError(f"mining failed at iteration {iteration}: {err}") from err
-            if not pairs:
-                rounds.append(((iteration, classes_now, 0, 0, None), checksum))
-                break
-
-            accepted, threshold = _select_pairs(pairs, cfg)
-            rounds.append(((iteration, classes_now, len(pairs), len(accepted), threshold), checksum))
-
-            labels = np.full(pool.n, -1, dtype=np.int64)
-            for pc in accepted:
-                labels[anchor.groups[pc.anchor_identity]] = next_label
-                labels[anchor.groups[pc.matched_identity]] = next_label
-                next_label += 1
-            move = labels >= 0
-            new = replace(pool.subset(move), identities=labels[move].tolist())
-            pool = pool.subset(~move)
-            iteration += 1
-    records = [IterationRecord(*fields, checksum.result()) for fields, checksum in rounds]
+        labels = np.full(unlabeled.n, -1, dtype=np.int64)
+        for pc in accepted:
+            labels[pool.pop(pc.anchor_identity)] = next_label
+            labels[pool.pop(pc.matched_identity)] = next_label
+            next_label += 1
+        moved = np.flatnonzero(labels >= 0)
+        new = replace(unlabeled.subset(moved), identities=labels[moved].tolist())
     return model, LoopTrace(records)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
+from nullmargin.mining import find_anchor, view_identity_groups
 from nullmargin.nk3ml import _model_writer, _read_model
 
 
@@ -23,6 +24,11 @@ def make_table(features, cameras, identities, within_view=None, prefix="s"):
         within_view_ids=np.asarray(within_view),
         features=features,
     )
+
+
+def anchor_of(table):
+    """find_anchor over every row of a table, as `nullmargin mine` calls it."""
+    return find_anchor(table.features, view_identity_groups(table))
 
 
 def model_bytes(model) -> bytes:
@@ -43,12 +49,14 @@ HOSTILE_TABLES = (
     "non_utf8_id.ssml",
     "inf_feature.ssml",
     "huge_identity.ssml",
+    "huge_within_view.ssml",
     "trailing_bytes.ssml",
     "header_undercount.ssml",
     "non_utf8.csv",
     "nan_feature.csv",
     "huge_identity.csv",
     "huge_within_view.csv",
+    "huge_camera.csv",
     "directory",
 )
 
@@ -75,10 +83,14 @@ def hostile_dir(tmp_path_factory):
         big = (1 << 63) + ident
         huge_ssml = huge_ssml.replace(struct.pack("<Q", 900 + ident), struct.pack("<Q", big))
         huge_csv = huge_csv.replace(b",%d," % (900 + ident), b",%d," % big)
-    # the first row's within_view_id (its fourth field) set to 2**64
+    # the first row's within_view_id (its fourth field) set to 2**64, and its
+    # camera_id (second field) to 2**63
     header, first, rest = csv.split(b"\n", 2)
-    huge_wv = first.split(b",")
-    huge_wv[3] = b"%d" % (1 << 64)
+    huge_wv, huge_cam = first.split(b","), first.split(b",")
+    huge_wv[3], huge_cam[1] = b"%d" % (1 << 64), b"%d" % (1 << 63)
+    # the first row's u64 within-view id, after the header, its id, u16 camera,
+    # u8 flag and u64 identity
+    wv_at = 22 + 4 + len(table.sample_ids[0]) + 2 + 1 + 8
     files = {
         "empty.ssml": b"",
         # 22-byte header claiming 2**20 rows of dimension 2**14 (a 128 GiB array)
@@ -88,6 +100,7 @@ def hostile_dir(tmp_path_factory):
         "non_utf8_id.ssml": ssml[:26] + b"\xff" + ssml[27:],
         "inf_feature.ssml": ssml.replace(struct.pack("<d", 0.5), struct.pack("<d", np.inf)),
         "huge_identity.ssml": huge_ssml,
+        "huge_within_view.ssml": ssml[:wv_at] + struct.pack("<Q", 1 << 63) + ssml[wv_at + 8:],
         "trailing_bytes.ssml": ssml + b"\x00" * 7,
         # the header's row count (after magic and version) says 20 of the 24 rows
         "header_undercount.ssml": ssml[:6] + struct.pack("<Q", table.n - 4) + ssml[14:],
@@ -95,6 +108,7 @@ def hostile_dir(tmp_path_factory):
         "nan_feature.csv": csv.replace(b",0.5,", b",nan,"),
         "huge_identity.csv": huge_csv,
         "huge_within_view.csv": b"\n".join([header, b",".join(huge_wv), rest]),
+        "huge_camera.csv": b"\n".join([header, b",".join(huge_cam), rest]),
     }
     for name, data in files.items():
         (out / name).write_bytes(data)

@@ -123,8 +123,19 @@ def test_binary_within_view_id_beyond_int64_rejected():
     data = data[:-16] + struct.pack("<Q", (1 << 64) - 1) + data[-8:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no lossy cast on the way
-        with pytest.raises(DataFormatError, match="nonnegative"):
+        with pytest.raises(DataFormatError, match=r"nonnegative, in \[0, 2\*\*63\)"):
             _from_binary(io.BytesIO(data))
+
+
+@pytest.mark.parametrize("name", ["huge_within_view.ssml", "huge_within_view.csv", "huge_camera.csv"])
+def test_ids_past_int64_are_rejected_naming_the_range(hostile_dir, name):
+    # Ids of 2**63 and up: no cast may wrap them into negatives (the binary
+    # u64) or pass them through float64 with a RuntimeWarning (CSV).
+    path = hostile_dir / name
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataFormatError, match=r"must be nonnegative, in \[0, 2\*\*63\)$"):
+            load_feature_table(path, table_format_for(path))
 
 
 def test_finite_features_whose_sum_overflows_accepted():

@@ -8,6 +8,7 @@ import nullmargin.mining
 import nullmargin.selftrain
 
 from nullmargin import (
+    FeatureTable,
     KernelSpec,
     LoopConfig,
     SyntheticSpec,
@@ -20,10 +21,10 @@ from nullmargin import (
 )
 from nullmargin.errors import DataValidationError
 from nullmargin.kmmc import project_kernel
-from nullmargin.mining import export_pseudo_classes_csv, find_anchor, view_identity_groups
+from nullmargin.mining import export_pseudo_classes_csv, view_identity_groups
 from nullmargin.nk3ml import embed
 
-from conftest import make_table
+from conftest import anchor_of, make_table
 
 # Chain where the leftmost node's nearest neighbor does not reciprocate.
 FIG4A = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]])  # A, B, C
@@ -56,14 +57,14 @@ def test_find_anchor_argmax():
     cams = [0] * 5 + [1] * 3
     wv = [0, 1, 2, 3, 4, 0, 1, 2]
     table = make_table(np.random.default_rng(0).standard_normal((8, 3)), cams, [None] * 8, wv)
-    assert find_anchor(table).camera == 0
+    assert anchor_of(table).camera == 0
 
 
 def test_find_anchor_tie_breaks_low():
     cams = [1, 1, 0, 0]
     wv = [0, 1, 0, 1]
     table = make_table(np.ones((4, 2)), cams, [None] * 4, wv)
-    assert find_anchor(table).camera == 0
+    assert anchor_of(table).camera == 0
 
 
 def test_find_anchor_counts_identities_not_images():
@@ -71,12 +72,12 @@ def test_find_anchor_counts_identities_not_images():
     cams = [0] * 12 + [1] * 5
     wv = [i // 4 for i in range(12)] + list(range(5))
     table = make_table(np.random.default_rng(1).standard_normal((17, 2)), cams, [None] * 17, wv)
-    assert find_anchor(table).camera == 1
+    assert anchor_of(table).camera == 1
 
 
 def test_find_anchor_single_camera_is_none():
     table = make_table(np.ones((3, 2)), [0, 0, 0], [None] * 3, [0, 1, 2])
-    assert find_anchor(table) is None
+    assert anchor_of(table) is None
 
 
 def test_knn_fig4a_relations():
@@ -215,7 +216,7 @@ def _mining_setup(noisefree_table, labeled_count=4):
     unlabeled = replace(unlabeled, identities=[None] * unlabeled.n)
     kernel = KernelSpec()
     model = fit_nk3ml(labeled, kernel)
-    ctx = build_anchor_context(find_anchor(unlabeled), model, kernel)
+    ctx = build_anchor_context(anchor_of(unlabeled), model, kernel)
     return labeled, unlabeled, model, ctx
 
 
@@ -249,7 +250,7 @@ def test_mine_unmatched_anchor_absent():
     labeled = make_table(labeled_feats, [0, 1, 0, 1], [0, 0, 1, 1], prefix="lab")
     model = fit_nk3ml(labeled, KernelSpec())
     unlabeled = make_table(feats, cams, [None] * 3, wv)
-    ctx = build_anchor_context(find_anchor(unlabeled), model, KernelSpec())
+    ctx = build_anchor_context(anchor_of(unlabeled), model, KernelSpec())
     pairs = mine_pseudo_classes(ctx, k=1)
     # camera 1 offers a single identity, so at most one anchor can pair and
     # the unmatched anchor identity must be absent from the output
@@ -301,7 +302,7 @@ def test_mine_row_permutation_invariant(noisefree_table):
     rng = np.random.default_rng(7)
     perm = rng.permutation(unlabeled.n)
     shuffled = unlabeled.subset(perm)
-    ctx2 = build_anchor_context(find_anchor(shuffled), model, KernelSpec())
+    ctx2 = build_anchor_context(anchor_of(shuffled), model, KernelSpec())
     a = mine_pseudo_classes(ctx, k=1)
     b = mine_pseudo_classes(ctx2, k=1)
     key = lambda pcs: [(pc.anchor_identity, pc.matched_identity, round(pc.affinity, 12)) for pc in pcs]
@@ -337,11 +338,11 @@ def test_export_csv(tmp_path, noisefree_table):
 def test_mine_requires_non_anchor_camera(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
     only_anchor = unlabeled.subset(unlabeled.camera_ids == ctx.anchor.camera)
-    assert find_anchor(only_anchor) is None
+    assert anchor_of(only_anchor) is None
     # two cameras, but one identity in each: no anchor classes to separate
     one_each = unlabeled.subset(unlabeled.within_view_ids == unlabeled.within_view_ids[0])
     assert len(np.unique(one_each.camera_ids)) >= 2
-    assert find_anchor(one_each) is None
+    assert anchor_of(one_each) is None
 
 
 def test_round_embeds_pool_once(noisefree_table, monkeypatch):
@@ -353,7 +354,7 @@ def test_round_embeds_pool_once(noisefree_table, monkeypatch):
         return embed(m, x)
 
     monkeypatch.setattr(nullmargin.mining, "embed", counting_embed)
-    ctx = build_anchor_context(find_anchor(unlabeled), model, KernelSpec())
+    ctx = build_anchor_context(anchor_of(unlabeled), model, KernelSpec())
     pairs = mine_pseudo_classes(ctx, k=1)
     assert calls == [unlabeled.n]
     np.testing.assert_array_equal(ctx.embedded, embed(model, unlabeled.features))
@@ -369,7 +370,7 @@ def test_mine_forms_one_distance_matrix_per_camera(monkeypatch):
     labeled = table.subset([r for r in range(table.n) if table.identities[r] < 5])
     pool = table.subset([r for r in range(table.n) if table.identities[r] >= 5])
     pool = replace(pool, identities=[None] * pool.n)
-    ctx = build_anchor_context(find_anchor(pool), fit_nk3ml(labeled), KernelSpec())
+    ctx = build_anchor_context(anchor_of(pool), fit_nk3ml(labeled), KernelSpec())
     expected = mine_pseudo_classes(ctx, k=1)
     shapes = []
 
@@ -406,27 +407,69 @@ def test_round_groups_pool_once(noisefree_table, monkeypatch):
     assert len(mine_pseudo_classes(ctx, k=1)) == 8
 
 
-def test_loop_groups_pool_once_per_round(noisefree_table, monkeypatch):
-    # Each loop round starts with its primary fit; between two fits the pool
-    # is grouped at most once, and exactly once in a round that mines.
+def test_loop_groups_pool_once_per_loop(noisefree_table, monkeypatch):
+    # The loop groups its unlabeled table once; a round then subsets that
+    # table only for the rows it moves, never for the pool that remains.
     labeled, unlabeled, _, _ = _mining_setup(noisefree_table, labeled_count=3)
-    events = []
-    real_fit, real_groups = nullmargin.selftrain.fit_nk3ml, view_identity_groups
-
-    def fit(*args):
-        events.append("fit")
-        return real_fit(*args)
+    grouped, subsets = [], []
+    real_groups, real_subset = view_identity_groups, FeatureTable.subset
 
     def groups(table):
-        events.append("group")
+        grouped.append(table)
         return real_groups(table)
 
-    monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", fit)
-    monkeypatch.setattr(nullmargin.mining, "view_identity_groups", groups)
+    def subset(table, indices):
+        subsets.append((table, len(indices)))
+        return real_subset(table, indices)
+
+    monkeypatch.setattr(nullmargin.selftrain, "view_identity_groups", groups)
+    monkeypatch.setattr(FeatureTable, "subset", subset)
     _, trace = run_self_training(labeled, unlabeled, LoopConfig())
-    per_round = [part.count("group") for part in " ".join(events).split("fit")[1:]]
-    assert len(per_round) == len(trace.records)
-    mined = [rec.pseudo_mined > 0 for rec in trace.records]
-    assert sum(mined) >= 2
-    for count, did_mine in zip(per_round, mined):
-        assert count == 1 if did_mine else count <= 1
+    assert grouped == [unlabeled]
+    moved = [2 * rec.pseudo_accepted for rec in trace.records if rec.pseudo_mined]
+    assert len(moved) >= 2
+    assert [table is unlabeled for table, _ in subsets] == [True] * len(moved)
+    assert [rows for _, rows in subsets] == moved
+
+
+def test_loop_anchors_equal_anchors_of_the_unmoved_groups(monkeypatch):
+    # Oracle: each round's Anchor, formed from the groups no round has moved,
+    # equals find_anchor on a fresh table of exactly those groups' rows. Six
+    # synthetic cameras read as three, so every (camera, within_view_id)
+    # group holds two rows; shuffled, so a group's rows are not adjacent.
+    table = generate_synthetic(SyntheticSpec(
+        identities=20, cameras=6, dim=300, per_camera_transform_strength=0.3,
+        noise_sigma=0.2, seed=8,
+    ))
+    table = replace(table, camera_ids=table.camera_ids // 2)
+    table = table.subset(np.random.default_rng(3).permutation(table.n))
+    labeled = table.subset([ident < 6 for ident in table.identities])
+    unlabeled = table.subset([ident >= 6 for ident in table.identities])
+    unlabeled = replace(unlabeled, identities=[None] * unlabeled.n)
+    anchors, mined = [], []
+    real_context, real_mine = build_anchor_context, mine_pseudo_classes
+
+    def context(anchor, *args):
+        anchors.append(anchor)
+        return real_context(anchor, *args)
+
+    def mine(*args, **kwargs):
+        mined.append(real_mine(*args, **kwargs))
+        return mined[-1]
+
+    monkeypatch.setattr(nullmargin.selftrain, "build_anchor_context", context)
+    monkeypatch.setattr(nullmargin.selftrain, "mine_pseudo_classes", mine)
+    _, trace = run_self_training(labeled, unlabeled, LoopConfig())
+    assert len(anchors) >= 3 and len(np.unique(unlabeled.camera_ids)) == 3
+    unmoved = view_identity_groups(unlabeled)
+    assert {len(rows) for rows in unmoved.values()} == {2}
+    for anchor, pairs, rec in zip(anchors, mined, trace.records):
+        rows = np.sort(np.concatenate(list(unmoved.values())))
+        want = anchor_of(unlabeled.subset(rows))
+        assert anchor.camera == want.camera
+        np.testing.assert_array_equal(anchor.features, want.features)
+        assert list(anchor.groups) == list(want.groups)
+        for key, positions in want.groups.items():
+            np.testing.assert_array_equal(anchor.groups[key], positions)
+        for pc in pairs[: rec.pseudo_accepted]:
+            del unmoved[pc.anchor_identity], unmoved[pc.matched_identity]

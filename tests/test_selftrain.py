@@ -132,27 +132,27 @@ def test_trace_jsonl_export(tmp_path, noisefree_12):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, threads):
-    # Rounds hash on a helper thread; each trace.jsonl record still names the
-    # model its round fitted, as hashed here on the loop's own thread, in
-    # round order. Two trials, so at --threads 2 two loops run at once.
+    # Each trace.jsonl record names the model its round fitted, as hashed
+    # here, in round order; every round is hashed on its loop's own thread,
+    # right after its fit. Two trials, so at --threads 2 two loops run at once.
     table = generate_synthetic(SyntheticSpec(identities=24, cameras=3, dim=40, noise_sigma=0.3, seed=3))
     data = tmp_path / "t.ssml"
     save_feature_table(table, data, "binary")
-    loops = {}      # id(state) -> (state, loop thread, inline checksums in round order)
-    hashed_on = []
+    loops = {}      # id(state) -> (state, inline checksums in round order)
+    unhashed = {}   # loop thread -> the model it fitted last, until it is hashed
     real_fit = nullmargin.selftrain.fit_nk3ml
     real_checksum = nullmargin.selftrain.model_checksum
 
     def recording_fit(new, kernel, state):
         model = real_fit(new, kernel, state)
         # the state is kept alive, so its id names one loop
-        loops.setdefault(id(state), (state, threading.current_thread(), []))[2].append(
-            model_checksum(model)
-        )
+        loops.setdefault(id(state), (state, []))[1].append(model_checksum(model))
+        assert threading.current_thread() not in unhashed
+        unhashed[threading.current_thread()] = model
         return model
 
     def recording_checksum(model):
-        hashed_on.append(threading.current_thread())
+        assert unhashed.pop(threading.current_thread()) is model
         return real_checksum(model)
 
     monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", recording_fit)
@@ -161,13 +161,12 @@ def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, 
     assert main(["run", "--input", str(data), "-o", str(out), "--mode", "semi_supervised",
                  "--trials", "2", "--threads", str(threads), "--seed", "4"]) == 0
     traced = [json.loads(line)["model_checksum"] for line in (out / "trace.jsonl").read_text().splitlines()]
-    inline = [sums for _, _, sums in loops.values()]
+    inline = [sums for _, sums in loops.values()]
     assert len(inline) == 2 and min(map(len, inline)) >= 2
     assert traced in inline
     if threads == 1:
         assert traced == inline[-1]                  # the last trial's loop
-    assert len(hashed_on) == sum(map(len, inline))
-    assert not {t for _, t, _ in loops.values()} & set(hashed_on)
+    assert not unhashed
 
 
 @pytest.mark.parametrize("stage, target", [
