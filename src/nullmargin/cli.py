@@ -31,6 +31,7 @@ from .dataio import (
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
+    group_rows,
     load_feature_table,
     save_feature_table,
     table_format_for,
@@ -38,13 +39,7 @@ from .dataio import (
 from .errors import ConfigError, DataError, DataValidationError, NumericalError
 from .evaluation import DEFAULT_RANKS, MODES, cmc, rank_gallery, run_protocols
 from .kmmc import KERNEL_KINDS, KernelSpec
-from .mining import (
-    build_anchor_context,
-    export_pseudo_classes_csv,
-    find_anchor,
-    mine_pseudo_classes,
-    view_identity_groups,
-)
+from .mining import build_anchor_context, export_pseudo_classes_csv, find_anchor, mine_pseudo_classes
 from .nk3ml import embed, fit_nk3ml, load_model, save_model
 from .selftrain import LoopConfig
 
@@ -313,7 +308,8 @@ def cmd_mine(args) -> int:
     labeled = _load_table(args.labeled)
     unlabeled = _load_table(args.unlabeled)
     model = fit_nk3ml(labeled.subset([i is not None for i in labeled.identities]), loop.kernel)
-    anchor = find_anchor(unlabeled.features, view_identity_groups(unlabeled))
+    groups = group_rows(unlabeled.camera_ids, unlabeled.within_view_ids)
+    anchor = find_anchor(unlabeled.features, groups)
     if anchor is None:
         raise DataValidationError(
             "unlabeled set cannot host an anchor: need >= 2 cameras and "

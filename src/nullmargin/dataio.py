@@ -18,6 +18,7 @@ Two on-disk layouts are supported:
 from __future__ import annotations
 
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass, replace
@@ -48,14 +49,31 @@ _U64 = struct.Struct("<Q")
 _DISTORT_RANK = 16
 
 
-def _as_readonly(arr: np.ndarray, dtype) -> np.ndarray:
-    try:
-        out = np.ascontiguousarray(arr, dtype=dtype)
-    except OverflowError as err:
-        # only id columns get here: Python ints past int64, as a loader passes them
-        raise DataValidationError("camera/within-view ids must be nonnegative, in [0, 2**63)") from err
+def _id_column(values) -> np.ndarray:
+    """values as a write-protected int64 array. Ids of a non-integer or bool
+    dtype are rejected, not cast, and so are ids past int64."""
+    arr = np.asarray(values)
+    kind = arr.dtype.kind if arr.size else "i"     # np.asarray([]) is float64
+    # numpy reads Python ints that fit neither int64 nor uint64 as float64 or object
+    if kind not in "iu" and not (
+        isinstance(values, (list, tuple)) and all(type(v) is int for v in values)
+    ):
+        raise DataValidationError(f"camera/within-view ids must be integers, not {arr.dtype}")
+    if kind not in "iu" or kind == "u" and arr.max() >= 1 << 63:
+        raise DataValidationError("camera/within-view ids must be nonnegative, in [0, 2**63)")
+    out = np.ascontiguousarray(arr, dtype=np.int64)
     out.setflags(write=False)
     return out
+
+
+def _integer(value, name: str, minimum: float = -math.inf) -> int:
+    """value as a Python int of at least minimum; a float, a bool or any
+    other non-integer raises DataValidationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DataValidationError(f"{name} must be >= {minimum}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -71,10 +89,11 @@ class FeatureTable:
     def __post_init__(self):
         object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
         object.__setattr__(self, "identities", tuple(self.identities))
-        object.__setattr__(self, "camera_ids", _as_readonly(self.camera_ids, np.int64))
-        object.__setattr__(self, "within_view_ids", _as_readonly(self.within_view_ids, np.int64))
-        feats = np.atleast_2d(np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "features", _as_readonly(feats, np.float64))
+        object.__setattr__(self, "camera_ids", _id_column(self.camera_ids))
+        object.__setattr__(self, "within_view_ids", _id_column(self.within_view_ids))
+        feats = np.ascontiguousarray(np.atleast_2d(np.asarray(self.features, dtype=np.float64)))
+        feats.setflags(write=False)
+        object.__setattr__(self, "features", feats)
         self._validate()
 
     def _validate(self) -> None:
@@ -108,7 +127,7 @@ class FeatureTable:
             if self.within_view_ids.min() < 0:
                 raise DataValidationError("within_view_id must be nonnegative")
         for ident in self.identities:
-            if ident is not None and (not isinstance(ident, int) or not 0 <= ident < 1 << 63):
+            if ident is not None and (type(ident) is not int or not 0 <= ident < 1 << 63):
                 raise DataValidationError(
                     f"identity {ident!r} must be a nonnegative signed 64-bit integer or None"
                 )
@@ -182,6 +201,8 @@ class SplitSpec:
     trials: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", minimum=1))
         # Read from its text, a float keeps its exact decimal value (0.1 is
         # 1/10, not the nearest binary fraction).
         try:
@@ -193,8 +214,6 @@ class SplitSpec:
         object.__setattr__(self, "labeled_fraction", fraction)
         if not (0 < self.labeled_fraction <= 1):
             raise DataValidationError("labeled_fraction must be in (0, 1]")
-        if self.trials < 1:
-            raise DataValidationError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -215,12 +234,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.identities < 2:
-            raise DataValidationError("identities must be >= 2")
+        for name, low in (("identities", 2), ("cameras", -math.inf), ("dim", 2), ("seed", -math.inf)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, low))
         if not 2 <= self.cameras <= 1 << 16:
             raise DataValidationError("cameras must be in [2, 65536] (camera ids are 16-bit)")
-        if self.dim < 2:
-            raise DataValidationError("dim must be >= 2")
         # The largest arrays generated, the table and the camera factors, hold
         # identities * cameras and _DISTORT_RANK rows of dim float64s.
         if max(self.identities * self.cameras, _DISTORT_RANK) * self.dim > np.iinfo(np.intp).max // 8:

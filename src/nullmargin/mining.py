@@ -1,9 +1,10 @@
 """Cross-view pseudo-class mining in the secondary discriminative space.
 
 A pool is its (camera, within_view_id) groups of rows of a feature matrix.
-The anchor camera (most within-view identities, ties to the lowest id),
-which find_anchor reads off those groups, defines a secondary maximum-margin
-space trained on its unlabeled samples' primary embeddings.
+find_anchor lays the pool out once, as its rows, its ascending group keys
+and each row's group, and picks the anchor camera (most within-view
+identities, ties to the lowest id). That camera's unlabeled samples, in
+their primary embeddings, train a secondary maximum-margin space.
 Identities from other cameras are matched to anchor identities by mutual
 top-k (k-reciprocal) nearest-neighbor search over identity centroids in that
 space; each surviving mutual pair becomes a pseudo-class with affinity
@@ -19,10 +20,10 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataio import FeatureTable, group_rows
 from .errors import DataValidationError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nk3ml import Nk3mlModel, embed
+from .scatter import class_sums
 
 
 @dataclass
@@ -44,21 +45,20 @@ class PseudoClass:
     iteration_found: int = 0
 
 
-def view_identity_groups(table: FeatureTable) -> dict[tuple[int, int], np.ndarray]:
-    """Row indices grouped by (camera_id, within_view_id), ascending keys and
-    ascending rows within each group."""
-    return group_rows(table.camera_ids, table.within_view_ids)
-
-
 @dataclass(frozen=True)
 class Anchor:
-    """A pool that can host an anchor: its rows' features, its anchor camera
-    and its groups, formed once by find_anchor."""
+    """A pool that can host an anchor, laid out once by find_anchor.
+
+    Row r of features is in group group[r], whose (camera_id,
+    within_view_id) is keys[group[r]]. The rows keep their ascending order in
+    the source matrix, whatever order the groups come in: embed blocks its
+    GEMM by rows, so another order could change the embeddings' last bits.
+    """
 
     features: np.ndarray    # (n, d) the pool's rows, in ascending row order
     camera: int
-    # (camera_id, within_view_id) -> positions in features, ascending keys
-    groups: dict[tuple[int, int], np.ndarray]
+    keys: np.ndarray        # (g, 2) int64 (camera_id, within_view_id), ascending
+    group: np.ndarray       # (n,) int64 each row's index into keys
 
 
 @dataclass
@@ -69,20 +69,19 @@ class AnchorContext:
 
 
 def find_anchor(features: np.ndarray, groups: dict[tuple[int, int], np.ndarray]) -> Anchor | None:
-    """The Anchor of the pool that groups (row indices into features) hold,
-    or None when it cannot host an anchor: fewer than 2 cameras, or fewer
-    than 2 identities in the anchor camera. The anchor camera has the most
-    groups; ties go to the lowest camera id."""
-    cameras, counts = np.unique([cam for cam, _ in groups], return_counts=True)
+    """The Anchor of the pool that groups (row indices into features, keyed
+    and ordered as group_rows gives them) hold, or None when it cannot host
+    an anchor: fewer than 2 cameras, or fewer than 2 identities in the
+    anchor camera. The anchor camera has the most groups; ties go to the
+    lowest camera id."""
+    keys = np.array(list(groups), dtype=np.int64).reshape(-1, 2)
+    cameras, counts = np.unique(keys[:, 0], return_counts=True)
     if len(cameras) < 2 or counts.max() < 2:
         return None
     members = np.concatenate(list(groups.values()))
-    rows = np.sort(members)
-    # each group's positions among the pool's rows, taken in ascending order
-    at = np.searchsorted(rows, members)
-    ends = np.cumsum([len(group) for group in groups.values()]).tolist()
-    positions = {key: at[i:j] for key, i, j in zip(groups, [0, *ends], ends)}
-    return Anchor(features[rows], int(cameras[counts.argmax()]), positions)
+    group = np.repeat(np.arange(len(keys)), [len(rows) for rows in groups.values()])
+    order = np.argsort(members)
+    return Anchor(features[members[order]], int(cameras[counts.argmax()]), keys, group[order])
 
 
 def build_anchor_context(
@@ -93,14 +92,11 @@ def build_anchor_context(
     The anchor's whole pool is embedded once; the context keeps those
     embeddings and the anchor for mine_pseudo_classes.
     """
-    groups = anchor.groups
-    anchor_keys = [key for key in groups if key[0] == anchor.camera]
-    anchor_rows = np.concatenate([groups[key] for key in anchor_keys])
-    anchor_labels = np.concatenate(
-        [np.full(len(groups[key]), key[1], dtype=np.int64) for key in anchor_keys]
-    )
+    # the anchor camera's rows group by group, ascending within each group
+    by_group = np.argsort(anchor.group, kind="stable")
+    anchor_rows = by_group[anchor.keys[anchor.group[by_group], 0] == anchor.camera]
     embedded = embed(primary, anchor.features)
-    secondary = fit_nkmmc(embedded[anchor_rows], anchor_labels, kernel)
+    secondary = fit_nkmmc(embedded[anchor_rows], anchor.keys[anchor.group[anchor_rows], 1], kernel)
     return AnchorContext(anchor=anchor, secondary=secondary, embedded=embedded)
 
 
@@ -144,21 +140,18 @@ def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> l
     affinity with (anchor id, matched id) tie order, which is also the output
     order.
     """
-    secondary_points = project_kernel(ctx.secondary, ctx.embedded)
-    groups, anchor_camera = ctx.anchor.groups, ctx.anchor.camera
-    keys = list(groups)
-    sizes = np.array([len(rows) for rows in groups.values()])
-    grouped = secondary_points[np.concatenate(list(groups.values()))]
-    centroids = np.add.reduceat(grouped, np.cumsum(sizes) - sizes, axis=0) / sizes[:, None]
-    cams = np.array([cam for cam, _ in keys])
-
-    anchor_ids = [key for key in keys if key[0] == anchor_camera]
-    anchor_matrix = centroids[cams == anchor_camera]
+    anchor = ctx.anchor
+    sizes = np.bincount(anchor.group, minlength=len(anchor.keys))
+    points = project_kernel(ctx.secondary, ctx.embedded)
+    centroids = class_sums(points, anchor.group, sizes) / sizes[:, None]
+    keys = list(map(tuple, anchor.keys.tolist()))
+    cams = anchor.keys[:, 0]
+    anchor_at = np.flatnonzero(cams == anchor.camera)
 
     candidates: list[PseudoClass] = []
-    for cam in sorted({cam for cam, _ in keys} - {anchor_camera}):
-        other_ids = [key for key in keys if key[0] == cam]
-        neighbor_sets = k_reciprocal(anchor_matrix, centroids[cams == cam], k)
+    for cam in np.unique(cams[cams != anchor.camera]).tolist():
+        other_at = np.flatnonzero(cams == cam)
+        neighbor_sets = k_reciprocal(centroids[anchor_at], centroids[other_at], k)
         dists = neighbor_sets.distances
         sigma = float(dists.mean())
         for i, matches in enumerate(neighbor_sets.reciprocal):
@@ -166,12 +159,7 @@ def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> l
                 dist = float(dists[i, g])
                 affinity = 1.0 if sigma == 0.0 else math.exp(-(dist * dist) / (sigma * sigma))
                 candidates.append(
-                    PseudoClass(
-                        anchor_identity=anchor_ids[i],
-                        matched_identity=other_ids[int(g)],
-                        affinity=affinity,
-                        iteration_found=iteration,
-                    )
+                    PseudoClass(keys[anchor_at[i]], keys[other_at[g]], affinity, iteration)
                 )
 
     candidates.sort(key=lambda pc: (-pc.affinity, pc.anchor_identity, pc.matched_identity))

@@ -3,8 +3,8 @@
 Scatter matrices use unnormalized sums: S_w = sum_i sum_{x in C_i}
 (x - m_i)(x - m_i)^T and S_b = sum_i n_i (m_i - m)(m_i - m)^T. They are kept
 only in factored form (centered data matrices), so they never form a d x d
-matrix at feature dimensions in the tens of thousands. The fits call only
-class_sums; compute_scatter serves the tests and the benchmark's tracer.
+matrix at feature dimensions in the tens of thousands. Fits and mining call
+only class_sums; compute_scatter serves the tests and the benchmark's tracer.
 """
 
 from __future__ import annotations

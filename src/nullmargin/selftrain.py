@@ -3,8 +3,8 @@
 Each round fits the primary space on the current labeled set, mines
 cross-view pseudo-classes from the unlabeled pool, keeps the top quarter of
 the round's candidates (by affinity rank; small harvests are kept whole), and
-moves the matched (camera_id, within_view_id) groups of the pool, which is
-grouped once, into the labeled set under fresh class labels. The
+moves the matched (camera_id, within_view_id) groups of the pool (a dict of
+row groups, formed once per loop) into the labeled set under fresh labels. The
 loop stops when no pairs survive, the pool can no longer host an anchor, or
 the round cap is reached. A final refit on the augmented labeled set is
 always returned. Every accepting round strictly grows the labeled class
@@ -22,12 +22,10 @@ import numpy as np
 
 # concat_tables is not called here: bench/spans.py traces it under this
 # module's name.
-from .dataio import FeatureTable, concat_tables  # noqa: F401
+from .dataio import FeatureTable, _integer, concat_tables, group_rows  # noqa: F401
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
-from .mining import (
-    PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes, view_identity_groups,
-)
+from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
 from .nfst import NullSpaceState
 from .nk3ml import Nk3mlModel, fit_nk3ml, model_checksum
 
@@ -46,12 +44,10 @@ class LoopConfig:
     kernel: KernelSpec = field(default_factory=KernelSpec)
 
     def __post_init__(self):
+        for name in ("k", "max_iterations"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, minimum=1))
         if not (0 < self.quantile <= 1):
             raise DataValidationError("quantile must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise DataValidationError("max_iterations must be >= 1")
-        if self.k < 1:
-            raise DataValidationError("k must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -90,16 +86,17 @@ def run_self_training(
 
     One NullSpaceState holds the labeled set: the first fit appends the
     labeled table's classes, each later refit only the round's moved rows,
-    in unlabeled row order, under fresh class labels. The pool is
-    view_identity_groups(unlabeled), formed once; a round pops the groups it
-    moves. A failed fit or mining step raises SelfTrainingError naming the
-    iteration.
+    in unlabeled row order, under fresh class labels. The pool is the
+    unlabeled rows' (camera_id, within_view_id) groups from group_rows,
+    formed once; a round pops the groups it moves, and find_anchor lays out
+    what remains. A failed fit or mining step raises SelfTrainingError naming
+    the iteration.
     """
     real_labels = labeled.label_values()
     if len(np.unique(real_labels)) < 2:
         raise DataValidationError("self-training needs >= 2 labeled classes to start")
     new = labeled
-    pool = view_identity_groups(unlabeled)
+    pool = group_rows(unlabeled.camera_ids, unlabeled.within_view_ids)
     next_label = max(PSEUDO_LABEL_BASE, int(real_labels.max()) + 1)
     # each pseudo label moves at least two pool rows; all labels are int64
     if next_label + unlabeled.n > np.iinfo(np.int64).max:

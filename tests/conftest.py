@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
-from nullmargin.mining import find_anchor, view_identity_groups
+from nullmargin.dataio import group_rows
+from nullmargin.mining import find_anchor
 from nullmargin.nk3ml import _model_writer, _read_model
 
 
@@ -28,7 +29,7 @@ def make_table(features, cameras, identities, within_view=None, prefix="s"):
 
 def anchor_of(table):
     """find_anchor over every row of a table, as `nullmargin mine` calls it."""
-    return find_anchor(table.features, view_identity_groups(table))
+    return find_anchor(table.features, group_rows(table.camera_ids, table.within_view_ids))
 
 
 def model_bytes(model) -> bytes:

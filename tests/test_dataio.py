@@ -13,6 +13,7 @@ import pytest
 
 import nullmargin
 from nullmargin import (
+    FeatureTable,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
@@ -136,6 +137,72 @@ def test_ids_past_int64_are_rejected_naming_the_range(hostile_dir, name):
         warnings.simplefilter("error")
         with pytest.raises(DataFormatError, match=r"must be nonnegative, in \[0, 2\*\*63\)$"):
             load_feature_table(path, table_format_for(path))
+
+
+@pytest.mark.parametrize(
+    "cameras, within_view, match",
+    [
+        (np.array([0.5, 1.7]), [0, 1], "integers, not float64"),
+        ([0.0, 1.0], [0, 1], "integers, not float64"),
+        ([0, 1], np.array([True, False]), "integers, not bool"),
+        ([0, 1], ["0", "1"], "integers, not <U1"),
+        ([0, 1], np.array([1 << 63, 0], dtype=np.uint64), r"nonnegative, in \[0, 2\*\*63\)$"),
+        (np.array([0, (1 << 64) - 1], dtype=np.uint64), [0, 1], r"nonnegative, in \[0, 2\*\*63\)$"),
+        ([-1, 1 << 63], [0, 1], r"nonnegative, in \[0, 2\*\*63\)$"),
+        ([0, 1], [0, 1 << 64], r"nonnegative, in \[0, 2\*\*63\)$"),
+    ],
+)
+def test_id_columns_are_checked_not_cast(cameras, within_view, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataValidationError, match=match):
+            FeatureTable(("a", "b"), cameras, (None, None), within_view, [[1.0], [2.0]])
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_integer_id_columns_of_any_width_read_as_int64(dtype):
+    table = make_table([[1.0], [2.0]], np.array([0, 1], dtype=dtype), [None, None],
+                       np.array([7, (1 << 7) - 1], dtype=dtype))
+    assert table.camera_ids.dtype == table.within_view_ids.dtype == np.int64
+    assert table.within_view_ids.tolist() == [7, 127]
+
+
+@pytest.mark.parametrize("identity", [True, False, 1.0, np.int64(1)])
+def test_identity_must_be_a_python_int(identity):
+    with pytest.raises(DataValidationError, match="must be a nonnegative signed 64-bit integer"):
+        make_table([[1.0], [2.0]], [0, 1], [identity, 0], within_view=[0, 0])
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_empty_table_loads(tmp_path, fmt):
+    table = FeatureTable((), [], (), [], np.zeros((0, 3)))
+    assert table.camera_ids.dtype == table.within_view_ids.dtype == np.int64
+    save_feature_table(table, tmp_path / "empty", fmt)
+    loaded = load_feature_table(tmp_path / "empty", fmt)
+    assert (loaded.n, loaded.dim, loaded.camera_ids.dtype) == (0, 3, np.int64)
+
+
+COUNT_SPECS = {
+    "split.trials": lambda v: SplitSpec(seed=0, trials=v),
+    "split.seed": lambda v: SplitSpec(seed=v),
+    "synthetic.identities": lambda v: SyntheticSpec(identities=v, cameras=2, dim=4),
+    "synthetic.cameras": lambda v: SyntheticSpec(identities=4, cameras=v, dim=4),
+    "synthetic.dim": lambda v: SyntheticSpec(identities=4, cameras=2, dim=v),
+    "synthetic.seed": lambda v: SyntheticSpec(identities=4, cameras=2, dim=4, seed=v),
+}
+
+
+@pytest.mark.parametrize("field", sorted(COUNT_SPECS))
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True, np.True_, "3", None])
+def test_spec_counts_must_be_integers(field, value):
+    with pytest.raises(DataValidationError, match=f"{field.split('.')[1]} must be an integer"):
+        COUNT_SPECS[field](value)
+
+
+@pytest.mark.parametrize("field", sorted(COUNT_SPECS))
+def test_spec_counts_take_numpy_integers_as_ints(field):
+    spec = COUNT_SPECS[field](np.int64(3))
+    assert type(getattr(spec, field.split(".")[1])) is int
 
 
 def test_finite_features_whose_sum_overflows_accepted():

@@ -13,18 +13,20 @@ from nullmargin import (
     LoopConfig,
     SyntheticSpec,
     build_anchor_context,
+    find_anchor,
     fit_nk3ml,
     generate_synthetic,
     k_reciprocal,
     mine_pseudo_classes,
     run_self_training,
 )
+from nullmargin.dataio import group_rows
 from nullmargin.errors import DataValidationError
 from nullmargin.kmmc import project_kernel
-from nullmargin.mining import export_pseudo_classes_csv, view_identity_groups
+from nullmargin.mining import export_pseudo_classes_csv
 from nullmargin.nk3ml import embed
 
-from conftest import anchor_of, make_table
+from conftest import anchor_of, labeled_gaussians, make_table
 
 # Chain where the leftmost node's nearest neighbor does not reciprocate.
 FIG4A = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]])  # A, B, C
@@ -181,7 +183,7 @@ def test_k_reciprocal_matches_two_cdist_construction_with_ties(exclude_self):
 
 
 def row_loop_groups(table):
-    """view_identity_groups' per-row construction."""
+    """Per-row construction of a table's (camera_id, within_view_id) groups."""
     groups = {}
     for row in range(table.n):
         key = (int(table.camera_ids[row]), int(table.within_view_ids[row]))
@@ -189,13 +191,14 @@ def row_loop_groups(table):
     return {key: np.array(rows) for key, rows in sorted(groups.items())}
 
 
-def test_view_identity_groups_match_row_loop():
+def test_group_rows_match_row_loop():
     rng = np.random.default_rng(7)
     for n in (0, 1, 2, 17, 60):
         cams = rng.integers(0, 4, n)
         views = rng.integers(0, 6, n)
         table = make_table(np.zeros((n, 1)), cams, [None] * n, within_view=views)
-        got, want = view_identity_groups(table), row_loop_groups(table)
+        got = group_rows(table.camera_ids, table.within_view_ids)
+        want = row_loop_groups(table)
         assert list(got) == list(want)
         for key, rows in want.items():
             assert got[key].dtype == rows.dtype
@@ -311,15 +314,12 @@ def test_mine_row_permutation_invariant(noisefree_table):
 
 def test_secondary_keeps_anchor_classes_separated(noisefree_table):
     _, unlabeled, model, ctx = _mining_setup(noisefree_table)
-    anchor_classes = [
-        (wv, rows) for (cam, wv), rows in ctx.anchor.groups.items() if cam == ctx.anchor.camera
-    ]
-    anchor_rows = np.concatenate([rows for _, rows in anchor_classes])
-    points = project_kernel(ctx.secondary, embed(model, unlabeled.features[anchor_rows]))
-    labels = np.concatenate(
-        [np.full(len(rows), wv) for wv, rows in anchor_classes]
-    )
-    cents = np.vstack([points[labels == wv].mean(axis=0) for wv, _ in anchor_classes])
+    anchor = ctx.anchor
+    anchor_rows = np.flatnonzero(anchor.keys[anchor.group, 0] == anchor.camera)
+    points = project_kernel(ctx.secondary, embed(model, anchor.features[anchor_rows]))
+    labels = anchor.keys[anchor.group[anchor_rows], 1]
+    cents = np.vstack([points[labels == wv].mean(axis=0) for wv in np.unique(labels)])
+    assert len(cents) >= 2
     dists = cdist(cents, cents)
     off_diag = dists[~np.eye(len(cents), dtype=bool)]
     assert off_diag.min() > 0
@@ -394,17 +394,71 @@ def test_k_reciprocal_carries_the_ranked_distances():
 
 
 def test_round_groups_pool_once(noisefree_table, monkeypatch):
+    # The Anchor holds the pool's layout; mining reads it and groups nothing.
     _, unlabeled, _, ctx = _mining_setup(noisefree_table)
-    want = view_identity_groups(unlabeled)
-    assert list(ctx.anchor.groups) == list(want)
-    for key, rows in want.items():
-        np.testing.assert_array_equal(ctx.anchor.groups[key], rows)
+    want = row_loop_groups(unlabeled)
+    assert list(map(tuple, ctx.anchor.keys.tolist())) == list(want)
+    for at, rows in enumerate(want.values()):
+        np.testing.assert_array_equal(np.flatnonzero(ctx.anchor.group == at), rows)
+    assert not hasattr(nullmargin.mining, "group_rows")
 
-    def no_regrouping(table):
+    def no_regrouping(*args, **kwargs):
         raise AssertionError("mine_pseudo_classes regrouped the pool")
 
-    monkeypatch.setattr(nullmargin.mining, "view_identity_groups", no_regrouping)
+    monkeypatch.setattr("nullmargin.dataio.group_rows", no_regrouping)
     assert len(mine_pseudo_classes(ctx, k=1)) == 8
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_anchor_layout_matches_row_loop_oracle(seed, monkeypatch):
+    # Shuffled pools of 3-4 cameras whose groups hold 1-3 rows, with every
+    # fourth group popped as a self-training round pops the groups it moves.
+    rng = np.random.default_rng(seed)
+    cams, views = [], []
+    for cam in range(int(rng.integers(3, 5))):
+        for wv in rng.choice(50, size=int(rng.integers(3, 7)), replace=False).tolist():
+            size = int(rng.integers(1, 4))
+            cams += [cam] * size
+            views += [wv] * size
+    perm = rng.permutation(len(cams))
+    table = make_table(
+        rng.standard_normal((len(cams), 20)), np.array(cams)[perm], [None] * len(cams),
+        np.array(views)[perm],
+    )
+    pool = group_rows(table.camera_ids, table.within_view_ids)
+    for key in list(pool)[3::4]:
+        del pool[key]
+    anchor = find_anchor(table.features, pool)
+
+    rows = sorted(row for members in pool.values() for row in members.tolist())
+    counts = {}
+    for cam, _ in pool:
+        counts[cam] = counts.get(cam, 0) + 1
+    assert anchor.camera == min(counts, key=lambda cam: (-counts[cam], cam))
+    assert [tuple(key) for key in anchor.keys.tolist()] == sorted(set(pool))
+    np.testing.assert_array_equal(anchor.features, table.features[rows])
+    np.testing.assert_array_equal(
+        anchor.keys[anchor.group],
+        np.column_stack([table.camera_ids[rows], table.within_view_ids[rows]]),
+    )
+
+    def spy(points, labels, kernel):
+        raise _Captured(points, labels)
+
+    monkeypatch.setattr(nullmargin.mining, "fit_nkmmc", spy)
+    model = fit_nk3ml(labeled_gaussians(rng, classes=4, per_class=3, dim=20))
+    with pytest.raises(_Captured) as captured:
+        build_anchor_context(anchor, model, KernelSpec())
+    points, labels = captured.value.args
+    anchor_keys = [key for key in sorted(pool) if key[0] == anchor.camera]
+    want_rows = [rows.index(row) for key in anchor_keys for row in sorted(pool[key].tolist())]
+    want_labels = [key[1] for key in anchor_keys for _ in pool[key]]
+    np.testing.assert_array_equal(points, embed(model, anchor.features)[want_rows])
+    assert labels.tolist() == want_labels
 
 
 def test_loop_groups_pool_once_per_loop(noisefree_table, monkeypatch):
@@ -412,20 +466,21 @@ def test_loop_groups_pool_once_per_loop(noisefree_table, monkeypatch):
     # table only for the rows it moves, never for the pool that remains.
     labeled, unlabeled, _, _ = _mining_setup(noisefree_table, labeled_count=3)
     grouped, subsets = [], []
-    real_groups, real_subset = view_identity_groups, FeatureTable.subset
+    real_subset = FeatureTable.subset
 
-    def groups(table):
-        grouped.append(table)
-        return real_groups(table)
+    def groups(cameras, within_view):
+        grouped.append((cameras, within_view))
+        return group_rows(cameras, within_view)
 
     def subset(table, indices):
         subsets.append((table, len(indices)))
         return real_subset(table, indices)
 
-    monkeypatch.setattr(nullmargin.selftrain, "view_identity_groups", groups)
+    monkeypatch.setattr(nullmargin.selftrain, "group_rows", groups)
     monkeypatch.setattr(FeatureTable, "subset", subset)
     _, trace = run_self_training(labeled, unlabeled, LoopConfig())
-    assert grouped == [unlabeled]
+    assert len(grouped) == 1
+    assert grouped[0][0] is unlabeled.camera_ids and grouped[0][1] is unlabeled.within_view_ids
     moved = [2 * rec.pseudo_accepted for rec in trace.records if rec.pseudo_mined]
     assert len(moved) >= 2
     assert [table is unlabeled for table, _ in subsets] == [True] * len(moved)
@@ -461,15 +516,14 @@ def test_loop_anchors_equal_anchors_of_the_unmoved_groups(monkeypatch):
     monkeypatch.setattr(nullmargin.selftrain, "mine_pseudo_classes", mine)
     _, trace = run_self_training(labeled, unlabeled, LoopConfig())
     assert len(anchors) >= 3 and len(np.unique(unlabeled.camera_ids)) == 3
-    unmoved = view_identity_groups(unlabeled)
+    unmoved = group_rows(unlabeled.camera_ids, unlabeled.within_view_ids)
     assert {len(rows) for rows in unmoved.values()} == {2}
     for anchor, pairs, rec in zip(anchors, mined, trace.records):
         rows = np.sort(np.concatenate(list(unmoved.values())))
         want = anchor_of(unlabeled.subset(rows))
         assert anchor.camera == want.camera
         np.testing.assert_array_equal(anchor.features, want.features)
-        assert list(anchor.groups) == list(want.groups)
-        for key, positions in want.groups.items():
-            np.testing.assert_array_equal(anchor.groups[key], positions)
+        np.testing.assert_array_equal(anchor.keys, want.keys)
+        np.testing.assert_array_equal(anchor.group, want.group)
         for pc in pairs[: rec.pseudo_accepted]:
             del unmoved[pc.anchor_identity], unmoved[pc.matched_identity]

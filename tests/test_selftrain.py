@@ -3,6 +3,7 @@ import math
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import nullmargin.selftrain
@@ -198,6 +199,19 @@ def test_config_validation():
         LoopConfig(max_iterations=0)
     with pytest.raises(DataValidationError):
         LoopConfig(k=0)
+
+
+@pytest.mark.parametrize("name", ["k", "max_iterations"])
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(2.0), True, np.True_, "2", None])
+def test_config_counts_must_be_integers(name, value):
+    with pytest.raises(DataValidationError, match=f"{name} must be an integer"):
+        LoopConfig(**{name: value})
+
+
+def test_config_counts_take_numpy_integers_as_ints():
+    cfg = LoopConfig(k=np.int64(2), max_iterations=np.uint8(3))
+    assert (type(cfg.k), type(cfg.max_iterations)) == (int, int)
+    assert (cfg.k, cfg.max_iterations) == (2, 3)
 
 
 def test_select_pairs_keeps_small_harvests_whole_and_a_quantile_of_the_rest():
