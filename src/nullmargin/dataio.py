@@ -76,6 +76,17 @@ def _integer(value, name: str, minimum: float = -math.inf) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a Python float; a bool, any other non-real and a value past
+    the float range raise DataValidationError. Range checks are the caller's."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DataValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise DataValidationError(f"{name} {value!r} is outside the float range") from err
+
+
 @dataclass(frozen=True)
 class FeatureTable:
     """Immutable n-sample feature table with camera/identity annotations."""
@@ -87,7 +98,7 @@ class FeatureTable:
     features: np.ndarray            # (n, d) float64, write-protected
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
+        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "identities", tuple(self.identities))
         object.__setattr__(self, "camera_ids", _id_column(self.camera_ids))
         object.__setattr__(self, "within_view_ids", _id_column(self.within_view_ids))
@@ -116,8 +127,8 @@ class FeatureTable:
             raise DataValidationError("identities must have one entry per sample")
         seen: set[str] = set()
         for sid in self.sample_ids:
-            if not _SAMPLE_ID_RE.fullmatch(sid):
-                raise DataValidationError(f"sample_id {sid!r} is not alphanumeric/underscore")
+            if not isinstance(sid, str) or not _SAMPLE_ID_RE.fullmatch(sid):
+                raise DataValidationError(f"sample_id {sid!r} is not an alphanumeric/underscore str")
             if sid in seen:
                 raise DataValidationError(f"duplicate sample_id {sid!r}")
             seen.add(sid)
@@ -236,6 +247,8 @@ class SyntheticSpec:
     def __post_init__(self):
         for name, low in (("identities", 2), ("cameras", -math.inf), ("dim", 2), ("seed", -math.inf)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, low))
+        for name in ("per_camera_transform_strength", "noise_sigma"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 2 <= self.cameras <= 1 << 16:
             raise DataValidationError("cameras must be in [2, 65536] (camera ids are 16-bit)")
         # The largest arrays generated, the table and the camera factors, hold

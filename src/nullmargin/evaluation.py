@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._blas import blas_threads
-from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _trial_rng
+from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, ProtocolError
 from .nfst import NullProjector, span_coefficients
 from .nk3ml import Nk3mlModel, embed, fit_nk3ml, model_checksum
@@ -97,9 +97,7 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
 
 
 def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable:
-    """One image per (identity, camera), chosen by the trial's stream."""
-    if None in table.identities:
-        raise DataValidationError("single-shot reduction needs labeled probe/gallery rows")
+    """One image per (identity, camera) of a labeled table, by the trial's stream."""
     rng = _trial_rng(seed ^ 0x5351, trial)   # decorrelated from the split stream
     groups = group_rows(np.array(table.identities, dtype=np.int64), table.camera_ids)
     keep = [rows[0] if len(rows) == 1 else rows[int(rng.integers(len(rows)))]
@@ -213,11 +211,16 @@ def run_protocols(
 ) -> tuple[ProtocolResult, ...]:
     """run_protocol for each of several modes, in order, on one table Gram.
 
-    The protocol splits and scores by identity, so every row needs one.
+    The protocol splits and scores by identity, so every row needs one. The
+    ranks must be distinct integers >= 1, and threads an integer >= 1.
     """
     for mode in modes:
         if mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    threads = _integer(threads, "threads", minimum=1)
+    ns = tuple(_integer(n, "rank", minimum=1) for n in ns)
+    if not ns or len(set(ns)) != len(ns):
+        raise DataValidationError(f"ranks must be nonempty and distinct, got {ns}")
     if None in table.identities:
         row = table.identities.index(None)
         raise DataValidationError(

@@ -49,14 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dataio import _real
 from .errors import (
     DataValidationError,
     EmptyModelError,
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _EPS
-from .scatter import class_sums
+from .nfst import _EPS, class_sums
 
 # Conditioning jitter added to K before the generalized solve, relative to
 # the mean diagonal scale. This is not statistical regularization; the
@@ -82,7 +82,9 @@ class KernelSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise DataValidationError(f"bandwidth must be 'auto' or a number, got {self.bandwidth!r}")
-        elif not (self.bandwidth > 0 and 0.0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
+            return
+        object.__setattr__(self, "bandwidth", _real(self.bandwidth, "bandwidth"))
+        if not (self.bandwidth > 0 and 0.0 < 2.0 * self.bandwidth * self.bandwidth < math.inf):
             raise DataValidationError(
                 f"numeric bandwidth must be > 0 with 2 * bandwidth^2 finite and > 0, got {self.bandwidth!r}"
             )

@@ -6,8 +6,9 @@ and each row's group, and picks the anchor camera (most within-view
 identities, ties to the lowest id). That camera's unlabeled samples, in
 their primary embeddings, train a secondary maximum-margin space.
 Identities from other cameras are matched to anchor identities by mutual
-top-k (k-reciprocal) nearest-neighbor search over identity centroids in that
-space; each surviving mutual pair becomes a pseudo-class with affinity
+top-k (k-reciprocal) nearest-neighbor search across views: the anchor
+camera's identity centroids in that space against each other camera's. Each
+surviving mutual pair becomes a pseudo-class with affinity
 exp(-dist^2 / sigma^2), sigma being the mean cross-view centroid distance.
 """
 
@@ -20,19 +21,18 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .dataio import _integer
 from .errors import DataValidationError
 from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
+from .nfst import class_sums
 from .nk3ml import Nk3mlModel, embed
-from .scatter import class_sums
 
 
 @dataclass
 class NeighborSets:
-    """Per-query top-k neighbor lists, their mutual (k-reciprocal) parts, and
-    the (n_queries, n_gallery) distance matrix they were ranked from (inf on
-    the diagonal under exclude_self)."""
+    """Each query's mutual (k-reciprocal) gallery neighbors, nearest first,
+    and the (n_queries, n_gallery) distance matrix they were ranked from."""
 
-    neighbors: tuple[np.ndarray, ...]
     reciprocal: tuple[np.ndarray, ...]
     distances: np.ndarray
 
@@ -100,34 +100,27 @@ def build_anchor_context(
     return AnchorContext(anchor=anchor, secondary=secondary, embedded=embedded)
 
 
-def k_reciprocal(
-    queries: np.ndarray, gallery: np.ndarray, k: int, exclude_self: bool = False
-) -> NeighborSets:
-    """Mutual top-k neighbors: R_k(q) = {g in N_k(q) : q in N_k(g)}.
+def k_reciprocal(queries: np.ndarray, gallery: np.ndarray, k: int) -> NeighborSets:
+    """Mutual top-k neighbors between two sets: R_k(q) = {g in N_k(q) : q in N_k(g)}.
 
     The reverse neighborhoods N_k(g) are computed with the queries acting as
     the gallery of g, from the transpose of the one distance matrix.
-    R_k(q) preserves the ascending-distance order of N_k(q).
+    R_k(q) preserves the ascending-distance order of N_k(q). Within a set X of
+    distinct rows, the lists are k_reciprocal(X, X, k + 1) less each row's own index.
     """
-    if k < 1:
-        raise DataValidationError("k must be >= 1")
+    k = _integer(k, "k", minimum=1)
     queries = np.atleast_2d(queries)
     gallery = np.atleast_2d(gallery)
     if gallery.shape[0] == 0:
         raise DataValidationError("empty gallery")
     dist = cdist(queries, gallery)
-    if exclude_self:
-        if dist.shape[0] != dist.shape[1]:
-            raise DataValidationError("exclude_self requires queries and gallery to be the same set")
-        np.fill_diagonal(dist, np.inf)
-    # Stable sorts: exact distance ties resolve to the lower index. Under
-    # exclude_self a row's own (inf) entry sorts last, past the cut.
-    forward = np.argsort(dist, axis=1, kind="stable")[:, : min(k, dist.shape[1] - exclude_self)]
-    reverse = np.argsort(dist.T, axis=1, kind="stable")[:, : min(k, dist.shape[0] - exclude_self)]
+    # Stable sorts: exact distance ties resolve to the lower index.
+    forward = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    reverse = np.argsort(dist.T, axis=1, kind="stable")[:, :k]
     mutual = np.zeros(dist.T.shape, dtype=bool)
     np.put_along_axis(mutual, reverse, True, axis=1)
     reciprocal = tuple(neigh[mutual[neigh, i]] for i, neigh in enumerate(forward))
-    return NeighborSets(neighbors=tuple(forward), reciprocal=reciprocal, distances=dist)
+    return NeighborSets(reciprocal=reciprocal, distances=dist)
 
 
 def mine_pseudo_classes(ctx: AnchorContext, k: int = 1, iteration: int = 0) -> list[PseudoClass]:

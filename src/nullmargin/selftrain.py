@@ -22,7 +22,7 @@ import numpy as np
 
 # concat_tables is not called here: bench/spans.py traces it under this
 # module's name.
-from .dataio import FeatureTable, _integer, concat_tables, group_rows  # noqa: F401
+from .dataio import FeatureTable, _integer, _real, concat_tables, group_rows  # noqa: F401
 from .errors import DataValidationError, NullmarginError, SelfTrainingError
 from .kmmc import KernelSpec
 from .mining import PseudoClass, build_anchor_context, find_anchor, mine_pseudo_classes
@@ -46,6 +46,7 @@ class LoopConfig:
     def __post_init__(self):
         for name in ("k", "max_iterations"):
             object.__setattr__(self, name, _integer(getattr(self, name), name, minimum=1))
+        object.__setattr__(self, "quantile", _real(self.quantile, "quantile"))
         if not (0 < self.quantile <= 1):
             raise DataValidationError("quantile must be in (0, 1]")
 

@@ -30,7 +30,7 @@ from nullmargin.kmmc import _margin_operator, gram
 from nullmargin.nfst import project_null
 
 from conftest import make_table
-from test_mining import FIG4A, FIG4B, A, B, C, D, E, brute_reciprocal
+from test_mining import FIG4A, FIG4B, B, C, D, E, brute_reciprocal, within_set_reciprocal
 from test_scatter import loop_scatter
 
 # Frozen calibration of the standard fixture (see module docstring).
@@ -133,15 +133,13 @@ def test_nkmmc_eigen_optimality():
 
 
 def test_k_reciprocal_oracle_equivalence():
-    sets_a = k_reciprocal(FIG4A, FIG4A, k=1, exclude_self=True)
-    assert sets_a.reciprocal[A].tolist() == []
-    assert sets_a.reciprocal[B].tolist() == [C]
-    assert sets_a.reciprocal[C].tolist() == [B]
-    sets_b = k_reciprocal(FIG4B, FIG4B, k=2, exclude_self=True)
+    # Within-set lists of the figures: the lists at k + 1 less each point's own index.
+    assert within_set_reciprocal(FIG4A, k=1) == [[], [C], [B]]
+    recip_b = within_set_reciprocal(FIG4B, k=2)
     assert {frozenset((C, D)), frozenset((C, E)), frozenset((D, E))} <= {
         frozenset((i, j))
         for i in (C, D, E)
-        for j in sets_b.reciprocal[i].tolist()
+        for j in recip_b[i]
     }
 
     rng = np.random.default_rng(4096)

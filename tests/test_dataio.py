@@ -14,6 +14,8 @@ import pytest
 import nullmargin
 from nullmargin import (
     FeatureTable,
+    KernelSpec,
+    LoopConfig,
     SplitSpec,
     SyntheticSpec,
     generate_synthetic,
@@ -203,6 +205,44 @@ def test_spec_counts_must_be_integers(field, value):
 def test_spec_counts_take_numpy_integers_as_ints(field):
     spec = COUNT_SPECS[field](np.int64(3))
     assert type(getattr(spec, field.split(".")[1])) is int
+
+
+# Real-valued settings, by field name; each builds its config from one value.
+REAL_SETTINGS = {
+    "quantile": lambda v: LoopConfig(quantile=v),
+    "per_camera_transform_strength": lambda v: SyntheticSpec(
+        identities=4, cameras=2, dim=4, per_camera_transform_strength=v
+    ),
+    "noise_sigma": lambda v: SyntheticSpec(identities=4, cameras=2, dim=4, noise_sigma=v),
+    "bandwidth": lambda v: KernelSpec("rbf", v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, 0.5j, [0.5]])
+def test_real_settings_must_be_real_numbers(name, value):
+    with pytest.raises(DataValidationError, match=f"{name} must be"):
+        REAL_SETTINGS[name](value)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+@pytest.mark.parametrize("value", [1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
+def test_real_settings_take_any_real_as_a_float(name, value):
+    got = getattr(REAL_SETTINGS[name](value), name)
+    assert type(got) is float and got == value
+
+
+@pytest.mark.parametrize("name", sorted(REAL_SETTINGS))
+def test_real_settings_past_the_float_range_rejected(name):
+    with pytest.raises(DataValidationError, match="outside the float range"):
+        REAL_SETTINGS[name](10**400)
+
+
+@pytest.mark.parametrize("ids", [(1, 2), (b"a", "b"), ("a", None), (np.int64(1), "b")])
+def test_sample_ids_must_be_strings(ids):
+    table = make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, None])
+    with pytest.raises(DataValidationError, match="alphanumeric/underscore str"):
+        replace(table, sample_ids=ids)
 
 
 def test_finite_features_whose_sum_overflows_accepted():

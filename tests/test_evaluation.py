@@ -220,6 +220,28 @@ def test_run_protocol_rejects_unknown_mode(noisefree_table):
         run_protocol(noisefree_table, SplitSpec(seed=1, trials=1), LoopConfig(), "bogus")
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"threads": 0}, "threads must be >= 1"),
+    ({"threads": 1.5}, "threads must be an integer"),
+    ({"threads": True}, "threads must be an integer"),
+    ({"ns": ()}, "ranks must be nonempty"),
+    ({"ns": (0,)}, "rank must be >= 1"),
+    ({"ns": (1, 5, 1)}, "ranks must be nonempty and distinct"),
+    ({"ns": (1.5,)}, "rank must be an integer"),
+    ({"ns": (1, True)}, "rank must be an integer"),
+])
+def test_run_protocol_checks_threads_and_ranks_before_any_trial(
+    noisefree_table, monkeypatch, kwargs, match
+):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", no_trial)
+    spec = SplitSpec(seed=1, trials=1)
+    with pytest.raises(DataValidationError, match=match):
+        run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only", **kwargs)
+
+
 def test_cmc_invariant_to_gallery_permutation(easy_table):
     split = make_split(easy_table, SplitSpec(seed=8, trials=10, labeled_fraction=1), 0)
     model = fit_nk3ml(split.labeled)

@@ -54,6 +54,20 @@ def brute_reciprocal(queries, gallery, k, exclude_self=False):
     return [[g for g in forward[i] if i in reverse[g]] for i in range(len(queries))]
 
 
+def within_set_reciprocal(points, k):
+    """Within-set k-reciprocal lists of distinct rows, through k_reciprocal:
+    the cross-set lists at k + 1 with each row's own index dropped."""
+    sets = k_reciprocal(points, points, k + 1)
+    return [[j for j in r.tolist() if j != i] for i, r in enumerate(sets.reciprocal)]
+
+
+def nearest(queries, gallery, k):
+    """Each query's top-k gallery indices, through k_reciprocal with that
+    query alone: against one query every gallery row's reverse list holds
+    it, so the mutual list is the whole forward list."""
+    return [k_reciprocal(q[None], gallery, k).reciprocal[0].tolist() for q in queries]
+
+
 def test_find_anchor_argmax():
     # camera 0: identities {0,1,2,3,4}; camera 1: identities {0,1,2}
     cams = [0] * 5 + [1] * 3
@@ -83,27 +97,25 @@ def test_find_anchor_single_camera_is_none():
 
 
 def test_knn_fig4a_relations():
-    sets = k_reciprocal(FIG4A, FIG4A, k=1, exclude_self=True)
-    assert sets.neighbors[A].tolist() == [B]
-    assert sets.neighbors[B].tolist() == [C]
-    assert sets.neighbors[C].tolist() == [B]
+    # Each point's own index comes first, at distance 0.
+    assert nearest(FIG4A, FIG4A, k=2) == [[A, B], [B, C], [C, B]]
 
 
 def test_knn_k_at_least_gallery():
     rng = np.random.default_rng(3)
     queries = rng.standard_normal((2, 2))
     gallery = rng.standard_normal((4, 2))
-    sets = k_reciprocal(queries, gallery, k=10)
+    got = nearest(queries, gallery, k=10)
     for i in range(2):
         dists = np.linalg.norm(gallery - queries[i], axis=1)
-        assert sets.neighbors[i].tolist() == np.argsort(dists, kind="stable").tolist()
+        assert got[i] == np.argsort(dists, kind="stable").tolist()
 
 
 def test_knn_tie_breaks_by_lower_index():
     queries = np.array([[0.0, 0.0]])
     gallery = np.array([[1.0, 0.0], [-1.0, 0.0]])
     sets = k_reciprocal(queries, gallery, k=2)
-    assert sets.neighbors[0].tolist() == [0, 1]
+    assert sets.reciprocal[0].tolist() == [0, 1]
 
 
 def test_knn_empty_gallery():
@@ -112,15 +124,11 @@ def test_knn_empty_gallery():
 
 
 def test_k_reciprocal_fig4a():
-    sets = k_reciprocal(FIG4A, FIG4A, k=1, exclude_self=True)
-    assert sets.reciprocal[A].tolist() == []
-    assert sets.reciprocal[B].tolist() == [C]
-    assert sets.reciprocal[C].tolist() == [B]
+    assert within_set_reciprocal(FIG4A, k=1) == [[], [C], [B]]
 
 
 def test_k_reciprocal_fig4b():
-    sets = k_reciprocal(FIG4B, FIG4B, k=2, exclude_self=True)
-    recip = [set(r.tolist()) for r in sets.reciprocal]
+    recip = [set(r) for r in within_set_reciprocal(FIG4B, k=2)]
     # C, D, E are pairwise reciprocal
     assert recip[C] == {D, E}
     assert recip[D] == {C, E}
@@ -131,12 +139,15 @@ def test_k_reciprocal_fig4b():
 
 
 def test_k_reciprocal_matches_brute_force():
+    # Within a set of distinct rows, the lists at k + 1 less each row's own
+    # index are the within-set lists at k.
     rng = np.random.default_rng(4)
-    points = rng.standard_normal((30, 3))
-    sets = k_reciprocal(points, points, k=3, exclude_self=True)
-    oracle = brute_reciprocal(points, points, k=3, exclude_self=True)
-    for i in range(30):
-        assert sets.reciprocal[i].tolist() == oracle[i]
+    for _ in range(100):
+        points = rng.standard_normal((int(rng.integers(2, 31)), int(rng.integers(1, 5))))
+        assert len(np.unique(points, axis=0)) == len(points)
+        for k in range(1, 6):
+            oracle = brute_reciprocal(points, points, k=k, exclude_self=True)
+            assert within_set_reciprocal(points, k) == oracle
 
 
 def test_k_reciprocal_cross_set_matches_brute_force():
@@ -150,36 +161,34 @@ def test_k_reciprocal_cross_set_matches_brute_force():
             assert sets.reciprocal[i].tolist() == oracle[i]
 
 
-def two_cdist_reciprocal(queries, gallery, k, exclude_self=False):
+def two_cdist_reciprocal(queries, gallery, k):
     """k_reciprocal's construction with a second cdist for the reverse lists."""
 
     def lists(q, g):
-        dist = cdist(q, g)
-        if exclude_self:
-            np.fill_diagonal(dist, np.inf)
-        order = np.argsort(dist, axis=1, kind="stable")
-        return [row[dist[i, row] < np.inf][:k] for i, row in enumerate(order)]
+        return np.argsort(cdist(q, g), axis=1, kind="stable")[:, :k]
 
     forward, reverse = lists(queries, gallery), lists(gallery, queries)
     reciprocal = [[g for g in forward[i] if i in reverse[g]] for i in range(len(queries))]
     return forward, reciprocal
 
 
-@pytest.mark.parametrize("exclude_self", [False, True])
-def test_k_reciprocal_matches_two_cdist_construction_with_ties(exclude_self):
+def test_k_reciprocal_matches_two_cdist_construction_with_ties():
     # Points on a small integer grid, some repeated: many exact distance ties.
     rng = np.random.default_rng(6)
     for trial in range(40):
         queries = rng.integers(0, 3, (int(rng.integers(1, 9)), 2)).astype(float)
-        if exclude_self:
-            gallery = queries
-        else:
-            gallery = rng.integers(0, 3, (int(rng.integers(1, 9)), 2)).astype(float)
+        gallery = rng.integers(0, 3, (int(rng.integers(1, 9)), 2)).astype(float)
         k = int(rng.integers(1, 5))
-        sets = k_reciprocal(queries, gallery, k, exclude_self)
-        forward, reciprocal = two_cdist_reciprocal(queries, gallery, k, exclude_self)
-        assert [n.tolist() for n in sets.neighbors] == [n.tolist() for n in forward]
+        sets = k_reciprocal(queries, gallery, k)
+        forward, reciprocal = two_cdist_reciprocal(queries, gallery, k)
+        assert nearest(queries, gallery, k) == [n.tolist() for n in forward]
         assert [r.tolist() for r in sets.reciprocal] == reciprocal
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5, 2.0, True, "2", None])
+def test_k_reciprocal_rejects_a_k_that_is_not_a_positive_integer(k):
+    with pytest.raises(DataValidationError, match="k must be"):
+        k_reciprocal(np.ones((1, 2)), np.ones((2, 2)), k)
 
 
 def row_loop_groups(table):
@@ -389,8 +398,6 @@ def test_k_reciprocal_carries_the_ranked_distances():
     queries, gallery = rng.standard_normal((7, 3)), rng.standard_normal((5, 3))
     sets = k_reciprocal(queries, gallery, 2)
     np.testing.assert_array_equal(sets.distances, cdist(queries, gallery))
-    square = k_reciprocal(queries, queries, 2, exclude_self=True)
-    assert np.isinf(np.diag(square.distances)).all()
 
 
 def test_round_groups_pool_once(noisefree_table, monkeypatch):

@@ -22,8 +22,7 @@ from nullmargin import (
 from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
 from nullmargin.kmmc import _fix_column_signs
-from nullmargin.nfst import NULL_TOL, NullProjector, span_coefficients
-from nullmargin.scatter import compute_scatter
+from nullmargin.nfst import NULL_TOL, NullProjector, compute_scatter, span_coefficients
 
 from conftest import make_table
 from test_scatter import fisher_value, loop_scatter, trace_within, within_quadratic

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nullmargin.errors import DataValidationError
-from nullmargin.scatter import compute_scatter
+from nullmargin.nfst import compute_scatter
 
 from conftest import make_table
 
