@@ -38,9 +38,6 @@ class Writer:
     def u16(self, value: int) -> None:
         self.raw(struct.pack("<H", value))
 
-    def u32(self, value: int) -> None:
-        self.raw(struct.pack("<I", value))
-
     def u64(self, value: int) -> None:
         self.raw(struct.pack("<Q", value))
 

@@ -37,7 +37,7 @@ from .dataio import (
     table_format_for,
 )
 from .errors import ConfigError, DataError, DataValidationError, NumericalError
-from .evaluation import DEFAULT_RANKS, MODES, cmc, rank_gallery, run_protocols
+from .evaluation import DEFAULT_RANKS, MODES, _protocol_args, cmc, rank_gallery, run_protocols
 from .kmmc import KERNEL_KINDS, KernelSpec
 from .mining import build_anchor_context, export_pseudo_classes_csv, find_anchor, mine_pseudo_classes
 from .nk3ml import embed, fit_nk3ml, load_model, save_model
@@ -56,20 +56,18 @@ def derive_seed(master: int, label: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: defaults, config file, flag overrides
+# Run configuration: text in, values out; the library owns defaults and checks
 # ---------------------------------------------------------------------------
 
 def _parse_ranks(value: str) -> tuple[int, ...]:
-    ranks = tuple(int(part) for part in value.replace(" ", "").split(","))
-    if any(n < 1 for n in ranks):
-        raise ValueError("ranks must be positive integers")
-    if len(set(ranks)) != len(ranks):
-        raise ValueError("ranks must be distinct")
-    return ranks
+    return tuple(int(part) for part in value.replace(" ", "").split(","))
 
 
 def _parse_bandwidth(value: str) -> float | str:
-    return "auto" if value == "auto" else float(value)
+    try:
+        return float(value)
+    except ValueError:
+        return value    # a policy name, for KernelSpec to check
 
 
 class _Setting(NamedTuple):
@@ -91,13 +89,17 @@ _RUN_KEYS = {
     "run.ranks": _Setting(
         ",".join(map(str, DEFAULT_RANKS)), _parse_ranks, "--ranks", "comma-separated CMC ranks"
     ),
-    "split.labeled_fraction": _Setting("1/3", Fraction, "--labeled-fraction", "e.g. 1/3 or 0.25"),
-    "split.trials": _Setting("10", int, "--trials"),
-    "loop.k": _Setting("1", int, "--k", "reciprocal-neighbor k"),
-    "loop.quantile": _Setting("0.25", float, "--quantile"),
-    "loop.max_iterations": _Setting("20", int, "--max-iterations"),
-    "kernel.kind": _Setting("rbf", str, "--kernel", " or ".join(KERNEL_KINDS)),
-    "kernel.bandwidth": _Setting("auto", _parse_bandwidth, "--bandwidth", "'auto' or a positive number"),
+    "split.labeled_fraction": _Setting(
+        str(SplitSpec.labeled_fraction), Fraction, "--labeled-fraction", "e.g. 1/2 or 0.5"
+    ),
+    "split.trials": _Setting(str(SplitSpec.trials), int, "--trials"),
+    "loop.k": _Setting(str(LoopConfig.k), int, "--k", "reciprocal-neighbor k"),
+    "loop.quantile": _Setting(str(LoopConfig.quantile), float, "--quantile"),
+    "loop.max_iterations": _Setting(str(LoopConfig.max_iterations), int, "--max-iterations"),
+    "kernel.kind": _Setting(KernelSpec.kind, str, "--kernel", " or ".join(KERNEL_KINDS)),
+    "kernel.bandwidth": _Setting(
+        str(KernelSpec.bandwidth), _parse_bandwidth, "--bandwidth", f"{KernelSpec.bandwidth!r} or a number"
+    ),
 }
 
 
@@ -154,9 +156,8 @@ def _resolve_run_config(args) -> RunConfig:
             raise ConfigError(f"bad value for {key}: {value!r} ({err})") from err
     if values["run.mode"] not in (*MODES, "both"):
         raise ConfigError(f"run.mode must be {_MODE_CHOICES}, got {values['run.mode']!r}")
-    if values["run.threads"] < 1:
-        raise ConfigError("threads must be >= 1")
     try:
+        _protocol_args((), values["run.ranks"], values["run.threads"])
         split = SplitSpec(
             seed=derive_seed(values["run.seed"], "split"),
             labeled_fraction=values["split.labeled_fraction"],
@@ -282,9 +283,9 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        ranks = _parse_ranks(args.ranks)
-    except ValueError as err:
-        raise ConfigError(f"bad --ranks value {args.ranks!r}") from err
+        ranks, _ = _protocol_args((), _parse_ranks(args.ranks))
+    except (ValueError, DataValidationError) as err:
+        raise ConfigError(f"bad --ranks value {args.ranks!r} ({err})") from err
     output = _output_file(args.output)
     model = load_model(args.model)
     probe = _load_table(args.probe)
@@ -299,10 +300,9 @@ def cmd_eval(args) -> int:
 
 def cmd_mine(args) -> int:
     try:
-        loop = LoopConfig(
-            k=args.k, kernel=KernelSpec(kind=args.kernel, bandwidth=_parse_bandwidth(args.bandwidth))
-        )
-    except (ValueError, DataValidationError) as err:
+        kernel = KernelSpec(kind=args.kernel, bandwidth=_parse_bandwidth(args.bandwidth))
+        loop = LoopConfig(k=args.k, kernel=kernel)
+    except DataValidationError as err:
         raise ConfigError(f"bad mining flags: {err}") from err
     output = _output_file(args.output)
     labeled = _load_table(args.labeled)
@@ -334,14 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--identities", type=int, required=True)
     p_synth.add_argument("--cameras", type=int, default=2)
     p_synth.add_argument("--dim", type=int, required=True)
-    p_synth.add_argument("--transform-strength", type=float, default=0.0,
-                         help="per-camera linear distortion (default 0)")
-    p_synth.add_argument("--noise-sigma", type=float, default=0.0, help=(
-        "per-row Gaussian noise (default 0). With both defaults every camera sees the "
+    p_synth.add_argument("--transform-strength", type=float,
+                         default=SyntheticSpec.per_camera_transform_strength,
+                         help="per-camera linear distortion (default %(default)s)")
+    p_synth.add_argument("--noise-sigma", type=float, default=SyntheticSpec.noise_sigma, help=(
+        "per-row Gaussian noise (default %(default)s). With both defaults every camera sees the "
         "same row of an identity, so on 3+ cameras a semi_supervised run exits 4 (data "
         "not in general position) once a round mines an identity an earlier "
         "pseudo-class holds"))
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     p_synth.add_argument("-o", "--output", required=True, help=".csv or binary path")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine", help="one pseudo-class mining round (debugging)")
     p_mine.add_argument("--labeled", required=True)
     p_mine.add_argument("--unlabeled", required=True)
-    p_mine.add_argument("--kernel", choices=KERNEL_KINDS, default=_RUN_KEYS["kernel.kind"].default)
+    p_mine.add_argument("--kernel", default=_RUN_KEYS["kernel.kind"].default)
     p_mine.add_argument("--bandwidth", default=_RUN_KEYS["kernel.bandwidth"].default)
     p_mine.add_argument("--k", type=int, default=_RUN_KEYS["loop.k"].default)
     p_mine.add_argument("-o", "--output", required=True, help="pseudo-class CSV path")

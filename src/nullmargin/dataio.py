@@ -38,8 +38,7 @@ _SAMPLE_ID_RE = re.compile(r"[A-Za-z0-9_]+")
 # A binary table is read through a buffer of this size: rows of a few KB come
 # out of it, and a larger feature payload is read straight into the matrix.
 _READ_BUFFER = 1 << 16
-# A binary row after its u32 id length and id: u16 camera_id, u8
-# has_identity, then the identity if present, else the within-view id.
+# The binary row layout of the module docstring, for writer and reader alike.
 _ID_LENGTH = struct.Struct("<I")
 _ROW_FIELDS = struct.Struct("<HBQ")
 _U64 = struct.Struct("<Q")
@@ -320,6 +319,7 @@ def make_split(table: FeatureTable, spec: SplitSpec, trial: int) -> ExperimentSp
     Deterministic given (spec.seed, trial); every input row lands in exactly
     one of the four parts.
     """
+    trial = _integer(trial, "trial")
     if not (0 <= trial < spec.trials):
         raise DataValidationError(f"trial {trial} outside [0, {spec.trials})")
     ident_cams = _identity_cameras(table)
@@ -475,15 +475,13 @@ def _table_writer(table: FeatureTable) -> Writer:
     w.u64(table.n)
     w.u64(table.dim)
     for i in range(table.n):
-        sid = table.sample_ids[i].encode("utf-8")
-        w.u32(len(sid))
-        w.raw(sid)
-        w.u16(int(table.camera_ids[i]))
-        ident = table.identities[i]
-        w.u8(0 if ident is None else 1)
-        if ident is not None:
-            w.u64(ident)
-        w.u64(int(table.within_view_ids[i]))
+        sid, ident = table.sample_ids[i].encode("utf-8"), table.identities[i]
+        camera, wv = int(table.camera_ids[i]), int(table.within_view_ids[i])
+        w.raw(_ID_LENGTH.pack(len(sid)) + sid)
+        if ident is None:
+            w.raw(_ROW_FIELDS.pack(camera, 0, wv))
+        else:
+            w.raw(_ROW_FIELDS.pack(camera, 1, ident) + _U64.pack(wv))
         w.f64_array(table.features[i])
     return w
 

@@ -69,11 +69,12 @@ def rank_gallery(model: Nk3mlModel, probe: FeatureTable, gallery: FeatureTable) 
 def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCurve:
     """Rank-N accuracies from per-probe gallery rankings.
 
-    Raises DataValidationError for a probe without an identity, and
-    ProtocolError (naming the identity) if a probe identity never occurs in
-    the gallery; extra gallery-only identities and unlabeled gallery rows are
-    fine.
+    Raises DataValidationError for ranks that are not nonempty, distinct
+    integers >= 1 or a probe without an identity, and ProtocolError (naming
+    the identity) if a probe identity never occurs in the gallery; extra
+    gallery-only identities and unlabeled gallery rows are fine.
     """
+    ns, _ = _protocol_args((), ns)
     probe_ids = list(probe_identities)
     if None in probe_ids:
         raise DataValidationError(f"probe row {probe_ids.index(None)} has no identity")
@@ -89,16 +90,26 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
         if hits.size == 0:
             raise ProtocolError(f"probe identity {ident} not present in the gallery")
         positions[i] = hits[0] + 1
-    ranks = tuple(
-        (int(n), 100.0 * float(np.count_nonzero(positions <= n)) / len(probe_ids))
-        for n in ns
-    )
+    ranks = tuple((n, 100.0 * float(np.count_nonzero(positions <= n)) / len(probe_ids)) for n in ns)
     return CmcCurve(ranks=ranks)
+
+
+def _protocol_args(modes, ns, threads=1) -> tuple[tuple[int, ...], int]:
+    """ns and threads as ints; DataValidationError unless every mode is in
+    MODES, the ranks are nonempty, distinct integers >= 1 and threads >= 1."""
+    for mode in modes:
+        if mode not in MODES:
+            raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    threads = _integer(threads, "threads", minimum=1)
+    ns = tuple(_integer(n, "rank", minimum=1) for n in ns)
+    if not ns or len(set(ns)) != len(ns):
+        raise DataValidationError(f"ranks must be nonempty and distinct, got {ns}")
+    return ns, threads
 
 
 def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable:
     """One image per (identity, camera) of a labeled table, by the trial's stream."""
-    rng = _trial_rng(seed ^ 0x5351, trial)   # decorrelated from the split stream
+    rng = _trial_rng(seed ^ 0x5351, _integer(trial, "trial"))   # decorrelated from the split stream
     groups = group_rows(np.array(table.identities, dtype=np.int64), table.camera_ids)
     keep = [rows[0] if len(rows) == 1 else rows[int(rng.integers(len(rows)))]
             for rows in groups.values()]
@@ -214,13 +225,7 @@ def run_protocols(
     The protocol splits and scores by identity, so every row needs one. The
     ranks must be distinct integers >= 1, and threads an integer >= 1.
     """
-    for mode in modes:
-        if mode not in MODES:
-            raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    threads = _integer(threads, "threads", minimum=1)
-    ns = tuple(_integer(n, "rank", minimum=1) for n in ns)
-    if not ns or len(set(ns)) != len(ns):
-        raise DataValidationError(f"ranks must be nonempty and distinct, got {ns}")
+    ns, threads = _protocol_args(modes, ns, threads)
     if None in table.identities:
         row = table.identities.index(None)
         raise DataValidationError(
@@ -249,10 +254,7 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
         model, checksum, trace = pool.submit(lift, *results[-1][2]).result()
 
     per_trial = tuple(res[0] for res in results)
-    mean_ranks = tuple(
-        (int(n), float(np.mean([curve.accuracy_at(n) for curve in per_trial])))
-        for n in ns
-    )
+    mean_ranks = tuple((n, float(np.mean([curve.accuracy_at(n) for curve in per_trial]))) for n in ns)
     return ProtocolResult(
         curve=CmcCurve(ranks=mean_ranks),
         per_trial=per_trial,

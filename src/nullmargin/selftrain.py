@@ -49,6 +49,8 @@ class LoopConfig:
         object.__setattr__(self, "quantile", _real(self.quantile, "quantile"))
         if not (0 < self.quantile <= 1):
             raise DataValidationError("quantile must be in (0, 1]")
+        if not isinstance(self.kernel, KernelSpec):
+            raise DataValidationError(f"kernel must be a KernelSpec, got {self.kernel!r}")
 
 
 @dataclass(frozen=True)

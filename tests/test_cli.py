@@ -563,6 +563,29 @@ def test_eval_bad_ranks_exit_2_before_loading(dataset, saved_model, tmp_path, ca
     assert loads == [] and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--threads", "0"),
+    ("run", "--ranks", "1,1,5"),
+    ("eval", "--ranks", "0,1"),
+    ("mine", "--kernel", "poly"),
+], ids=" ".join)
+def test_library_checked_flags_exit_2_before_loading(
+    dataset, saved_model, tmp_path, capsys, monkeypatch, argv
+):
+    # The library's own checks reject these values, mapped to exit 2, before
+    # any input is read.
+    def no_load(*args):
+        raise AssertionError("an input was read")
+
+    monkeypatch.setattr(nullmargin.cli, "load_feature_table", no_load)
+    command, *flags = argv
+    out = tmp_path / "out.csv"
+    assert run_cli(*command_argv(command, dataset, saved_model), *flags, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err
+    assert not out.exists()
+
+
 ERROR_CLASSES = [
     cls for cls in vars(nullmargin.errors).values()
     if isinstance(cls, type) and issubclass(cls, Exception) and cls is not NullmarginError

@@ -406,6 +406,14 @@ def test_split_deterministic():
     np.testing.assert_array_equal(a.labeled.features, b.labeled.features)
 
 
+@pytest.mark.parametrize("trial", [1.5, True, np.float64(1.0)], ids=repr)
+def test_split_trial_must_be_an_integer(trial):
+    # A float or bool trial used to pass the range check and pick trial 1's split.
+    table = generate_synthetic(SyntheticSpec(identities=12, cameras=2, dim=8, seed=3))
+    with pytest.raises(DataValidationError, match="trial must be an integer"):
+        make_split(table, SplitSpec(seed=4, trials=10), trial)
+
+
 def test_split_trials_differ():
     table = generate_synthetic(SyntheticSpec(identities=12, cameras=2, dim=8, seed=3))
     spec = SplitSpec(seed=4, trials=10)

@@ -131,6 +131,13 @@ def test_single_shot_view_one_image_per_identity_camera():
     assert seen == {(4, 0), (4, 1), (5, 1), (5, 0)}
 
 
+@pytest.mark.parametrize("trial", [1.5, True, np.float64(1.0)], ids=repr)
+def test_single_shot_view_trial_must_be_an_integer(trial):
+    table = make_table(np.eye(4), [0, 0, 1, 1], [4, 4, 5, 5], within_view=[0] * 4)
+    with pytest.raises(DataValidationError, match="trial must be an integer"):
+        single_shot_view(table, seed=9, trial=trial)
+
+
 def test_single_shot_view_picks_are_pinned():
     # Five (identity, camera) groups hold three interleaved rows each, three
     # hold one. The trial stream draws once per multi-row group, in ascending
@@ -240,6 +247,27 @@ def test_run_protocol_checks_threads_and_ranks_before_any_trial(
     spec = SplitSpec(seed=1, trials=1)
     with pytest.raises(DataValidationError, match=match):
         run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only", **kwargs)
+
+
+@pytest.mark.parametrize("ns, match", [
+    ((0,), "rank must be >= 1"),
+    ((1.5,), "rank must be an integer"),
+    ((1, 1), "ranks must be nonempty and distinct"),
+    ((), "ranks must be nonempty"),
+])
+def test_cmc_checks_its_ranks(ns, match):
+    rankings = np.array([[0, 1], [1, 0]])
+    with pytest.raises(DataValidationError, match=match):
+        cmc(rankings, [0, 1], [0, 1], ns)
+
+
+def test_run_protocol_rejects_a_kernel_that_is_not_a_kernel_spec(noisefree_table, monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", no_trial)
+    with pytest.raises(DataValidationError, match="kernel must be a KernelSpec"):
+        run_protocol(noisefree_table, SplitSpec(seed=1, trials=1), LoopConfig(kernel="rbf"), "labeled_only")
 
 
 def test_cmc_invariant_to_gallery_permutation(easy_table):
