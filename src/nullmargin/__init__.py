@@ -22,6 +22,7 @@ from .dataio import (
 from .evaluation import (
     CmcCurve,
     ProtocolResult,
+    SpanModel,
     cmc,
     rank_gallery,
     run_protocol,
@@ -69,6 +70,7 @@ __all__ = [
     "NullSpaceState",
     "ProtocolResult",
     "PseudoClass",
+    "SpanModel",
     "SplitSpec",
     "SyntheticSpec",
     "build_anchor_context",

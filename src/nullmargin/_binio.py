@@ -50,11 +50,12 @@ class Writer:
     def i64_array(self, arr: np.ndarray) -> None:
         self.raw(np.ascontiguousarray(arr, dtype="<i8").reshape(-1))
 
-    def write_to(self, path) -> None:
-        """Write the parts to a file in order, without joining them."""
-        with open(path, "wb") as f:
-            for part in self.parts:
-                f.write(part)
+
+def write_parts(parts, path) -> None:
+    """Write parts to a file in order, without joining them."""
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
 
 
 class Reader:

@@ -40,7 +40,7 @@ from .errors import ConfigError, DataError, DataValidationError, NumericalError
 from .evaluation import DEFAULT_RANKS, MODES, _protocol_args, cmc, rank_gallery, run_protocols
 from .kmmc import KERNEL_KINDS, KernelSpec
 from .mining import build_anchor_context, export_pseudo_classes_csv, find_anchor, mine_pseudo_classes
-from .nk3ml import embed, fit_nk3ml, load_model, save_model
+from .nk3ml import embed, fit_nk3ml, load_model
 from .selftrain import LoopConfig
 
 EXIT_OK = 0
@@ -255,7 +255,7 @@ def cmd_run(args) -> int:
         report["results"][mode] = _mode_result_entry(result)
         suffix = f"_{mode}" if both else ""
         _write_cmc_csv(result.curve, output / f"cmc{suffix}.csv")
-        save_model(result.final_model, output / f"model{suffix}.nk3m")
+        result.final_span.save(table.features, output / f"model{suffix}.nk3m")
         if result.final_trace is not None:
             result.final_trace.write_jsonl(output / "trace.jsonl")
     (output / "report.json").write_text(

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, Writer
+from ._binio import Reader, Writer, write_parts
 from .errors import DataFormatError, DataValidationError
 
 TABLE_MAGIC = b"SSML"
@@ -381,7 +381,7 @@ def save_feature_table(table: FeatureTable, path, format: str) -> None:
     if format == "csv":
         _save_csv(table, path)
     elif format == "binary":
-        _table_writer(table).write_to(path)
+        write_parts(_table_writer(table).parts, path)
     else:
         raise DataFormatError(f"unknown table format {format!r}")
 

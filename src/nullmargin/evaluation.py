@@ -11,17 +11,20 @@ per-trial accuracy percentages.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from ._binio import write_parts
 from ._blas import blas_threads
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, ProtocolError
 from .nfst import NullProjector, span_coefficients
-from .nk3ml import Nk3mlModel, embed, fit_nk3ml, model_checksum
+from .nk3ml import Nk3mlModel, _checksum, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
 DEFAULT_RANKS = (1, 5, 10, 20)
@@ -30,10 +33,11 @@ MODES = ("labeled_only", "semi_supervised")
 
 # Width of the feature-column blocks a trial's model is lifted in. The lifted
 # model's bits depend on this constant alone, not on the host's core count.
-# Each lift worker gathers at most n_train x LIFT_BLOCK train-row values
-# (2.6 MB at 632 train rows). On a 2-vCPU host the viper-shape lift took the
-# same time at any width from 256 to 2048 columns, so 512 lowers peak memory
-# at no cost in time.
+# A lift holds one window of blocks: each of its workers gathers at most
+# n_train x LIFT_BLOCK train-row values (2.6 MB at 632 train rows), and about
+# one LIFT_BLOCK-row block of w_n per worker is formed and not yet consumed.
+# On a 2-vCPU host the viper-shape lift took the same time at any width from
+# 256 to 2048 columns, so 512 lowers peak memory at no cost in time.
 LIFT_BLOCK = 512
 
 
@@ -48,13 +52,43 @@ class CmcCurve:
         raise KeyError(f"rank {n} not evaluated")
 
 
+@dataclass(frozen=True)
+class SpanModel:
+    """A model fitted in the span coordinates x -> x T^T A of the train rows
+    T = features[train], A = coeffs; lifted, its projector is w_n = T^T (A w),
+    mean = T^T (A m). lift() forms the lifted model in memory, for callers
+    that embed with it; save() streams its container to a file block by
+    block. Both lift at one BLAS thread, as the protocol does, so their bits
+    match the run's checksum; that count is process-wide, so call them
+    outside concurrent workers.
+    """
+    model: Nk3mlModel
+    train: np.ndarray
+    coeffs: np.ndarray
+
+    def lift(self, features: np.ndarray) -> Nk3mlModel:
+        with blas_threads(1), closing(_lift(features, self)) as lifted:
+            mean = next(lifted)
+            w_n = np.empty((len(mean), self.model.nullproj.n_directions))
+            for start, block in zip(range(0, len(mean), LIFT_BLOCK), lifted):
+                w_n[start:start + LIFT_BLOCK] = block
+        return replace(self.model, nullproj=NullProjector(w_n=w_n, mean=mean))
+
+    def save(self, features: np.ndarray, path) -> None:
+        # closed on a failed write, so the lift pool never outlives the call
+        with blas_threads(1), closing(_lifted_parts(features, self)) as parts:
+            write_parts(parts, path)
+
+
 @dataclass
 class ProtocolResult:
     curve: CmcCurve
     per_trial: tuple[CmcCurve, ...]
+    # every trial's checksum: of its span-coordinate model, except the last
+    # trial's, which is of its lifted model, the container final_span.save writes
     model_checksums: tuple[str, ...]
     bandwidths: tuple[float, ...]
-    final_model: Nk3mlModel
+    final_span: SpanModel            # the last trial's model; no lifted model is held
     final_trace: LoopTrace | None
 
 
@@ -157,33 +191,49 @@ def _run_trial(
     return cmc(rankings, probe.identities, gallery.identities, ns), model, train, coeffs, trace
 
 
-def _lift(
-    features: np.ndarray, train: np.ndarray, coeffs: np.ndarray, span: NullProjector
-) -> NullProjector:
-    """A projector fitted in span coordinates, in feature coordinates:
-    w_n = T^T (A w), mean = T^T (A m) for the train rows T = features[train].
+def _lift(features: np.ndarray, span: SpanModel):
+    """The span model's projector in feature coordinates, as a stream: the
+    lifted mean, whole, then w_n in LIFT_BLOCK-row blocks, in order.
 
-    A run lifts one model per mode, after its trials. T is never gathered
-    whole. Each LIFT_BLOCK-wide column block of both products is formed from
-    that block of the train rows, into preallocated outputs, on min(usable
-    cores, blocks) threads, each GEMM at the caller's BLAS thread count. So
-    each thread holds at most n_train x LIFT_BLOCK gathered values at a time.
+    T is never gathered whole. Each LIFT_BLOCK-wide column block of both
+    products is formed from that block of the train rows on min(usable
+    cores, blocks) threads, each GEMM at the caller's BLAS thread count: all
+    of mean first, then the w_n blocks through an in-order window of about
+    one block per worker. So a thread holds at most n_train x LIFT_BLOCK
+    gathered values at a time, and no d-wide w_n is formed. Closing the
+    stream early shuts its pool down.
     """
-    w_span, mean_span = coeffs @ span.w_n, coeffs @ span.mean
+    nullproj = span.model.nullproj
+    w_span, mean_span = span.coeffs @ nullproj.w_n, span.coeffs @ nullproj.mean
     dim = features.shape[1]
-    w_n = np.empty((dim, w_span.shape[1]))
     mean = np.empty(dim)
 
-    def lift_block(start: int) -> None:
-        block = features[train, start:start + LIFT_BLOCK].T
-        np.matmul(block, w_span, out=w_n[start:start + LIFT_BLOCK])
-        np.matmul(block, mean_span, out=mean[start:start + LIFT_BLOCK])
+    def gathered(start: int) -> np.ndarray:
+        return features[span.train, start:start + LIFT_BLOCK].T
+
+    def mean_block(start: int) -> None:
+        np.matmul(gathered(start), mean_span, out=mean[start:start + LIFT_BLOCK])
 
     starts = range(0, dim, LIFT_BLOCK)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    with ThreadPoolExecutor(max_workers=min(cores or 1, len(starts))) as pool:
-        list(pool.map(lift_block, starts))
-    return NullProjector(w_n=w_n, mean=mean)
+    workers = min(cores or 1, len(starts))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(mean_block, starts))
+        yield mean
+        window = deque()
+        for start in starts:
+            window.append(pool.submit(lambda s: gathered(s) @ w_span, start))
+            if len(window) > workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _lifted_parts(features: np.ndarray, span: SpanModel):
+    """The lifted model's container parts in file order, formed block by block."""
+    with closing(_lift(features, span)) as lifted:
+        mean = next(lifted)
+        yield from _container_parts(mean, span.model.nullproj.n_directions, lifted, span.model.margin)
 
 
 def _rows(part: FeatureTable) -> np.ndarray:
@@ -207,7 +257,10 @@ def run_protocol(
     thread count. They are independent and run on a pool of `threads`
     threads; results are accumulated in trial order, so output is identical
     at any thread count. Each trial but the last hashes its span-coordinate
-    model; the last one's is lifted and hashed on that pool after all return.
+    model. The last one's is kept in span coordinates (final_span), and its
+    lifted model is streamed into its checksum on that pool after all
+    return, so no lifted model is held; final_span.lift(table.features)
+    gives one to a caller that embeds with it.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 
@@ -239,19 +292,16 @@ def run_protocols(
 def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
     def trial(t: int) -> tuple:
         curve, model, train, coeffs, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
-        # A run holds one model and trace, the last trial's; the others leave a checksum.
-        kept = (model, train, coeffs, trace) if t == spec.trials - 1 else model_checksum(model)
+        # A run holds one span model and trace, the last trial's; the others leave a checksum.
+        kept = (SpanModel(model, train, coeffs), trace) if t == spec.trials - 1 else model_checksum(model)
         return curve, model.margin.resolved_bandwidth, kept
-
-    def lift(model, train, coeffs, trace) -> tuple:
-        # Lifted and hashed in one pool task, as a trial did: hashing on the
-        # calling thread after the pool raised peak RSS by ~20 MiB in some runs.
-        model = replace(model, nullproj=_lift(table.features, train, coeffs, model.nullproj))
-        return model, model_checksum(model), trace
 
     with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(trial, range(spec.trials)))
-        model, checksum, trace = pool.submit(lift, *results[-1][2]).result()
+        span, trace = results[-1][2]
+        # Lifted and hashed in one pool task, as a trial did: hashing on the
+        # calling thread after the pool raised peak RSS by ~20 MiB in some runs.
+        checksum = pool.submit(_checksum, _lifted_parts(table.features, span)).result()
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple((n, float(np.mean([curve.accuracy_at(n) for curve in per_trial]))) for n in ns)
@@ -260,6 +310,6 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
         per_trial=per_trial,
         model_checksums=tuple(res[2] for res in results[:-1]) + (checksum,),
         bandwidths=tuple(res[1] for res in results),
-        final_model=model,
+        final_span=span,
         final_trace=trace,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, Writer
+from ._binio import Reader, Writer, write_parts
 from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
 from .kmmc import KERNEL_KINDS, KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
@@ -67,19 +67,25 @@ def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
 # bytes after the last block are an error.
 # ---------------------------------------------------------------------------
 
-def _model_writer(model: Nk3mlModel) -> Writer:
-    w = Writer()
-    w.raw(MODEL_MAGIC)
-    w.u16(MODEL_VERSION)
+def _container_parts(mean: np.ndarray, n_dirs: int, rows, margin: KernelDiscriminantModel):
+    """A model container's parts in file order, for a null projector given as
+    its mean and its w_n rows in order, as one array or as row blocks.
 
-    null_block = Writer()
-    null_block.u64(model.nullproj.dim)
-    null_block.u64(model.nullproj.n_directions)
-    null_block.f64_array(model.nullproj.mean)
-    null_block.f64_array(model.nullproj.w_n)
-    w.block(null_block)
+    Every length is known from len(mean) and n_dirs, so a part is yielded as
+    soon as its rows are formed; arrays are yielded as their own buffers.
+    """
+    head = Writer()
+    head.raw(MODEL_MAGIC)
+    head.u16(MODEL_VERSION)
+    dim = len(mean)
+    head.u64(16 + 8 * dim * (1 + n_dirs))     # the null block: two u64s, mean, w_n
+    head.u64(dim)
+    head.u64(n_dirs)
+    head.f64_array(mean)
+    yield from head.parts
+    for block in rows:
+        yield np.ascontiguousarray(block, dtype="<f8").reshape(-1)
 
-    margin = model.margin
     margin_block = Writer()
     margin_block.u8(KERNEL_KINDS.index(margin.kernel.kind))
     margin_block.f64(margin.resolved_bandwidth)
@@ -91,8 +97,22 @@ def _model_writer(model: Nk3mlModel) -> Writer:
     margin_block.f64_array(margin.coeffs)
     margin_block.f64_array(margin.eigenvalues)
     margin_block.i64_array(margin.class_index)
-    w.block(margin_block)
-    return w
+    tail = Writer()
+    tail.block(margin_block)
+    yield from tail.parts
+
+
+def _model_parts(model: Nk3mlModel):
+    nullproj = model.nullproj
+    return _container_parts(nullproj.mean, nullproj.n_directions, (nullproj.w_n,), model.margin)
+
+
+def _checksum(parts) -> str:
+    """SHA-256 of a container given as its parts, hashed one by one."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def load_model(path) -> Nk3mlModel:
@@ -175,16 +195,13 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
 
 
 def save_model(model: Nk3mlModel, path) -> None:
-    _model_writer(model).write_to(path)
+    write_parts(_model_parts(model), path)
 
 
 def model_checksum(model: Nk3mlModel) -> str:
     """SHA-256 of the serialized container; stable across identical fits.
 
-    The container's parts are hashed as they are written, without joining
+    The container's parts are hashed as they are formed, without joining
     them into one bytes object.
     """
-    digest = hashlib.sha256()
-    for part in _model_writer(model).parts:
-        digest.update(part)
-    return digest.hexdigest()
+    return _checksum(_model_parts(model))

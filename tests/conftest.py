@@ -9,7 +9,7 @@ import pytest
 from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
 from nullmargin.dataio import group_rows
 from nullmargin.mining import find_anchor
-from nullmargin.nk3ml import _model_writer, _read_model
+from nullmargin.nk3ml import _model_parts, _read_model
 
 
 def make_table(features, cameras, identities, within_view=None, prefix="s"):
@@ -34,7 +34,7 @@ def anchor_of(table):
 
 def model_bytes(model) -> bytes:
     """The container bytes save_model writes for a model."""
-    return b"".join(_model_writer(model).parts)
+    return b"".join(_model_parts(model))
 
 
 def read_model(data: bytes):

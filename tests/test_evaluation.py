@@ -5,16 +5,21 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+import nullmargin._binio
 import nullmargin.evaluation
 from nullmargin import (
     LoopConfig,
+    KernelDiscriminantModel,
+    KernelSpec,
+    Nk3mlModel,
+    SpanModel,
     SplitSpec,
     SyntheticSpec,
     cmc,
@@ -27,10 +32,12 @@ from nullmargin import (
     run_protocol,
     run_protocols,
     run_self_training,
+    save_model,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
-from nullmargin.evaluation import LIFT_BLOCK, MODES, _lift, single_shot_view
+from nullmargin.evaluation import LIFT_BLOCK, MODES, _lifted_parts, single_shot_view
 from nullmargin.nfst import NullProjector
+from nullmargin.nk3ml import _checksum
 
 from conftest import make_table, model_bytes
 
@@ -174,7 +181,7 @@ def assert_run_protocol_equals_direct(table, spec, mode, side):
     direct, n_train, model = direct_trial(table, spec, cfg, mode, ns)
     assert (table.dim < n_train) == (side == ">")
     assert result.per_trial[0] == direct
-    lifted = result.final_model
+    lifted = result.final_span.lift(table.features)
     assert lifted.nullproj.dim == table.dim
     assert result.model_checksums[0] == model_checksum(lifted)
     expected = pdist(embed(model, table.features))
@@ -295,17 +302,30 @@ def use_cores(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-# 4219 spans several LIFT_BLOCK-wide blocks and ends in a partial one.
-@pytest.mark.parametrize("dim", [4219, 300])
+def random_span(rng, rows, n_train, rank, directions):
+    """A SpanModel over n_train of `rows` table rows, with random stages."""
+    margin = KernelDiscriminantModel(
+        train_points=rng.standard_normal((5, directions)), kernel=KernelSpec("rbf", 1.5),
+        coeffs=rng.standard_normal((5, 2)), eigenvalues=np.array([2.0, 1.0]),
+        class_index=np.arange(5),
+    )
+    nullproj = NullProjector(w_n=rng.standard_normal((rank, directions)), mean=rng.standard_normal(rank))
+    return SpanModel(
+        Nk3mlModel(nullproj, margin), train=rng.permutation(rows)[:n_train],
+        coeffs=rng.standard_normal((n_train, rank)),
+    )
+
+
+# 300 is under one LIFT_BLOCK-wide block, 2 * LIFT_BLOCK is whole blocks only,
+# and 4219 spans several blocks and ends in a partial one.
+@pytest.mark.parametrize("dim", [4219, 300, 2 * LIFT_BLOCK])
 def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, monkeypatch):
     # The lift forms T^T (A w) block by block without gathering T; its bits
     # must not depend on how many workers run the blocks, and it must agree
     # with the product over the gathered train rows.
     rng = np.random.default_rng(dim)
     features = rng.standard_normal((40, dim))
-    train = rng.permutation(40)[:25]
-    coeffs = rng.standard_normal((25, 20))
-    span = NullProjector(w_n=rng.standard_normal((20, 6)), mean=rng.standard_normal(20))
+    span = random_span(rng, 40, 25, 20, 6)
     pools = []
 
     class RecordingPool(ThreadPoolExecutor):
@@ -315,42 +335,118 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
 
     monkeypatch.setattr(nullmargin.evaluation, "ThreadPoolExecutor", RecordingPool)
     lifted = []
-    for cores in (1, 2):
+    for cores in (1, 2, 3):
         use_cores(monkeypatch, cores)
-        lifted.append(_lift(features, train, coeffs, span))
-    one, two = lifted
-    assert pools == ([1, 2] if dim > LIFT_BLOCK else [1, 1])     # min(cores, blocks)
-    assert one.w_n.tobytes() == two.w_n.tobytes()
-    assert one.mean.tobytes() == two.mean.tobytes()
-    basis = features[train].T
-    for got, part in ((one.w_n, span.w_n), (one.mean, span.mean)):
-        want = basis @ (coeffs @ part)
+        lifted.append(span.lift(features).nullproj)
+    blocks = -(-dim // LIFT_BLOCK)
+    assert pools == [min(cores, blocks) for cores in (1, 2, 3)]
+    for other in lifted[1:]:
+        assert other.w_n.tobytes() == lifted[0].w_n.tobytes()
+        assert other.mean.tobytes() == lifted[0].mean.tobytes()
+    basis = features[span.train].T
+    for got, part in ((lifted[0].w_n, span.model.nullproj.w_n), (lifted[0].mean, span.model.nullproj.mean)):
+        want = basis @ (span.coeffs @ part)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
+@pytest.mark.parametrize("dim", [4219, 300, 2 * LIFT_BLOCK])
+def test_streamed_container_equals_the_lifted_models(dim, cores, monkeypatch, tmp_path):
+    # The run's checksum and the file save() writes stream the lifted model
+    # block by block; both must be the container of the in-memory lift.
+    rng = np.random.default_rng(dim + cores)
+    features = rng.standard_normal((40, dim))
+    span = random_span(rng, 40, 25, 20, 6)
+    use_cores(monkeypatch, cores)
+    lifted = span.lift(features)
+    span.save(features, tmp_path / "streamed.nk3m")
+    save_model(lifted, tmp_path / "lifted.nk3m")
+    assert (tmp_path / "streamed.nk3m").read_bytes() == (tmp_path / "lifted.nk3m").read_bytes()
+    assert _checksum(_lifted_parts(features, span)) == model_checksum(lifted)
+
+
 @pytest.mark.parametrize("cores", [1, 2])
-def test_lift_holds_one_gathered_train_block_per_worker(cores, monkeypatch):
-    # Besides its outputs and the two span products, the lift may hold only
-    # one gathered n_train x LIFT_BLOCK block per worker at a time: gathering
-    # all of T, or copying a block again, breaks the bound. tracemalloc sees
-    # numpy's buffers on every thread.
+def test_streamed_lift_and_hash_hold_one_window_of_blocks(cores, monkeypatch):
+    # Besides its inputs, the lift and hash may hold one gathered
+    # n_train x LIFT_BLOCK block per worker, the window's w_n blocks (one per
+    # worker, one formed and waiting, one being hashed), the lifted mean and
+    # the two span products. A w_n formed whole, here about 3x that bound,
+    # breaks it. tracemalloc sees numpy's buffers on every thread.
     rng = np.random.default_rng(cores)
-    n_train, dim, rank, directions = 600, 5 * LIFT_BLOCK + 123, 40, 6
-    features = rng.standard_normal((650, dim))
-    train = np.sort(rng.permutation(650)[:n_train])
-    coeffs = rng.standard_normal((n_train, rank))
-    span = NullProjector(w_n=rng.standard_normal((rank, directions)), mean=rng.standard_normal(rank))
+    n_train, dim, rank, directions = 200, 20 * LIFT_BLOCK + 123, 40, 150
+    features = rng.standard_normal((250, dim))
+    span = random_span(rng, 250, n_train, rank, directions)
     use_cores(monkeypatch, cores)
     tracemalloc.start()
     try:
-        lifted = _lift(features, train, coeffs, span)
+        _checksum(_lifted_parts(features, span))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = lifted.w_n.nbytes + lifted.mean.nbytes + n_train * (directions + 1) * 8
     workers = min(cores, -(-dim // LIFT_BLOCK))
-    assert peak - held <= 1.1 * workers * n_train * LIFT_BLOCK * 8
+    window = (workers + 2) * LIFT_BLOCK * directions
+    bound = 8 * (workers * n_train * LIFT_BLOCK + window + dim + n_train * (directions + 1))
+    assert peak <= 1.1 * bound
+
+
+def test_a_stream_closed_early_or_a_failed_write_leaves_no_pool_thread(monkeypatch, tmp_path):
+    rng = np.random.default_rng(5)
+    features = rng.standard_normal((40, 4219))
+    span = random_span(rng, 40, 25, 20, 6)
+    use_cores(monkeypatch, 2)
+    before = set(threading.enumerate())
+    parts = _lifted_parts(features, span)
+    for _ in range(10):     # the header, the mean and the first w_n blocks
+        next(parts)
+    assert set(threading.enumerate()) > before      # the lift pool is running
+    parts.close()
+    assert set(threading.enumerate()) == before
+
+    class FullDisk:
+        """A file whose eighth write fails, as on a full disk."""
+        writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, part):
+            FullDisk.writes += 1
+            if FullDisk.writes == 8:
+                raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(nullmargin._binio, "open", lambda path, mode: FullDisk(), raising=False)
+    # The kept traceback holds the failed call's frames, so a stream left
+    # open there would keep its pool alive.
+    with pytest.raises(OSError, match="No space left") as failed:
+        span.save(features, tmp_path / "model.nk3m")
+    assert set(threading.enumerate()) == before, failed
+
+
+def test_results_hold_no_array_as_long_as_the_feature_dimension():
+    # No lifted model is held: every array a result keeps is span-sized.
+    table = generate_synthetic(SyntheticSpec(
+        identities=16, cameras=2, dim=LIFT_BLOCK + 300,
+        per_camera_transform_strength=0.5, noise_sigma=0.5, seed=3,
+    ))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif is_dataclass(value):
+            for f in fields(value):
+                yield from arrays(getattr(value, f.name))
+        elif isinstance(value, (tuple, list)):
+            for item in value:
+                yield from arrays(item)
+
+    results = run_protocols(table, SplitSpec(seed=2, trials=2), LoopConfig(), MODES)
+    held = list(arrays(results))
+    assert len(held) > 2 * 6    # each final span model's arrays are walked
+    assert all(table.dim not in a.shape for a in held)
 
 
 def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
@@ -365,7 +461,7 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
         runs.append(run_protocol(table, spec, LoopConfig(), "semi_supervised", ns=(1, 5)))
     one, two = runs
     assert one.model_checksums == two.model_checksums
-    assert model_bytes(one.final_model) == model_bytes(two.final_model)
+    assert model_bytes(one.final_span.lift(table.features)) == model_bytes(two.final_span.lift(table.features))
 
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
@@ -385,9 +481,10 @@ def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     result = run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only")
     gc.collect()
     assert [ref() is not None for ref in models[:-1]] == [False, False]
-    assert result.final_model.margin is margins[-1]
-    assert result.final_model.nullproj.dim == noisefree_table.dim
-    assert result.model_checksums[-1] == model_checksum(result.final_model)
+    assert result.final_span.model.margin is margins[-1]
+    lifted = result.final_span.lift(noisefree_table.features)
+    assert lifted.nullproj.dim == noisefree_table.dim
+    assert result.model_checksums[-1] == model_checksum(lifted)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -421,8 +518,9 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
     for mode, result in zip(MODES, results):
         spans = [model_checksum(span_models[mode, t]) for t in range(3)]
         assert list(result.model_checksums[:-1]) == spans[:-1]
-        assert result.model_checksums[-1] == model_checksum(result.final_model) != spans[-1]
-        assert result.final_model.nullproj.dim == easy_table.dim
+        lifted = result.final_span.lift(easy_table.features)
+        assert result.model_checksums[-1] == model_checksum(lifted) != spans[-1]
+        assert lifted.nullproj.dim == easy_table.dim
 
 
 def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch):
@@ -507,5 +605,6 @@ def test_labeled_only_trial_equals_a_fit_in_the_full_train_span(shape, seed):
     curve, expected, rows = full_span_labeled_trial(table, spec, ns)
     assert result.per_trial[0] == curve
     np.testing.assert_allclose(
-        pdist(embed(result.final_model, rows)), expected, rtol=0, atol=1e-9 * expected.max()
+        pdist(embed(result.final_span.lift(table.features), rows)), expected, rtol=0,
+        atol=1e-9 * expected.max()
     )

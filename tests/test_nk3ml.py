@@ -184,18 +184,19 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
         return model, trace
 
     monkeypatch.setattr(nullmargin.evaluation, "run_self_training", recording_loop)
-    lifted = run_protocol(easy_table, SplitSpec(seed=4, trials=1), LoopConfig(), "semi_supervised")
+    result = run_protocol(easy_table, SplitSpec(seed=4, trials=1), LoopConfig(), "semi_supervised")
     (span_model,) = span_models
-    assert lifted.final_model.nullproj.dim == easy_table.dim > span_model.nullproj.dim
+    lifted = result.final_span.lift(easy_table.features)
+    assert lifted.nullproj.dim == easy_table.dim > span_model.nullproj.dim
     # a column-major w_n goes through the copying path of the writer
     fortran = replace(span_model, nullproj=replace(
         span_model.nullproj, w_n=np.asfortranarray(span_model.nullproj.w_n)
     ))
-    for model in (lifted.final_model, span_model, fortran):
+    for model in (lifted, span_model, fortran):
         expected = hashlib.sha256(model_bytes(model)).hexdigest()
         assert model_checksum(model) == expected
     assert model_checksum(fortran) == model_checksum(span_model)
-    assert lifted.model_checksums == (model_checksum(lifted.final_model),)
+    assert result.model_checksums == (model_checksum(lifted),)
 
 
 def test_refit_round_forms_no_pairwise_distances_and_no_projections(monkeypatch):
