@@ -1,22 +1,39 @@
 """Normalized kernel maximum margin criterion.
 
-Solves the generalized eigenproblem of (P - Q, K) where K is the training
+Maximises a^T (P - Q) a subject to a^T K a = 1, where K is the training
 Gram matrix, Q aggregates per-class kernel scatter and P the scatter of
-kernelized class means around the global kernel mean. Training point j may
-stand for mu_j identical rows (its multiplicity, default 1; n = sum mu_j
-rows, n_i of them in class i). The fit equals the fit on the n expanded rows
-with coefficients gamma_j summed over each point's copies:
+kernelized class means around the global kernel mean (Li, Jiang and Zhang,
+"Efficient and Robust Feature Extraction by Maximum Margin Criterion", NIPS
+2003). Training point j may stand for mu_j identical rows (its multiplicity,
+default 1; n = sum mu_j rows, n_i of them in class i). The fit equals the
+fit on the n expanded rows with coefficients gamma_j summed over each
+point's copies:
 
     Q = (1/n) sum_j mu_j (k_j - m_i(j))(k_j - m_i(j))^T      (k_j = K[:, j])
     P = sum_i (n_i/n) (m_i - m)(m_i - m)^T
     m_i = sum_{j in C_i} mu_j k_j / n_i,   m = sum_j mu_j k_j / n
 
-so with one point per class Q = 0 and P = K (diag(w) - w w^T) K, w_i = n_i/n;
-Q is formed over the points that share their class only. K and P - Q come
-from A A^T products, which BLAS forms as exactly symmetric matrices (syrk),
-and the solve reads one triangle, so neither is symmetrized.
-The expanded Gram E K E^T (E the row-to-point indicator) with its jitter
-eps * I turns into K + eps * diag(1/mu) over the points.
+The discriminants are the pairs of (P - Q, K) on range(K), found by one
+symmetric eigendecomposition along one of two exact routes, chosen by the
+input:
+
+- No class has two points (every primary fit, whose points are the null-space
+  class points, and the secondary fit on a single-shot pool). Then Q = 0 and
+  P = K (W - w w^T) K with w = mu / n and W = diag(w), so the criterion is
+  weighted kernel PCA of the centred Gram (Schoelkopf, Smola and Mueller,
+  1998). With u = sqrt(w), t = K w and gamma = w^T K w, the eigenpairs
+  (lambda, v) of S = U (K - t 1^T - 1 t^T + gamma 1 1^T) U, U = diag(u), give
+  a = U v / sqrt(lambda). S's entries are u_i u_j (K_ij - (t_i + t_j) +
+  gamma), so S is exactly symmetric.
+- Otherwise. A = span_coefficients(K) makes the rows of Z = K A the points'
+  coordinates in an orthonormal basis of their kernel span, and
+  A^T (P - Q) A is the weighted S_b - S_w of Z's rows; its eigenpairs
+  (lambda, y) give a = A y. With K's own rows the same scatter is P - Q.
+
+Either way a^T K a = 1, and the discriminants whose eigenvalues exceed
+EIG_POS_TOL * lambda_max are kept. On the first route that rank cut also
+drops the null space of K, which the second route's span leaves out. A
+kernel matrix with a non-finite entry raises NumericalError.
 
 Every rbf Gram, and the auto bandwidth, take their squared distances from
 one GEMM: with both point sets centred at the second set's mean,
@@ -27,18 +44,12 @@ the square root. A fit forms one such matrix, over one centred copy of its
 points and the symmetric product A A^T, and reads both the auto bandwidth
 (the weighted mean of its square roots) and the Gram off it; the primary
 fit, the secondary fit and project_kernel all build their Grams this way.
-A fitted model carries its resolved kernel: rbf with the numeric bandwidth
-its fit used, or linear.
-
-The generalized eigenproblem is one LAPACK call (sygvd, which reduces by
-the Cholesky factor of K_j and solves by divide and conquer). All
-discriminants with positive eigenvalues are retained and normalized to
-a^T K a = 1. The solve returns K_j-orthonormal vectors (K_j = K + eps *
-diag(1/mu)), so a^T K a = 1 - sum_j (eps/mu_j) a_j^2 costs O(c^2) and serves
-both the jitter filter and the normalization. The same routine serves the
-primary space (over the null-space class points, weighted by their row
-counts) and the secondary space (over anchor-camera embeddings, one row
-each).
+K, and the scatter of the shared-class route, come from A A^T products,
+which BLAS forms exactly symmetric, so nothing is symmetrized. A fitted
+model carries its resolved kernel: rbf with the numeric bandwidth its fit
+used, or linear. The same routine serves the primary space (over the
+null-space class points, weighted by their row counts) and the secondary
+space (over anchor-camera embeddings, one row each).
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import eigh
 
 from .dataio import _real
 from .errors import (
@@ -56,13 +67,10 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _EPS, class_sums
+from .nfst import _EPS, class_sums, span_coefficients
 
-# Conditioning jitter added to K before the generalized solve, relative to
-# the mean diagonal scale. This is not statistical regularization; the
-# closed-form solution needs none.
-K_JITTER = 1e-8
-# Eigenvalues above this fraction of |lambda_max| count as positive.
+# Eigenvalues above this fraction of lambda_max count as positive; the rest,
+# the null space of K among them, are cut.
 EIG_POS_TOL = 1e-9
 # Kernel families; a kind's index is its code in the model file.
 KERNEL_KINDS = ("linear", "rbf")
@@ -175,52 +183,23 @@ def gram(points_a: np.ndarray, points_b: np.ndarray, kernel: KernelSpec) -> np.n
     return _rbf(_squared_distances(a, b), float(kernel.bandwidth))
 
 
-def _margin_operator(k_matrix: np.ndarray, class_ids: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """P - Q over the Gram matrix, for points of multiplicities mu.
+def _margin_operator(rows: np.ndarray, class_ids: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Weighted S_b - S_w (r, r) of the points' rows (m, r), for points of
+    multiplicities mu; with K's rows (K is symmetric) it is P - Q.
 
-    The class kernel means are class sums of K's mu-weighted rows (K is
-    symmetric), and all class blocks are assembled into one rank-batched
-    product for Q rather than a per-class loop.
+    The class means are class sums of the mu-weighted rows, and all classes
+    enter S_w through one rank-batched product rather than a per-class loop;
+    a point alone in its class adds nothing to it.
     """
     n = mu.sum()
     _, inverse = np.unique(class_ids, return_inverse=True)
     sizes = np.bincount(inverse)                          # points per class
     counts = np.bincount(inverse, weights=mu)             # rows per class
-    # column j = kernel mean of class j
-    class_means = class_sums(k_matrix * mu[:, None], inverse, sizes).T / counts
-    global_mean = (k_matrix * mu).sum(axis=1) / n
-
-    # All K_i blocks column-centred; a point alone in its class adds nothing.
+    class_means = class_sums(rows * mu[:, None], inverse, sizes) / counts[:, None]
     shared = sizes[inverse] > 1
-    centered = (k_matrix[:, shared] - class_means[:, inverse[shared]]) * np.sqrt(mu[shared])
-    q = (centered @ centered.T) / n
-    diffs = (class_means - global_mean[:, None]) * np.sqrt(counts / n)
-    p = diffs @ diffs.T
-    return p - q
-
-
-def _solve_generalized(s: np.ndarray, k_jittered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of s @ a = lambda * k_jittered @ a, descending, from one
-    LAPACK sygvd call; eigenvectors are K_jittered-orthonormal.
-
-    Both operands are symmetric and are overwritten: their transposes are the
-    Fortran-ordered views LAPACK works in, so no copy is made. A jittered
-    Gram that is not positive definite, or a non-finite entry, raises
-    NumericalError.
-    """
-    diag = np.diagonal(k_jittered).copy()
-    try:
-        evals, vectors = scipy.linalg.eigh(
-            s.T, k_jittered.T, driver="gvd", overwrite_a=True, overwrite_b=True
-        )
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(
-            "Cholesky of the jittered Gram matrix failed "
-            f"(diag range [{diag.min():.3e}, {diag.max():.3e}], trace {diag.sum():.3e})"
-        ) from err
-    except ValueError as err:
-        raise NumericalError(f"margin eigenproblem has non-finite entries ({err})") from err
-    return evals[::-1], vectors[:, ::-1]
+    centered = (rows[shared] - class_means[inverse[shared]]) * np.sqrt(mu[shared])[:, None]
+    diffs = (class_means - mu @ rows / n) * np.sqrt(counts / n)[:, None]
+    return diffs.T @ diffs - (centered.T @ centered) / n
 
 
 def _fix_column_signs(matrix: np.ndarray) -> None:
@@ -233,20 +212,18 @@ def _fix_column_signs(matrix: np.ndarray) -> None:
 def fit_nkmmc(
     points: np.ndarray, classes, kernel: KernelSpec, multiplicities=None
 ) -> KernelDiscriminantModel:
-    """Fit the maximum-margin kernel discriminants.
-
-    Keeps every generalized eigenvector of (P - Q, K) whose eigenvalue
-    exceeds EIG_POS_TOL * |lambda_max|, K-normalized to a^T K a = 1 with a
-    deterministic sign (first significant coefficient positive). The
-    K-energies come from the solve's K_j-orthonormality (module docstring),
-    not from products with K. Point j stands for multiplicities[j] identical
-    rows (default 1); see the module docstring.
+    """Fit the maximum-margin kernel discriminants: every pair of (P - Q, K)
+    on range(K) whose eigenvalue exceeds EIG_POS_TOL * lambda_max, with
+    a^T K a = 1 and a deterministic sign (first significant coefficient
+    positive), by the route the module docstring gives for the classes.
+    Point j stands for multiplicities[j] identical rows (default 1).
     """
     points = np.array(points, dtype=np.float64, order="C", ndmin=2)
     class_ids = np.asarray(classes)
     if class_ids.shape != (points.shape[0],):
         raise DataValidationError("one class label per training point required")
-    if len(np.unique(class_ids)) < 2:
+    n_classes = len(np.unique(class_ids))
+    if n_classes < 2:
         raise DataValidationError("maximum margin criterion needs at least 2 classes")
     mu = _multiplicities(points, multiplicities)
 
@@ -257,27 +234,31 @@ def fit_nkmmc(
         k_matrix = _rbf(sq, float(kernel.bandwidth))
     else:
         k_matrix = points @ points.T
-    s = _margin_operator(k_matrix, class_ids, mu)
-    # eps * I over the n expanded rows, with eps relative to their mean
-    # diagonal, is eps * diag(1/mu) over the points.
-    eps = K_JITTER * ((np.diagonal(k_matrix) * mu).sum() / mu.sum())
-    k_jittered = k_matrix + np.diag(eps / mu)
+    if not np.isfinite(k_matrix).all():
+        raise NumericalError("margin kernel matrix has non-finite entries")
 
-    evals, vectors = _solve_generalized(s, k_jittered)
-    # a^T K_j a = 1, so a^T K a is 1 less the jitter's share of the energy.
-    # Vectors whose energy is mostly jitter live in the numerical null space
-    # of K; they are artifacts of the conditioning step, not kernel-space
-    # discriminants, so drop them before the positivity rule.
-    k_energy = 1.0 - (eps / mu) @ np.square(vectors)
-    genuine = k_energy > 0.5
-    evals = evals[genuine]
+    singletons = n_classes == len(points)
+    if singletons:
+        w = mu / mu.sum()
+        u = np.sqrt(w)
+        t = k_matrix @ w
+        s = k_matrix - (t[:, None] + t)
+        s += w @ t
+        s *= np.outer(u, u)
+    else:
+        span = span_coefficients(k_matrix, len(points))
+        s = _margin_operator(k_matrix @ span, class_ids, mu)
+    # s is exactly symmetric, so its transpose is the Fortran-ordered view
+    # LAPACK overwrites without a copy.
+    evals, vectors = eigh(s.T, overwrite_a=True, driver="evd")
+    evals, vectors = evals[::-1], vectors[:, ::-1]
     if evals.size == 0 or float(evals[0]) <= 0.0:
         raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")
-    lam_max = float(evals[0])
-    keep = evals > EIG_POS_TOL * abs(lam_max)
-    kept = np.flatnonzero(genuine)[keep]
-    coeffs = vectors[:, kept]
-    coeffs /= np.sqrt(k_energy[kept])
+    keep = evals > EIG_POS_TOL * float(evals[0])
+    if singletons:
+        coeffs = vectors[:, keep] * u[:, None] / np.sqrt(evals[keep])
+    else:
+        coeffs = span @ vectors[:, keep]
     _fix_column_signs(coeffs)
     return KernelDiscriminantModel(
         train_points=points,

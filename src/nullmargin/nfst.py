@@ -19,7 +19,8 @@ Cholesky factor P^T G P = L L^T of the Gram matrix G of the vectors that
 span it, stopped at the first pivot at or below a tolerance. With
 B = L^-T over the r pivots kept, the r pivoted vectors times B are
 orthonormal, for a fraction of the cost of an eigendecomposition of G. That
-gives a protocol trial's span, Q, and W_N.
+gives a protocol trial's span, Q, W_N, and the kernel span of a margin fit
+whose classes share points (kmmc).
 
 A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
 set that grows by whole classes, as the self-training loop grows it. A new

@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 
 import nullmargin._binio
 import nullmargin.evaluation
+import nullmargin.mining
 from nullmargin import (
     LoopConfig,
     KernelDiscriminantModel,
@@ -227,6 +228,35 @@ def test_run_protocol_reproducible_and_thread_invariant(noisefree_table):
     c = run_protocol(noisefree_table, spec, cfg, "semi_supervised", ns=(1, 5), threads=3)
     assert a.curve == b.curve == c.curve
     assert a.model_checksums == b.model_checksums == c.model_checksums
+
+
+def test_multi_shot_pool_refits_shared_classes_at_any_thread_count(monkeypatch):
+    # Four synthetic cameras read as two, so the pool holds two shots per
+    # (identity, camera) and a secondary fit has classes that share points:
+    # the margin stage's span-coordinate route, through the whole protocol.
+    table = generate_synthetic(SyntheticSpec(
+        identities=24, cameras=4, dim=120, per_camera_transform_strength=0.3,
+        noise_sigma=0.1, seed=13,
+    ))
+    table = replace(table, camera_ids=table.camera_ids // 2)
+    shared = []
+    real_fit = nullmargin.mining.fit_nkmmc
+
+    def fit(points, classes, kernel):
+        shared.append(len(np.unique(classes)) < len(classes))
+        return real_fit(points, classes, kernel)
+
+    monkeypatch.setattr(nullmargin.mining, "fit_nkmmc", fit)
+    spec = SplitSpec(seed=2, trials=2)
+    one, two = (
+        run_protocols(table, spec, LoopConfig(), ("semi_supervised",), threads=threads)[0]
+        for threads in (1, 2)
+    )
+    assert any(shared)
+    assert one.per_trial == two.per_trial
+    assert one.model_checksums == two.model_checksums
+    assert one.bandwidths == two.bandwidths
+    assert one.final_trace == two.final_trace and one.final_trace.records
 
 
 def test_run_protocol_rejects_unknown_mode(noisefree_table):

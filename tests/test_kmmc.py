@@ -2,18 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist, pdist
 
 import nullmargin.kmmc
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel
 from nullmargin.errors import DataValidationError, EmptyModelError, NumericalError, ZeroDistanceError
-from nullmargin.kmmc import (
-    EIG_POS_TOL,
-    K_JITTER,
-    KernelDiscriminantModel,
-    _margin_operator,
-    _solve_generalized,
-)
+from nullmargin.kmmc import EIG_POS_TOL, KernelDiscriminantModel, _margin_operator
+from nullmargin.nfst import span_coefficients
 
 RBF = KernelSpec("rbf", 1.0)
 
@@ -167,18 +163,31 @@ def test_gram_rbf_empty_queries():
 
 
 def rank_deficient_points(seed):
-    """12 weighted classes in 3 dimensions: the linear Gram has rank 3, so the
-    solve returns 9 vectors that live mostly in the jitter."""
+    """12 weighted classes in 3 dimensions: the linear Gram has rank 3, so
+    only 3 discriminants lie in range(K)."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((12, 3)), np.arange(12), rng.integers(1, 5, 12).astype(float)
+
+
+def range_oracle(k, labels, counts):
+    """Positive eigenvalues of (P - Q, K) on range(K), descending, from an
+    independent eigendecomposition of K: with K = V diag(l) V^T over the
+    eigenvalues l past K's rank cut, B = V diag(l)^-1/2 has B^T K B = I."""
+    lam, vecs = np.linalg.eigh(k)
+    big = lam > 1e-10 * lam.max()
+    basis = vecs[:, big] / np.sqrt(lam[big])
+    evals = np.linalg.eigvalsh(basis.T @ _margin_operator(k, labels, counts) @ basis)[::-1]
+    return evals[evals > EIG_POS_TOL * evals[0]]
 
 
 @pytest.mark.parametrize(
     "fixture", ["weighted-16", "weighted-17", "weighted-18", "rank-deficient-0", "rank-deficient-1"]
 )
 def test_energies_from_k_orthonormality_match_direct_products(fixture):
-    # Oracle: the K- and K_j-energies formed as products with the Gram, and
-    # the rule they fed, k_energy > 0.5 * kj_energy, then positivity.
+    # Oracle: the pairs of (P - Q, K) on range(K), against both routes: the
+    # weighted singletons (kernel PCA) and the same points expanded to rows
+    # that share their class (span coordinates). Each discriminant's K-energy
+    # a^T K a, a direct product with the Gram, is 1.
     name, seed = fixture.rsplit("-", 1)
     if name == "weighted":
         points, labels, counts = class_points(int(seed))
@@ -186,22 +195,18 @@ def test_energies_from_k_orthonormality_match_direct_products(fixture):
     else:
         points, labels, counts = rank_deficient_points(int(seed))
         kernel = KernelSpec("linear")
-    model = fit_nkmmc(points, labels, kernel, counts)
-    k = gram(points, points, model.kernel)
-    k = (k + k.T) / 2
-    eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
-    k_j = k + np.diag(eps / counts)
-    evals, vectors = _solve_generalized(_margin_operator(k, labels, counts), k_j.copy())
-    k_energy = np.einsum("jk,jk->k", vectors, k @ vectors)
-    kj_energy = np.einsum("jk,jk->k", vectors, k_j @ vectors)
-    kept = evals[k_energy > 0.5 * kj_energy]
-    kept = kept[kept > EIG_POS_TOL * abs(kept[0])]
-    assert model.eigenvalues.tobytes() == kept.tobytes()
+    rows = np.repeat(np.arange(len(points)), counts.astype(int))
+    assert len(rows) > len(points)
+    weighted = fit_nkmmc(points, labels, kernel, counts)
+    expanded = fit_nkmmc(points[rows], labels[rows], kernel)
+    k = gram(points, points, weighted.kernel)
+    expected = range_oracle(k, labels, counts)
+    for model, k_model in ((weighted, k), (expanded, k[np.ix_(rows, rows)])):
+        np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-9, atol=0)
+        norms = np.einsum("jk,jl,lk->k", model.coeffs, k_model, model.coeffs)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
     if name == "rank-deficient":
-        assert model.output_dim == 3
-        assert np.count_nonzero(evals > EIG_POS_TOL * evals[0]) > 3   # the filter decides
-    norms = np.einsum("jk,jl,lk->k", model.coeffs, k, model.coeffs)
-    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
+        assert weighted.output_dim == expanded.output_dim == 3    # the rank cut decides
 
 
 def test_fit_separates_two_classes_linear():
@@ -258,14 +263,11 @@ def test_generalized_eigen_residual():
     points, labels = two_blob_points(rng, per_class=6, dim=4)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"))
     k = gram(points, points, model.kernel)
-    k = (k + k.T) / 2
     s = _margin_operator(k, labels, np.ones(len(labels)))
-    m = len(points)
-    k_j = k + 1e-8 * (np.trace(k) / m) * np.eye(m)
     s_norm = np.linalg.norm(s, 2)
     for j in range(model.output_dim):
         a = model.coeffs[:, j]
-        resid = np.linalg.norm(s @ a - model.eigenvalues[j] * (k_j @ a))
+        resid = np.linalg.norm(s @ a - model.eigenvalues[j] * (k @ a))
         assert resid <= 1e-6 * s_norm * np.linalg.norm(a)
 
 
@@ -335,37 +337,17 @@ def test_projection_row_permutation_invariance():
     np.testing.assert_allclose(project_kernel(model, x), project_kernel(permuted, x), atol=1e-12)
 
 
-def test_eigenvector_set_invariant_under_operator_scaling():
-    rng = np.random.default_rng(13)
-    points, labels = two_blob_points(rng, per_class=5, dim=3)
-    k = gram(points, points, KernelSpec("rbf", 2.0))
-    k = (k + k.T) / 2
-    s = _margin_operator(k, labels, np.ones(len(labels)))
-    m = len(points)
-    k_j = k + 1e-8 * (np.trace(k) / m) * np.eye(m)
-    evals_a, vecs_a = _solve_generalized(s.copy(), k_j.copy())
-    evals_b, vecs_b = _solve_generalized(3.7 * s, k_j)
-    np.testing.assert_allclose(evals_b, 3.7 * evals_a, rtol=1e-9, atol=1e-12)
-    # same eigenvector set up to sign
-    for j in range(m):
-        a, b = vecs_a[:, j], vecs_b[:, j]
-        sign = 1.0 if a @ b >= 0 else -1.0
-        np.testing.assert_allclose(b, sign * a, atol=1e-7 * max(1.0, np.abs(a).max()))
-
-
-def test_solve_rejects_a_jittered_gram_that_is_not_positive_definite():
-    # The factorisation fails at the second minor, after it has overwritten
-    # part of k_j; the message still reports the input's diagonal.
-    k_j = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 4.0]])
-    with pytest.raises(NumericalError, match=r"Cholesky .*\(diag range \[1\.000e\+00, 4\.000e\+00\], trace 6\.000e\+00\)"):
-        _solve_generalized(np.eye(3), k_j)
-
-
-def test_solve_rejects_a_non_finite_operator():
-    s = np.eye(3)
-    s[1, 2] = s[2, 1] = np.nan
-    with pytest.raises(NumericalError, match="non-finite"):
-        _solve_generalized(s, np.eye(3))
+@pytest.mark.parametrize("labels", [[0, 1, 2, 3], [0, 0, 1, 1]], ids=["singletons", "shared"])
+def test_fit_rejects_a_non_finite_kernel_matrix(labels):
+    # Both routes: singleton classes (kernel PCA) and shared classes (span
+    # coordinates). A linear Gram of finite rows can overflow; a NaN row
+    # makes its rbf Gram row NaN.
+    huge = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 0.0], [0.0, 2.0]])
+    nan = huge.copy()
+    nan[2, 0] = np.nan
+    for points, kernel in ((huge, KernelSpec("linear")), (nan, RBF)):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            fit_nkmmc(points, labels, kernel)
 
 
 def test_margin_witness_on_separable_fixture():
@@ -458,16 +440,13 @@ def test_weighted_normalisation_and_eigen_residual():
     points, labels, counts = class_points(17)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
     k = gram(points, points, model.kernel)
-    k = (k + k.T) / 2
     s = _margin_operator(k, labels, counts)
-    eps = K_JITTER * float(counts @ np.diag(k)) / counts.sum()
-    k_j = k + eps * np.diag(1.0 / counts)
     norms = np.einsum("jk,jl,lk->k", model.coeffs, k, model.coeffs)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
     s_norm = np.linalg.norm(s, 2)
     for j in range(model.output_dim):
         g = model.coeffs[:, j]
-        resid = np.linalg.norm(s @ g - model.eigenvalues[j] * (k_j @ g))
+        resid = np.linalg.norm(s @ g - model.eigenvalues[j] * (k @ g))
         assert resid <= 1e-6 * s_norm * np.linalg.norm(g)
 
 
@@ -486,26 +465,36 @@ def test_weighted_rayleigh_optimality_monte_carlo():
 
 @pytest.mark.parametrize("name", ["rbf-auto", "linear"])
 def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
-    # Neither is symmetrized: K and P - Q come from A A^T products, which
-    # BLAS forms exactly symmetric, repeated rows and multiplicities included.
-    seen = []
+    # Nothing is symmetrized: K comes from an A A^T product, the kernel PCA
+    # matrix from t_i + t_j sums and u_i * u_j products, and the shared-class
+    # scatter from A^T A products, all exactly symmetric, repeated rows and
+    # multiplicities included. Each fit makes one symmetric eigh call.
+    grams, solved = [], []
 
-    def recording(k_matrix, class_ids, mu):
-        s = _margin_operator(k_matrix, class_ids, mu)
-        seen.append((k_matrix.copy(), s.copy()))           # the solve overwrites s
-        return s
+    def recording_span(k_matrix, dim):
+        grams.append(k_matrix.copy())
+        return span_coefficients(k_matrix, dim)
 
-    monkeypatch.setattr(nullmargin.kmmc, "_margin_operator", recording)
+    def recording_eigh(a, *args, **kwargs):
+        assert "b" not in kwargs and not args                # no generalized solve
+        solved.append(a.copy())                              # eigh overwrites a
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(nullmargin.kmmc, "span_coefficients", recording_span)
+    monkeypatch.setattr(nullmargin.kmmc, "eigh", recording_eigh)
     rng = np.random.default_rng(61)
-    for _ in range(30):
+    fits = 0
+    for shared in [True, False] * 15:
         m, dim = int(rng.integers(4, 60)), int(rng.integers(1, 40))
         points = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0) + rng.uniform(-1e3, 1e3)
         points[rng.integers(m, size=m // 3)] = points[rng.integers(m, size=m // 3)]
-        labels = np.r_[0, 1, rng.integers(0, max(2, m // 3), m - 2)]
+        labels = np.r_[0, 1, rng.integers(0, max(2, m // 3), m - 2)] if shared else rng.permutation(m)
         try:
             fit_nkmmc(points, labels, KERNELS[name], rng.integers(1, 5, m).astype(float))
         except EmptyModelError:
             pass
-    assert len(seen) == 30
-    for k_matrix, s in seen:
-        assert np.array_equal(k_matrix, k_matrix.T) and np.array_equal(s, s.T)
+        fits += 1
+        assert len(solved) == fits
+    assert len(grams) == 15
+    for matrix in grams + solved:
+        assert np.array_equal(matrix, matrix.T)
