@@ -252,10 +252,13 @@ def cmd_run(args) -> int:
         ns=cfg.values["run.ranks"], threads=cfg.values["run.threads"],
     )
     for mode, result in zip(modes, results):
-        report["results"][mode] = _mode_result_entry(result)
+        entry = report["results"][mode] = _mode_result_entry(result)
         suffix = f"_{mode}" if both else ""
         _write_cmc_csv(result.curve, output / f"cmc{suffix}.csv")
-        result.final_span.save(table.features, output / f"model{suffix}.nk3m")
+        # the last trial's checksum names the lifted model file, not its span model
+        entry["per_trial"][-1]["model_checksum"] = result.final_span.save(
+            table.features, output / f"model{suffix}.nk3m"
+        )
         if result.final_trace is not None:
             result.final_trace.write_jsonl(output / "trace.jsonl")
     (output / "report.json").write_text(

@@ -10,6 +10,7 @@ per-trial accuracy percentages.
 
 from __future__ import annotations
 
+import hashlib
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -24,14 +25,15 @@ from ._blas import blas_threads
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, ProtocolError
 from .nfst import NullProjector, span_coefficients
-from .nk3ml import Nk3mlModel, _checksum, _container_parts, embed, fit_nk3ml, model_checksum
+from .nk3ml import Nk3mlModel, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
 DEFAULT_RANKS = (1, 5, 10, 20)
 
 MODES = ("labeled_only", "semi_supervised")
 
-# Width of the feature-column blocks a trial's model is lifted in. The lifted
+# Width of the feature-column blocks a span model is lifted in, by
+# SpanModel.lift and SpanModel.save; a protocol pass lifts nothing. The lifted
 # model's bits depend on this constant alone, not on the host's core count.
 # A lift holds one window of blocks: each of its workers gathers at most
 # n_train x LIFT_BLOCK train-row values (2.6 MB at 632 train rows), and about
@@ -58,9 +60,9 @@ class SpanModel:
     T = features[train], A = coeffs; lifted, its projector is w_n = T^T (A w),
     mean = T^T (A m). lift() forms the lifted model in memory, for callers
     that embed with it; save() streams its container to a file block by
-    block. Both lift at one BLAS thread, as the protocol does, so their bits
-    match the run's checksum; that count is process-wide, so call them
-    outside concurrent workers.
+    block. Both lift at one BLAS thread, so their bits match the checksum
+    save returns; that count is process-wide, so call them outside
+    concurrent workers.
     """
     model: Nk3mlModel
     train: np.ndarray
@@ -74,18 +76,28 @@ class SpanModel:
                 w_n[start:start + LIFT_BLOCK] = block
         return replace(self.model, nullproj=NullProjector(w_n=w_n, mean=mean))
 
-    def save(self, features: np.ndarray, path) -> None:
+    def save(self, features: np.ndarray, path) -> str:
+        """Write the lifted model's container to path; returns its SHA-256,
+        hashed from each part as it is written."""
+        digest = hashlib.sha256()
+
+        def hashed(parts):
+            for part in parts:
+                digest.update(part)
+                yield part
+
         # closed on a failed write, so the lift pool never outlives the call
         with blas_threads(1), closing(_lifted_parts(features, self)) as parts:
-            write_parts(parts, path)
+            write_parts(hashed(parts), path)
+        return digest.hexdigest()
 
 
 @dataclass
 class ProtocolResult:
     curve: CmcCurve
     per_trial: tuple[CmcCurve, ...]
-    # every trial's checksum: of its span-coordinate model, except the last
-    # trial's, which is of its lifted model, the container final_span.save writes
+    # every trial's checksum of its span-coordinate model, the last one's
+    # included; final_span.save returns the checksum of the lifted file
     model_checksums: tuple[str, ...]
     bandwidths: tuple[float, ...]
     final_span: SpanModel            # the last trial's model; no lifted model is held
@@ -256,11 +268,12 @@ def run_protocol(
     Trials run with BLAS at one thread, so no result depends on the BLAS
     thread count. They are independent and run on a pool of `threads`
     threads; results are accumulated in trial order, so output is identical
-    at any thread count. Each trial but the last hashes its span-coordinate
-    model. The last one's is kept in span coordinates (final_span), and its
-    lifted model is streamed into its checksum on that pool after all
-    return, so no lifted model is held; final_span.lift(table.features)
-    gives one to a caller that embeds with it.
+    at any thread count. Every trial hashes its span-coordinate model, and
+    the last one's is kept in span coordinates (final_span), so a pass lifts
+    nothing: final_span.save(table.features, path) streams the lifted
+    container to a file and returns its checksum, and
+    final_span.lift(table.features) gives the lifted model to a caller that
+    embeds with it.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 
@@ -292,23 +305,20 @@ def run_protocols(
 def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
     def trial(t: int) -> tuple:
         curve, model, train, coeffs, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
-        # A run holds one span model and trace, the last trial's; the others leave a checksum.
-        kept = (SpanModel(model, train, coeffs), trace) if t == spec.trials - 1 else model_checksum(model)
-        return curve, model.margin.resolved_bandwidth, kept
+        # A run holds one span model and trace, the last trial's; every trial leaves a checksum.
+        kept = (SpanModel(model, train, coeffs), trace) if t == spec.trials - 1 else None
+        return curve, model.margin.resolved_bandwidth, model_checksum(model), kept
 
     with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(trial, range(spec.trials)))
-        span, trace = results[-1][2]
-        # Lifted and hashed in one pool task, as a trial did: hashing on the
-        # calling thread after the pool raised peak RSS by ~20 MiB in some runs.
-        checksum = pool.submit(_checksum, _lifted_parts(table.features, span)).result()
+    span, trace = results[-1][3]
 
     per_trial = tuple(res[0] for res in results)
     mean_ranks = tuple((n, float(np.mean([curve.accuracy_at(n) for curve in per_trial]))) for n in ns)
     return ProtocolResult(
         curve=CmcCurve(ranks=mean_ranks),
         per_trial=per_trial,
-        model_checksums=tuple(res[2] for res in results[:-1]) + (checksum,),
+        model_checksums=tuple(res[2] for res in results),
         bandwidths=tuple(res[1] for res in results),
         final_span=span,
         final_trace=trace,

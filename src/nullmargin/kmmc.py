@@ -33,7 +33,8 @@ input:
 Either way a^T K a = 1, and the discriminants whose eigenvalues exceed
 EIG_POS_TOL * lambda_max are kept. On the first route that rank cut also
 drops the null space of K, which the second route's span leaves out. A
-kernel matrix with a non-finite entry raises NumericalError.
+kernel matrix with a non-finite entry raises NumericalError, and so do
+non-finite squared distances under an auto bandwidth.
 
 Every rbf Gram, and the auto bandwidth, take their squared distances from
 one GEMM: with both point sets centred at the second set's mean,
@@ -209,6 +210,11 @@ def _fix_column_signs(matrix: np.ndarray) -> None:
     matrix[:, matrix[significant.argmax(axis=0), np.arange(matrix.shape[1])] < 0] *= -1.0
 
 
+def _check_finite(matrix: np.ndarray) -> None:
+    if not np.isfinite(matrix).all():
+        raise NumericalError("margin kernel matrix has non-finite entries")
+
+
 def fit_nkmmc(
     points: np.ndarray, classes, kernel: KernelSpec, multiplicities=None
 ) -> KernelDiscriminantModel:
@@ -230,12 +236,13 @@ def fit_nkmmc(
     if kernel.kind == "rbf":
         sq = _squared_distances(points, points)
         if kernel.is_auto:
+            # a non-finite distance would reach the bandwidth, not the Gram
+            _check_finite(sq)
             kernel = KernelSpec("rbf", _mean_distance(sq, mu))
         k_matrix = _rbf(sq, float(kernel.bandwidth))
     else:
         k_matrix = points @ points.T
-    if not np.isfinite(k_matrix).all():
-        raise NumericalError("margin kernel matrix has non-finite entries")
+    _check_finite(k_matrix)
 
     singletons = n_classes == len(points)
     if singletons:

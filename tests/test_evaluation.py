@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import json
 import os
 import threading
 import tracemalloc
@@ -13,6 +15,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 import nullmargin._binio
+import nullmargin.cli
 import nullmargin.evaluation
 import nullmargin.mining
 from nullmargin import (
@@ -33,6 +36,7 @@ from nullmargin import (
     run_protocol,
     run_protocols,
     run_self_training,
+    save_feature_table,
     save_model,
 )
 from nullmargin.errors import DataValidationError, ProtocolError
@@ -174,9 +178,9 @@ def direct_trial(table, spec, cfg, mode, ns):
 
 
 def assert_run_protocol_equals_direct(table, spec, mode, side):
-    # run_protocol fits in coordinates of the train span and lifts the model
-    # back; the direct fit must give the same CMC and, up to rounding, the
-    # same pairwise embedding distances.
+    # run_protocol fits in coordinates of the train span, where its checksum
+    # names the model; lifted back, the model must give the direct fit's CMC
+    # and, up to rounding, the same pairwise embedding distances.
     cfg, ns = LoopConfig(), (1, 5)
     result = run_protocol(table, spec, cfg, mode, ns=ns)
     direct, n_train, model = direct_trial(table, spec, cfg, mode, ns)
@@ -184,7 +188,7 @@ def assert_run_protocol_equals_direct(table, spec, mode, side):
     assert result.per_trial[0] == direct
     lifted = result.final_span.lift(table.features)
     assert lifted.nullproj.dim == table.dim
-    assert result.model_checksums[0] == model_checksum(lifted)
+    assert result.model_checksums[0] == model_checksum(result.final_span.model)
     expected = pdist(embed(model, table.features))
     np.testing.assert_allclose(
         pdist(embed(lifted, table.features)), expected, rtol=0, atol=1e-9 * expected.max()
@@ -383,16 +387,18 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
 @pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("dim", [4219, 300, 2 * LIFT_BLOCK])
 def test_streamed_container_equals_the_lifted_models(dim, cores, monkeypatch, tmp_path):
-    # The run's checksum and the file save() writes stream the lifted model
-    # block by block; both must be the container of the in-memory lift.
+    # The file save() writes, the checksum it returns and a hash of the lift
+    # stream the lifted model block by block; all must be the container of
+    # the in-memory lift.
     rng = np.random.default_rng(dim + cores)
     features = rng.standard_normal((40, dim))
     span = random_span(rng, 40, 25, 20, 6)
     use_cores(monkeypatch, cores)
     lifted = span.lift(features)
-    span.save(features, tmp_path / "streamed.nk3m")
+    checksum = span.save(features, tmp_path / "streamed.nk3m")
     save_model(lifted, tmp_path / "lifted.nk3m")
     assert (tmp_path / "streamed.nk3m").read_bytes() == (tmp_path / "lifted.nk3m").read_bytes()
+    assert checksum == hashlib.sha256((tmp_path / "streamed.nk3m").read_bytes()).hexdigest()
     assert _checksum(_lifted_parts(features, span)) == model_checksum(lifted)
 
 
@@ -496,7 +502,7 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     # Trials return span-coordinate models; the run releases the non-final
-    # ones and keeps the last one's margin stage under its lifted projector.
+    # ones and keeps the last one in span coordinates, where its checksum is.
     models, margins = [], []
     real_trial = nullmargin.evaluation._run_trial
 
@@ -514,11 +520,11 @@ def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     assert result.final_span.model.margin is margins[-1]
     lifted = result.final_span.lift(noisefree_table.features)
     assert lifted.nullproj.dim == noisefree_table.dim
-    assert result.model_checksums[-1] == model_checksum(lifted)
+    assert result.model_checksums[-1] == model_checksum(result.final_span.model)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
-def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, threads):
+def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, tmp_path, threads):
     lock = threading.Lock()
     running, returned, lifts, span_models = [0], [0], [], {}
     real_trial, real_lift = nullmargin.evaluation._run_trial, nullmargin.evaluation._lift
@@ -541,19 +547,30 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
     monkeypatch.setattr(nullmargin.evaluation, "_run_trial", spy_trial)
     monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
     spec = SplitSpec(seed=2, trials=3)
+    # A protocol pass lifts nothing: every checksum is of a span model.
     results = run_protocols(easy_table, spec, LoopConfig(), MODES, threads=threads)
-    # (trials running, trials returned) at each lift: one lift per mode, each
-    # once all of that mode's trials have returned.
-    assert lifts == [(0, 3), (0, 6)]
+    assert lifts == []
     for mode, result in zip(MODES, results):
+        assert list(result.model_checksums) == [model_checksum(span_models[mode, t]) for t in range(3)]
+
+    # `run` lifts once per mode, each once every trial has returned, and
+    # reports the written file's checksum for the last trial.
+    returned[0] = 0
+    data, out = tmp_path / "table.ssml", tmp_path / "out"
+    save_feature_table(easy_table, data, "binary")
+    argv = ["run", "--input", data, "-o", out, "--mode", "both", "--trials", 3, "--threads", threads]
+    assert nullmargin.cli.main([str(a) for a in argv]) == 0
+    assert lifts == [(0, 6), (0, 6)]
+    report = json.loads((out / "report.json").read_text())
+    for mode in MODES:
+        checksums = [t["model_checksum"] for t in report["results"][mode]["per_trial"]]
         spans = [model_checksum(span_models[mode, t]) for t in range(3)]
-        assert list(result.model_checksums[:-1]) == spans[:-1]
-        lifted = result.final_span.lift(easy_table.features)
-        assert result.model_checksums[-1] == model_checksum(lifted) != spans[-1]
-        assert lifted.nullproj.dim == easy_table.dim
+        written = hashlib.sha256((out / f"model_{mode}.nk3m").read_bytes()).hexdigest()
+        assert checksums == spans[:-1] + [written]
+        assert written != spans[-1]
 
 
-def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch):
+def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch, tmp_path):
     counts, at_lift = [], []
     real_lift = nullmargin.evaluation._lift
 
@@ -571,7 +588,8 @@ def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch):
 
     monkeypatch.setattr(nullmargin.evaluation, "blas_threads", recording_blas_threads)
     monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
-    run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only", threads=2)
+    result = run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only", threads=2)
+    result.final_span.save(easy_table.features, tmp_path / "model.nk3m")
     assert at_lift == [[1]]
 
 

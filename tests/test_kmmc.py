@@ -341,11 +341,11 @@ def test_projection_row_permutation_invariance():
 def test_fit_rejects_a_non_finite_kernel_matrix(labels):
     # Both routes: singleton classes (kernel PCA) and shared classes (span
     # coordinates). A linear Gram of finite rows can overflow; a NaN row
-    # makes its rbf Gram row NaN.
+    # makes its rbf Gram row NaN, and an auto bandwidth from its distances NaN.
     huge = np.array([[1.0, 0.0], [0.0, 1.0], [1e200, 0.0], [0.0, 2.0]])
     nan = huge.copy()
     nan[2, 0] = np.nan
-    for points, kernel in ((huge, KernelSpec("linear")), (nan, RBF)):
+    for points, kernel in ((huge, KernelSpec("linear")), (nan, RBF), (nan, KernelSpec("rbf", "auto"))):
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
             fit_nkmmc(points, labels, kernel)
 

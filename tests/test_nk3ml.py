@@ -174,7 +174,7 @@ def test_save_model_writes_the_joined_container(tmp_path, easy_model):
 
 def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
     # One protocol trial gives both models: the loop's model in span
-    # coordinates and the lifted one the run returns.
+    # coordinates, whose checksum the run returns, and its lift.
     span_models = []
     real_loop = nullmargin.evaluation.run_self_training
 
@@ -196,7 +196,7 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
         expected = hashlib.sha256(model_bytes(model)).hexdigest()
         assert model_checksum(model) == expected
     assert model_checksum(fortran) == model_checksum(span_model)
-    assert result.model_checksums == (model_checksum(lifted),)
+    assert result.model_checksums == (model_checksum(span_model),)
 
 
 def test_refit_round_forms_no_pairwise_distances_and_no_projections(monkeypatch):
