@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 
@@ -51,11 +52,14 @@ class Writer:
         self.raw(np.ascontiguousarray(arr, dtype="<i8").reshape(-1))
 
 
-def write_parts(parts, path) -> None:
-    """Write parts to a file in order, without joining them."""
+def write_parts(parts, path) -> str:
+    """Write parts to a file in order, unjoined; returns the file's hex SHA-256."""
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
         for part in parts:
+            digest.update(part)
             f.write(part)
+    return digest.hexdigest()
 
 
 class Reader:

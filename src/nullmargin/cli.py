@@ -210,15 +210,16 @@ def cmd_synth(args) -> int:
         )
     except DataValidationError as err:
         raise ConfigError(str(err)) from err
-    table = generate_synthetic(spec)
+    try:
+        table = generate_synthetic(spec)
+    except DataValidationError as err:
+        raise ConfigError(
+            f"cannot generate this spec: noise sigma {spec.noise_sigma!r} and transform "
+            f"strength {spec.per_camera_transform_strength!r} overflow float64 ({err})"
+        ) from err
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_feature_table(table, out, table_format_for(out))
-    digest = hashlib.sha256()
-    with out.open("rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    print(f"{digest.hexdigest()}  {out}")
+    print(f"{save_feature_table(table, out, table_format_for(out))}  {out}")
     return EXIT_OK
 
 

@@ -270,20 +270,23 @@ def generate_synthetic(spec: SyntheticSpec) -> FeatureTable:
     Each identity draws a latent vector; camera c observes
     ``x = z + strength * U_c (V_c^T z) / sqrt(dim * rank) + sigma * noise``
     with fixed per-camera factors U_c, V_c, so the distortion displacement
-    scales like ``strength * ||z||``. Deterministic given the seed.
+    scales like ``strength * ||z||``. Deterministic given the seed. Raises
+    DataValidationError when sigma or strength overflows the features.
     """
     rng = _trial_rng(spec.seed, 0)
     latents = rng.standard_normal((spec.identities, spec.dim))
     rank = min(spec.dim, _DISTORT_RANK)
     scale = spec.per_camera_transform_strength / math.sqrt(spec.dim * rank)
     per_camera = []
-    for _cam in range(spec.cameras):
-        u = rng.standard_normal((spec.dim, rank))
-        v = rng.standard_normal((spec.dim, rank))
-        feats = latents + scale * ((latents @ v) @ u.T)
-        if spec.noise_sigma > 0:
-            feats = feats + spec.noise_sigma * rng.standard_normal(feats.shape)
-        per_camera.append(feats)
+    # features that overflow are left to the FeatureTable check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _cam in range(spec.cameras):
+            u = rng.standard_normal((spec.dim, rank))
+            v = rng.standard_normal((spec.dim, rank))
+            feats = latents + scale * ((latents @ v) @ u.T)
+            if spec.noise_sigma > 0:
+                feats = feats + spec.noise_sigma * rng.standard_normal(feats.shape)
+            per_camera.append(feats)
 
     width = len(str(spec.identities - 1))
     sample_ids, camera_ids, identities, wv_ids, rows = [], [], [], [], []
@@ -376,14 +379,15 @@ def make_split(table: FeatureTable, spec: SplitSpec, trial: int) -> ExperimentSp
 # CSV and binary persistence
 # ---------------------------------------------------------------------------
 
-def save_feature_table(table: FeatureTable, path, format: str) -> None:
-    path = Path(path)
+def save_feature_table(table: FeatureTable, path, format: str) -> str:
+    """Write a table; returns the file's hex SHA-256, hashed as it is written."""
     if format == "csv":
-        _save_csv(table, path)
+        parts = (_csv_text(table).encode("utf-8"),)
     elif format == "binary":
-        write_parts(_table_writer(table).parts, path)
+        parts = _table_writer(table).parts
     else:
         raise DataFormatError(f"unknown table format {format!r}")
+    return write_parts(parts, path)
 
 
 def load_feature_table(path, format: str) -> FeatureTable:
@@ -402,7 +406,7 @@ def table_format_for(path) -> str:
     return "csv" if Path(path).suffix.lower() == ".csv" else "binary"
 
 
-def _save_csv(table: FeatureTable, path: Path) -> None:
+def _csv_text(table: FeatureTable) -> str:
     header = "sample_id,camera_id,identity,within_view_id," + ",".join(
         f"f{j}" for j in range(table.dim)
     )
@@ -420,7 +424,7 @@ def _save_csv(table: FeatureTable, path: Path) -> None:
                 + [repr(float(v)) for v in table.features[i]]
             )
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
 
 
 def _load_csv(path: Path) -> FeatureTable:

@@ -10,7 +10,6 @@ per-trial accuracy percentages.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +22,7 @@ from scipy.spatial.distance import cdist
 from ._binio import write_parts
 from ._blas import blas_threads
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
-from .errors import DataValidationError, ProtocolError
+from .errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
 from .nfst import NullProjector, span_coefficients
 from .nk3ml import Nk3mlModel, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
@@ -77,19 +76,10 @@ class SpanModel:
         return replace(self.model, nullproj=NullProjector(w_n=w_n, mean=mean))
 
     def save(self, features: np.ndarray, path) -> str:
-        """Write the lifted model's container to path; returns its SHA-256,
-        hashed from each part as it is written."""
-        digest = hashlib.sha256()
-
-        def hashed(parts):
-            for part in parts:
-                digest.update(part)
-                yield part
-
+        """Write the lifted model's container to path; returns the file's SHA-256."""
         # closed on a failed write, so the lift pool never outlives the call
         with blas_threads(1), closing(_lifted_parts(features, self)) as parts:
-            write_parts(hashed(parts), path)
-        return digest.hexdigest()
+            return write_parts(parts, path)
 
 
 @dataclass
@@ -187,6 +177,11 @@ def _run_trial(
     if mode != "labeled_only":
         train = np.concatenate([train, _rows(split.unlabeled)])
     coeffs = span_coefficients(gram[np.ix_(train, train)], table.dim)
+    if coeffs.shape[1] == 0:
+        raise DegenerateDataError(
+            f"trial {trial}: the train rows span no direction: their Gram is 0, "
+            "so their features are zero or too small to square in float64"
+        )
 
     def to_span(part: FeatureTable) -> FeatureTable:
         return replace(part, features=gram[np.ix_(_rows(part), train)] @ coeffs)
@@ -244,8 +239,9 @@ def _lift(features: np.ndarray, span: SpanModel):
 def _lifted_parts(features: np.ndarray, span: SpanModel):
     """The lifted model's container parts in file order, formed block by block."""
     with closing(_lift(features, span)) as lifted:
-        mean = next(lifted)
-        yield from _container_parts(mean, span.model.nullproj.n_directions, lifted, span.model.margin)
+        yield from _container_parts(
+            features.shape[1], span.model.nullproj.n_directions, lifted, span.model.margin
+        )
 
 
 def _rows(part: FeatureTable) -> np.ndarray:
@@ -289,7 +285,9 @@ def run_protocols(
     """run_protocol for each of several modes, in order, on one table Gram.
 
     The protocol splits and scores by identity, so every row needs one. The
-    ranks must be distinct integers >= 1, and threads an integer >= 1.
+    ranks must be distinct integers >= 1, and threads an integer >= 1. A
+    table Gram that overflows float64 raises NumericalError, and train rows
+    whose Gram is 0 raise DegenerateDataError.
     """
     ns, threads = _protocol_args(modes, ns, threads)
     if None in table.identities:
@@ -298,7 +296,15 @@ def run_protocols(
             f"row {row} (sample_id {table.sample_ids[row]!r}) has no identity; "
             "the protocol needs one on every row"
         )
-    gram = table.features @ table.features.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = table.features @ table.features.T
+        total = gram.sum()
+    # A finite sum proves every entry finite without an n x n mask; only a
+    # non-finite sum (which may also be an overflow) needs the elementwise check.
+    if not np.isfinite(total) and not np.isfinite(gram).all():
+        raise NumericalError(
+            "table Gram X X^T has non-finite entries: the features' products overflow float64"
+        )
     return tuple(_protocol(table, spec, cfg, mode, ns, threads, gram) for mode in modes)
 
 

@@ -67,23 +67,21 @@ def embed(model: Nk3mlModel, x: np.ndarray) -> np.ndarray:
 # bytes after the last block are an error.
 # ---------------------------------------------------------------------------
 
-def _container_parts(mean: np.ndarray, n_dirs: int, rows, margin: KernelDiscriminantModel):
+def _container_parts(dim: int, n_dirs: int, values, margin: KernelDiscriminantModel):
     """A model container's parts in file order, for a null projector given as
-    its mean and its w_n rows in order, as one array or as row blocks.
+    its values in file order: its mean, then w_n whole or in row blocks.
 
-    Every length is known from len(mean) and n_dirs, so a part is yielded as
-    soon as its rows are formed; arrays are yielded as their own buffers.
+    Every length is known from dim and n_dirs, so a part is yielded as soon
+    as its values are formed; arrays are yielded as their own buffers.
     """
     head = Writer()
     head.raw(MODEL_MAGIC)
     head.u16(MODEL_VERSION)
-    dim = len(mean)
     head.u64(16 + 8 * dim * (1 + n_dirs))     # the null block: two u64s, mean, w_n
     head.u64(dim)
     head.u64(n_dirs)
-    head.f64_array(mean)
     yield from head.parts
-    for block in rows:
+    for block in values:
         yield np.ascontiguousarray(block, dtype="<f8").reshape(-1)
 
     margin_block = Writer()
@@ -103,8 +101,8 @@ def _container_parts(mean: np.ndarray, n_dirs: int, rows, margin: KernelDiscrimi
 
 
 def _model_parts(model: Nk3mlModel):
-    nullproj = model.nullproj
-    return _container_parts(nullproj.mean, nullproj.n_directions, (nullproj.w_n,), model.margin)
+    mean, w_n = model.nullproj.mean, model.nullproj.w_n
+    return _container_parts(*w_n.shape, (mean, w_n), model.margin)
 
 
 def _checksum(parts) -> str:

@@ -76,6 +76,7 @@ def test_synth_invalid_spec_exits_2(tmp_path, capsys):
         ("--identities", 2, "--dim", 8, "--transform-strength", "inf"),
         ("--identities", 2, "--dim", 8, "--cameras", 70000),
         ("--identities", 2, "--dim", 1 << 62),
+        ("--identities", 4, "--dim", 3, "--noise-sigma", "1e308"),
     ):
         assert run_cli("synth", *flags, "-o", out) == 2, flags
         err = capsys.readouterr().err

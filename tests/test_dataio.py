@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import struct
@@ -276,7 +277,8 @@ def assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=0):
         within_view=rng.integers(0, 40, size=n),
     )
     path = tmp_path / "t.ssml"
-    save_feature_table(table, path, "binary")
+    digest = save_feature_table(table, path, "binary")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded = load_feature_table(path, "binary")
     assert loaded.features.tobytes() == table.features.tobytes()
     assert loaded.sample_ids == table.sample_ids
@@ -378,7 +380,8 @@ def test_csv_round_trip_value_preserving(tmp_path):
         identities=[i // 2 for i in range(20)],
     )
     path = tmp_path / "t.csv"
-    save_feature_table(table, path, "csv")
+    digest = save_feature_table(table, path, "csv")
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded = load_feature_table(path, "csv")
     # repr() emits shortest round-trip decimals, so this is exact, within the
     # <=1 ulp contract.

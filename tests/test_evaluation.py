@@ -39,7 +39,7 @@ from nullmargin import (
     save_feature_table,
     save_model,
 )
-from nullmargin.errors import DataValidationError, ProtocolError
+from nullmargin.errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
 from nullmargin.evaluation import LIFT_BLOCK, MODES, _lifted_parts, single_shot_view
 from nullmargin.nfst import NullProjector
 from nullmargin.nk3ml import _checksum
@@ -309,6 +309,18 @@ def test_run_protocol_rejects_a_kernel_that_is_not_a_kernel_spec(noisefree_table
     monkeypatch.setattr(nullmargin.evaluation, "_run_trial", no_trial)
     with pytest.raises(DataValidationError, match="kernel must be a KernelSpec"):
         run_protocol(noisefree_table, SplitSpec(seed=1, trials=1), LoopConfig(kernel="rbf"), "labeled_only")
+
+
+@pytest.mark.parametrize("scale, error, match", [
+    (1e160, NumericalError, "Gram X X\\^T has non-finite entries: .* overflow"),
+    (1e-170, DegenerateDataError, "train rows span no direction"),
+], ids=["gram overflows", "gram underflows"])
+def test_finite_features_whose_gram_overflows_or_underflows_name_the_cause(scale, error, match):
+    table = generate_synthetic(SyntheticSpec(identities=30, cameras=2, dim=20, noise_sigma=0.5, seed=1))
+    table = replace(table, features=table.features * scale)
+    for mode in MODES:
+        with pytest.raises(error, match=match):
+            run_protocol(table, SplitSpec(seed=1, trials=1), LoopConfig(), mode)
 
 
 def test_cmc_invariant_to_gallery_permutation(easy_table):
