@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 from .dataio import _real
 from .errors import (
@@ -255,9 +255,7 @@ def fit_nkmmc(
     else:
         span = span_coefficients(k_matrix, len(points))
         s = _margin_operator(k_matrix @ span, class_ids, mu)
-    # s is exactly symmetric, so its transpose is the Fortran-ordered view
-    # LAPACK overwrites without a copy.
-    evals, vectors = eigh(s.T, overwrite_a=True, driver="evd")
+    evals, vectors = eigh(s)
     evals, vectors = evals[::-1], vectors[:, ::-1]
     if evals.size == 0 or float(evals[0]) <= 0.0:
         raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")

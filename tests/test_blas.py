@@ -1,5 +1,7 @@
 """The BLAS thread helper and the thread count protocol trials run at."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,22 @@ def test_loaded_openblas_is_found():
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy is built against {blas}, not OpenBLAS")
     assert _blas._controls(), "numpy's OpenBLAS is loaded but no thread setter was found"
+
+
+def test_every_loaded_openblas_has_a_setter():
+    # numpy's and scipy's wheels each map their own OpenBLAS; trials run
+    # LAPACK in both, so a library left out would run at the host's thread
+    # count and its bits would follow the core count.
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    libraries = {p for p in paths if "openblas" in os.path.basename(p)}
+    if not libraries:
+        pytest.skip("no OpenBLAS is loaded")
+    assert len(_blas._controls()) == len(libraries), sorted(libraries)
 
 
 def test_phase_sets_one_thread_and_restores():

@@ -477,7 +477,7 @@ def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
 
     def recording_eigh(a, *args, **kwargs):
         assert "b" not in kwargs and not args                # no generalized solve
-        solved.append(a.copy())                              # eigh overwrites a
+        solved.append(a.copy())                              # the matrix as solved
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(nullmargin.kmmc, "span_coefficients", recording_span)
