@@ -1,11 +1,16 @@
-"""The process's OpenBLAS thread count, set for the length of a phase.
+"""The process's OpenBLAS: its thread count, set for the length of a phase,
+and the three routines the null-space stage calls (dpstrf, dtrtri, dtrmm).
 
-The OpenBLAS libraries already loaded into the process (numpy's and scipy's
-wheels each bring their own) are found on first use from the process's
-memory map and driven through their thread setters with ctypes, the way
-threadpoolctl does. The count is global to the process: set it around a
-phase, never from inside concurrent workers. Without a loaded OpenBLAS (or
-without /proc/self/maps) the helper does nothing.
+The OpenBLAS libraries already loaded into the process are found on first
+use from the process's memory map, the way threadpoolctl does, and called
+with ctypes. numpy's wheel brings one that exports LAPACKE and CBLAS, so a
+run maps no second BLAS; ctypes calls release the GIL, so concurrent trials
+overlap these routines as they overlap numpy's. Only when no loaded library
+exports them are scipy's wrappers imported, and that happens before the
+thread setters are looked up, so blas_threads also drives the OpenBLAS
+scipy brings. The count is global to the process: set it around a phase,
+never from inside concurrent workers. Without a loaded OpenBLAS (or without
+/proc/self/maps) blas_threads does nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ import ctypes
 import os
 from contextlib import contextmanager
 from functools import cache
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .errors import NumericalError
 
 # (setter, getter) names, wheel-prefixed and ILP64-suffixed variants first.
 _SYMBOLS = tuple(
@@ -21,23 +31,131 @@ _SYMBOLS = tuple(
     for prefix in ("scipy_openblas", "openblas")
     for suffix in ("64_", "")
 )
+# (dpstrf, dtrtri, dtrmm) names in the same order; integers are 64-bit when
+# the name ends in 64_.
+_ROUTINE_NAMES = tuple(
+    (f"{prefix}LAPACKE_dpstrf{suffix}", f"{prefix}LAPACKE_dtrtri{suffix}", f"{prefix}cblas_dtrmm{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+)
+# LAPACK_COL_MAJOR / CblasColMajor, CblasLeft, CblasUpper, CblasTrans, CblasNonUnit
+_COL_MAJOR, _LEFT, _UPPER, _TRANS, _NON_UNIT = 102, 141, 121, 112, 131
+
+
+class Routines(NamedTuple):
+    """The null-space stage's routines, on float64 arrays:
+
+    pstrf(a, tol) -> (factor, piv, rank): LAPACK dpstrf of a copy of a
+        symmetric (n, n) a, lower triangle read; piv is 1-based.
+    trtri(l) -> l^-1 of a lower-triangular (r, r) l, on a copy.
+    trmm(u, b) -> u^T b for an upper-triangular (r, r) u and b (r, d),
+        written into b when b is Fortran-ordered.
+    """
+
+    pstrf: Callable
+    trtri: Callable
+    trmm: Callable
+
+
+def _loaded() -> list[ctypes.CDLL]:
+    """Each OpenBLAS mapped into the process now, in path order."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    libs = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            libs.append(ctypes.CDLL(path, mode=os.RTLD_NOLOAD))    # only if already loaded
+        except OSError:
+            continue
+    return libs
+
+
+def _square(name: str, matrix: np.ndarray, rows: int) -> None:
+    # the routines read rows x rows values through the pointer
+    if matrix.shape != (rows, rows):
+        raise ValueError(f"{name} needs a square ({rows}, {rows}) matrix, got {matrix.shape}")
+
+
+def _checked(name: str, info: int) -> None:
+    if info < 0:    # LAPACKE reports a NaN entry as an invalid matrix argument
+        raise NumericalError(f"{name} rejected argument {-info} (a non-finite entry?)")
+
+
+def _bind(lib: ctypes.CDLL) -> Routines | None:
+    """The library's routines through ctypes, or None if it lacks them."""
+    for names in _ROUTINE_NAMES:
+        if not all(hasattr(lib, name) for name in names):
+            continue
+        integer = np.int64 if names[0].endswith("64_") else np.int32
+        c_int_t = np.ctypeslib.as_ctypes_type(integer)
+        matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
+        ints = np.ctypeslib.ndpointer(integer, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+        dpstrf, dtrtri, dtrmm = (getattr(lib, name) for name in names)
+        dpstrf.argtypes = [ctypes.c_int, ctypes.c_char, c_int_t, matrix, c_int_t, ints, ints, ctypes.c_double]
+        dpstrf.restype = c_int_t
+        dtrtri.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, c_int_t, matrix, c_int_t]
+        dtrtri.restype = c_int_t
+        dtrmm.argtypes = [ctypes.c_int] * 5 + [c_int_t, c_int_t, ctypes.c_double, matrix, c_int_t, matrix, c_int_t]
+        dtrmm.restype = None
+
+        def pstrf(a, tol):
+            a = np.array(a, dtype=np.float64, order="F")
+            n = a.shape[0]
+            _square("dpstrf", a, n)
+            piv, rank = np.zeros(n, dtype=integer), np.zeros(1, dtype=integer)
+            _checked("dpstrf", dpstrf(_COL_MAJOR, b"L", n, a, max(n, 1), piv, rank, tol))
+            return a, piv, int(rank[0])
+
+        def trtri(lower):
+            lower = np.array(lower, dtype=np.float64, order="F")
+            r = lower.shape[0]
+            _square("dtrtri", lower, r)
+            _checked("dtrtri", dtrtri(_COL_MAJOR, b"L", b"N", r, lower, max(r, 1)))
+            return lower
+
+        def trmm(upper, b):
+            upper = np.asfortranarray(upper, dtype=np.float64)
+            b = np.asfortranarray(b, dtype=np.float64)
+            r, d = b.shape
+            _square("dtrmm", upper, r)
+            dtrmm(_COL_MAJOR, _LEFT, _UPPER, _TRANS, _NON_UNIT, r, d, 1.0, upper, max(r, 1), b, max(r, 1))
+            return b
+
+        return Routines(pstrf, trtri, trmm)
+    return None
+
+
+def _scipy_routines() -> Routines:
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dpstrf, dtrtri
+
+    return Routines(
+        pstrf=lambda a, tol: dpstrf(a, tol=tol, lower=1)[:3],
+        trtri=lambda lower: dtrtri(lower, lower=1)[0],
+        trmm=lambda upper, b: dtrmm(1.0, upper, b, trans_a=1, overwrite_b=1),
+    )
+
+
+@cache
+def routines() -> Routines:
+    """The first loaded OpenBLAS's routines; scipy's wrappers if none has them."""
+    for lib in _loaded():
+        found = _bind(lib)
+        if found is not None:
+            return found
+    return _scipy_routines()
 
 
 @cache
 def _controls() -> tuple[tuple, ...]:
     """(setter, getter) of each loaded OpenBLAS, in path order."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
-            fields = [line.split(maxsplit=5) for line in maps]
-    except OSError:
-        return ()
-    paths = {f[5].strip() for f in fields if len(f) == 6}
+    routines()          # the scipy fallback maps its OpenBLAS before the scan
     found = []
-    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)    # only if already loaded
-        except OSError:
-            continue
+    for lib in _loaded():
         for set_name, get_name in _SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 setter, getter = getattr(lib, set_name), getattr(lib, get_name)

@@ -17,12 +17,12 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._binio import write_parts
 from ._blas import blas_threads
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
+from .kmmc import distances
 from .nfst import NullProjector, span_coefficients
 from .nk3ml import Nk3mlModel, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
@@ -98,7 +98,7 @@ def rank_gallery(model: Nk3mlModel, probe: FeatureTable, gallery: FeatureTable) 
     """(n_probe, n_gallery) gallery indices, ascending embedding distance."""
     if probe.n == 0 or gallery.n == 0:
         raise DataValidationError("probe and gallery must be nonempty")
-    dist = cdist(embed(model, probe.features), embed(model, gallery.features))
+    dist = distances(embed(model, probe.features), embed(model, gallery.features))
     return np.argsort(dist, axis=1, kind="stable")
 
 

@@ -36,15 +36,19 @@ drops the null space of K, which the second route's span leaves out. A
 kernel matrix with a non-finite entry raises NumericalError, and so do
 non-finite squared distances under an auto bandwidth.
 
-Every rbf Gram, and the auto bandwidth, take their squared distances from
-one GEMM: with both point sets centred at the second set's mean,
-|a - b|^2 = |a|^2 + |b|^2 - 2 a.b. An entry at or below the rounding bound
-of that sum, 2 (p + 1) eps (|a|^2 + |b|^2) in p dimensions, is set to
-exactly 0, so coincident rows are at distance 0 and negatives never reach
-the square root. A fit forms one such matrix, over one centred copy of its
-points and the symmetric product A A^T, and reads both the auto bandwidth
-(the weighted mean of its square roots) and the Gram off it; the primary
-fit, the secondary fit and project_kernel all build their Grams this way.
+Every rbf Gram, the auto bandwidth, and the Euclidean distances that rank
+a gallery (evaluation) and match cross-view centroids (mining) take their
+squared distances from one GEMM: with both point sets centred at the second
+set's first row, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b. An entry at or below
+the rounding bound of that sum, 2 (p + 1) eps (|a|^2 + |b|^2) in p
+dimensions, is set to exactly 0, so coincident rows are at distance 0 and
+negatives never reach the square root. A row as centre keeps exactly
+representable inputs (integer grids, duplicate rows) exact, so their
+distance ties stay exact ties. A fit forms one such matrix, over one
+centred copy of its points and the symmetric product A A^T, and reads both
+the auto bandwidth (the weighted mean of its square roots) and the Gram off
+it; the primary fit, the secondary fit and project_kernel all build their
+Grams this way.
 K, and the scatter of the shared-class route, come from A A^T products,
 which BLAS forms exactly symmetric, so nothing is symmetrized. A fitted
 model carries its resolved kernel: rbf with the numeric bandwidth its fit
@@ -137,10 +141,10 @@ def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances (m_a, m_b) from one GEMM, with both sets centred at
-    b's mean; entries at or below the sum's rounding bound are exactly 0. A
-    set's distances to itself (a is b) take one centred copy and A A^T."""
+    b's first row; entries at or below the sum's rounding bound are exactly
+    0. A set's distances to itself (a is b) take one centred copy and A A^T."""
     same = a is b
-    centre = b.mean(axis=0)
+    centre = b[0] if len(b) else 0.0
     b = b - centre
     a = b if same else a - centre
     norm_b = np.einsum("ij,ij->i", b, b)
@@ -151,6 +155,12 @@ def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     norms *= 2 * (a.shape[1] + 1) * _EPS
     sq[sq <= norms] = 0.0
     return sq
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances (m_a, m_b): the square roots of _squared_distances."""
+    sq = _squared_distances(a, b)
+    return np.sqrt(sq, out=sq)
 
 
 def _mean_distance(sq: np.ndarray, mu: np.ndarray) -> float:

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import _integer
 from .errors import DataValidationError
-from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
+from .kmmc import KernelDiscriminantModel, KernelSpec, distances, fit_nkmmc, project_kernel
 from .nfst import class_sums
 from .nk3ml import Nk3mlModel, embed
 
@@ -109,11 +108,11 @@ def k_reciprocal(queries: np.ndarray, gallery: np.ndarray, k: int) -> NeighborSe
     distinct rows, the lists are k_reciprocal(X, X, k + 1) less each row's own index.
     """
     k = _integer(k, "k", minimum=1)
-    queries = np.atleast_2d(queries)
-    gallery = np.atleast_2d(gallery)
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    gallery = np.atleast_2d(np.asarray(gallery, dtype=np.float64))
     if gallery.shape[0] == 0:
         raise DataValidationError("empty gallery")
-    dist = cdist(queries, gallery)
+    dist = distances(queries, gallery)
     # Stable sorts: exact distance ties resolve to the lower index.
     forward = np.argsort(dist, axis=1, kind="stable")[:, :k]
     reverse = np.argsort(dist.T, axis=1, kind="stable")[:, :k]

@@ -20,7 +20,9 @@ span it, stopped at the first pivot at or below a tolerance. With
 B = L^-T over the r pivots kept, the r pivoted vectors times B are
 orthonormal, for a fraction of the cost of an eigendecomposition of G. That
 gives a protocol trial's span, Q, W_N, and the kernel span of a margin fit
-whose classes share points (kmmc).
+whose classes share points (kmmc). LAPACK dpstrf and dtrtri, and the BLAS
+dtrmm that forms W_N, are called through ctypes from the OpenBLAS numpy
+loaded, outside the GIL (_blas; scipy's wrappers where numpy has none).
 
 A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
 set that grows by whole classes, as the self-training loop grows it. A new
@@ -41,9 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpstrf, dtrtri
 
+from ._blas import routines
 from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError
 
@@ -133,10 +134,11 @@ def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     orthonormal basis of the span of all n. dpstrf checks only the pivots
     after the first against tol, so r is counted here.
     """
-    factor, piv, rank, _ = dpstrf(gram, tol=tol, lower=1)
+    lapack = routines()
+    factor, piv, rank = lapack.pstrf(gram, tol)
     rank = int(np.count_nonzero(np.diagonal(factor)[:rank] ** 2 > tol))
     factor = np.tril(factor[:, :rank])
-    inv_t = dtrtri(factor[:rank], lower=1)[0].T if rank else np.zeros((0, 0))
+    inv_t = lapack.trtri(factor[:rank]).T if rank else np.zeros((0, 0))
     return piv - 1, factor, inv_t
 
 
@@ -301,7 +303,7 @@ class NullSpaceState:
         columns *= root[kept]
         # W_N^T = B^T columns^T, on the Fortran view of the C-ordered columns:
         # W_N comes back C-ordered, as a loaded model holds it.
-        w_n = dtrmm(1.0, inv_t[:wanted, :wanted], columns.T, trans_a=1, overwrite_b=1).T
+        w_n = routines().trmm(inv_t[:wanted, :wanted], columns.T).T
         points = factor[np.argsort(piv), :wanted] / root[:, None]
         return NullProjector(w_n=w_n, mean=mean), points
 

@@ -1,6 +1,11 @@
-"""The BLAS thread helper and the thread count protocol trials run at."""
+"""The BLAS thread helper, the thread count protocol trials run at, and the
+LAPACK routines bound from the loaded OpenBLAS or, without one, from scipy."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import nullmargin.evaluation
 from nullmargin import LoopConfig, SplitSpec, run_protocol
 from nullmargin import _blas
 from nullmargin._blas import blas_threads
+from nullmargin.nfst import _pivoted_cholesky
 
 
 def counts():
@@ -83,3 +89,159 @@ def test_trials_run_at_one_blas_thread(easy_table, monkeypatch, threads):
         assert all(count == 2 for count in counts())
     assert len(seen) == 2
     assert all(count == 1 for trial in seen for count in trial)
+
+
+def numpy_openblas() -> bool:
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+
+
+def run_script(script: str) -> dict:
+    """Run a Python script on this checkout's sources in a fresh process and
+    return the JSON object its last output line holds."""
+    src = Path(_blas.__file__).resolve().parent.parent
+    path_var = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path_var),
+                         check=True, capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+import nullmargin.cli
+from nullmargin import LoopConfig, SplitSpec, SyntheticSpec, _blas, generate_synthetic, run_protocols
+
+table = generate_synthetic(SyntheticSpec(identities=20, cameras=2, dim=60,
+                                         per_camera_transform_strength=0.2, noise_sigma=0.02, seed=11))
+results = run_protocols(table, SplitSpec(seed=3, trials=2), LoopConfig(),
+                        ("labeled_only", "semi_supervised"))
+print(json.dumps({
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "controls": len(_blas._controls()),
+    "rank1": [r.curve.accuracy_at(1) for r in results],
+}))
+"""
+
+
+@pytest.mark.skipif(not numpy_openblas(), reason="numpy is not built against OpenBLAS")
+def test_a_run_imports_no_scipy_and_drives_one_openblas():
+    # numpy's OpenBLAS serves every LAPACK call, so a run maps no second
+    # BLAS: scipy's import alone costs about 30 MiB of resident memory.
+    got = run_script(_NO_SCIPY_RUN)
+    assert got["scipy"] == []
+    assert len(got["rank1"]) == 2
+    if Path("/proc/self/maps").exists():
+        assert got["controls"] == 1
+
+
+@pytest.fixture
+def fresh_blas():
+    """Resolve the routines and thread setters anew inside the test and after it."""
+    _blas.routines.cache_clear()
+    _blas._controls.cache_clear()
+    yield
+    _blas.routines.cache_clear()
+    _blas._controls.cache_clear()
+
+
+def psd(rng, n, rank):
+    x = rng.standard_normal((n, rank)) * rng.uniform(0.1, 10.0)
+    return x @ x.T
+
+
+def duplicate_rows(rng, n):
+    x = rng.standard_normal((n, n + 3))
+    x[rng.integers(n, size=n // 2)] = x[rng.integers(n, size=n // 2)]
+    return x @ x.T
+
+
+GRAMS = {
+    "psd": lambda rng: psd(rng, 40, 45),
+    "rank-deficient": lambda rng: psd(rng, 50, 17),
+    "duplicate-rows": lambda rng: duplicate_rows(rng, 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAMS))
+def test_scipy_fallback_factors_as_the_loaded_openblas(name, fresh_blas, monkeypatch):
+    if not any(_blas._bind(lib) for lib in _blas._loaded()):
+        pytest.skip("no loaded OpenBLAS exports LAPACKE dpstrf/dtrtri and CBLAS dtrmm")
+    import scipy.linalg.lapack
+
+    rng = np.random.default_rng(8)
+    gram = GRAMS[name](rng)
+    tol = gram.shape[0] * np.finfo(np.float64).eps * gram.diagonal().max()
+    piv, factor, inv_t = _pivoted_cholesky(gram, tol)
+    loaded = _blas.routines()
+    calls = []
+    real_dpstrf = scipy.linalg.lapack.dpstrf
+
+    def counting_dpstrf(*args, **kwargs):
+        calls.append(1)
+        return real_dpstrf(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpstrf", counting_dpstrf)
+    monkeypatch.setattr(_blas, "_ROUTINE_NAMES", ())
+    _blas.routines.cache_clear()
+    fb_piv, fb_factor, fb_inv_t = _pivoted_cholesky(gram, tol)
+    assert calls == [1]
+    np.testing.assert_array_equal(fb_piv, piv)
+    assert fb_factor.shape == factor.shape
+    assert (factor.shape[1] == gram.shape[0]) == (name == "psd")
+    np.testing.assert_allclose(fb_factor, factor, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(fb_inv_t, inv_t, rtol=1e-12, atol=0)
+    # the null basis's triangular multiply, B^T b
+    b = rng.standard_normal((len(inv_t), 7))
+    product = loaded.trmm(inv_t, np.asfortranarray(b))
+    np.testing.assert_allclose(_blas.routines().trmm(inv_t, np.asfortranarray(b)), product, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(product, inv_t.T @ b, rtol=1e-9, atol=1e-12 * np.abs(product).max())
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_a_first_pivot_at_or_below_tol_counts_no_rank(fallback, fresh_blas, monkeypatch):
+    # dpstrf checks only the pivots after the first against tol.
+    if fallback:
+        monkeypatch.setattr(_blas, "_ROUTINE_NAMES", ())
+    piv, factor, inv_t = _pivoted_cholesky(np.array([[1e-20]]), 1.0)
+    assert piv.tolist() == [0]
+    assert factor.shape == (1, 0) and inv_t.shape == (0, 0)
+
+
+_FALLBACK_THREADS = """
+import ctypes, json, os, sys
+from nullmargin import _blas
+
+def mapped():    # read apart from the discovery under test
+    with open("/proc/self/maps") as maps:
+        paths = {f[5].strip() for f in (line.split(maxsplit=5) for line in maps) if len(f) == 6}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p))
+
+def getter(path):
+    lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    name = next(n for n in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                            "openblas_get_num_threads64_", "openblas_get_num_threads") if hasattr(lib, n))
+    return getattr(lib, name)
+
+_blas._ROUTINE_NAMES = ()
+before = mapped()
+with _blas.blas_threads(2):
+    added = [p for p in mapped() if p not in before]
+    two = [getter(p)() for p in added]
+    with _blas.blas_threads(1):
+        one = [getter(p)() for p in added]
+    back = [getter(p)() for p in added]
+print(json.dumps({"scipy": "scipy.linalg" in sys.modules, "added": added, "counts": [two, one, back]}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs /proc/self/maps")
+def test_blas_threads_drives_the_openblas_of_the_scipy_fallback():
+    # With no loaded library exporting the routines, _blas imports scipy's
+    # wrappers before it looks up the thread setters, so scipy's OpenBLAS is
+    # set too.
+    got = run_script(_FALLBACK_THREADS)
+    assert got["scipy"]
+    if not got["added"]:
+        pytest.skip("scipy's wrappers mapped no OpenBLAS of their own")
+    two, one, back = got["counts"]
+    assert two == back == [2] * len(got["added"])
+    assert one == [1] * len(got["added"])
