@@ -13,28 +13,46 @@ point's copies:
     P = sum_i (n_i/n) (m_i - m)(m_i - m)^T
     m_i = sum_{j in C_i} mu_j k_j / n_i,   m = sum_j mu_j k_j / n
 
-The discriminants are the pairs of (P - Q, K) on range(K), found by one
-symmetric eigendecomposition along one of two exact routes, chosen by the
-input:
+The discriminants are the pairs of (P - Q, K) on range(K). The criterion
+is a trace, so its optimum is the span of the kept discriminants, not one
+basis of it, and every consumer reads only distances in that span. A fit
+takes one of three routes, chosen by the input:
 
 - No class has two points (every primary fit, whose points are the null-space
   class points, and the secondary fit on a single-shot pool). Then Q = 0 and
   P = K (W - w w^T) K with w = mu / n and W = diag(w), so the criterion is
   weighted kernel PCA of the centred Gram (Schoelkopf, Smola and Mueller,
-  1998). With u = sqrt(w), t = K w and gamma = w^T K w, the eigenpairs
-  (lambda, v) of S = U (K - t 1^T - 1 t^T + gamma 1 1^T) U, U = diag(u), give
-  a = U v / sqrt(lambda). S's entries are u_i u_j (K_ij - (t_i + t_j) +
-  gamma), so S is exactly symmetric.
+  1998). With u = sqrt(w), t = K w and gamma = w^T K w, take
+  S = U (K - t 1^T - 1 t^T + gamma 1 1^T) U, U = diag(u), whose entries are
+  u_i u_j (K_ij - (t_i + t_j) + gamma), so S is exactly symmetric. Its
+  nonzero eigenvalues are those of the criterion, and its range is the span
+  of the m centred points, of dimension at most m - 1.
+  - Cholesky route. The pivoted factor P^T S P = L L^T (nfst._pivoted_cholesky,
+    stopped at CHOL_TOL * trace(U K U); pivoting reveals the rank and gives
+    non-increasing pivots, Higham, "Accuracy and Stability of Numerical
+    Algorithms", ch. 10) gives a = (I - w 1^T) U P L^-T over its r pivots:
+    the centred, weighted pivot points made K-orthonormal, which span all m
+    centred points when r = m - 1. It is taken when r = m - 1 and
+    1 / |L^-1|_F^2, a lower bound on every nonzero eigenvalue of S, clears
+    the same floor; the eigen route would then keep that span too, and the
+    two routes' distances agree to rounding.
+  - Eigen route, otherwise (rank-deficient or ill-conditioned S): the
+    eigenpairs (lambda, v) of S give a = (I - w 1^T) U v / sqrt(lambda). In
+    exact arithmetic u^T v = 0 and the centring changes nothing; in floating
+    point it removes the rounding along u that 1 / sqrt(lambda) amplifies.
 - Otherwise. A = span_coefficients(K) makes the rows of Z = K A the points'
   coordinates in an orthonormal basis of their kernel span, and
   A^T (P - Q) A is the weighted S_b - S_w of Z's rows; its eigenpairs
   (lambda, y) give a = A y. With K's own rows the same scatter is P - Q.
 
-Either way a^T K a = 1, and the discriminants whose eigenvalues exceed
-EIG_POS_TOL * lambda_max are kept. On the first route that rank cut also
-drops the null space of K, which the second route's span leaves out. A
-kernel matrix with a non-finite entry raises NumericalError, and so do
-non-finite squared distances under an auto bandwidth.
+Every route gives a^T K a = I. The eigen routes keep the discriminants whose
+eigenvalues exceed EIG_POS_TOL * lambda_max; on the singleton route that
+rank cut also drops the null space of K, which the span route's span leaves
+out. A model's eigenvalues slot holds each kept direction's energy: its
+eigenvalue on the eigen routes, its pivot L_jj^2 (positive, non-increasing)
+on the Cholesky route; nothing in the program computes from it. A kernel
+matrix with a non-finite entry raises NumericalError, and so do non-finite
+squared distances under an auto bandwidth.
 
 Every rbf Gram, the auto bandwidth, and the Euclidean distances that rank
 a gallery (evaluation) and match cross-view centroids (mining) take their
@@ -72,11 +90,19 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _EPS, class_sums, span_coefficients
+from .nfst import _EPS, _pivoted_cholesky, class_sums, span_coefficients
 
 # Eigenvalues above this fraction of lambda_max count as positive; the rest,
 # the null space of K among them, are cut.
 EIG_POS_TOL = 1e-9
+# A singleton fit keeps its pivoted Cholesky basis only when 1 / |L^-1|_F^2,
+# a lower bound on every nonzero eigenvalue of S, exceeds this fraction of
+# trace(U K U) = sum_j w_j K_jj. That sum, not trace(S) = trace(U K U) -
+# w^T K w, sets the scale of S's rounding, since forming S can cancel most
+# of K. Every eigenvalue then clears EIG_POS_TOL, and the basis's distances
+# stay within about 0.2 eps |L^-1|_F^2 trace(U K U) < 5e-10, relative, of
+# the eigen route's.
+CHOL_TOL = 1e-7
 # Kernel families; a kind's index is its code in the model file.
 KERNEL_KINDS = ("linear", "rbf")
 
@@ -115,7 +141,8 @@ class KernelDiscriminantModel:
     train_points: np.ndarray        # (m, p)
     kernel: KernelSpec              # resolved: rbf with a numeric bandwidth, or linear
     coeffs: np.ndarray              # (m, l)
-    eigenvalues: np.ndarray         # (l,) strictly positive, descending
+    eigenvalues: np.ndarray         # (l,) energies, positive, non-increasing: eigenvalues,
+                                    # or the pivots L_jj^2 on the Cholesky route
     class_index: np.ndarray         # (m,) training labels
 
     @property
@@ -225,13 +252,41 @@ def _check_finite(matrix: np.ndarray) -> None:
         raise NumericalError("margin kernel matrix has non-finite entries")
 
 
+def _pivot_basis(s: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The fast singleton route: B = P L^-T (m, m - 1), zero outside the kept
+    pivot rows, and the pivots L_jj^2 of P^T s P = L L^T, stopped at
+    CHOL_TOL * scale; None unless m - 1 pivots are kept and 1 / |L^-1|_F^2
+    clears that floor too."""
+    floor = CHOL_TOL * scale
+    piv, factor, inv_t = _pivoted_cholesky(s, floor)
+    rank = len(inv_t)
+    if rank != len(s) - 1 or not 1.0 / float(np.square(inv_t).sum()) > floor:
+        return None
+    basis = np.zeros((len(s), rank))
+    basis[piv[:rank]] = inv_t
+    return basis, np.square(np.diagonal(factor))
+
+
+def _positive_eigenpairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of s above EIG_POS_TOL * lambda_max, descending, and
+    their eigenvectors."""
+    evals, vectors = eigh(s)
+    evals, vectors = evals[::-1], vectors[:, ::-1]
+    if evals.size == 0 or float(evals[0]) <= 0.0:
+        raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")
+    keep = evals > EIG_POS_TOL * float(evals[0])
+    return evals[keep], vectors[:, keep]
+
+
 def fit_nkmmc(
     points: np.ndarray, classes, kernel: KernelSpec, multiplicities=None
 ) -> KernelDiscriminantModel:
-    """Fit the maximum-margin kernel discriminants: every pair of (P - Q, K)
-    on range(K) whose eigenvalue exceeds EIG_POS_TOL * lambda_max, with
-    a^T K a = 1 and a deterministic sign (first significant coefficient
-    positive), by the route the module docstring gives for the classes.
+    """Fit the maximum-margin kernel discriminants: a K-orthonormal basis
+    (a^T K a = I) of the span of the pairs of (P - Q, K) on range(K) whose
+    eigenvalue exceeds EIG_POS_TOL * lambda_max, with a deterministic sign
+    (first significant coefficient positive), by the route the module
+    docstring gives: the guarded pivoted Cholesky basis when no class has two
+    points and the factor is well conditioned, the eigenpairs otherwise.
     Point j stands for multiplicities[j] identical rows (default 1).
     """
     points = np.array(points, dtype=np.float64, order="C", ndmin=2)
@@ -254,32 +309,31 @@ def fit_nkmmc(
         k_matrix = points @ points.T
     _check_finite(k_matrix)
 
-    singletons = n_classes == len(points)
-    if singletons:
+    if n_classes == len(points):
         w = mu / mu.sum()
         u = np.sqrt(w)
         t = k_matrix @ w
         s = k_matrix - (t[:, None] + t)
         s += w @ t
         s *= np.outer(u, u)
+        found = _pivot_basis(s, float(w @ np.diagonal(k_matrix)))
+        if found is not None:
+            basis, energies = found
+        else:
+            energies, vectors = _positive_eigenpairs(s)
+            basis = vectors / np.sqrt(energies)
+        coeffs = basis * u[:, None]
+        coeffs -= np.outer(w, coeffs.sum(axis=0))
     else:
         span = span_coefficients(k_matrix, len(points))
-        s = _margin_operator(k_matrix @ span, class_ids, mu)
-    evals, vectors = eigh(s)
-    evals, vectors = evals[::-1], vectors[:, ::-1]
-    if evals.size == 0 or float(evals[0]) <= 0.0:
-        raise EmptyModelError("no positive eigenvalues; classes are not separable by the margin operator")
-    keep = evals > EIG_POS_TOL * float(evals[0])
-    if singletons:
-        coeffs = vectors[:, keep] * u[:, None] / np.sqrt(evals[keep])
-    else:
-        coeffs = span @ vectors[:, keep]
+        energies, vectors = _positive_eigenpairs(_margin_operator(k_matrix @ span, class_ids, mu))
+        coeffs = span @ vectors
     _fix_column_signs(coeffs)
     return KernelDiscriminantModel(
         train_points=points,
         kernel=kernel,
         coeffs=coeffs,
-        eigenvalues=evals[keep],
+        eigenvalues=energies,
         class_index=class_ids.copy(),
     )
 

@@ -19,8 +19,9 @@ Cholesky factor P^T G P = L L^T of the Gram matrix G of the vectors that
 span it, stopped at the first pivot at or below a tolerance. With
 B = L^-T over the r pivots kept, the r pivoted vectors times B are
 orthonormal, for a fraction of the cost of an eigendecomposition of G. That
-gives a protocol trial's span, Q, W_N, and the kernel span of a margin fit
-whose classes share points (kmmc). LAPACK dpstrf and dtrtri, and the BLAS
+gives a protocol trial's span, Q, W_N, and in kmmc both the kernel span of
+a margin fit whose classes share points and the margin basis of a
+well-conditioned singleton fit. LAPACK dpstrf and dtrtri, and the BLAS
 dtrmm that forms W_N, are called through ctypes from the OpenBLAS numpy
 loaded, outside the GIL (_blas; scipy's wrappers where numpy has none).
 

@@ -29,9 +29,11 @@ def test_loaded_openblas_is_found():
 
 
 def test_every_loaded_openblas_has_a_setter():
-    # numpy's and scipy's wheels each map their own OpenBLAS; trials run
-    # LAPACK in both, so a library left out would run at the host's thread
-    # count and its bits would follow the core count.
+    # A run maps only numpy's OpenBLAS. This process usually sees two,
+    # because other test modules import scipy (whose wheel maps its own) as
+    # an oracle; scipy's is also the one a run would use on the fallback
+    # route. Any library left out would run at the host's thread count, and
+    # its bits would follow the core count.
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
             fields = [line.split(maxsplit=5) for line in maps]

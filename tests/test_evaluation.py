@@ -17,6 +17,7 @@ from scipy.spatial.distance import pdist
 import nullmargin._binio
 import nullmargin.cli
 import nullmargin.evaluation
+import nullmargin.kmmc
 import nullmargin.mining
 from nullmargin import (
     LoopConfig,
@@ -650,6 +651,30 @@ def full_span_labeled_trial(table, spec, ns):
 # The tiny stand-ins of the benchmark's viper and multicam shapes
 # (identities, cameras, dim, per-camera strength, noise).
 TINY_SHAPES = {"viper_tiny": (40, 2, 400, 0.0, 1.75), "multicam_tiny": (40, 4, 100, 0.85, 1.5)}
+
+
+def test_tiny_protocol_margin_fits_keep_the_cholesky_route(monkeypatch):
+    # Every margin fit of a semi-supervised multicam pass is a singleton fit:
+    # the primary fits on the null-space class points, the secondary on the
+    # anchor camera's one image per identity. Each takes the guarded pivoted
+    # Cholesky basis; an eigh call would be a fallback.
+    identities, cameras, dim, strength, noise = TINY_SHAPES["multicam_tiny"]
+    table = generate_synthetic(SyntheticSpec(
+        identities=identities, cameras=cameras, dim=dim,
+        per_camera_transform_strength=strength, noise_sigma=noise, seed=1,
+    ))
+    factored, solved = [], []
+    pivot_basis = nullmargin.kmmc._pivot_basis
+
+    def recording_basis(s, scale):
+        factored.append(len(s))
+        return pivot_basis(s, scale)
+
+    monkeypatch.setattr(nullmargin.kmmc, "_pivot_basis", recording_basis)
+    monkeypatch.setattr(nullmargin.kmmc, "eigh", lambda a: (solved.append(len(a)), np.linalg.eigh(a))[1])
+    run_protocols(table, SplitSpec(seed=1, trials=2), LoopConfig(), ("semi_supervised",))
+    assert len(factored) >= 20
+    assert solved == []
 
 
 @pytest.mark.parametrize("shape", sorted(TINY_SHAPES))

@@ -7,8 +7,8 @@ from scipy.spatial.distance import cdist, pdist
 import nullmargin.kmmc
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel
 from nullmargin.errors import DataValidationError, EmptyModelError, NumericalError, ZeroDistanceError
-from nullmargin.kmmc import EIG_POS_TOL, KernelDiscriminantModel, _margin_operator
-from nullmargin.nfst import span_coefficients
+from nullmargin.kmmc import CHOL_TOL, EIG_POS_TOL, KernelDiscriminantModel, _margin_operator
+from nullmargin.nfst import _pivoted_cholesky, span_coefficients
 
 RBF = KernelSpec("rbf", 1.0)
 
@@ -179,14 +179,35 @@ def range_oracle(k, labels, counts):
     return evals[evals > EIG_POS_TOL * evals[0]]
 
 
+def criterion_trace(model, k, labels, counts):
+    """tr(A^T (P - Q) A) of a model's coefficients A over the Gram k of its
+    training points: the margin criterion its kept span attains."""
+    return float(np.trace(model.coeffs.T @ _margin_operator(k, labels, counts) @ model.coeffs))
+
+
+def span_projector(model, k, rows=None):
+    """K A A^T K over the distinct points of Gram k: the projector onto a
+    model's kept span, between those points. An expanded fit's coefficients
+    are summed over each point's copies (rows) first."""
+    coeffs = model.coeffs
+    if rows is not None:
+        coeffs = np.zeros((len(k), model.output_dim))
+        np.add.at(coeffs, rows, model.coeffs)
+    embedded = k @ coeffs
+    return embedded @ embedded.T
+
+
 @pytest.mark.parametrize(
     "fixture", ["weighted-16", "weighted-17", "weighted-18", "rank-deficient-0", "rank-deficient-1"]
 )
 def test_energies_from_k_orthonormality_match_direct_products(fixture):
     # Oracle: the pairs of (P - Q, K) on range(K), against both routes: the
-    # weighted singletons (kernel PCA) and the same points expanded to rows
-    # that share their class (span coordinates). Each discriminant's K-energy
-    # a^T K a, a direct product with the Gram, is 1.
+    # weighted singletons (kernel PCA, by a pivoted Cholesky basis when it is
+    # well conditioned) and the same points expanded to rows that share their
+    # class (span coordinates, by eigh). The discriminants are K-orthonormal,
+    # a^T K a = I by a direct product with the Gram, the kept span attains
+    # the criterion the oracle's energies sum to, and both routes keep the
+    # same span: one projector K A A^T K between the distinct points.
     name, seed = fixture.rsplit("-", 1)
     if name == "weighted":
         points, labels, counts = class_points(int(seed))
@@ -200,12 +221,21 @@ def test_energies_from_k_orthonormality_match_direct_products(fixture):
     expanded = fit_nkmmc(points[rows], labels[rows], kernel)
     k = gram(points, points, weighted.kernel)
     expected = range_oracle(k, labels, counts)
+    np.testing.assert_allclose(expanded.eigenvalues, expected, rtol=1e-9, atol=0)
     for model, k_model in ((weighted, k), (expanded, k[np.ix_(rows, rows)])):
-        np.testing.assert_allclose(model.eigenvalues, expected, rtol=1e-9, atol=0)
-        norms = np.einsum("jk,jl,lk->k", model.coeffs, k_model, model.coeffs)
-        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            model.coeffs.T @ k_model @ model.coeffs, np.eye(model.output_dim), rtol=0, atol=1e-9
+        )
+        assert np.all(model.eigenvalues > 0) and np.all(np.diff(model.eigenvalues) <= 0)
+    assert weighted.output_dim == expanded.output_dim == len(expected)
+    assert criterion_trace(weighted, k, labels, counts) == pytest.approx(expected.sum(), rel=1e-9)
+    np.testing.assert_allclose(
+        span_projector(weighted, k), span_projector(expanded, k, rows), rtol=1e-9, atol=0
+    )
     if name == "rank-deficient":
         assert weighted.output_dim == expanded.output_dim == 3    # the rank cut decides
+        # K's rank is below c - 1, so the singleton fit fell back to eigh
+        np.testing.assert_allclose(weighted.eigenvalues, expected, rtol=1e-9, atol=0)
 
 
 def test_fit_separates_two_classes_linear():
@@ -406,7 +436,15 @@ def test_weighted_fit_equals_expanded_fit(name):
         weighted = fit_nkmmc(points, labels, kernel, counts)
         expanded = fit_nkmmc(points[rows], labels[rows], kernel)
         assert weighted.output_dim == expanded.output_dim
-        np.testing.assert_allclose(weighted.eigenvalues, expanded.eigenvalues, rtol=1e-9, atol=0)
+        # one span: equal projectors over the distinct points, and equal
+        # criterion, the sum of the expanded (eigen) fit's eigenvalues
+        k = gram(points, points, weighted.kernel)
+        np.testing.assert_allclose(
+            span_projector(weighted, k), span_projector(expanded, k, rows), rtol=1e-9, atol=0
+        )
+        assert criterion_trace(weighted, k, labels, counts) == pytest.approx(
+            expanded.eigenvalues.sum(), rel=1e-9
+        )
         assert weighted.resolved_bandwidth == pytest.approx(expanded.resolved_bandwidth, rel=1e-12)
         x = np.random.default_rng(100 + seed).standard_normal((30, points.shape[1])) * 2.0
         expected = pdist(project_kernel(expanded, x))
@@ -436,17 +474,22 @@ def test_weighted_operator_is_centred_class_scatter():
 
 
 def test_weighted_normalisation_and_eigen_residual():
+    # The kept discriminants are K-orthonormal and span an invariant subspace
+    # of the pencil (P - Q, K): with M = A^T (P - Q) A, (P - Q) A = K A M,
+    # and M's eigenvalues are the oracle's, whatever basis of the span A is.
     points, labels, counts = class_points(17)
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
     k = gram(points, points, model.kernel)
     s = _margin_operator(k, labels, counts)
     norms = np.einsum("jk,jl,lk->k", model.coeffs, k, model.coeffs)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
+    block = model.coeffs.T @ s @ model.coeffs
+    expected = range_oracle(k, labels, counts)
+    np.testing.assert_allclose(np.linalg.eigvalsh(block)[::-1], expected, rtol=1e-9, atol=0)
     s_norm = np.linalg.norm(s, 2)
+    resid = s @ model.coeffs - k @ model.coeffs @ block
     for j in range(model.output_dim):
-        g = model.coeffs[:, j]
-        resid = np.linalg.norm(s @ g - model.eigenvalues[j] * (k @ g))
-        assert resid <= 1e-6 * s_norm * np.linalg.norm(g)
+        assert np.linalg.norm(resid[:, j]) <= 1e-6 * s_norm * np.linalg.norm(model.coeffs[:, j])
 
 
 def test_weighted_rayleigh_optimality_monte_carlo():
@@ -455,11 +498,12 @@ def test_weighted_rayleigh_optimality_monte_carlo():
     model = fit_nkmmc(points, labels, KernelSpec("rbf", "auto"), counts)
     k = gram(points, points, model.kernel)
     s = _margin_operator(k, labels, counts)
-    top = model.coeffs[:, 0]
+    # the best K-normalised direction inside the kept span (its top Ritz value)
+    best = np.linalg.eigvalsh(model.coeffs.T @ s @ model.coeffs).max()
     r = rng.standard_normal((len(points), 2000))
     r /= np.sqrt(np.einsum("jk,jl,lk->k", r, k, r))
     random_best = np.einsum("jk,jl,lk->k", r, s, r).max()
-    assert top @ s @ top >= random_best - 1e-8 * abs(top @ s @ top)
+    assert best >= random_best - 1e-8 * abs(best)
 
 
 @pytest.mark.parametrize("name", ["rbf-auto", "linear"])
@@ -467,8 +511,10 @@ def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
     # Nothing is symmetrized: K comes from an A A^T product, the kernel PCA
     # matrix from t_i + t_j sums and u_i * u_j products, and the shared-class
     # scatter from A^T A products, all exactly symmetric, repeated rows and
-    # multiplicities included. Each fit makes one symmetric eigh call.
-    grams, solved = [], []
+    # multiplicities included. A shared-class fit makes one symmetric eigh
+    # call; a singleton fit factors its matrix once, and calls eigh at most
+    # once, when the factor's guard fails.
+    grams, solved, factored = [], [], []
 
     def recording_span(k_matrix, dim):
         grams.append(k_matrix.copy())
@@ -479,10 +525,15 @@ def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
         solved.append(a.copy())                              # the matrix as solved
         return np.linalg.eigh(a, *args, **kwargs)
 
+    def recording_factor(a, tol):
+        factored.append(a.copy())
+        return _pivoted_cholesky(a, tol)
+
     monkeypatch.setattr(nullmargin.kmmc, "span_coefficients", recording_span)
     monkeypatch.setattr(nullmargin.kmmc, "eigh", recording_eigh)
+    monkeypatch.setattr(nullmargin.kmmc, "_pivoted_cholesky", recording_factor)
     rng = np.random.default_rng(61)
-    fits = 0
+    eigh_calls = factor_calls = 0
     for shared in [True, False] * 15:
         m, dim = int(rng.integers(4, 60)), int(rng.integers(1, 40))
         points = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0) + rng.uniform(-1e3, 1e3)
@@ -492,8 +543,88 @@ def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
             fit_nkmmc(points, labels, KERNELS[name], rng.integers(1, 5, m).astype(float))
         except EmptyModelError:
             pass
-        fits += 1
-        assert len(solved) == fits
+        calls = (len(solved) - eigh_calls, len(factored) - factor_calls)
+        assert calls == (1, 0) if shared else calls in ((0, 1), (1, 1))
+        eigh_calls, factor_calls = len(solved), len(factored)
     assert len(grams) == 15
-    for matrix in grams + solved:
+    for matrix in grams + solved + factored:
         assert np.array_equal(matrix, matrix.T)
+
+
+def eigen_reference(points, mu, kernel):
+    """The singleton eigen route, solved directly: S with entries
+    u_i u_j (K_ij - (t_i + t_j) + gamma), its eigenpairs above
+    EIG_POS_TOL * lambda_max, and a = (I - w 1^T) U v / sqrt(lambda). Also
+    whether S is ill-conditioned for the Cholesky route: its (c-1)-th
+    eigenvalue at or below CHOL_TOL * trace(U K U), which bounds
+    1 / |L^-1|_F^2 from above, so the route's guard must fail."""
+    k = gram(points, points, kernel)
+    w = mu / mu.sum()
+    u = np.sqrt(w)
+    t = k @ w
+    s = (k - (t[:, None] + t) + w @ t) * np.outer(u, u)
+    evals, vectors = np.linalg.eigh(s)
+    evals, vectors = evals[::-1], vectors[:, ::-1]
+    keep = evals > EIG_POS_TOL * evals[0]
+    coeffs = vectors[:, keep] / np.sqrt(evals[keep]) * u[:, None]
+    coeffs -= np.outer(w, coeffs.sum(axis=0))
+    ill = evals[len(points) - 2] <= CHOL_TOL * (w @ np.diagonal(k))
+    return coeffs, ill
+
+
+def random_singleton_fit(rng, case):
+    """One weighted singleton fit's points, multiplicities and kernel: general
+    position, collinear, near-duplicate (pairs 1e-7 to 1e-2 apart), or fewer
+    dimensions than c - 1, offset from the origin and scaled."""
+    shape = ("general", "collinear", "near-duplicate", "low-dimensional")[case % 4]
+    c = int(rng.integers(3, 40))
+    dim = int(rng.integers(1, c - 1)) if shape == "low-dimensional" else int(rng.integers(c - 1, c + 20))
+    points = rng.standard_normal((c, dim))
+    if shape == "collinear":
+        points = np.outer(rng.standard_normal(c), rng.standard_normal(dim))
+    elif shape == "near-duplicate":
+        copies = max(1, c // 4)
+        noise = rng.standard_normal((copies, dim)) * 10.0 ** rng.uniform(-7, -2)
+        points[rng.integers(c, size=copies)] = points[rng.integers(c, size=copies)] + noise
+    scale = rng.uniform(0.1, 10.0)
+    points = (points + rng.uniform(0.0, 10.0) * rng.standard_normal(dim)) * scale
+    kernel = (
+        KernelSpec("linear"),
+        KernelSpec("rbf", scale * np.sqrt(dim) * 10.0 ** rng.uniform(-0.5, 1.5)),
+        KernelSpec("rbf", "auto"),
+    )[(case // 4) % 3]
+    return points, rng.integers(1, 6, c).astype(float), kernel
+
+
+def test_singleton_fits_match_the_eigen_route_and_fall_back_when_ill_conditioned(monkeypatch):
+    # 240 random weighted singleton fits, linear and rbf with a fixed and an
+    # auto bandwidth, collinear and near-duplicate point sets among them. The
+    # fixed bandwidths reach 30 times the points' spread, where K's entries
+    # sit near 1 and forming S cancels most of them. A
+    # fit's pairwise embedding distances over its training points and random
+    # probes match the eigen solve within 1e-9 of the largest, with the same
+    # direction count, whichever route it took; every fit the reference finds
+    # ill-conditioned calls eigh (falls back), and the rest mostly do not.
+    rng = np.random.default_rng(2024)
+    solved = []
+    monkeypatch.setattr(nullmargin.kmmc, "eigh", lambda a: (solved.append(len(a)), np.linalg.eigh(a))[1])
+    fell_back = {True: 0, False: 0}
+    for case in range(240):
+        points, mu, kernel = random_singleton_fit(rng, case)
+        solved.clear()
+        model = fit_nkmmc(points, np.arange(len(points)), kernel, mu)
+        coeffs, ill = eigen_reference(points, mu, model.kernel)
+        assert model.output_dim == coeffs.shape[1]
+        spread = rng.standard_normal((20, points.shape[1])) * points.std()
+        probes = np.vstack([points, points.mean(axis=0) + spread])
+        probe_gram = gram(probes, points, model.kernel)
+        expected = pdist(probe_gram @ coeffs)
+        np.testing.assert_allclose(
+            pdist(probe_gram @ model.coeffs), expected, rtol=0, atol=1e-9 * expected.max()
+        )
+        if ill:
+            assert solved == [len(points)], case
+        fell_back[ill] += bool(solved)
+    ill_fits = fell_back[True]
+    assert ill_fits >= 60 and 240 - ill_fits >= 80, fell_back
+    assert fell_back[False] <= 10, fell_back

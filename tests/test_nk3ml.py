@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 import nullmargin.evaluation
 import nullmargin.kmmc
@@ -74,14 +74,21 @@ def test_model_with_duplicated_margin_rows_still_loads():
     # A model written before the margin stage fitted on class points carries
     # all n projected rows (fit_nkmmc without multiplicities still fits them
     # exactly as it did then); it keeps loading and embeds like the c-point fit.
+    # The two fits keep one span in different bases (eigh on the n rows, a
+    # pivoted Cholesky basis on the c points), so their embeddings agree up
+    # to a rotation: equal Gram matrices and pairwise distances.
     table = unequal_classes_table()
     projector, _ = fit_nfst(table)
     margin = fit_nkmmc(project_null(projector, table.features), table.label_values(), KernelSpec())
     loaded = read_model(model_bytes(Nk3mlModel(nullproj=projector, margin=margin)))
     assert loaded.margin.train_points.shape[0] == table.n
     x = np.vstack([table.features, np.random.default_rng(22).standard_normal((10, table.dim)) * 10.0])
-    expected = embed(fit_nk3ml(table), x)
-    np.testing.assert_allclose(embed(loaded, x), expected, rtol=0, atol=1e-9 * np.abs(expected).max())
+    got, expected = embed(loaded, x), embed(fit_nk3ml(table), x)
+    assert got.shape == expected.shape
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(got @ got.T, expected @ expected.T, rtol=0, atol=1e-9 * scale**2)
+    distances = pdist(expected)
+    np.testing.assert_allclose(pdist(got), distances, rtol=0, atol=1e-9 * distances.max())
 
 
 def test_embed_is_stage_composition(easy_model):
