@@ -1,5 +1,6 @@
 """The process's OpenBLAS: its thread count, set for the length of a phase,
-and the three routines the null-space stage calls (dpstrf, dtrtri, dtrmm).
+and the three routines the null-space stage calls (dpstrf, dtrtri, dtrmm);
+also the cores the process may use, and the one-product finiteness proof.
 
 The OpenBLAS libraries already loaded into the process are found on first
 use from the process's memory map, the way threadpoolctl does, and called
@@ -179,3 +180,25 @@ def blas_threads(count: int):
     finally:
         for (setter, _), old in zip(controls, previous):
             setter(old)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the
+    platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a 1-D or 2-D float64 array is finite.
+
+    One BLAS product with a vector of ones proves it: a NaN or an inf makes
+    its row's product NaN or inf. A non-finite product, which finite rows
+    whose sum overflows also give, falls back to the elementwise check.
+    """
+    # dot, not @: the same BLAS product, with less per-call overhead on the
+    # small arrays trials check by the hundred.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = values.dot(np.ones(values.shape[-1]))
+    return bool(np.isfinite(sums).all()) or bool(np.isfinite(values).all())

@@ -10,7 +10,6 @@ per-trial accuracy percentages.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._binio import write_parts
-from ._blas import blas_threads
+from ._blas import all_finite, blas_threads, usable_cores
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
 from .kmmc import distances
@@ -222,8 +221,7 @@ def _lift(features: np.ndarray, span: SpanModel):
         np.matmul(gathered(start), mean_span, out=mean[start:start + LIFT_BLOCK])
 
     starts = range(0, dim, LIFT_BLOCK)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(cores or 1, len(starts))
+    workers = min(usable_cores(), len(starts))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(mean_block, starts))
         yield mean
@@ -298,10 +296,7 @@ def run_protocols(
         )
     with np.errstate(over="ignore", invalid="ignore"):
         gram = table.features @ table.features.T
-        total = gram.sum()
-    # A finite sum proves every entry finite without an n x n mask; only a
-    # non-finite sum (which may also be an overflow) needs the elementwise check.
-    if not np.isfinite(total) and not np.isfinite(gram).all():
+    if not all_finite(gram):
         raise NumericalError(
             "table Gram X X^T has non-finite entries: the features' products overflow float64"
         )

@@ -83,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
+from ._blas import all_finite
 from .dataio import _real
 from .errors import (
     DataValidationError,
@@ -248,7 +249,7 @@ def _fix_column_signs(matrix: np.ndarray) -> None:
 
 
 def _check_finite(matrix: np.ndarray) -> None:
-    if not np.isfinite(matrix).all():
+    if not all_finite(matrix):
         raise NumericalError("margin kernel matrix has non-finite entries")
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._binio import Reader, Writer, write_parts
+from ._blas import all_finite
 from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
 from .kmmc import KERNEL_KINDS, KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
@@ -187,7 +188,7 @@ def _parse_model(stream, context: str) -> Nk3mlModel:
                                "discriminants: none may be 0, and inputs must equal directions")
     for name, values in (("mean", mean), ("w_n", w_n), ("train_points", train_points),
                          ("coeffs", coeffs), ("eigenvalues", eigenvalues)):
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise ModelFormatError(f"{context}: non-finite values in {name}")
     return Nk3mlModel(nullproj=nullproj, margin=margin)
 

@@ -6,7 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nullmargin import FeatureTable, SyntheticSpec, generate_synthetic, save_feature_table
+from nullmargin import (
+    FeatureTable, SyntheticSpec, dataio, generate_synthetic, load_feature_table, save_feature_table,
+)
 from nullmargin.dataio import group_rows
 from nullmargin.mining import find_anchor
 from nullmargin.nk3ml import _model_parts, _read_model
@@ -40,6 +42,20 @@ def model_bytes(model) -> bytes:
 def read_model(data: bytes):
     """A model parsed from container bytes as load_model parses a file."""
     return _read_model(io.BytesIO(data), "model")
+
+
+def load_binary(path, data: bytes) -> FeatureTable:
+    """A binary table read from data written to path, as load_feature_table
+    reads any table file."""
+    path.write_bytes(data)
+    return load_feature_table(path, "binary")
+
+
+def use_fill_workers(monkeypatch, count: int) -> None:
+    """Make every binary table load fill its features on `count` threads,
+    however small the table."""
+    monkeypatch.setattr(dataio, "_FILL_CHUNK", 1)
+    monkeypatch.setattr(dataio, "usable_cores", lambda: count)
 
 
 # Table paths every loader must reject with DataFormatError (CLI exit 3).

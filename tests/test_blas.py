@@ -1,20 +1,25 @@
-"""The BLAS thread helper, the thread count protocol trials run at, and the
-LAPACK routines bound from the loaded OpenBLAS or, without one, from scipy."""
+"""The BLAS thread helper, the thread count protocol trials run at, the
+LAPACK routines bound from the loaded OpenBLAS or, without one, from scipy,
+and the one-product finiteness proof every finiteness check makes."""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nullmargin.evaluation
-from nullmargin import LoopConfig, SplitSpec, run_protocol
-from nullmargin import _blas
+from nullmargin import LoopConfig, SplitSpec, fit_nk3ml, run_protocol, run_protocols
+from nullmargin import _blas, kmmc
 from nullmargin._blas import blas_threads
+from nullmargin.errors import DataValidationError, ModelFormatError, NumericalError
 from nullmargin.nfst import _pivoted_cholesky
+
+from conftest import labeled_gaussians, make_table, model_bytes, read_model
 
 
 def counts():
@@ -247,3 +252,55 @@ def test_blas_threads_drives_the_openblas_of_the_scipy_fallback():
     two, one, back = got["counts"]
     assert two == back == [2] * len(got["added"])
     assert one == [1] * len(got["added"])
+
+
+class _GramIs(np.ndarray):
+    """Features whose Gram X @ X.T is the features themselves."""
+
+    def __matmul__(self, other):
+        return np.asarray(self)
+
+
+def _table_gram_check(values, monkeypatch):
+    table = make_table(np.ones((2, 3)), cameras=[0, 1], identities=[0, 0])
+    object.__setattr__(table, "features", values.view(_GramIs))
+    monkeypatch.setattr(nullmargin.evaluation, "_protocol", lambda *args: None)
+    run_protocols(table, SplitSpec(seed=0, trials=1), LoopConfig(), ("labeled_only",))
+
+
+def _model_check(values, monkeypatch):
+    model = fit_nk3ml(labeled_gaussians(np.random.default_rng(0), classes=4, per_class=2, dim=20))
+    w_n = np.array(model.nullproj.w_n)
+    w_n[0, :values.shape[1]] = values[0]
+    read_model(model_bytes(replace(model, nullproj=replace(model.nullproj, w_n=w_n))))
+
+
+# Each check's own error for a table, the table Gram, a margin kernel matrix
+# and a model read from a container, given a matrix that starts with `values`.
+FINITENESS_CHECKS = {
+    "feature table": (lambda values, _: make_table(values, cameras=[0, 1], identities=[0, 0]),
+                      DataValidationError, "features must be finite"),
+    "table Gram": (_table_gram_check, NumericalError, "table Gram X X\\^T has non-finite entries"),
+    "margin kernel": (lambda values, _: kmmc._check_finite(values),
+                      NumericalError, "margin kernel matrix has non-finite entries"),
+    "model reader": (_model_check, ModelFormatError, "non-finite values in w_n"),
+}
+
+
+@pytest.mark.parametrize("values, finite", [
+    ([np.nan], False),
+    ([np.inf], False),
+    ([-np.inf], False),
+    ([np.inf, -np.inf], False),         # a NaN row sum
+    ([1e308, 1e308], True),             # a row sum that overflows
+], ids=["nan", "+inf", "-inf", "+inf and -inf in one row", "finite, sum overflows"])
+@pytest.mark.parametrize("check", FINITENESS_CHECKS)
+def test_each_finiteness_check_rejects_nan_and_inf_and_accepts_an_overflowing_sum(monkeypatch, check, values, finite):
+    run, error, match = FINITENESS_CHECKS[check]
+    matrix = np.ones((2, 3))
+    matrix[0, :len(values)] = values
+    if finite:
+        run(matrix, monkeypatch)
+    else:
+        with pytest.raises(error, match=match):
+            run(matrix, monkeypatch)

@@ -1,5 +1,4 @@
 import hashlib
-import io
 import os
 import struct
 import subprocess
@@ -24,10 +23,10 @@ from nullmargin import (
     make_split,
     save_feature_table,
 )
-from nullmargin.dataio import _from_binary, _table_writer, table_format_for
+from nullmargin.dataio import _table_writer, table_format_for
 from nullmargin.errors import DataFormatError, DataValidationError
 
-from conftest import HOSTILE_TABLES, make_table
+from conftest import HOSTILE_TABLES, load_binary, make_table, use_fill_workers
 
 
 def test_csv_parse_with_unlabeled_row(tmp_path):
@@ -119,7 +118,7 @@ def test_non_finite_features_rejected(value):
         make_table([[1.0, value], [0.0, 1.0]], cameras=[0, 1], identities=[0, 0])
 
 
-def test_binary_within_view_id_beyond_int64_rejected():
+def test_binary_within_view_id_beyond_int64_rejected(tmp_path):
     data = b"".join(
         _table_writer(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0])).parts
     )
@@ -128,7 +127,7 @@ def test_binary_within_view_id_beyond_int64_rejected():
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no lossy cast on the way
         with pytest.raises(DataFormatError, match=r"nonnegative, in \[0, 2\*\*63\)"):
-            _from_binary(io.BytesIO(data))
+            load_binary(tmp_path / "t.ssml", data)
 
 
 @pytest.mark.parametrize("name", ["huge_within_view.ssml", "huge_within_view.csv", "huge_camera.csv"])
@@ -257,12 +256,12 @@ def test_sample_id_with_a_trailing_newline_rejected():
         replace(table, sample_ids=("a\n", "b"))
 
 
-def test_binary_sample_id_with_a_trailing_newline_is_a_format_error():
+def test_binary_sample_id_with_a_trailing_newline_is_a_format_error(tmp_path):
     table = make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, None])
     table = replace(table, sample_ids=("a_", "b"))
     data = b"".join(_table_writer(table).parts).replace(b"a_", b"a\n")
     with pytest.raises(DataFormatError, match="alphanumeric"):
-        _from_binary(io.BytesIO(data))
+        load_binary(tmp_path / "t.ssml", data)
 
 
 def assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=0):
@@ -294,22 +293,49 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert_binary_round_trip_bit_exact(tmp_path, 100, 50)
 
 
-# Rows of 400 B and of 80 KB, either side of the loader's 64 KiB read
-# buffer, each table with labeled and unlabeled rows.
-@pytest.mark.parametrize("n, dim", [(300, 50), (6, 10000)], ids=["small rows", "large rows"])
-def test_binary_round_trip_of_mixed_rows_bit_exact(tmp_path, n, dim):
-    assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=3)
+# 600 rows of 400 B, more buffers than one scatter read may take (IOV_MAX is
+# 1024 on Linux), and 6 rows of 80 KB, each table with labeled and unlabeled
+# rows, filled on one thread and on several; 8 threads leave some none.
+@pytest.mark.parametrize("n, dim", [(600, 50), (6, 10000)], ids=["small rows", "large rows"])
+def test_binary_round_trip_of_mixed_rows_bit_exact(tmp_path, monkeypatch, n, dim):
+    for workers in (1, 3, 8):
+        use_fill_workers(monkeypatch, workers)
+        assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=3)
 
 
-def test_binary_table_truncated_anywhere_is_a_format_error():
+def test_short_reads_resume_and_a_read_past_the_end_is_a_format_error(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    table = make_table(rng.standard_normal((9, 5)), cameras=[i % 2 for i in range(9)],
+                       identities=[None if i % 4 == 0 else i for i in range(9)])
+    path = tmp_path / "t.ssml"
+    save_feature_table(table, path, "binary")
+    use_fill_workers(monkeypatch, 3)
+    real_preadv = os.preadv
+    # Each read returns at most 5 bytes, ending mid-buffer, and must be resumed.
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                        real_preadv(fd, [memoryview(buffers[0])[:5]], offset))
+    assert load_feature_table(path, "binary").features.tobytes() == table.features.tobytes()
+    # The file seems to end in its middle, as if it had shrunk after the
+    # scan: the last fill thread's read, of rows 6 to 8, returns nothing.
+    middle = path.stat().st_size // 2
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
+                        0 if offset >= middle else real_preadv(fd, buffers, offset))
+    with pytest.raises(DataFormatError, match="truncated"):
+        load_feature_table(path, "binary")
+
+
+def test_binary_table_truncated_anywhere_is_a_format_error(tmp_path, monkeypatch):
     table = replace(make_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], cameras=[0, 1, 1],
                                identities=[7, None, 7], within_view=[7, 3, 7]),
                     sample_ids=("a", "row_1", "bc"))
     data = b"".join(_table_writer(table).parts)
-    assert _from_binary(io.BytesIO(data)).identities == (7, None, 7)
-    for end in range(len(data)):
-        with pytest.raises(DataFormatError):
-            _from_binary(io.BytesIO(data[:end]))
+    path = tmp_path / "t.ssml"
+    for workers in (1, 3):
+        use_fill_workers(monkeypatch, workers)
+        assert load_binary(path, data).identities == (7, None, 7)
+        for end in range(len(data)):
+            with pytest.raises(DataFormatError):
+                load_binary(path, data[:end])
 
 
 def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):
@@ -341,9 +367,9 @@ print((peak() - before) * 1024, table.features.nbytes)
 
 
 def assert_binary_load_holds_the_features_once(tmp_path, n, dim):
-    # The reader fills the feature matrix row by row from a buffered stream,
-    # so loading grows the peak resident set by about one feature matrix,
-    # not by the file plus a copy of it.
+    # The reader fills the feature matrix straight from the file, on one
+    # thread or several, so loading grows the peak resident set by about one
+    # feature matrix, not by the file plus a copy of it.
     rng = np.random.default_rng(5)
     table = make_table(rng.standard_normal((n, dim)), cameras=[i % 2 for i in range(n)],
                        identities=[i // 2 for i in range(n)])
@@ -362,13 +388,13 @@ def assert_binary_load_holds_the_features_once(tmp_path, n, dim):
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_binary_load_holds_the_features_once(tmp_path):
-    # 256 KB rows: past the 64 KiB read buffer, read straight into the matrix
+    # 256 KB rows, 51 MB of features: filled on every usable core
     assert_binary_load_holds_the_features_once(tmp_path, 200, 32000)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_binary_load_of_small_rows_holds_the_features_once(tmp_path):
-    # 8 KB rows: copied out of the read buffer; the same 51 MB of features
+    # 8 KB rows: the same 51 MB of features in many small rows
     assert_binary_load_holds_the_features_once(tmp_path, 6400, 1000)
 
 

@@ -2,15 +2,14 @@
 accept a mutant or raise DataFormatError (ModelFormatError is one), nothing
 else."""
 
-import io
 import random
 from dataclasses import replace
 
 from nullmargin import SyntheticSpec, fit_nk3ml, generate_synthetic
-from nullmargin.dataio import _from_binary, _table_writer
+from nullmargin.dataio import _table_writer
 from nullmargin.errors import DataFormatError
 
-from conftest import model_bytes, read_model
+from conftest import load_binary, model_bytes, read_model, use_fill_workers
 
 MUTANTS = 3000
 
@@ -36,15 +35,19 @@ def assert_only_format_errors(read, data: bytes, seed: int) -> None:
             pass
 
 
-def test_table_reader_fuzz():
+def test_table_reader_fuzz(tmp_path, monkeypatch):
     # Labeled and unlabeled rows, and ids of two lengths (s0..s9, s10..s11),
-    # so every branch of the row reader sees truncations and bit flips.
+    # so every branch of the row reader sees truncations and bit flips, with
+    # the features filled on one thread and on several.
     table = generate_synthetic(SyntheticSpec(identities=6, cameras=2, dim=3, noise_sigma=0.1))
     table = replace(table, sample_ids=[f"s{i}" for i in range(table.n)],
                     identities=[None if i % 3 == 0 else ident
                                 for i, ident in enumerate(table.identities)])
     data = b"".join(_table_writer(table).parts)
-    assert_only_format_errors(lambda mutant: _from_binary(io.BytesIO(mutant)), data, seed=1)
+    path = tmp_path / "t.ssml"
+    for workers in (1, 3):
+        use_fill_workers(monkeypatch, workers)
+        assert_only_format_errors(lambda mutant: load_binary(path, mutant), data, seed=1)
 
 
 def test_model_reader_fuzz():
