@@ -62,6 +62,11 @@ def write_parts(parts, path) -> str:
     return digest.hexdigest()
 
 
+def truncated(context: str, count: int, offset: int, have: int) -> DataFormatError:
+    """The error for a read of count bytes at offset that finds only have."""
+    return DataFormatError(f"truncated {context}: needed {count} bytes at offset {offset}, have {have}")
+
+
 class Reader:
     """Cursor over a seekable binary stream, or over its next ``end - tell()``
     bytes; raises DataFormatError on truncation.
@@ -84,22 +89,16 @@ class Reader:
     def remaining(self) -> int:
         return self._end - self._pos
 
-    def _truncated(self, size: int, have: int) -> DataFormatError:
-        return DataFormatError(
-            f"truncated {self._context}: needed {size} bytes at offset "
-            f"{self._pos}, have {have}"
-        )
-
     def _check(self, size: int) -> None:
         have = self._end - self._pos
         if size < 0 or have < size:
-            raise self._truncated(size, have)
+            raise truncated(self._context, size, self._pos, have)
 
     def raw(self, size: int) -> bytes:
         self._check(size)
         data = self._stream.read(size)
         if len(data) < size:
-            raise self._truncated(size, len(data))
+            raise truncated(self._context, size, self._pos, len(data))
         self._pos += size
         return data
 
@@ -108,7 +107,7 @@ class Reader:
         view = memoryview(out).cast("B")
         got = self._stream.readinto(view)
         if got < view.nbytes:
-            raise self._truncated(view.nbytes, got)
+            raise truncated(self._context, view.nbytes, self._pos, got)
         self._pos += view.nbytes
 
     def block(self, context: str) -> Reader:

@@ -1,17 +1,55 @@
-"""The process's OpenBLAS: its thread count, set for the length of a phase,
-and the three routines the null-space stage calls (dpstrf, dtrtri, dtrmm);
-also the cores the process may use, and the one-product finiteness proof.
+"""Numerics both stages share: an orthonormal basis from a small Gram
+matrix, the distance kernel, and the process's OpenBLAS that runs them.
 
-The OpenBLAS libraries already loaded into the process are found on first
+The factor. Each basis either stage takes from the Gram matrix G (n, n) of
+the vectors that span it, and the rank cut with it, comes from the pivoted
+Cholesky factor P^T G P = L L^T (LAPACK dpstrf), stopped at the first pivot
+L_jj^2 at or below a tolerance. With B = L^-T over the r pivots kept (dtrtri), the r
+pivoted vectors times B are an orthonormal basis of the span of all n, for
+a fraction of an eigendecomposition's cost; pivoting reveals the rank and
+leaves the pivots positive and non-increasing (Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 10). dpstrf checks only the pivots
+after the first against the tolerance, so r is counted here.
+_pivoted_cholesky returns the factor; pivot_basis returns P B, the (n, r)
+coefficients of the basis on all n vectors, zero outside the kept pivot
+rows, with the kept pivots.
+
+The rank rules, one per use:
+- a protocol trial's span (evaluation), and the kernel span of a margin fit
+  whose classes share points (kmmc): max(n, d) * eps * max diag G, numpy's
+  matrix_rank tolerance applied to the pivots (span_coefficients);
+- the within-class basis Q (nfst.NullSpaceState.append_classes): the same
+  rule, taken relative to the kept scale, the largest squared norm of any
+  within-class row appended, in place of max diag G;
+- the null directions W_N (nfst.NullSpaceState.projector):
+  nfst.NULL_TOL * trace(S_b);
+- the margin basis of a fit with no shared class (kmmc.fit_nkmmc):
+  kmmc.CHOL_TOL * sum_j w_j K_jj, kept only when r = m - 1 and
+  1 / |B|_F^2 clears the same floor; otherwise the fit solves S's
+  eigenproblem.
+
+The distances. _squared_distances takes every squared distance between two
+point sets from one GEMM: with both sets centred at the second set's first
+row, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b. An entry at or below that sum's
+rounding bound, 2 (p + 1) eps (|a|^2 + |b|^2) in p dimensions, is set to
+exactly 0, so coincident rows are at distance 0 and negatives never reach a
+square root. A row as centre keeps exactly representable inputs (integer
+grids, duplicate rows) exact, so their distance ties stay exact ties. Every
+rbf Gram and auto bandwidth (kmmc), gallery ranking (evaluation) and
+cross-view matching (mining) read their distances from it.
+
+The OpenBLAS. dpstrf, dtrtri, and the BLAS dtrmm that forms W_N, are taken
+from the OpenBLAS libraries already loaded into the process, found on first
 use from the process's memory map, the way threadpoolctl does, and called
 with ctypes. numpy's wheel brings one that exports LAPACKE and CBLAS, so a
 run maps no second BLAS; ctypes calls release the GIL, so concurrent trials
 overlap these routines as they overlap numpy's. Only when no loaded library
 exports them are scipy's wrappers imported, and that happens before the
 thread setters are looked up, so blas_threads also drives the OpenBLAS
-scipy brings. The count is global to the process: set it around a phase,
-never from inside concurrent workers. Without a loaded OpenBLAS (or without
-/proc/self/maps) blas_threads does nothing.
+scipy brings. The thread count is global to the process: set it around a
+phase, never from inside concurrent workers. Without a loaded OpenBLAS (or
+without /proc/self/maps) blas_threads does nothing. The module also gives
+the cores the process may use, and the one-product finiteness proof.
 """
 
 from __future__ import annotations
@@ -25,6 +63,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
+
+_EPS = np.finfo(np.float64).eps
 
 # (setter, getter) names, wheel-prefixed and ILP64-suffixed variants first.
 _SYMBOLS = tuple(
@@ -44,7 +84,7 @@ _COL_MAJOR, _LEFT, _UPPER, _TRANS, _NON_UNIT = 102, 141, 121, 112, 131
 
 
 class Routines(NamedTuple):
-    """The null-space stage's routines, on float64 arrays:
+    """The factor's and the null basis's routines, on float64 arrays:
 
     pstrf(a, tol) -> (factor, piv, rank): LAPACK dpstrf of a copy of a
         symmetric (n, n) a, lower triangle read; piv is 1-based.
@@ -149,6 +189,61 @@ def routines() -> Routines:
         if found is not None:
             return found
     return _scipy_routines()
+
+
+def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factor of a positive semidefinite (n, n) gram, stopped at tol: the
+    pivot order (n,), the r factored columns L[:, :r] (n, r), lower
+    triangular in their first r rows, and B = L[:r, :r]^-T (r, r)."""
+    lapack = routines()
+    factor, piv, rank = lapack.pstrf(gram, tol)
+    rank = int(np.count_nonzero(np.diagonal(factor)[:rank] ** 2 > tol))
+    factor = np.tril(factor[:, :rank])
+    inv_t = lapack.trtri(factor[:rank]).T if rank else np.zeros((0, 0))
+    return piv - 1, factor, inv_t
+
+
+def pivot_basis(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients P B (n, r) of the orthonormal basis on the n vectors whose
+    Gram is gram, zero outside the r kept pivot rows, and the kept pivots
+    L_jj^2 (r,); the factor is stopped at tol."""
+    piv, factor, inv_t = _pivoted_cholesky(gram, tol)
+    basis = np.zeros((len(gram), len(inv_t)))
+    basis[piv[: len(inv_t)]] = inv_t
+    return basis, np.square(np.diagonal(factor))
+
+
+def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
+    """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of
+    the span of n rows of dimension dim, given their Gram rows @ rows.T; the
+    factor is stopped at numpy's matrix_rank tolerance. Dependent and
+    duplicate rows add no column; a (0, 0) Gram gives a (0, 0) array."""
+    tol = max(len(gram), dim) * _EPS * float(np.diagonal(gram).max(initial=0.0))
+    return pivot_basis(gram, tol)[0]
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (m_a, m_b) from one GEMM, with both sets centred at
+    b's first row; entries at or below the sum's rounding bound are exactly
+    0. A set's distances to itself (a is b) take one centred copy and A A^T."""
+    same = a is b
+    centre = b[0] if len(b) else 0.0
+    b = b - centre
+    a = b if same else a - centre
+    norm_b = np.einsum("ij,ij->i", b, b)
+    norms = (norm_b if same else np.einsum("ij,ij->i", a, a))[:, None] + norm_b
+    sq = a @ b.T
+    sq *= -2.0
+    sq += norms
+    norms *= 2 * (a.shape[1] + 1) * _EPS
+    sq[sq <= norms] = 0.0
+    return sq
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances (m_a, m_b): the square roots of _squared_distances."""
+    sq = _squared_distances(a, b)
+    return np.sqrt(sq, out=sq)
 
 
 @cache

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Writer, write_parts
+from ._binio import Writer, truncated, write_parts
 from ._blas import all_finite, usable_cores
 from .errors import DataFormatError, DataValidationError
 
@@ -506,21 +506,15 @@ def _table_writer(table: FeatureTable) -> Writer:
     return w
 
 
-def _truncated(context: str, count: int, offset: int, have: int) -> DataFormatError:
-    return DataFormatError(
-        f"truncated {context}: needed {count} bytes at offset {offset}, have {have}"
-    )
-
-
 def _read(fd: int, size: int, offset: int, count: int, context: str) -> bytes:
     """count bytes at offset of a file of size bytes; nothing past the file
     is requested, so a count taken from the data allocates no more than
     the file holds."""
     if offset + count > size:
-        raise _truncated(context, count, offset, size - offset)
+        raise truncated(context, count, offset, size - offset)
     data = os.pread(fd, count, offset)
     if len(data) < count:       # the file shrank since it was sized
-        raise _truncated(context, count, offset, len(data))
+        raise truncated(context, count, offset, len(data))
     return data
 
 
@@ -600,7 +594,7 @@ def _scan(fd: int, size: int, n: int, dim: int, context: str):
         wv_ids.append(first)
         pos += end
         if pos + 8 * dim > size:
-            raise _truncated(context, 8 * dim, pos, size - pos)
+            raise truncated(context, 8 * dim, pos, size - pos)
         offsets.append(pos)
         pos += 8 * dim
     if pos < size:
@@ -626,7 +620,7 @@ def _fill(fd: int, feats: np.ndarray, offsets: list[int], lo: int, hi: int, cont
     while k < len(views):
         got = os.preadv(fd, views[k:k + _IOV_MAX], offset)
         if not got:
-            raise _truncated(context, end - offset, offset, 0)
+            raise truncated(context, end - offset, offset, 0)
         offset += got
         while k < len(views) and got >= views[k].nbytes:
             got -= views[k].nbytes

@@ -18,11 +18,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._binio import write_parts
-from ._blas import all_finite, blas_threads, usable_cores
+from ._blas import all_finite, blas_threads, distances, span_coefficients, usable_cores
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
-from .kmmc import distances
-from .nfst import NullProjector, span_coefficients
+from .nfst import NullProjector
 from .nk3ml import Nk3mlModel, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 

@@ -27,15 +27,13 @@ takes one of three routes, chosen by the input:
   u_i u_j (K_ij - (t_i + t_j) + gamma), so S is exactly symmetric. Its
   nonzero eigenvalues are those of the criterion, and its range is the span
   of the m centred points, of dimension at most m - 1.
-  - Cholesky route. The pivoted factor P^T S P = L L^T (nfst._pivoted_cholesky,
-    stopped at CHOL_TOL * trace(U K U); pivoting reveals the rank and gives
-    non-increasing pivots, Higham, "Accuracy and Stability of Numerical
-    Algorithms", ch. 10) gives a = (I - w 1^T) U P L^-T over its r pivots:
-    the centred, weighted pivot points made K-orthonormal, which span all m
-    centred points when r = m - 1. It is taken when r = m - 1 and
-    1 / |L^-1|_F^2, a lower bound on every nonzero eigenvalue of S, clears
-    the same floor; the eigen route would then keep that span too, and the
-    two routes' distances agree to rounding.
+  - Cholesky route. The pivoted factor P^T S P = L L^T (_blas.pivot_basis,
+    stopped at CHOL_TOL * trace(U K U)) gives a = (I - w 1^T) U P L^-T over
+    its r pivots: the centred, weighted pivot points made K-orthonormal,
+    which span all m centred points when r = m - 1. It is taken when
+    r = m - 1 and 1 / |L^-1|_F^2, a lower bound on every nonzero eigenvalue
+    of S, clears the same floor; the eigen route would then keep that span
+    too, and the two routes' distances agree to rounding.
   - Eigen route, otherwise (rank-deficient or ill-conditioned S): the
     eigenpairs (lambda, v) of S give a = (I - w 1^T) U v / sqrt(lambda). In
     exact arithmetic u^T v = 0 and the centring changes nothing; in floating
@@ -54,19 +52,10 @@ on the Cholesky route; nothing in the program computes from it. A kernel
 matrix with a non-finite entry raises NumericalError, and so do non-finite
 squared distances under an auto bandwidth.
 
-Every rbf Gram, the auto bandwidth, and the Euclidean distances that rank
-a gallery (evaluation) and match cross-view centroids (mining) take their
-squared distances from one GEMM: with both point sets centred at the second
-set's first row, |a - b|^2 = |a|^2 + |b|^2 - 2 a.b. An entry at or below
-the rounding bound of that sum, 2 (p + 1) eps (|a|^2 + |b|^2) in p
-dimensions, is set to exactly 0, so coincident rows are at distance 0 and
-negatives never reach the square root. A row as centre keeps exactly
-representable inputs (integer grids, duplicate rows) exact, so their
-distance ties stay exact ties. A fit forms one such matrix, over one
-centred copy of its points and the symmetric product A A^T, and reads both
-the auto bandwidth (the weighted mean of its square roots) and the Gram off
-it; the primary fit, the secondary fit and project_kernel all build their
-Grams this way.
+Every rbf Gram and auto bandwidth take their squared distances from
+_blas._squared_distances, which states their rounding bound. A fit forms
+one such matrix, over one centred copy of its points, and reads both the
+auto bandwidth (the weighted mean of its square roots) and the Gram off it.
 K, and the scatter of the shared-class route, come from A A^T products,
 which BLAS forms exactly symmetric, so nothing is symmetrized. A fitted
 model carries its resolved kernel: rbf with the numeric bandwidth its fit
@@ -83,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import eigh
 
-from ._blas import all_finite
+from ._blas import _squared_distances, all_finite, pivot_basis, span_coefficients
 from .dataio import _real
 from .errors import (
     DataValidationError,
@@ -91,7 +80,7 @@ from .errors import (
     NumericalError,
     ZeroDistanceError,
 )
-from .nfst import _EPS, _pivoted_cholesky, class_sums, span_coefficients
+from .nfst import class_sums
 
 # Eigenvalues above this fraction of lambda_max count as positive; the rest,
 # the null space of K among them, are cut.
@@ -167,30 +156,6 @@ def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
     return mu
 
 
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (m_a, m_b) from one GEMM, with both sets centred at
-    b's first row; entries at or below the sum's rounding bound are exactly
-    0. A set's distances to itself (a is b) take one centred copy and A A^T."""
-    same = a is b
-    centre = b[0] if len(b) else 0.0
-    b = b - centre
-    a = b if same else a - centre
-    norm_b = np.einsum("ij,ij->i", b, b)
-    norms = (norm_b if same else np.einsum("ij,ij->i", a, a))[:, None] + norm_b
-    sq = a @ b.T
-    sq *= -2.0
-    sq += norms
-    norms *= 2 * (a.shape[1] + 1) * _EPS
-    sq[sq <= norms] = 0.0
-    return sq
-
-
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distances (m_a, m_b): the square roots of _squared_distances."""
-    sq = _squared_distances(a, b)
-    return np.sqrt(sq, out=sq)
-
-
 def _mean_distance(sq: np.ndarray, mu: np.ndarray) -> float:
     """Mean distance over the n(n-1)/2 rows the points stand for, from their
     squared-distance matrix: pair (i < j) counts mu_i * mu_j times."""
@@ -253,21 +218,6 @@ def _check_finite(matrix: np.ndarray) -> None:
         raise NumericalError("margin kernel matrix has non-finite entries")
 
 
-def _pivot_basis(s: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The fast singleton route: B = P L^-T (m, m - 1), zero outside the kept
-    pivot rows, and the pivots L_jj^2 of P^T s P = L L^T, stopped at
-    CHOL_TOL * scale; None unless m - 1 pivots are kept and 1 / |L^-1|_F^2
-    clears that floor too."""
-    floor = CHOL_TOL * scale
-    piv, factor, inv_t = _pivoted_cholesky(s, floor)
-    rank = len(inv_t)
-    if rank != len(s) - 1 or not 1.0 / float(np.square(inv_t).sum()) > floor:
-        return None
-    basis = np.zeros((len(s), rank))
-    basis[piv[:rank]] = inv_t
-    return basis, np.square(np.diagonal(factor))
-
-
 def _positive_eigenpairs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of s above EIG_POS_TOL * lambda_max, descending, and
     their eigenvectors."""
@@ -317,10 +267,9 @@ def fit_nkmmc(
         s = k_matrix - (t[:, None] + t)
         s += w @ t
         s *= np.outer(u, u)
-        found = _pivot_basis(s, float(w @ np.diagonal(k_matrix)))
-        if found is not None:
-            basis, energies = found
-        else:
+        floor = CHOL_TOL * float(w @ np.diagonal(k_matrix))
+        basis, energies = pivot_basis(s, floor)
+        if basis.shape[1] != len(s) - 1 or not 1.0 / float(np.square(basis).sum()) > floor:
             energies, vectors = _positive_eigenpairs(s)
             basis = vectors / np.sqrt(energies)
         coeffs = basis * u[:, None]

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ._blas import distances
 from .dataio import _integer
 from .errors import DataValidationError
-from .kmmc import KernelDiscriminantModel, KernelSpec, distances, fit_nkmmc, project_kernel
+from .kmmc import KernelDiscriminantModel, KernelSpec, fit_nkmmc, project_kernel
 from .nfst import class_sums
 from .nk3ml import Nk3mlModel, embed
 

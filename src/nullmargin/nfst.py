@@ -14,16 +14,9 @@ between-class vectors off that span, and an orthonormal basis W_N of the
 column span of R. Every column w of W_N then satisfies w^T S_w w = 0 and
 w^T S_b w > 0, so all samples of one class project onto a single point.
 
-Every basis here, and every rank cut, comes from one routine: the pivoted
-Cholesky factor P^T G P = L L^T of the Gram matrix G of the vectors that
-span it, stopped at the first pivot at or below a tolerance. With
-B = L^-T over the r pivots kept, the r pivoted vectors times B are
-orthonormal, for a fraction of the cost of an eigendecomposition of G. That
-gives a protocol trial's span, Q, W_N, and in kmmc both the kernel span of
-a margin fit whose classes share points and the margin basis of a
-well-conditioned singleton fit. LAPACK dpstrf and dtrtri, and the BLAS
-dtrmm that forms W_N, are called through ctypes from the OpenBLAS numpy
-loaded, outside the GIL (_blas; scipy's wrappers where numpy has none).
+Q and W_N, like a protocol trial's span, are bases taken from the pivoted
+Cholesky factor of a small Gram; _blas states the factor and the rank rule
+of each.
 
 A NullSpaceState keeps Q and the class means' residuals off Q for a labeled
 set that grows by whole classes, as the self-training loop grows it. A new
@@ -45,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import routines
+from ._blas import _EPS, _pivoted_cholesky, routines
 from .dataio import FeatureTable
 from .errors import DataValidationError, DegenerateDataError
 
@@ -53,8 +46,6 @@ from .errors import DataValidationError, DegenerateDataError
 # the between-class vectors have no part outside the within-class span along
 # them.
 NULL_TOL = 1e-10
-
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -123,42 +114,6 @@ class NullProjector:
     @property
     def n_directions(self) -> int:
         return self.w_n.shape[1]
-
-
-def _pivoted_cholesky(gram: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivoted Cholesky factor P^T gram P = L L^T of a positive semidefinite
-    (n, n) matrix, stopped at the first pivot L_jj^2 at or below tol.
-
-    Returns the pivot order (n,), the r factored columns L[:, :r] (n, r),
-    lower triangular in their first r rows, and B = L[:r, :r]^-T (r, r), r
-    the count of pivots above tol: the r pivoted vectors times B are an
-    orthonormal basis of the span of all n. dpstrf checks only the pivots
-    after the first against tol, so r is counted here.
-    """
-    lapack = routines()
-    factor, piv, rank = lapack.pstrf(gram, tol)
-    rank = int(np.count_nonzero(np.diagonal(factor)[:rank] ** 2 > tol))
-    factor = np.tril(factor[:, :rank])
-    inv_t = lapack.trtri(factor[:rank]).T if rank else np.zeros((0, 0))
-    return piv - 1, factor, inv_t
-
-
-def span_coefficients(gram: np.ndarray, dim: int) -> np.ndarray:
-    """Coefficients A (n, r) such that rows.T @ A is an orthonormal basis of the
-    span of n rows of dimension dim, given their Gram matrix rows @ rows.T.
-
-    A = P L^-T from the pivoted Cholesky factor P^T gram P = L L^T, stopped
-    at pivots at or below max(n, dim) * eps * max(diag gram) (the tolerance
-    of numpy.linalg.matrix_rank, applied to the pivots): A is zero outside
-    the r pivot rows, which span the others. Dependent and duplicate rows add
-    no column; an empty (0, 0) Gram gives a (0, 0) array.
-    """
-    n = gram.shape[0]
-    tol = max(n, dim) * _EPS * float(np.diagonal(gram).max(initial=0.0))
-    piv, _, inv_t = _pivoted_cholesky(gram, tol)
-    coeffs = np.zeros((n, len(inv_t)))
-    coeffs[piv[: len(inv_t)]] = inv_t
-    return coeffs
 
 
 class NullSpaceState:

@@ -664,13 +664,13 @@ def test_tiny_protocol_margin_fits_keep_the_cholesky_route(monkeypatch):
         per_camera_transform_strength=strength, noise_sigma=noise, seed=1,
     ))
     factored, solved = [], []
-    pivot_basis = nullmargin.kmmc._pivot_basis
+    pivot_basis = nullmargin.kmmc.pivot_basis
 
-    def recording_basis(s, scale):
+    def recording_basis(s, tol):
         factored.append(len(s))
-        return pivot_basis(s, scale)
+        return pivot_basis(s, tol)
 
-    monkeypatch.setattr(nullmargin.kmmc, "_pivot_basis", recording_basis)
+    monkeypatch.setattr(nullmargin.kmmc, "pivot_basis", recording_basis)
     monkeypatch.setattr(nullmargin.kmmc, "eigh", lambda a: (solved.append(len(a)), np.linalg.eigh(a))[1])
     run_protocols(table, SplitSpec(seed=1, trials=2), LoopConfig(), ("semi_supervised",))
     assert len(factored) >= 20

@@ -6,9 +6,9 @@ from scipy.spatial.distance import cdist, pdist
 
 import nullmargin.kmmc
 from nullmargin import KernelSpec, fit_nkmmc, gram, project_kernel
+from nullmargin._blas import pivot_basis, span_coefficients
 from nullmargin.errors import DataValidationError, EmptyModelError, NumericalError, ZeroDistanceError
 from nullmargin.kmmc import CHOL_TOL, EIG_POS_TOL, KernelDiscriminantModel, _margin_operator
-from nullmargin.nfst import _pivoted_cholesky, span_coefficients
 
 RBF = KernelSpec("rbf", 1.0)
 
@@ -527,11 +527,11 @@ def test_fit_gram_and_margin_operator_are_exactly_symmetric(name, monkeypatch):
 
     def recording_factor(a, tol):
         factored.append(a.copy())
-        return _pivoted_cholesky(a, tol)
+        return pivot_basis(a, tol)
 
     monkeypatch.setattr(nullmargin.kmmc, "span_coefficients", recording_span)
     monkeypatch.setattr(nullmargin.kmmc, "eigh", recording_eigh)
-    monkeypatch.setattr(nullmargin.kmmc, "_pivoted_cholesky", recording_factor)
+    monkeypatch.setattr(nullmargin.kmmc, "pivot_basis", recording_factor)
     rng = np.random.default_rng(61)
     eigh_calls = factor_calls = 0
     for shared in [True, False] * 15:

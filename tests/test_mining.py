@@ -20,9 +20,10 @@ from nullmargin import (
     mine_pseudo_classes,
     run_self_training,
 )
+from nullmargin._blas import distances
 from nullmargin.dataio import group_rows
 from nullmargin.errors import DataValidationError
-from nullmargin.kmmc import distances, project_kernel
+from nullmargin.kmmc import project_kernel
 from nullmargin.mining import export_pseudo_classes_csv
 from nullmargin.nk3ml import embed
 

@@ -19,10 +19,11 @@ from nullmargin import (
     project_null,
     run_self_training,
 )
+from nullmargin._blas import span_coefficients
 from nullmargin.dataio import concat_tables
 from nullmargin.errors import DataValidationError, DegenerateDataError
 from nullmargin.kmmc import _fix_column_signs
-from nullmargin.nfst import NULL_TOL, NullProjector, compute_scatter, span_coefficients
+from nullmargin.nfst import NULL_TOL, NullProjector, compute_scatter
 
 from conftest import make_table
 from test_scatter import fisher_value, loop_scatter, trace_within, within_quadratic
@@ -33,51 +34,6 @@ def random_sss_table(rng, classes, per_class, dim):
     labels = [c for c in range(classes) for _ in range(per_class)]
     cams = [j % 2 for c in range(classes) for j in range(per_class)]
     return make_table(feats, cams, labels)
-
-
-def span_basis(rows):
-    basis = rows.T @ span_coefficients(rows @ rows.T, rows.shape[1])
-    np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
-    # every input row lies in the span
-    np.testing.assert_allclose(basis @ (basis.T @ rows.T), rows.T, atol=1e-10)
-    return basis
-
-
-def test_span_coefficients_orthonormal_basis():
-    rng = np.random.default_rng(0)
-    assert span_basis(rng.standard_normal((40, 120))).shape == (120, 40)
-    # more rows than dimensions: the span is all of R^d
-    assert span_basis(rng.standard_normal((90, 25))).shape == (25, 25)
-
-
-def test_span_coefficients_empty_gram():
-    assert span_coefficients(np.zeros((0, 0)), 5).shape == (0, 0)
-
-
-def test_span_coefficients_drop_dependent_rows():
-    rng = np.random.default_rng(1)
-    rows = rng.standard_normal((5, 30))
-    dependent = np.vstack([rows, 2.5 * rows[0], rows[1] - rows[2], rows[3]])
-    assert span_basis(dependent).shape == (30, 5)
-    # centered rows lose one dimension
-    assert span_basis(rows - rows.mean(axis=0)).shape == (30, 4)
-
-
-def test_span_coefficients_column_count_is_the_matrix_rank():
-    # Rank-deficient rows: duplicates and linear combinations of other rows,
-    # interleaved at random. The basis is orthonormal to 1e-10 and has one
-    # column per dimension numpy's matrix_rank finds.
-    rng = np.random.default_rng(12)
-    for case in range(40):
-        independent, dim = rng.integers(1, 25), rng.integers(5, 60)
-        base = rng.standard_normal((independent, dim)) * 10.0 ** rng.uniform(-3, 3)
-        mix = rng.standard_normal((rng.integers(1, 20), independent))
-        mix[rng.random(mix.shape) < 0.5] = 0.0                 # sparse combinations
-        copies = base[rng.integers(0, independent, rng.integers(0, 6))]
-        rows = np.vstack([base, mix @ base, copies])[rng.permutation(independent + len(mix) + len(copies))]
-        basis = rows.T @ span_coefficients(rows @ rows.T, dim)
-        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-10)
-        assert basis.shape[1] == np.linalg.matrix_rank(rows), case
 
 
 def test_minimal_two_singletons():
