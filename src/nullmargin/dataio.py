@@ -14,13 +14,13 @@ Two on-disk layouts are supported:
   u64 identity (if present), u64 within_view_id, d little-endian f64;
   nothing follows the n-th sample.
 
-A binary table is loaded in two steps. A scan reads each row's header with
-one positioned read (``os.pread``) and checks it against the file's size,
-so a truncated or overlong file is rejected before the feature matrix is
-allocated. A fill then reads the rows' features straight into that matrix
-with scatter reads (``os.preadv``), on min(usable cores, feature bytes //
-_FILL_CHUNK) threads, each over a contiguous range of rows. Every table is
-proven finite by one BLAS product with a vector of ones
+A binary table is written as parts and loaded by positioned reads, with
+``_binio``'s routines. A scan reads each row's header with one read and
+checks it against the file's size, so a truncated or overlong file is
+rejected before the feature matrix is allocated. A fill then reads the rows'
+features straight into that matrix with scatter reads, on min(usable cores,
+feature bytes // _FILL_CHUNK) threads, each over a contiguous range of
+rows. Every table is proven finite by one BLAS product with a vector of ones
 (``_blas.all_finite``).
 """
 
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._binio import Writer, truncated, write_parts
+from ._binio import read, readv, truncated, write_parts
 from ._blas import all_finite, usable_cores
 from .errors import DataFormatError, DataValidationError
 
@@ -60,8 +60,6 @@ _ROW_HEAD_READ = 256
 # calling thread: on 2 vCPUs a second thread saved under 1 ms of its 6 ms
 # fill, while a 300 MB table's fill fell from about 90 to 50 ms.
 _FILL_CHUNK = 1 << 23
-# Buffers one preadv call may take.
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 # Rank of the per-camera random distortion in generate_synthetic. Kept low so
 # generation stays O(n * dim * rank) and works at dim ~ 3e4.
@@ -400,7 +398,7 @@ def save_feature_table(table: FeatureTable, path, format: str) -> str:
     if format == "csv":
         parts = (_csv_text(table).encode("utf-8"),)
     elif format == "binary":
-        parts = _table_writer(table).parts
+        parts = _table_parts(table)
     else:
         raise DataFormatError(f"unknown table format {format!r}")
     return write_parts(parts, path)
@@ -488,44 +486,29 @@ def _load_csv(path: Path) -> FeatureTable:
         raise DataFormatError(f"{path}: {err}") from err
 
 
-def _table_writer(table: FeatureTable) -> Writer:
-    w = Writer()
-    w.raw(TABLE_MAGIC)
-    w.u16(TABLE_VERSION)
-    w.u64(table.n)
-    w.u64(table.dim)
+def _table_parts(table: FeatureTable):
+    """The binary table's parts in file order: the file header, then each
+    row's header and its features, as the row's own buffer."""
+    yield _TABLE_HEADER.pack(TABLE_MAGIC, TABLE_VERSION, table.n, table.dim)
     for i in range(table.n):
         sid, ident = table.sample_ids[i].encode("utf-8"), table.identities[i]
         camera, wv = int(table.camera_ids[i]), int(table.within_view_ids[i])
-        w.raw(_ID_LENGTH.pack(len(sid)) + sid)
         if ident is None:
-            w.raw(_ROW_FIELDS.pack(camera, 0, wv))
+            fields = _ROW_FIELDS.pack(camera, 0, wv)
         else:
-            w.raw(_ROW_FIELDS.pack(camera, 1, ident) + _U64.pack(wv))
-        w.f64_array(table.features[i])
-    return w
-
-
-def _read(fd: int, size: int, offset: int, count: int, context: str) -> bytes:
-    """count bytes at offset of a file of size bytes; nothing past the file
-    is requested, so a count taken from the data allocates no more than
-    the file holds."""
-    if offset + count > size:
-        raise truncated(context, count, offset, size - offset)
-    data = os.pread(fd, count, offset)
-    if len(data) < count:       # the file shrank since it was sized
-        raise truncated(context, count, offset, len(data))
-    return data
+            fields = _ROW_FIELDS.pack(camera, 1, ident) + _U64.pack(wv)
+        yield _ID_LENGTH.pack(len(sid)) + sid + fields
+        yield np.ascontiguousarray(table.features[i], dtype="<f8")
 
 
 def _from_binary(fd: int, context: str = "table") -> FeatureTable:
     """A table read from an open binary file: a header scan, then a fill of
     the preallocated feature matrix (see the module docstring)."""
     size = os.fstat(fd).st_size
-    magic = _read(fd, size, 0, len(TABLE_MAGIC), context)
+    magic = read(fd, size, 0, len(TABLE_MAGIC), context)
     if magic != TABLE_MAGIC:
         raise DataFormatError(f"{context}: bad magic, not a feature-table file")
-    _, version, n, dim = _TABLE_HEADER.unpack(_read(fd, size, 0, _TABLE_HEADER.size, context))
+    _, version, n, dim = _TABLE_HEADER.unpack(read(fd, size, 0, _TABLE_HEADER.size, context))
     if version != TABLE_VERSION:
         raise DataFormatError(f"{context}: unsupported table version {version}")
     # Check the header before allocating: a row takes at least 16 + 8*dim
@@ -569,13 +552,13 @@ def _scan(fd: int, size: int, n: int, dim: int, context: str):
     sample_ids, camera_ids, identities, wv_ids, offsets = [], [], [], [], []
     pos = _TABLE_HEADER.size
     for i in range(n):
-        head = os.pread(fd, _ROW_HEAD_READ, pos)
+        head = read(fd, size, pos, min(_ROW_HEAD_READ, size - pos), context)
         if len(head) < _ID_LENGTH.size:
-            head = _read(fd, size, pos, _ID_LENGTH.size, context)
+            head = read(fd, size, pos, _ID_LENGTH.size, context)
         (length,) = _ID_LENGTH.unpack_from(head)
         fixed = _ID_LENGTH.size + length + _ROW_FIELDS.size
         if len(head) < fixed:
-            head = _read(fd, size, pos, fixed, context)
+            head = read(fd, size, pos, fixed, context)
         try:
             sample_ids.append(str(head[_ID_LENGTH.size:_ID_LENGTH.size + length], "utf-8"))
         except UnicodeDecodeError as err:
@@ -587,7 +570,7 @@ def _scan(fd: int, size: int, n: int, dim: int, context: str):
             identities.append(first)
             end += _U64.size
             if len(head) < end:
-                head = _read(fd, size, pos, end, context)
+                head = read(fd, size, pos, end, context)
             (first,) = _U64.unpack_from(head, fixed)
         else:
             identities.append(None)
@@ -604,9 +587,7 @@ def _scan(fd: int, size: int, n: int, dim: int, context: str):
 
 def _fill(fd: int, feats: np.ndarray, offsets: list[int], lo: int, hi: int, context: str) -> None:
     """Read rows lo..hi-1's features into feats with scatter reads over the
-    range's bytes, the row headers between them going to a scratch buffer.
-    A read that returns part of a request is resumed; one that returns
-    nothing means the file shrank since the scan, and raises."""
+    range's bytes, the row headers between them going to a scratch buffer."""
     if not feats[lo:hi].size:       # no rows, or rows of no features
         return
     row_bytes = feats.shape[1] * feats.itemsize
@@ -616,14 +597,4 @@ def _fill(fd: int, feats: np.ndarray, offsets: list[int], lo: int, hi: int, cont
     views = [rows[lo * row_bytes:(lo + 1) * row_bytes]]
     for i, header in zip(range(lo + 1, hi), headers):
         views += (scratch[:header], rows[i * row_bytes:(i + 1) * row_bytes])
-    offset, end, k = offsets[lo], offsets[hi - 1] + row_bytes, 0
-    while k < len(views):
-        got = os.preadv(fd, views[k:k + _IOV_MAX], offset)
-        if not got:
-            raise truncated(context, end - offset, offset, 0)
-        offset += got
-        while k < len(views) and got >= views[k].nbytes:
-            got -= views[k].nbytes
-            k += 1
-        if got:
-            views[k] = views[k][got:]
+    readv(fd, views, offsets[lo], context)

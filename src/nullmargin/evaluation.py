@@ -21,7 +21,6 @@ from ._binio import write_parts
 from ._blas import all_finite, blas_threads, distances, span_coefficients, usable_cores
 from .dataio import ExperimentSplit, FeatureTable, SplitSpec, group_rows, make_split, _integer, _trial_rng
 from .errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
-from .nfst import NullProjector
 from .nk3ml import Nk3mlModel, _container_parts, embed, fit_nk3ml, model_checksum
 from .selftrain import LoopConfig, LoopTrace, run_self_training
 
@@ -29,9 +28,9 @@ DEFAULT_RANKS = (1, 5, 10, 20)
 
 MODES = ("labeled_only", "semi_supervised")
 
-# Width of the feature-column blocks a span model is lifted in, by
-# SpanModel.lift and SpanModel.save; a protocol pass lifts nothing. The lifted
-# model's bits depend on this constant alone, not on the host's core count.
+# Width of the feature-column blocks SpanModel.save lifts a span model in; a
+# protocol pass lifts nothing. The lifted model's bits depend on this
+# constant alone, not on the host's core count.
 # A lift holds one window of blocks: each of its workers gathers at most
 # n_train x LIFT_BLOCK train-row values (2.6 MB at 632 train rows), and about
 # one LIFT_BLOCK-row block of w_n per worker is formed and not yet consumed.
@@ -55,23 +54,15 @@ class CmcCurve:
 class SpanModel:
     """A model fitted in the span coordinates x -> x T^T A of the train rows
     T = features[train], A = coeffs; lifted, its projector is w_n = T^T (A w),
-    mean = T^T (A m). lift() forms the lifted model in memory, for callers
-    that embed with it; save() streams its container to a file block by
-    block. Both lift at one BLAS thread, so their bits match the checksum
-    save returns; that count is process-wide, so call them outside
+    mean = T^T (A m). save() streams the lifted model's container to a file
+    block by block, at one BLAS thread, so its bits match the checksum it
+    returns; load_model reads the file back for a caller that embeds with
+    it. The BLAS thread count is process-wide, so call save outside
     concurrent workers.
     """
     model: Nk3mlModel
     train: np.ndarray
     coeffs: np.ndarray
-
-    def lift(self, features: np.ndarray) -> Nk3mlModel:
-        with blas_threads(1), closing(_lift(features, self)) as lifted:
-            mean = next(lifted)
-            w_n = np.empty((len(mean), self.model.nullproj.n_directions))
-            for start, block in zip(range(0, len(mean), LIFT_BLOCK), lifted):
-                w_n[start:start + LIFT_BLOCK] = block
-        return replace(self.model, nullproj=NullProjector(w_n=w_n, mean=mean))
 
     def save(self, features: np.ndarray, path) -> str:
         """Write the lifted model's container to path; returns the file's SHA-256."""
@@ -264,9 +255,8 @@ def run_protocol(
     at any thread count. Every trial hashes its span-coordinate model, and
     the last one's is kept in span coordinates (final_span), so a pass lifts
     nothing: final_span.save(table.features, path) streams the lifted
-    container to a file and returns its checksum, and
-    final_span.lift(table.features) gives the lifted model to a caller that
-    embeds with it.
+    container to a file and returns its checksum, and load_model(path) gives
+    the lifted model to a caller that embeds with it.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 

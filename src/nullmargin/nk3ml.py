@@ -4,18 +4,21 @@ Fitting first learns the null projecting directions of the labeled data (all
 same-class samples collapse to one point in R^{c-1}), then fits the kernel
 maximum margin criterion on those projections to push the c class points
 apart. Embedding a sample is the composition of the two maps; ranking uses
-Euclidean distance on embeddings.
+Euclidean distance on embeddings. A model is saved as a versioned binary
+container, written as parts and read by positioned reads (see _binio).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._binio import Reader, Writer, write_parts
+from ._binio import read, readv, truncated, write_parts
 from ._blas import all_finite
 from .dataio import FeatureTable
 from .errors import DataFormatError, DataValidationError, ModelFormatError, ModelVersionError
@@ -24,6 +27,14 @@ from .nfst import NullProjector, NullSpaceState, fit_nfst, project_null
 
 MODEL_MAGIC = b"NK3M"
 MODEL_VERSION = 1
+
+# The container layout: magic and u16 version, then each block's u64 length;
+# the null-space block opens with dim and n_dirs, the margin block with the
+# kernel code, the resolved bandwidth, m, p and the discriminant count l.
+_VERSION = struct.Struct("<H")
+_U64 = struct.Struct("<Q")
+_NULL_HEAD = struct.Struct("<QQ")
+_MARGIN_HEAD = struct.Struct("<BdQQQ")
 
 
 @dataclass
@@ -75,30 +86,20 @@ def _container_parts(dim: int, n_dirs: int, values, margin: KernelDiscriminantMo
     Every length is known from dim and n_dirs, so a part is yielded as soon
     as its values are formed; arrays are yielded as their own buffers.
     """
-    head = Writer()
-    head.raw(MODEL_MAGIC)
-    head.u16(MODEL_VERSION)
-    head.u64(16 + 8 * dim * (1 + n_dirs))     # the null block: two u64s, mean, w_n
-    head.u64(dim)
-    head.u64(n_dirs)
-    yield from head.parts
+    yield MODEL_MAGIC + _VERSION.pack(MODEL_VERSION)
+    yield _U64.pack(_NULL_HEAD.size + 8 * dim * (1 + n_dirs))
+    yield _NULL_HEAD.pack(dim, n_dirs)
     for block in values:
         yield np.ascontiguousarray(block, dtype="<f8").reshape(-1)
 
-    margin_block = Writer()
-    margin_block.u8(KERNEL_KINDS.index(margin.kernel.kind))
-    margin_block.f64(margin.resolved_bandwidth)
-    m, p = margin.train_points.shape
-    margin_block.u64(m)
-    margin_block.u64(p)
-    margin_block.u64(margin.output_dim)
-    margin_block.f64_array(margin.train_points)
-    margin_block.f64_array(margin.coeffs)
-    margin_block.f64_array(margin.eigenvalues)
-    margin_block.i64_array(margin.class_index)
-    tail = Writer()
-    tail.block(margin_block)
-    yield from tail.parts
+    arrays = [np.ascontiguousarray(arr, dtype=dtype).reshape(-1) for arr, dtype in (
+        (margin.train_points, "<f8"), (margin.coeffs, "<f8"), (margin.eigenvalues, "<f8"),
+        (margin.class_index, "<i8"),
+    )]
+    yield _U64.pack(_MARGIN_HEAD.size + sum(a.nbytes for a in arrays))
+    yield _MARGIN_HEAD.pack(KERNEL_KINDS.index(margin.kernel.kind), margin.resolved_bandwidth,
+                            *margin.train_points.shape, margin.output_dim)
+    yield from arrays
 
 
 def _model_parts(model: Nk3mlModel):
@@ -115,67 +116,74 @@ def _checksum(parts) -> str:
 
 
 def load_model(path) -> Nk3mlModel:
-    """Read a model file in one pass, each array straight into its own
-    buffer."""
+    """Read a model file by positioned reads, each array straight into its
+    own buffer."""
     path = Path(path)
     if not path.is_file():
         raise ModelFormatError(f"no such file: {path}")
-    with path.open("rb") as f:
-        return _read_model(f, str(path))
+    with path.open("rb", buffering=0) as f:
+        try:
+            return _parse_model(f.fileno(), str(path))
+        except ModelFormatError:
+            raise
+        except (DataFormatError, DataValidationError) as err:
+            raise ModelFormatError(str(err)) from err
 
 
-def _read_model(stream, context: str) -> Nk3mlModel:
-    try:
-        return _parse_model(stream, context)
-    except ModelFormatError:
-        raise
-    except (DataFormatError, DataValidationError) as err:
-        raise ModelFormatError(str(err)) from err
+def _block(fd: int, size: int, offset: int, context: str) -> tuple[int, int]:
+    """The start and end of the u64-length-prefixed block at offset, checked
+    to fit in the file's size bytes."""
+    (length,) = _U64.unpack(read(fd, size, offset, _U64.size, context))
+    start = offset + _U64.size
+    if length > size - start:
+        raise truncated(context, length, start, size - start)
+    return start, start + length
 
 
-def _check_payload(block: Reader, rows: int, values: int, context: str) -> None:
+def _check_payload(remaining: int, rows: int, values: int, context: str) -> None:
     """A stage has rows, and its declared values, 8 bytes each, fit in the
-    block: checked before anything is allocated, it bounds every declared
-    dimension by the bytes left."""
-    if rows == 0 or 8 * values > block.remaining:
+    remaining bytes of its block: checked before anything is allocated, it
+    bounds every declared dimension by the bytes left."""
+    if rows == 0 or 8 * values > remaining:
         raise ModelFormatError(
             f"{context}: block declares {values} values in {rows} rows, "
-            f"which {block.remaining} remaining bytes cannot hold"
+            f"which {remaining} remaining bytes cannot hold"
         )
 
 
-def _parse_model(stream, context: str) -> Nk3mlModel:
-    r = Reader(stream, context=context)
-    if r.raw(4) != MODEL_MAGIC:
+def _parse_model(fd: int, context: str) -> Nk3mlModel:
+    size = os.fstat(fd).st_size
+    if read(fd, size, 0, len(MODEL_MAGIC), context) != MODEL_MAGIC:
         raise ModelFormatError(f"{context}: bad magic, not a model container")
-    version = r.u16()
+    start = len(MODEL_MAGIC)
+    (version,) = _VERSION.unpack(read(fd, size, start, _VERSION.size, context))
     if version != MODEL_VERSION:
         raise ModelVersionError(f"{context}: unsupported model version {version}")
 
-    block = r.block(f"{context} null-space block")
-    dim = block.u64()
-    n_dirs = block.u64()
-    _check_payload(block, dim, dim + dim * n_dirs, context)
-    mean = block.f64_array(dim)
-    w_n = block.f64_array(dim * n_dirs, shape=(dim, n_dirs))
+    start, end = _block(fd, size, start + _VERSION.size, context)
+    block = f"{context} null-space block"
+    dim, n_dirs = _NULL_HEAD.unpack(read(fd, end, start, _NULL_HEAD.size, block))
+    start += _NULL_HEAD.size
+    _check_payload(end - start, dim, dim + dim * n_dirs, context)
+    mean, w_n = np.empty(dim, dtype="<f8"), np.empty((dim, n_dirs), dtype="<f8")
+    readv(fd, (mean, w_n), start, block)
     nullproj = NullProjector(w_n=w_n, mean=mean)
 
-    block = r.block(f"{context} margin block")
-    kind_code = block.u8()
+    start, end = _block(fd, size, end, context)
+    block = f"{context} margin block"
+    kind_code, bandwidth, m, p, n_disc = _MARGIN_HEAD.unpack(
+        read(fd, end, start, _MARGIN_HEAD.size, block)
+    )
     if kind_code >= len(KERNEL_KINDS):
         raise ModelFormatError(f"{context}: unknown kernel code {kind_code}")
     kind = KERNEL_KINDS[kind_code]
-    bandwidth = block.f64()
-    m = block.u64()
-    p = block.u64()
-    n_disc = block.u64()
-    _check_payload(block, m, m * p + m * n_disc + n_disc + m, context)
-    train_points = block.f64_array(m * p, shape=(m, p))
-    coeffs = block.f64_array(m * n_disc, shape=(m, n_disc))
-    eigenvalues = block.f64_array(n_disc)
-    class_index = block.i64_array(m)
-    if r.remaining:
-        raise ModelFormatError(f"{context}: {r.remaining} bytes after the margin block")
+    start += _MARGIN_HEAD.size
+    _check_payload(end - start, m, m * p + m * n_disc + n_disc + m, context)
+    train_points, coeffs = np.empty((m, p), dtype="<f8"), np.empty((m, n_disc), dtype="<f8")
+    eigenvalues, class_index = np.empty(n_disc, dtype="<f8"), np.empty(m, dtype="<i8")
+    readv(fd, (train_points, coeffs, eigenvalues, class_index), start, block)
+    if end < size:
+        raise ModelFormatError(f"{context}: {size - end} bytes after the margin block")
     margin = KernelDiscriminantModel(
         train_points=train_points,
         kernel=KernelSpec(kind, bandwidth) if kind == "rbf" else KernelSpec(kind),

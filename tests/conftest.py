@@ -1,7 +1,8 @@
-import io
 import struct
+import tempfile
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nullmargin import (
 )
 from nullmargin.dataio import group_rows
 from nullmargin.mining import find_anchor
-from nullmargin.nk3ml import _model_parts, _read_model
+from nullmargin.nk3ml import _model_parts, load_model
 
 
 def make_table(features, cameras, identities, within_view=None, prefix="s"):
@@ -40,8 +41,21 @@ def model_bytes(model) -> bytes:
 
 
 def read_model(data: bytes):
-    """A model parsed from container bytes as load_model parses a file."""
-    return _read_model(io.BytesIO(data), "model")
+    """A model loaded from container bytes written to a temporary file, as
+    load_model reads any model file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.nk3m"
+        path.write_bytes(data)
+        return load_model(path)
+
+
+def lifted_model(span, features):
+    """The lifted model of a SpanModel: the file span.save writes, loaded
+    back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.nk3m"
+        span.save(features, path)
+        return load_model(path)
 
 
 def load_binary(path, data: bytes) -> FeatureTable:

@@ -18,15 +18,19 @@ from nullmargin import (
     LoopConfig,
     SplitSpec,
     SyntheticSpec,
+    fit_nk3ml,
     generate_synthetic,
     load_feature_table,
+    load_model,
     make_split,
+    model_checksum,
     save_feature_table,
+    save_model,
 )
-from nullmargin.dataio import _table_writer, table_format_for
-from nullmargin.errors import DataFormatError, DataValidationError
+from nullmargin.dataio import _table_parts, table_format_for
+from nullmargin.errors import DataFormatError, DataValidationError, ModelFormatError
 
-from conftest import HOSTILE_TABLES, load_binary, make_table, use_fill_workers
+from conftest import HOSTILE_TABLES, labeled_gaussians, load_binary, make_table, use_fill_workers
 
 
 def test_csv_parse_with_unlabeled_row(tmp_path):
@@ -120,7 +124,7 @@ def test_non_finite_features_rejected(value):
 
 def test_binary_within_view_id_beyond_int64_rejected(tmp_path):
     data = b"".join(
-        _table_writer(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0])).parts
+        _table_parts(make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, 0]))
     )
     # the last row's u64 within-view id precedes its one f64 feature
     data = data[:-16] + struct.pack("<Q", (1 << 64) - 1) + data[-8:]
@@ -259,7 +263,7 @@ def test_sample_id_with_a_trailing_newline_rejected():
 def test_binary_sample_id_with_a_trailing_newline_is_a_format_error(tmp_path):
     table = make_table([[1.0], [2.0]], cameras=[0, 1], identities=[0, None])
     table = replace(table, sample_ids=("a_", "b"))
-    data = b"".join(_table_writer(table).parts).replace(b"a_", b"a\n")
+    data = b"".join(_table_parts(table)).replace(b"a_", b"a\n")
     with pytest.raises(DataFormatError, match="alphanumeric"):
         load_binary(tmp_path / "t.ssml", data)
 
@@ -303,32 +307,49 @@ def test_binary_round_trip_of_mixed_rows_bit_exact(tmp_path, monkeypatch, n, dim
         assert_binary_round_trip_bit_exact(tmp_path, n, dim, unlabeled_every=3)
 
 
-def test_short_reads_resume_and_a_read_past_the_end_is_a_format_error(tmp_path, monkeypatch):
+def saved_table(path):
+    """A binary table saved to path: its loader, the loaded value it must
+    give and the error class of a bad file."""
     rng = np.random.default_rng(8)
     table = make_table(rng.standard_normal((9, 5)), cameras=[i % 2 for i in range(9)],
                        identities=[None if i % 4 == 0 else i for i in range(9)])
-    path = tmp_path / "t.ssml"
     save_feature_table(table, path, "binary")
+    return (lambda: load_feature_table(path, "binary").features.tobytes(),
+            table.features.tobytes(), DataFormatError)
+
+
+def saved_model(path):
+    """A model saved to path, as saved_table gives a table."""
+    model = fit_nk3ml(labeled_gaussians(np.random.default_rng(8), 4, 3, 20))
+    save_model(model, path)
+    return lambda: model_checksum(load_model(path)), model_checksum(model), ModelFormatError
+
+
+# Both binary readers fill their arrays through one scatter-read loop.
+@pytest.mark.parametrize("saved", [saved_table, saved_model], ids=["table", "model"])
+def test_short_reads_resume_and_a_read_past_the_end_is_a_format_error(tmp_path, monkeypatch, saved):
+    load, expected, error = saved(tmp_path / "saved")
     use_fill_workers(monkeypatch, 3)
     real_preadv = os.preadv
     # Each read returns at most 5 bytes, ending mid-buffer, and must be resumed.
     monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
-                        real_preadv(fd, [memoryview(buffers[0])[:5]], offset))
-    assert load_feature_table(path, "binary").features.tobytes() == table.features.tobytes()
-    # The file seems to end in its middle, as if it had shrunk after the
-    # scan: the last fill thread's read, of rows 6 to 8, returns nothing.
-    middle = path.stat().st_size // 2
+                        real_preadv(fd, [memoryview(buffers[0]).cast("B")[:5]], offset))
+    assert load() == expected
+    # The file seems to end in its middle, as if it had shrunk after it was
+    # sized: a read past the middle, such as the table's last fill thread's
+    # read of rows 6 to 8, returns nothing.
+    middle = (tmp_path / "saved").stat().st_size // 2
     monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset:
                         0 if offset >= middle else real_preadv(fd, buffers, offset))
-    with pytest.raises(DataFormatError, match="truncated"):
-        load_feature_table(path, "binary")
+    with pytest.raises(error, match="truncated"):
+        load()
 
 
 def test_binary_table_truncated_anywhere_is_a_format_error(tmp_path, monkeypatch):
     table = replace(make_table([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], cameras=[0, 1, 1],
                                identities=[7, None, 7], within_view=[7, 3, 7]),
                     sample_ids=("a", "row_1", "bc"))
-    data = b"".join(_table_writer(table).parts)
+    data = b"".join(_table_parts(table))
     path = tmp_path / "t.ssml"
     for workers in (1, 3):
         use_fill_workers(monkeypatch, workers)
@@ -346,7 +367,7 @@ def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):
     )
     path = tmp_path / "t.ssml"
     save_feature_table(table, path, "binary")
-    assert path.read_bytes() == b"".join(_table_writer(table).parts)
+    assert path.read_bytes() == b"".join(_table_parts(table))
 
 
 # The child reads its peak resident set from VmHWM, the high-water mark of

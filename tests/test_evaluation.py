@@ -31,6 +31,7 @@ from nullmargin import (
     embed,
     fit_nk3ml,
     generate_synthetic,
+    load_model,
     make_split,
     model_checksum,
     rank_gallery,
@@ -38,14 +39,13 @@ from nullmargin import (
     run_protocols,
     run_self_training,
     save_feature_table,
-    save_model,
 )
 from nullmargin.errors import DataValidationError, DegenerateDataError, NumericalError, ProtocolError
 from nullmargin.evaluation import LIFT_BLOCK, MODES, _lifted_parts, single_shot_view
 from nullmargin.nfst import NullProjector
 from nullmargin.nk3ml import _checksum
 
-from conftest import make_table, model_bytes
+from conftest import lifted_model, make_table
 
 
 def identity_rankings(order_rows):
@@ -187,7 +187,7 @@ def assert_run_protocol_equals_direct(table, spec, mode, side):
     direct, n_train, model = direct_trial(table, spec, cfg, mode, ns)
     assert (table.dim < n_train) == (side == ">")
     assert result.per_trial[0] == direct
-    lifted = result.final_span.lift(table.features)
+    lifted = lifted_model(result.final_span, table.features)
     assert lifted.nullproj.dim == table.dim
     assert result.model_checksums[0] == model_checksum(result.final_span.model)
     expected = pdist(embed(model, table.features))
@@ -366,10 +366,10 @@ def random_span(rng, rows, n_train, rank, directions):
 # 300 is under one LIFT_BLOCK-wide block, 2 * LIFT_BLOCK is whole blocks only,
 # and 4219 spans several blocks and ends in a partial one.
 @pytest.mark.parametrize("dim", [4219, 300, 2 * LIFT_BLOCK])
-def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, monkeypatch):
-    # The lift forms T^T (A w) block by block without gathering T; its bits
-    # must not depend on how many workers run the blocks, and it must agree
-    # with the product over the gathered train rows.
+def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, monkeypatch, tmp_path):
+    # The lift forms T^T (A w) block by block without gathering T; the file
+    # it is saved to must not depend on how many workers run the blocks, and
+    # its model must agree with the product over the gathered train rows.
     rng = np.random.default_rng(dim)
     features = rng.standard_normal((40, dim))
     span = random_span(rng, 40, 25, 20, 6)
@@ -381,17 +381,17 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
             super().__init__(max_workers)
 
     monkeypatch.setattr(nullmargin.evaluation, "ThreadPoolExecutor", RecordingPool)
-    lifted = []
+    saved = []
     for cores in (1, 2, 3):
         use_cores(monkeypatch, cores)
-        lifted.append(span.lift(features).nullproj)
+        span.save(features, tmp_path / f"{cores}.nk3m")
+        saved.append((tmp_path / f"{cores}.nk3m").read_bytes())
     blocks = -(-dim // LIFT_BLOCK)
     assert pools == [min(cores, blocks) for cores in (1, 2, 3)]
-    for other in lifted[1:]:
-        assert other.w_n.tobytes() == lifted[0].w_n.tobytes()
-        assert other.mean.tobytes() == lifted[0].mean.tobytes()
+    assert saved[1:] == saved[:1] * 2
+    lifted = load_model(tmp_path / "1.nk3m").nullproj
     basis = features[span.train].T
-    for got, part in ((lifted[0].w_n, span.model.nullproj.w_n), (lifted[0].mean, span.model.nullproj.mean)):
+    for got, part in ((lifted.w_n, span.model.nullproj.w_n), (lifted.mean, span.model.nullproj.mean)):
         want = basis @ (span.coeffs @ part)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9 * np.abs(want).max())
@@ -401,18 +401,16 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
 @pytest.mark.parametrize("dim", [4219, 300, 2 * LIFT_BLOCK])
 def test_streamed_container_equals_the_lifted_models(dim, cores, monkeypatch, tmp_path):
     # The file save() writes, the checksum it returns and a hash of the lift
-    # stream the lifted model block by block; all must be the container of
-    # the in-memory lift.
+    # stream the lifted model block by block; all must name the same bytes,
+    # the container of the model the file loads as.
     rng = np.random.default_rng(dim + cores)
     features = rng.standard_normal((40, dim))
     span = random_span(rng, 40, 25, 20, 6)
     use_cores(monkeypatch, cores)
-    lifted = span.lift(features)
     checksum = span.save(features, tmp_path / "streamed.nk3m")
-    save_model(lifted, tmp_path / "lifted.nk3m")
-    assert (tmp_path / "streamed.nk3m").read_bytes() == (tmp_path / "lifted.nk3m").read_bytes()
     assert checksum == hashlib.sha256((tmp_path / "streamed.nk3m").read_bytes()).hexdigest()
-    assert _checksum(_lifted_parts(features, span)) == model_checksum(lifted)
+    assert _checksum(_lifted_parts(features, span)) == checksum
+    assert model_checksum(load_model(tmp_path / "streamed.nk3m")) == checksum
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -498,19 +496,21 @@ def test_results_hold_no_array_as_long_as_the_feature_dimension():
     assert all(table.dim not in a.shape for a in held)
 
 
-def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch):
+def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch, tmp_path):
     table = generate_synthetic(SyntheticSpec(
         identities=16, cameras=2, dim=LIFT_BLOCK + 300,
         per_camera_transform_strength=0.5, noise_sigma=0.5, seed=3,
     ))
     spec = SplitSpec(seed=2, trials=2)
-    runs = []
+    runs, saved = [], []
     for cores in (1, 2):
         use_cores(monkeypatch, cores)
         runs.append(run_protocol(table, spec, LoopConfig(), "semi_supervised", ns=(1, 5)))
+        runs[-1].final_span.save(table.features, tmp_path / f"{cores}.nk3m")
+        saved.append((tmp_path / f"{cores}.nk3m").read_bytes())
     one, two = runs
     assert one.model_checksums == two.model_checksums
-    assert model_bytes(one.final_span.lift(table.features)) == model_bytes(two.final_span.lift(table.features))
+    assert saved[0] == saved[1]
 
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
@@ -531,7 +531,7 @@ def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     gc.collect()
     assert [ref() is not None for ref in models[:-1]] == [False, False]
     assert result.final_span.model.margin is margins[-1]
-    lifted = result.final_span.lift(noisefree_table.features)
+    lifted = lifted_model(result.final_span, noisefree_table.features)
     assert lifted.nullproj.dim == noisefree_table.dim
     assert result.model_checksums[-1] == model_checksum(result.final_span.model)
 
@@ -690,6 +690,6 @@ def test_labeled_only_trial_equals_a_fit_in_the_full_train_span(shape, seed):
     curve, expected, rows = full_span_labeled_trial(table, spec, ns)
     assert result.per_trial[0] == curve
     np.testing.assert_allclose(
-        pdist(embed(result.final_span.lift(table.features), rows)), expected, rtol=0,
+        pdist(embed(lifted_model(result.final_span, table.features), rows)), expected, rtol=0,
         atol=1e-9 * expected.max()
     )

@@ -28,7 +28,7 @@ from nullmargin.kmmc import fit_nkmmc, project_kernel
 from nullmargin.nfst import NullSpaceState, fit_nfst, project_null
 from nullmargin.nk3ml import MODEL_MAGIC, Nk3mlModel
 
-from conftest import labeled_gaussians, make_table, model_bytes, read_model
+from conftest import labeled_gaussians, lifted_model, make_table, model_bytes, read_model
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +193,7 @@ def test_checksum_streams_the_serialized_bytes(easy_table, monkeypatch):
     monkeypatch.setattr(nullmargin.evaluation, "run_self_training", recording_loop)
     result = run_protocol(easy_table, SplitSpec(seed=4, trials=1), LoopConfig(), "semi_supervised")
     (span_model,) = span_models
-    lifted = result.final_span.lift(easy_table.features)
+    lifted = lifted_model(result.final_span, easy_table.features)
     assert lifted.nullproj.dim == easy_table.dim > span_model.nullproj.dim
     # a column-major w_n goes through the copying path of the writer
     fortran = replace(span_model, nullproj=replace(

@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 from nullmargin import SyntheticSpec, fit_nk3ml, generate_synthetic
-from nullmargin.dataio import _table_writer
+from nullmargin.dataio import _table_parts
 from nullmargin.errors import DataFormatError
 
 from conftest import load_binary, model_bytes, read_model, use_fill_workers
@@ -43,7 +43,7 @@ def test_table_reader_fuzz(tmp_path, monkeypatch):
     table = replace(table, sample_ids=[f"s{i}" for i in range(table.n)],
                     identities=[None if i % 3 == 0 else ident
                                 for i, ident in enumerate(table.identities)])
-    data = b"".join(_table_writer(table).parts)
+    data = b"".join(_table_parts(table))
     path = tmp_path / "t.ssml"
     for workers in (1, 3):
         use_fill_workers(monkeypatch, workers)
