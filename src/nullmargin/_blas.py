@@ -49,7 +49,8 @@ thread setters are looked up, so blas_threads also drives the OpenBLAS
 scipy brings. The thread count is global to the process: set it around a
 phase, never from inside concurrent workers. Without a loaded OpenBLAS (or
 without /proc/self/maps) blas_threads does nothing. The module also gives
-the cores the process may use, and the one-product finiteness proof.
+the cores the process may use, and the finiteness proof, from row sums
+that numpy reduces itself, so it runs no BLAS.
 """
 
 from __future__ import annotations
@@ -288,12 +289,12 @@ def usable_cores() -> int:
 def all_finite(values: np.ndarray) -> bool:
     """Whether every value of a 1-D or 2-D float64 array is finite.
 
-    One BLAS product with a vector of ones proves it: a NaN or an inf makes
-    its row's product NaN or inf. A non-finite product, which finite rows
-    whose sum overflows also give, falls back to the elementwise check.
+    Its row sums prove it: a NaN or an inf makes its row's sum NaN or inf.
+    A non-finite sum, which finite rows whose sum overflows also give, falls
+    back to the elementwise check. The sums are numpy's own reduction, not a
+    BLAS product, so no proof wakes the OpenBLAS thread pool, whose workers
+    spin on after a call, and none needs blas_threads.
     """
-    # dot, not @: the same BLAS product, with less per-call overhead on the
-    # small arrays trials check by the hundred.
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = values.dot(np.ones(values.shape[-1]))
+        sums = values.sum(axis=-1)
     return bool(np.isfinite(sums).all()) or bool(np.isfinite(values).all())

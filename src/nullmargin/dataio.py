@@ -20,8 +20,10 @@ checks it against the file's size, so a truncated or overlong file is
 rejected before the feature matrix is allocated. A fill then reads the rows'
 features straight into that matrix with scatter reads, on min(usable cores,
 feature bytes // _FILL_CHUNK) threads, each over a contiguous range of
-rows. Every table is proven finite by one BLAS product with a vector of ones
-(``_blas.all_finite``).
+rows, in blocks of about _FILL_BLOCK bytes. Each thread proves a block
+finite (``_blas.all_finite``) right after reading it, while it is in cache,
+so a loaded table takes no second pass over its features; every other table
+is proven finite whole when it is built.
 """
 
 from __future__ import annotations
@@ -57,9 +59,12 @@ _U64 = struct.Struct("<Q")
 # id is at most 233 bytes long. A longer id takes one or two more reads.
 _ROW_HEAD_READ = 256
 # Feature bytes per fill thread, at the least. A 10 MB table fills on the
-# calling thread: on 2 vCPUs a second thread saved under 1 ms of its 6 ms
-# fill, while a 300 MB table's fill fell from about 90 to 50 ms.
+# calling thread. On 2 vCPUs the 303 MB viper-shape table's load, its
+# finiteness proof included, took about 140 ms on one thread, 90 on two.
 _FILL_CHUNK = 1 << 23
+# Feature bytes a fill thread reads, then proves finite, at a time (at least
+# one row). Blocks of 1, 4 and 8 MiB loaded the viper-shape table equally fast.
+_FILL_BLOCK = 1 << 22
 
 # Rank of the per-camera random distortion in generate_synthetic. Kept low so
 # generation stays O(n * dim * rank) and works at dim ~ 3e4.
@@ -114,7 +119,7 @@ class FeatureTable:
     within_view_ids: np.ndarray     # (n,) int64
     features: np.ndarray            # (n, d) float64, write-protected
 
-    def __post_init__(self):
+    def __post_init__(self, prove_finite: bool = True):
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "identities", tuple(self.identities))
         object.__setattr__(self, "camera_ids", _id_column(self.camera_ids))
@@ -122,9 +127,20 @@ class FeatureTable:
         feats = np.ascontiguousarray(np.atleast_2d(np.asarray(self.features, dtype=np.float64)))
         feats.setflags(write=False)
         object.__setattr__(self, "features", feats)
-        self._validate()
+        self._validate(prove_finite)
 
-    def _validate(self) -> None:
+    @classmethod
+    def _of_finite(cls, **values) -> FeatureTable:
+        """The table of these field values, whose features the caller has
+        proven finite: built and checked as the constructor builds one, but
+        for that proof."""
+        table = object.__new__(cls)
+        for name, value in values.items():
+            object.__setattr__(table, name, value)
+        table.__post_init__(prove_finite=False)
+        return table
+
+    def _validate(self, prove_finite: bool) -> None:
         n = len(self.sample_ids)
         if self.features.ndim != 2 or self.features.shape[0] != n:
             raise DataValidationError(
@@ -132,7 +148,7 @@ class FeatureTable:
             )
         if n and self.features.shape[1] < 1:
             raise DataValidationError("feature dimension must be >= 1")
-        if not all_finite(self.features):
+        if prove_finite and not all_finite(self.features):
             raise DataValidationError("features must be finite (no NaN or inf)")
         if self.camera_ids.shape != (n,) or self.within_view_ids.shape != (n,):
             raise DataValidationError("camera/within-view arrays must have one entry per sample")
@@ -533,12 +549,9 @@ def _from_binary(fd: int, context: str = "table") -> FeatureTable:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, range(workers)))
     try:
-        return FeatureTable(
-            sample_ids=tuple(sample_ids),
-            camera_ids=camera_ids,
-            identities=tuple(identities),
-            within_view_ids=wv_ids,
-            features=feats,
+        return FeatureTable._of_finite(
+            sample_ids=sample_ids, camera_ids=camera_ids, identities=identities,
+            within_view_ids=wv_ids, features=feats,
         )
     except DataValidationError as err:
         raise DataFormatError(f"{context}: {err}") from err
@@ -586,15 +599,22 @@ def _scan(fd: int, size: int, n: int, dim: int, context: str):
 
 
 def _fill(fd: int, feats: np.ndarray, offsets: list[int], lo: int, hi: int, context: str) -> None:
-    """Read rows lo..hi-1's features into feats with scatter reads over the
-    range's bytes, the row headers between them going to a scratch buffer."""
+    """Read rows lo..hi-1's features into feats in blocks of about _FILL_BLOCK
+    bytes, each with scatter reads over its rows' bytes, the row headers
+    between them going to a scratch buffer, and prove each block finite
+    right after its read."""
     if not feats[lo:hi].size:       # no rows, or rows of no features
         return
     row_bytes = feats.shape[1] * feats.itemsize
+    step = max(1, _FILL_BLOCK // row_bytes)
     rows = memoryview(feats).cast("B")
     headers = [offsets[i] - offsets[i - 1] - row_bytes for i in range(lo + 1, hi)]
     scratch = memoryview(bytearray(max(headers, default=0)))
-    views = [rows[lo * row_bytes:(lo + 1) * row_bytes]]
-    for i, header in zip(range(lo + 1, hi), headers):
-        views += (scratch[:header], rows[i * row_bytes:(i + 1) * row_bytes])
-    readv(fd, views, offsets[lo], context)
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        views = [rows[start * row_bytes:(start + 1) * row_bytes]]
+        for i in range(start + 1, stop):
+            views += (scratch[:headers[i - lo - 1]], rows[i * row_bytes:(i + 1) * row_bytes])
+        readv(fd, views, offsets[start], context)
+        if not all_finite(feats[start:stop]):
+            raise DataFormatError(f"{context}: features must be finite (no NaN or inf)")

@@ -297,7 +297,9 @@ def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
         curve, model, train, coeffs, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
         # A run holds one span model and trace, the last trial's; every trial leaves a checksum.
         kept = (SpanModel(model, train, coeffs), trace) if t == spec.trials - 1 else None
-        return curve, model.margin.resolved_bandwidth, model_checksum(model), kept
+        # A loop's last round hashed the model it returns.
+        checksum = model_checksum(model) if trace is None else trace.records[-1].model_checksum
+        return curve, model.margin.resolved_bandwidth, checksum, kept
 
     with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(trial, range(spec.trials)))

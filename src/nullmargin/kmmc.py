@@ -151,7 +151,7 @@ def _multiplicities(points: np.ndarray, multiplicities) -> np.ndarray:
     mu = np.asarray(multiplicities, dtype=np.float64)
     if mu.shape != (points.shape[0],):
         raise DataValidationError("one multiplicity per training point required")
-    if not np.all(np.isfinite(mu) & (mu >= 1)):
+    if not all_finite(mu) or not np.all(mu >= 1):
         raise DataValidationError("multiplicities must be finite and at least 1")
     return mu
 

@@ -65,11 +65,14 @@ def load_binary(path, data: bytes) -> FeatureTable:
     return load_feature_table(path, "binary")
 
 
-def use_fill_workers(monkeypatch, count: int) -> None:
+def use_fill_workers(monkeypatch, count: int, block: int | None = None) -> None:
     """Make every binary table load fill its features on `count` threads,
-    however small the table."""
+    however small the table, each reading and proving `block` feature bytes
+    at a time when a block size is given."""
     monkeypatch.setattr(dataio, "_FILL_CHUNK", 1)
     monkeypatch.setattr(dataio, "usable_cores", lambda: count)
+    if block is not None:
+        monkeypatch.setattr(dataio, "_FILL_BLOCK", block)
 
 
 # Table paths every loader must reject with DataFormatError (CLI exit 3).

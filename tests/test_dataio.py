@@ -27,6 +27,7 @@ from nullmargin import (
     save_feature_table,
     save_model,
 )
+from nullmargin.cli import main
 from nullmargin.dataio import _table_parts, table_format_for
 from nullmargin.errors import DataFormatError, DataValidationError, ModelFormatError
 
@@ -357,6 +358,88 @@ def test_binary_table_truncated_anywhere_is_a_format_error(tmp_path, monkeypatch
         for end in range(len(data)):
             with pytest.raises(DataFormatError):
                 load_binary(path, data[:end])
+
+
+@pytest.mark.parametrize("workers, block_rows", [(1, 1), (3, 1), (3, 7), (8, 50)])
+def test_binary_round_trip_in_blocks_bit_exact(tmp_path, monkeypatch, workers, block_rows):
+    # 600 rows of 400 B, read and proven a few rows at a time; a block size
+    # that is not a whole number of rows rounds down, to at least one row.
+    use_fill_workers(monkeypatch, workers, block=block_rows * 400 + 399)
+    assert_binary_round_trip_bit_exact(tmp_path, 600, 50, unlabeled_every=3)
+
+
+def fill_layout(n: int, workers: int, block_rows: int):
+    """The rows of a fill of n rows on `workers` threads, block_rows rows a
+    block, that start or end a thread's range or a block."""
+    bounds = [n * k // workers for k in range(workers + 1)]
+    edges = set()
+    for lo, hi in zip(bounds, bounds[1:]):
+        starts = range(lo, hi, block_rows)
+        edges |= {*starts, *(min(s + block_rows, hi) - 1 for s in starts)}
+    return sorted(edges)
+
+
+# 20 rows of 4 features: on 3 threads the ranges are rows 0-5, 6-12 and
+# 13-19, read 4 rows a block.
+FILL_ROWS, FILL_DIM, FILL_BLOCK_ROWS = 20, 4, 4
+
+
+def test_fill_layout_names_every_range_and_block_edge():
+    assert fill_layout(FILL_ROWS, 3, FILL_BLOCK_ROWS) == [0, 3, 4, 5, 6, 9, 10, 12, 13, 16, 17, 19]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_a_non_finite_value_at_any_range_or_block_edge_is_a_format_error(
+    tmp_path, monkeypatch, workers, value,
+):
+    # Every feature is a distinct finite value, so each row's bytes in the
+    # file can be found and one value replaced.
+    features = np.arange(FILL_ROWS * FILL_DIM, dtype=float).reshape(FILL_ROWS, FILL_DIM) + 0.5
+    table = make_table(features, cameras=[i % 2 for i in range(FILL_ROWS)],
+                       identities=list(range(FILL_ROWS)))
+    data = b"".join(_table_parts(table))
+    use_fill_workers(monkeypatch, workers, block=FILL_BLOCK_ROWS * FILL_DIM * 8)
+    path = tmp_path / "t.ssml"
+    for row in fill_layout(FILL_ROWS, workers, FILL_BLOCK_ROWS):
+        found = struct.pack("<d", features[row, row % FILL_DIM])
+        assert data.count(found) == 1
+        path.write_bytes(data.replace(found, struct.pack("<d", value)))
+        with pytest.raises(DataFormatError, match="finite"):
+            load_feature_table(path, "binary")
+        out = tmp_path / f"out_{row}"
+        assert main(["run", "--input", str(path), "-o", str(out), "--trials", "1"]) == 3
+
+
+def test_binary_load_of_finite_rows_whose_sum_overflows(tmp_path, monkeypatch):
+    table = make_table(np.full((6, 3), 1e308), cameras=[0, 1] * 3, identities=[0, 0, 1, 1, 2, 2])
+    path = tmp_path / "t.ssml"
+    save_feature_table(table, path, "binary")
+    for workers in (1, 2):
+        use_fill_workers(monkeypatch, workers, block=2 * 3 * 8)
+        assert load_feature_table(path, "binary").features.tobytes() == table.features.tobytes()
+
+
+def test_a_binary_load_proves_finite_blocks_never_the_whole_matrix(tmp_path, monkeypatch):
+    rng = np.random.default_rng(4)
+    table = make_table(rng.standard_normal((FILL_ROWS, FILL_DIM)), cameras=[0, 1] * (FILL_ROWS // 2),
+                       identities=list(range(FILL_ROWS)))
+    path = tmp_path / "t.ssml"
+    save_feature_table(table, path, "binary")
+    real_all_finite = nullmargin.dataio.all_finite
+    proven = []
+
+    def spy(values):
+        proven.append(values.shape)
+        return real_all_finite(values)
+
+    monkeypatch.setattr(nullmargin.dataio, "all_finite", spy)
+    for workers in (1, 3):
+        proven.clear()
+        use_fill_workers(monkeypatch, workers, block=FILL_BLOCK_ROWS * FILL_DIM * 8)
+        load_feature_table(path, "binary")
+        assert all(rows <= FILL_BLOCK_ROWS and dim == FILL_DIM for rows, dim in proven), proven
+        assert sum(rows for rows, _ in proven) == FILL_ROWS
 
 
 def test_binary_table_written_part_by_part_equals_joined_container(tmp_path):

@@ -19,6 +19,7 @@ import nullmargin.cli
 import nullmargin.evaluation
 import nullmargin.kmmc
 import nullmargin.mining
+import nullmargin.selftrain
 from nullmargin import (
     LoopConfig,
     KernelDiscriminantModel,
@@ -581,6 +582,35 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
         written = hashlib.sha256((out / f"model_{mode}.nk3m").read_bytes()).hexdigest()
         assert checksums == spans[:-1] + [written]
         assert written != spans[-1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_trial_hashes_each_model_once(easy_table, monkeypatch, mode):
+    # The loop hashes each round's model, the last one the model it returns,
+    # and the protocol keeps that hash; only a labeled-only trial's model is
+    # hashed by the protocol.
+    hashed = []
+
+    def spy(module):
+        real = module.model_checksum
+
+        def counting(model):
+            checksum = real(model)
+            hashed.append((module.__name__, checksum))
+            return checksum
+
+        monkeypatch.setattr(module, "model_checksum", counting)
+
+    spy(nullmargin.evaluation)
+    spy(nullmargin.selftrain)
+    result = run_protocol(easy_table, SplitSpec(seed=2, trials=1), LoopConfig(), mode)
+    if mode == "labeled_only":
+        assert hashed == [("nullmargin.evaluation", result.model_checksums[0])]
+    else:
+        records = result.final_trace.records
+        assert len(records) > 1
+        assert hashed == [("nullmargin.selftrain", record.model_checksum) for record in records]
+    assert result.model_checksums == (model_checksum(result.final_span.model),)
 
 
 def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch, tmp_path):
