@@ -226,15 +226,15 @@ def cmd_synth(args) -> int:
 def _mode_result_entry(result) -> dict:
     return {
         "cmc": {str(n): acc for n, acc in result.curve.ranks},
-        "trials": len(result.per_trial),
+        "trials": len(result.trials),
         "per_trial": [
             {
                 "trial": t,
-                "cmc": {str(n): acc for n, acc in curve.ranks},
-                "model_checksum": result.model_checksums[t],
-                "primary_bandwidth": result.bandwidths[t],
+                "cmc": {str(n): acc for n, acc in record.curve.ranks},
+                "model_checksum": record.checksum,
+                "primary_bandwidth": record.bandwidth,
             }
-            for t, curve in enumerate(result.per_trial)
+            for t, record in enumerate(result.trials)
         ],
     }
 
@@ -260,8 +260,8 @@ def cmd_run(args) -> int:
         entry["per_trial"][-1]["model_checksum"] = result.final_span.save(
             table.features, output / f"model{suffix}.nk3m"
         )
-        if result.final_trace is not None:
-            result.final_trace.write_jsonl(output / "trace.jsonl")
+        if result.trials[-1].trace is not None:
+            result.trials[-1].trace.write_jsonl(output / "trace.jsonl")
     (output / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

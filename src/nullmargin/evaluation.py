@@ -14,6 +14,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -71,16 +72,28 @@ class SpanModel:
             return write_parts(parts, path)
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    curve: CmcCurve
+    checksum: str                    # of the span-coordinate model; a loop's last round hash
+    bandwidth: float                 # the margin's resolved primary bandwidth
+    trace: LoopTrace | None          # None for a labeled_only trial
+
+
 @dataclass
 class ProtocolResult:
     curve: CmcCurve
-    per_trial: tuple[CmcCurve, ...]
-    # every trial's checksum of its span-coordinate model, the last one's
-    # included; final_span.save returns the checksum of the lifted file
-    model_checksums: tuple[str, ...]
-    bandwidths: tuple[float, ...]
+    trials: tuple[TrialRecord, ...]
     final_span: SpanModel            # the last trial's model; no lifted model is held
-    final_trace: LoopTrace | None
+
+    # Read by bench/run.py, bench/record_reference.py and tests/test_bench_reference.py.
+    @property
+    def per_trial(self) -> tuple[CmcCurve, ...]:
+        return tuple(record.curve for record in self.trials)
+
+    @property
+    def model_checksums(self) -> tuple[str, ...]:
+        return tuple(record.checksum for record in self.trials)
 
 
 def rank_gallery(model: Nk3mlModel, probe: FeatureTable, gallery: FeatureTable) -> np.ndarray:
@@ -149,7 +162,7 @@ def _run_trial(
     ns,
     trial: int,
     gram: np.ndarray,
-) -> tuple[CmcCurve, Nk3mlModel, np.ndarray, np.ndarray, LoopTrace | None]:
+) -> tuple[TrialRecord, SpanModel | None]:
     # The split runs on a view of the table whose one feature is the row
     # number, so its parts name rows of the table and copy no features.
     row_view = replace(table, features=np.arange(table.n, dtype=np.float64)[:, None])
@@ -184,7 +197,11 @@ def _run_trial(
     probe = to_span(single_shot_view(split.probe, spec.seed, trial))
     gallery = to_span(single_shot_view(split.gallery, spec.seed, trial))
     rankings = rank_gallery(model, probe, gallery)
-    return cmc(rankings, probe.identities, gallery.identities, ns), model, train, coeffs, trace
+    checksum = model_checksum(model) if trace is None else trace.records[-1].model_checksum
+    record = TrialRecord(cmc(rankings, probe.identities, gallery.identities, ns), checksum,
+                         model.margin.resolved_bandwidth, trace)
+    # A run holds one span model, the last trial's; the others are released here.
+    return record, SpanModel(model, train, coeffs) if trial == spec.trials - 1 else None
 
 
 def _lift(features: np.ndarray, span: SpanModel):
@@ -252,11 +269,11 @@ def run_protocol(
     Trials run with BLAS at one thread, so no result depends on the BLAS
     thread count. They are independent and run on a pool of `threads`
     threads; results are accumulated in trial order, so output is identical
-    at any thread count. Every trial hashes its span-coordinate model, and
-    the last one's is kept in span coordinates (final_span), so a pass lifts
-    nothing: final_span.save(table.features, path) streams the lifted
-    container to a file and returns its checksum, and load_model(path) gives
-    the lifted model to a caller that embeds with it.
+    at any thread count. Each trial leaves a TrialRecord in `trials`, and
+    only the last trial's model is kept, in span coordinates (final_span),
+    so a pass lifts nothing: final_span.save(table.features, path) streams
+    the lifted container to a file and returns its checksum, and
+    load_model(path) gives the lifted model to a caller that embeds with it.
     """
     return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
 
@@ -289,29 +306,12 @@ def run_protocols(
         raise NumericalError(
             "table Gram X X^T has non-finite entries: the features' products overflow float64"
         )
-    return tuple(_protocol(table, spec, cfg, mode, ns, threads, gram) for mode in modes)
-
-
-def _protocol(table, spec, cfg, mode, ns, threads, gram) -> ProtocolResult:
-    def trial(t: int) -> tuple:
-        curve, model, train, coeffs, trace = _run_trial(table, spec, cfg, mode, ns, t, gram)
-        # A run holds one span model and trace, the last trial's; every trial leaves a checksum.
-        kept = (SpanModel(model, train, coeffs), trace) if t == spec.trials - 1 else None
-        # A loop's last round hashed the model it returns.
-        checksum = model_checksum(model) if trace is None else trace.records[-1].model_checksum
-        return curve, model.margin.resolved_bandwidth, checksum, kept
-
+    results = []
     with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(trial, range(spec.trials)))
-    span, trace = results[-1][3]
-
-    per_trial = tuple(res[0] for res in results)
-    mean_ranks = tuple((n, float(np.mean([curve.accuracy_at(n) for curve in per_trial]))) for n in ns)
-    return ProtocolResult(
-        curve=CmcCurve(ranks=mean_ranks),
-        per_trial=per_trial,
-        model_checksums=tuple(res[2] for res in results),
-        bandwidths=tuple(res[1] for res in results),
-        final_span=span,
-        final_trace=trace,
-    )
+        for mode in modes:
+            # every argument but the trial index is the same for all the mode's trials
+            fixed = map(repeat, (table, spec, cfg, mode, ns))
+            trials, spans = zip(*pool.map(_run_trial, *fixed, range(spec.trials), repeat(gram)))
+            mean_ranks = tuple((n, float(np.mean([t.curve.accuracy_at(n) for t in trials]))) for n in ns)
+            results.append(ProtocolResult(CmcCurve(ranks=mean_ranks), trials, final_span=spans[-1]))
+    return tuple(results)

@@ -56,3 +56,15 @@ def test_traced_protocol_pass_yields_layer_metrics(spans, easy_table):
     for trial, count in records.items():
         for name in ("nfst.fit", "kmmc.primary"):
             assert sum(s.name == name and s.trial == trial for s in tracer.spans) == count, name
+
+
+def test_result_fields_bench_reads_follow_the_trial_records(easy_table):
+    # bench/run.py reads per_trial[t].accuracy_at(n) and model_checksums[t];
+    # both are derived from the trial records, and a change to either fails
+    # here, not only in the bench self-test's subprocess.
+    ns = (1, 5)
+    result = run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only", ns=ns)
+    assert len(result.per_trial) == len(result.model_checksums) == len(result.trials) == 2
+    for t, record in enumerate(result.trials):
+        assert [result.per_trial[t].accuracy_at(n) for n in ns] == [record.curve.accuracy_at(n) for n in ns]
+        assert result.model_checksums[t] == record.checksum

@@ -17,6 +17,7 @@ import nullmargin.evaluation
 from nullmargin import LoopConfig, SplitSpec, fit_nk3ml, run_protocol, run_protocols
 from nullmargin import _blas, kmmc
 from nullmargin._blas import _pivoted_cholesky, blas_threads, span_coefficients
+from nullmargin.evaluation import CmcCurve, TrialRecord
 from nullmargin.errors import DataValidationError, ModelFormatError, NumericalError
 
 from conftest import labeled_gaussians, make_table, model_bytes, read_model
@@ -309,8 +310,10 @@ class _GramIs(np.ndarray):
 def _table_gram_check(values, monkeypatch):
     table = make_table(np.ones((2, 3)), cameras=[0, 1], identities=[0, 0])
     object.__setattr__(table, "features", values.view(_GramIs))
-    monkeypatch.setattr(nullmargin.evaluation, "_protocol", lambda *args: None)
-    run_protocols(table, SplitSpec(seed=0, trials=1), LoopConfig(), ("labeled_only",))
+    # Past a finite Gram, one stub trial ends the run.
+    empty_trial = (TrialRecord(CmcCurve(ranks=((1, 0.0),)), "", 0.0, None), None)
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", lambda *args: empty_trial)
+    run_protocols(table, SplitSpec(seed=0, trials=1), LoopConfig(), ("labeled_only",), ns=(1,))
 
 
 def _model_check(values, monkeypatch):

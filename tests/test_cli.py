@@ -127,22 +127,22 @@ def test_run_both_emits_paired_reports(dataset, tmp_path):
 
 
 def test_run_both_forms_one_table_gram(dataset, tmp_path, monkeypatch):
-    # Both modes' trials read the one table Gram run_protocols formed.
+    # Every trial of both modes reads the one table Gram run_protocols formed.
     grams = []
-    real_protocol = nullmargin.evaluation._protocol
+    real_trial = nullmargin.evaluation._run_trial
 
-    def recording_protocol(*args):
+    def recording_trial(*args):
         grams.append(args[-1])
-        return real_protocol(*args)
+        return real_trial(*args)
 
-    monkeypatch.setattr(nullmargin.evaluation, "_protocol", recording_protocol)
+    monkeypatch.setattr(nullmargin.evaluation, "_run_trial", recording_trial)
     code = run_cli(
         "run", "--input", dataset, "-o", tmp_path / "out", "--mode", "both",
         "--seed", 7, "--trials", 2,
     )
     assert code == 0
     n = load_feature_table(dataset, "binary").n
-    assert len(grams) == 2 and grams[0] is grams[1] and grams[0].shape == (n, n)
+    assert len(grams) == 4 and all(gram is grams[0] for gram in grams) and grams[0].shape == (n, n)
 
 
 def test_run_config_file_with_flag_override(dataset, tmp_path):

@@ -259,10 +259,9 @@ def test_multi_shot_pool_refits_shared_classes_at_any_thread_count(monkeypatch):
         for threads in (1, 2)
     )
     assert any(shared)
-    assert one.per_trial == two.per_trial
-    assert one.model_checksums == two.model_checksums
-    assert one.bandwidths == two.bandwidths
-    assert one.final_trace == two.final_trace and one.final_trace.records
+    # every trial's curve, checksum, bandwidth and loop trace
+    assert one.trials == two.trials
+    assert all(record.trace.records for record in one.trials)
 
 
 def test_run_protocol_rejects_unknown_mode(noisefree_table):
@@ -515,43 +514,61 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch, tmp_path)
 
 
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
-    # Trials return span-coordinate models; the run releases the non-final
-    # ones and keeps the last one in span coordinates, where its checksum is.
-    models, margins = [], []
-    real_trial = nullmargin.evaluation._run_trial
+    # Trials fit span-coordinate models; only the last trial returns its
+    # model, which the run keeps in span coordinates, where its checksum is,
+    # and the non-final ones are released.
+    models, spans = [], []
+    real_fit, real_trial = nullmargin.evaluation.fit_nk3ml, nullmargin.evaluation._run_trial
+
+    def recording_fit(*args):
+        model = real_fit(*args)
+        models.append(weakref.ref(model))
+        return model
 
     def recording_trial(*args):
-        outcome = real_trial(*args)
-        models.append(weakref.ref(outcome[1]))
-        margins.append(outcome[1].margin if args[5] == 2 else None)
-        return outcome
+        record, span = real_trial(*args)
+        spans.append(span)
+        return record, span
 
+    monkeypatch.setattr(nullmargin.evaluation, "fit_nk3ml", recording_fit)
     monkeypatch.setattr(nullmargin.evaluation, "_run_trial", recording_trial)
     spec = SplitSpec(seed=6, trials=3)
     result = run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only")
     gc.collect()
-    assert [ref() is not None for ref in models[:-1]] == [False, False]
-    assert result.final_span.model.margin is margins[-1]
+    assert spans[:-1] == [None, None]
+    assert [ref() is not None for ref in models] == [False, False, True]
+    assert result.final_span is spans[-1] and result.final_span.model is models[-1]()
     lifted = lifted_model(result.final_span, noisefree_table.features)
     assert lifted.nullproj.dim == noisefree_table.dim
-    assert result.model_checksums[-1] == model_checksum(result.final_span.model)
+    assert result.trials[-1].checksum == model_checksum(result.final_span.model)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, tmp_path, threads):
     lock = threading.Lock()
     running, returned, lifts, span_models = [0], [0], [], {}
+    current = threading.local()     # the (mode, trial) a worker thread runs
     real_trial, real_lift = nullmargin.evaluation._run_trial, nullmargin.evaluation._lift
+    real_fit, real_loop = nullmargin.evaluation.fit_nk3ml, nullmargin.evaluation.run_self_training
 
     def spy_trial(*args):
         with lock:
             running[0] += 1
+        current.key = args[3], args[5]
         outcome = real_trial(*args)
         with lock:
             running[0] -= 1
             returned[0] += 1
-            span_models[args[3], args[5]] = outcome[1]
         return outcome
+
+    def spy_fit(*args):
+        span_models[current.key] = model = real_fit(*args)
+        return model
+
+    def spy_loop(*args):
+        model, trace = real_loop(*args)
+        span_models[current.key] = model
+        return model, trace
 
     def spy_lift(*args):
         with lock:
@@ -559,13 +576,17 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
         return real_lift(*args)
 
     monkeypatch.setattr(nullmargin.evaluation, "_run_trial", spy_trial)
+    monkeypatch.setattr(nullmargin.evaluation, "fit_nk3ml", spy_fit)
+    monkeypatch.setattr(nullmargin.evaluation, "run_self_training", spy_loop)
     monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
     spec = SplitSpec(seed=2, trials=3)
     # A protocol pass lifts nothing: every checksum is of a span model.
     results = run_protocols(easy_table, spec, LoopConfig(), MODES, threads=threads)
     assert lifts == []
     for mode, result in zip(MODES, results):
-        assert list(result.model_checksums) == [model_checksum(span_models[mode, t]) for t in range(3)]
+        assert [record.checksum for record in result.trials] == [
+            model_checksum(span_models[mode, t]) for t in range(3)
+        ]
 
     # `run` lifts once per mode, each once every trial has returned, and
     # reports the written file's checksum for the last trial.
@@ -605,12 +626,12 @@ def test_a_trial_hashes_each_model_once(easy_table, monkeypatch, mode):
     spy(nullmargin.selftrain)
     result = run_protocol(easy_table, SplitSpec(seed=2, trials=1), LoopConfig(), mode)
     if mode == "labeled_only":
-        assert hashed == [("nullmargin.evaluation", result.model_checksums[0])]
+        assert hashed == [("nullmargin.evaluation", result.trials[0].checksum)]
     else:
-        records = result.final_trace.records
+        records = result.trials[0].trace.records
         assert len(records) > 1
         assert hashed == [("nullmargin.selftrain", record.model_checksum) for record in records]
-    assert result.model_checksums == (model_checksum(result.final_span.model),)
+    assert [record.checksum for record in result.trials] == [model_checksum(result.final_span.model)]
 
 
 def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch, tmp_path):
