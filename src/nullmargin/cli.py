@@ -85,7 +85,6 @@ _RUN_KEYS = {
     "run.output": _Setting(None, Path, "--output", "output directory"),
     "run.mode": _Setting("semi_supervised", str, "--mode", _MODE_CHOICES),
     "run.seed": _Setting("0", int, "--seed"),
-    "run.threads": _Setting("1", int, "--threads", "trial parallelism"),
     "run.ranks": _Setting(
         ",".join(map(str, DEFAULT_RANKS)), _parse_ranks, "--ranks", "comma-separated CMC ranks"
     ),
@@ -157,7 +156,7 @@ def _resolve_run_config(args) -> RunConfig:
     if values["run.mode"] not in (*MODES, "both"):
         raise ConfigError(f"run.mode must be {_MODE_CHOICES}, got {values['run.mode']!r}")
     try:
-        _protocol_args((), values["run.ranks"], values["run.threads"])
+        _protocol_args((), values["run.ranks"])
         split = SplitSpec(
             seed=derive_seed(values["run.seed"], "split"),
             labeled_fraction=values["split.labeled_fraction"],
@@ -248,10 +247,7 @@ def cmd_run(args) -> int:
     modes = MODES if both else (cfg.values["run.mode"],)
 
     report = {"config": cfg.echo(), "results": {}}
-    results = run_protocols(
-        table, cfg.split, cfg.loop, modes,
-        ns=cfg.values["run.ranks"], threads=cfg.values["run.threads"],
-    )
+    results = run_protocols(table, cfg.split, cfg.loop, modes, ns=cfg.values["run.ranks"])
     for mode, result in zip(modes, results):
         entry = report["results"][mode] = _mode_result_entry(result)
         suffix = f"_{mode}" if both else ""
@@ -287,7 +283,7 @@ def cmd_embed(args) -> int:
 
 def cmd_eval(args) -> int:
     try:
-        ranks, _ = _protocol_args((), _parse_ranks(args.ranks))
+        ranks = _protocol_args((), _parse_ranks(args.ranks))
     except (ValueError, DataValidationError) as err:
         raise ConfigError(f"bad --ranks value {args.ranks!r} ({err})") from err
     output = _output_file(args.output)

@@ -112,7 +112,7 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
     the identity) if a probe identity never occurs in the gallery; extra
     gallery-only identities and unlabeled gallery rows are fine.
     """
-    ns, _ = _protocol_args((), ns)
+    ns = _protocol_args((), ns)
     probe_ids = list(probe_identities)
     if None in probe_ids:
         raise DataValidationError(f"probe row {probe_ids.index(None)} has no identity")
@@ -132,17 +132,16 @@ def cmc(rankings: np.ndarray, probe_identities, gallery_identities, ns) -> CmcCu
     return CmcCurve(ranks=ranks)
 
 
-def _protocol_args(modes, ns, threads=1) -> tuple[tuple[int, ...], int]:
-    """ns and threads as ints; DataValidationError unless every mode is in
-    MODES, the ranks are nonempty, distinct integers >= 1 and threads >= 1."""
+def _protocol_args(modes, ns) -> tuple[int, ...]:
+    """ns as ints; DataValidationError unless every mode is in MODES and the
+    ranks are nonempty, distinct integers >= 1."""
     for mode in modes:
         if mode not in MODES:
             raise DataValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    threads = _integer(threads, "threads", minimum=1)
     ns = tuple(_integer(n, "rank", minimum=1) for n in ns)
     if not ns or len(set(ns)) != len(ns):
         raise DataValidationError(f"ranks must be nonempty and distinct, got {ns}")
-    return ns, threads
+    return ns
 
 
 def single_shot_view(table: FeatureTable, seed: int, trial: int) -> FeatureTable:
@@ -260,22 +259,21 @@ def run_protocol(
     cfg: LoopConfig,
     mode: str,
     ns=DEFAULT_RANKS,
-    threads: int = 1,
 ) -> ProtocolResult:
     """Split/fit/evaluate over spec.trials trials and average the accuracies.
 
     The table Gram X X^T is formed once, at the BLAS library's own thread
     count; each trial takes its train, probe and gallery products from it.
     Trials run with BLAS at one thread, so no result depends on the BLAS
-    thread count. They are independent and run on a pool of `threads`
+    thread count. They are independent and run on min(usable cores, trials)
     threads; results are accumulated in trial order, so output is identical
-    at any thread count. Each trial leaves a TrialRecord in `trials`, and
+    at any core count. Each trial leaves a TrialRecord in `trials`, and
     only the last trial's model is kept, in span coordinates (final_span),
     so a pass lifts nothing: final_span.save(table.features, path) streams
     the lifted container to a file and returns its checksum, and
     load_model(path) gives the lifted model to a caller that embeds with it.
     """
-    return run_protocols(table, spec, cfg, (mode,), ns, threads)[0]
+    return run_protocols(table, spec, cfg, (mode,), ns)[0]
 
 
 def run_protocols(
@@ -284,16 +282,15 @@ def run_protocols(
     cfg: LoopConfig,
     modes,
     ns=DEFAULT_RANKS,
-    threads: int = 1,
 ) -> tuple[ProtocolResult, ...]:
     """run_protocol for each of several modes, in order, on one table Gram.
 
     The protocol splits and scores by identity, so every row needs one. The
-    ranks must be distinct integers >= 1, and threads an integer >= 1. A
-    table Gram that overflows float64 raises NumericalError, and train rows
-    whose Gram is 0 raise DegenerateDataError.
+    ranks must be distinct integers >= 1. A table Gram that overflows float64
+    raises NumericalError, and train rows whose Gram is 0 raise
+    DegenerateDataError.
     """
-    ns, threads = _protocol_args(modes, ns, threads)
+    ns = _protocol_args(modes, ns)
     if None in table.identities:
         row = table.identities.index(None)
         raise DataValidationError(
@@ -307,7 +304,7 @@ def run_protocols(
             "table Gram X X^T has non-finite entries: the features' products overflow float64"
         )
     results = []
-    with blas_threads(1), ThreadPoolExecutor(max_workers=threads) as pool:
+    with blas_threads(1), ThreadPoolExecutor(max_workers=min(usable_cores(), spec.trials)) as pool:
         for mode in modes:
             # every argument but the trial index is the same for all the mode's trials
             fixed = map(repeat, (table, spec, cfg, mode, ns))

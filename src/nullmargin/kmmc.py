@@ -248,6 +248,8 @@ def fit_nkmmc(
     if n_classes < 2:
         raise DataValidationError("maximum margin criterion needs at least 2 classes")
     mu = _multiplicities(points, multiplicities)
+    singleton = n_classes == len(points)
+    w = mu / mu.sum()
 
     if kernel.kind == "rbf":
         sq = _squared_distances(points, points)
@@ -257,11 +259,14 @@ def fit_nkmmc(
             kernel = KernelSpec("rbf", _mean_distance(sq, mu))
         k_matrix = _rbf(sq, float(kernel.bandwidth))
     else:
-        k_matrix = points @ points.T
+        # The linear criterion ignores a translation, and a singleton fit's
+        # coefficient columns sum to zero, so its K is formed from the points
+        # centred at their weighted mean: same projections, no (offset/spread)^2 cancelled.
+        centred = points - w @ points if singleton else points
+        k_matrix = centred @ centred.T
     _check_finite(k_matrix)
 
-    if n_classes == len(points):
-        w = mu / mu.sum()
+    if singleton:
         u = np.sqrt(w)
         t = k_matrix @ w
         s = k_matrix - (t[:, None] + t)

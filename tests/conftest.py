@@ -1,6 +1,8 @@
+import os
 import struct
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,6 +65,26 @@ def load_binary(path, data: bytes) -> FeatureTable:
     reads any table file."""
     path.write_bytes(data)
     return load_feature_table(path, "binary")
+
+
+def use_cores(monkeypatch, count: int) -> None:
+    """Make the process report `count` usable cores, so every pool sized from
+    them (load fill, trials, lift) sizes itself as on such a host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def record_pool_widths(monkeypatch, *modules) -> list:
+    """The widths of the thread pools the modules make from now on, in order."""
+    widths = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    for module in modules:
+        monkeypatch.setattr(module, "ThreadPoolExecutor", RecordingPool)
+    return widths
 
 
 def use_fill_workers(monkeypatch, count: int, block: int | None = None) -> None:

@@ -29,7 +29,7 @@ from nullmargin.cli import main as cli_main
 from nullmargin.kmmc import _margin_operator, gram
 from nullmargin.nfst import project_null
 
-from conftest import make_table
+from conftest import make_table, use_cores
 from test_mining import FIG4A, FIG4B, B, C, D, E, brute_reciprocal, within_set_reciprocal
 from test_scatter import loop_scatter
 
@@ -218,7 +218,7 @@ def test_cmc_correctness():
     report("cmc-correctness", True, "hand-counted fixture and monotonicity hold")
 
 
-def test_run_determinism_across_threads(tmp_path):
+def test_run_determinism_across_core_counts(tmp_path, monkeypatch):
     data = tmp_path / "data.ssml"
     table = generate_synthetic(
         SyntheticSpec(
@@ -228,13 +228,13 @@ def test_run_determinism_across_threads(tmp_path):
     )
     save_feature_table(table, data, "binary")
     outputs = []
-    for run_id, threads in (("a", 1), ("b", 3)):
+    for run_id, cores in (("a", 1), ("b", 3)):
+        use_cores(monkeypatch, cores)
         out = tmp_path / run_id
         code = cli_main(
             [
                 "run", "--input", str(data), "-o", str(out),
                 "--mode", "semi_supervised", "--seed", "33", "--trials", "3",
-                "--threads", str(threads),
             ]
         )
         assert code == 0
@@ -249,7 +249,7 @@ def test_run_determinism_across_threads(tmp_path):
     report(
         "run-determinism",
         cmc_equal and checks[0] == checks[1] and model_equal,
-        "byte-identical cmc.csv and model checksums at --threads 1 vs 3",
+        "byte-identical cmc.csv and model checksums at 1 vs 3 usable cores",
     )
 
 

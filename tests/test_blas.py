@@ -20,7 +20,7 @@ from nullmargin._blas import _pivoted_cholesky, blas_threads, span_coefficients
 from nullmargin.evaluation import CmcCurve, TrialRecord
 from nullmargin.errors import DataValidationError, ModelFormatError, NumericalError
 
-from conftest import labeled_gaussians, make_table, model_bytes, read_model
+from conftest import labeled_gaussians, make_table, model_bytes, read_model, use_cores
 
 
 def counts():
@@ -81,8 +81,8 @@ def test_no_library_found_is_a_no_op(monkeypatch):
         assert all(getter() == 2 for getter in real_getters)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_trials_run_at_one_blas_thread(easy_table, monkeypatch, threads):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_trials_run_at_one_blas_thread(easy_table, monkeypatch, cores):
     seen = []
     fit = nullmargin.evaluation.fit_nk3ml
 
@@ -91,9 +91,9 @@ def test_trials_run_at_one_blas_thread(easy_table, monkeypatch, threads):
         return fit(*args, **kwargs)
 
     monkeypatch.setattr(nullmargin.evaluation, "fit_nk3ml", recording_fit)
+    use_cores(monkeypatch, cores)
     with blas_threads(2):
-        run_protocol(easy_table, SplitSpec(seed=3, trials=2), LoopConfig(), "labeled_only",
-                     threads=threads)
+        run_protocol(easy_table, SplitSpec(seed=3, trials=2), LoopConfig(), "labeled_only")
         assert all(count == 2 for count in counts())
     assert len(seen) == 2
     assert all(count == 1 for trial in seen for count in trial)

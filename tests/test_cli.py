@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from nullmargin.errors import ConfigError, DataError, NullmarginError, Numerical
 
 from nullmargin import save_feature_table
 
-from conftest import HOSTILE_TABLES, make_table
+from conftest import HOSTILE_TABLES, make_table, record_pool_widths, use_cores
 
 
 # Variables OpenBLAS reads its default thread count from.
@@ -183,13 +184,14 @@ def test_run_missing_input_exits_2(tmp_path):
     assert run_cli("run", "-o", tmp_path / "o") == 2
 
 
-def test_run_determinism_across_threads(dataset, tmp_path):
+def test_run_determinism_across_core_counts(dataset, tmp_path, monkeypatch):
     outs = []
-    for threads in (1, 2):
-        out = tmp_path / f"out{threads}"
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        out = tmp_path / f"out{cores}"
         code = run_cli(
             "run", "--input", dataset, "-o", out, "--mode", "semi_supervised",
-            "--seed", 5, "--trials", 2, "--threads", threads,
+            "--seed", 5, "--trials", 2,
         )
         assert code == 0
         outs.append(out)
@@ -201,9 +203,11 @@ def test_run_determinism_across_threads(dataset, tmp_path):
     assert checks_a == checks_b
 
 
-def test_run_outputs_identical_across_blas_and_trial_threads(tmp_path):
+def test_run_outputs_identical_across_blas_threads_and_core_counts(tmp_path):
     # Big enough that OpenBLAS splits the trials' products over threads when
-    # left at its default; trials must run at one BLAS thread regardless.
+    # left at its default; trials must run at one BLAS thread regardless. Each
+    # run is a process on one of the usable cores or on all of them, as
+    # `taskset -c 0` runs it, so its trial pool is 1 or that many wide.
     data = tmp_path / "data.ssml"
     assert run_cli(
         "synth", "--identities", 100, "--dim", 300, "--transform-strength", 0.5,
@@ -212,23 +216,20 @@ def test_run_outputs_identical_across_blas_and_trial_threads(tmp_path):
     src = Path(nullmargin.__file__).resolve().parent.parent
     base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_ENV}
     base["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), base.get("PYTHONPATH")]))
+    cores = sorted(os.sched_getaffinity(0))
     outputs = {}
     for blas in (None, "1"):
-        for threads in (1, 2):
+        for allowed in (cores[:1], cores):
             env = dict(base, **({"OPENBLAS_NUM_THREADS": blas} if blas else {}))
-            cwd = tmp_path / f"blas{blas}-threads{threads}"
+            cwd = tmp_path / f"blas{blas}-cores{len(allowed)}"
             cwd.mkdir()
             subprocess.run(
                 [sys.executable, "-m", "nullmargin.cli", "run", "--input", str(data), "-o", "out",
-                 "--mode", "both", "--seed", "5", "--trials", "2", "--threads", str(threads)],
+                 "--mode", "both", "--seed", "5", "--trials", "2"],
                 cwd=cwd, env=env, check=True, capture_output=True, timeout=300,
+                preexec_fn=partial(os.sched_setaffinity, 0, allowed),
             )
-            files = {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}
-            # The config echo is the one place the trial thread count shows.
-            echo = b'"run.threads": %d' % threads
-            assert files["report.json"].count(echo) == 1
-            files["report.json"] = files["report.json"].replace(echo, b'"run.threads": N')
-            outputs[blas, threads] = files
+            outputs[blas, len(allowed)] = {f.name: f.read_bytes() for f in (cwd / "out").iterdir()}
     first = outputs[None, 1]
     assert sorted(first) == [
         "cmc_labeled_only.csv", "cmc_semi_supervised.csv", "model_labeled_only.nk3m",
@@ -238,7 +239,7 @@ def test_run_outputs_identical_across_blas_and_trial_threads(tmp_path):
         assert files == first, f"outputs of {case} differ from (unset, 1)"
 
 
-def test_run_with_a_lifted_block_width_is_identical_at_trial_threads_1_and_2(tmp_path):
+def test_run_with_a_lifted_block_width_is_identical_at_1_and_2_cores(tmp_path, monkeypatch):
     # dim above one lift block, so each trial lifts its model block by block.
     data = tmp_path / "data.ssml"
     assert run_cli(
@@ -247,16 +248,12 @@ def test_run_with_a_lifted_block_width_is_identical_at_trial_threads_1_and_2(tmp
     ) == 0
     outputs = []
     out = tmp_path / "out"      # one path, since report.json echoes it
-    for threads in (1, 2):
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
         assert run_cli(
-            "run", "--input", data, "-o", out, "--mode", "both", "--seed", 3,
-            "--trials", 2, "--threads", threads,
+            "run", "--input", data, "-o", out, "--mode", "both", "--seed", 3, "--trials", 2,
         ) == 0
-        files = {f.name: f.read_bytes() for f in out.iterdir()}
-        echo = b'"run.threads": %d' % threads
-        assert files["report.json"].count(echo) == 1
-        files["report.json"] = files["report.json"].replace(echo, b'"run.threads": N')
-        outputs.append(files)
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert outputs[0] == outputs[1]
 
 
@@ -417,18 +414,36 @@ def test_mine_labeled_set_not_in_general_position_exit_3(tmp_path, noisefree_tab
     assert not out.exists()
 
 
-def test_threads_env_fallback(dataset, tmp_path, monkeypatch):
-    # run.threads comes from the flag or the config file only; the
-    # environment is not a third source.
-    monkeypatch.setenv("NULLMARGIN_THREADS", "2")
-    out = tmp_path / "out"
-    code = run_cli(
-        "run", "--input", dataset, "-o", out, "--mode", "labeled_only",
-        "--seed", 1, "--trials", 2,
-    )
-    assert code == 0
+def test_no_environment_variable_sets_the_trial_threads(dataset, tmp_path, monkeypatch):
+    # The trial pool is sized from the usable cores alone: no flag, config
+    # key or environment variable sets it, and report.json echoes no count.
+    use_cores(monkeypatch, 1)
+    widths = record_pool_widths(monkeypatch, nullmargin.evaluation)
+    outputs = []
+    out = tmp_path / "out"      # one path, since report.json echoes it
+    for env in (None, "2"):
+        if env is not None:
+            monkeypatch.setenv("NULLMARGIN_THREADS", env)
+        assert run_cli(
+            "run", "--input", dataset, "-o", out, "--mode", "labeled_only", "--seed", 1, "--trials", 2,
+        ) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert widths == [1, 1] * 2    # each run's trial pool and lift
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["run.threads"] == 1
+    assert not [key for key in report["config"] if "thread" in key]
+
+
+def test_run_rejects_the_removed_threads_option(dataset, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli("run", "--input", dataset, "-o", tmp_path / "o", "--threads", 2)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("run.threads = 2\n")
+    assert run_cli("run", "--config", cfg, "--input", dataset, "-o", tmp_path / "o") == 2
+    assert "unknown config key 'run.threads'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_data_error_exit_3(tmp_path):
@@ -565,7 +580,6 @@ def test_eval_bad_ranks_exit_2_before_loading(dataset, saved_model, tmp_path, ca
 
 
 @pytest.mark.parametrize("argv", [
-    ("run", "--threads", "0"),
     ("run", "--ranks", "1,1,5"),
     ("eval", "--ranks", "0,1"),
     ("mine", "--kernel", "poly"),

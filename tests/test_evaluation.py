@@ -1,14 +1,13 @@
 import gc
 import hashlib
 import json
-import os
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,7 +45,7 @@ from nullmargin.evaluation import LIFT_BLOCK, MODES, _lifted_parts, single_shot_
 from nullmargin.nfst import NullProjector
 from nullmargin.nk3ml import _checksum
 
-from conftest import lifted_model, make_table
+from conftest import lifted_model, make_table, record_pool_widths, use_cores
 
 
 def identity_rankings(order_rows):
@@ -226,17 +225,19 @@ def test_run_protocol_noise_free_rank1_perfect(noisefree_table):
     assert result.curve.accuracy_at(1) == 100.0
 
 
-def test_run_protocol_reproducible_and_thread_invariant(noisefree_table):
+def test_run_protocol_reproducible_and_core_count_invariant(noisefree_table, monkeypatch):
     spec = SplitSpec(seed=6, trials=3)
     cfg = LoopConfig()
+    use_cores(monkeypatch, 1)
     a = run_protocol(noisefree_table, spec, cfg, "semi_supervised", ns=(1, 5))
     b = run_protocol(noisefree_table, spec, cfg, "semi_supervised", ns=(1, 5))
-    c = run_protocol(noisefree_table, spec, cfg, "semi_supervised", ns=(1, 5), threads=3)
+    use_cores(monkeypatch, 3)
+    c = run_protocol(noisefree_table, spec, cfg, "semi_supervised", ns=(1, 5))
     assert a.curve == b.curve == c.curve
     assert a.model_checksums == b.model_checksums == c.model_checksums
 
 
-def test_multi_shot_pool_refits_shared_classes_at_any_thread_count(monkeypatch):
+def test_multi_shot_pool_refits_shared_classes_at_any_core_count(monkeypatch):
     # Four synthetic cameras read as two, so the pool holds two shots per
     # (identity, camera) and a secondary fit has classes that share points:
     # the margin stage's span-coordinate route, through the whole protocol.
@@ -254,10 +255,11 @@ def test_multi_shot_pool_refits_shared_classes_at_any_thread_count(monkeypatch):
 
     monkeypatch.setattr(nullmargin.mining, "fit_nkmmc", fit)
     spec = SplitSpec(seed=2, trials=2)
-    one, two = (
-        run_protocols(table, spec, LoopConfig(), ("semi_supervised",), threads=threads)[0]
-        for threads in (1, 2)
-    )
+    results = []
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        results.append(run_protocols(table, spec, LoopConfig(), ("semi_supervised",))[0])
+    one, two = results
     assert any(shared)
     # every trial's curve, checksum, bandwidth and loop trace
     assert one.trials == two.trials
@@ -270,16 +272,13 @@ def test_run_protocol_rejects_unknown_mode(noisefree_table):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"threads": 0}, "threads must be >= 1"),
-    ({"threads": 1.5}, "threads must be an integer"),
-    ({"threads": True}, "threads must be an integer"),
     ({"ns": ()}, "ranks must be nonempty"),
     ({"ns": (0,)}, "rank must be >= 1"),
     ({"ns": (1, 5, 1)}, "ranks must be nonempty and distinct"),
     ({"ns": (1.5,)}, "rank must be an integer"),
     ({"ns": (1, True)}, "rank must be an integer"),
 ])
-def test_run_protocol_checks_threads_and_ranks_before_any_trial(
+def test_run_protocol_checks_ranks_before_any_trial(
     noisefree_table, monkeypatch, kwargs, match
 ):
     def no_trial(*args):
@@ -345,10 +344,6 @@ def test_cmc_invariant_to_gallery_permutation(easy_table):
     assert base.ranks == moved.ranks
 
 
-def use_cores(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def random_span(rng, rows, n_train, rank, directions):
     """A SpanModel over n_train of `rows` table rows, with random stages."""
     margin = KernelDiscriminantModel(
@@ -373,14 +368,7 @@ def test_lift_is_worker_count_invariant_and_matches_the_gathered_product(dim, mo
     rng = np.random.default_rng(dim)
     features = rng.standard_normal((40, dim))
     span = random_span(rng, 40, 25, 20, 6)
-    pools = []
-
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(nullmargin.evaluation, "ThreadPoolExecutor", RecordingPool)
+    pools = record_pool_widths(monkeypatch, nullmargin.evaluation)
     saved = []
     for cores in (1, 2, 3):
         use_cores(monkeypatch, cores)
@@ -516,18 +504,21 @@ def test_lifted_models_identical_at_any_lift_worker_count(monkeypatch, tmp_path)
 def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     # Trials fit span-coordinate models; only the last trial returns its
     # model, which the run keeps in span coordinates, where its checksum is,
-    # and the non-final ones are released.
-    models, spans = [], []
+    # and the non-final ones are released. Trials may run at once, so each
+    # is recorded under its index.
+    models, spans = {}, {}
+    current = threading.local()     # the trial a worker thread runs
     real_fit, real_trial = nullmargin.evaluation.fit_nk3ml, nullmargin.evaluation._run_trial
 
     def recording_fit(*args):
         model = real_fit(*args)
-        models.append(weakref.ref(model))
+        models[current.trial] = weakref.ref(model)
         return model
 
     def recording_trial(*args):
+        current.trial = args[5]
         record, span = real_trial(*args)
-        spans.append(span)
+        spans[args[5]] = span
         return record, span
 
     monkeypatch.setattr(nullmargin.evaluation, "fit_nk3ml", recording_fit)
@@ -535,16 +526,16 @@ def test_protocol_holds_only_the_last_trial_model(noisefree_table, monkeypatch):
     spec = SplitSpec(seed=6, trials=3)
     result = run_protocol(noisefree_table, spec, LoopConfig(), "labeled_only")
     gc.collect()
-    assert spans[:-1] == [None, None]
-    assert [ref() is not None for ref in models] == [False, False, True]
-    assert result.final_span is spans[-1] and result.final_span.model is models[-1]()
+    assert [spans[t] for t in range(2)] == [None, None]
+    assert [models[t]() is not None for t in range(3)] == [False, False, True]
+    assert result.final_span is spans[2] and result.final_span.model is models[2]()
     lifted = lifted_model(result.final_span, noisefree_table.features)
     assert lifted.nullproj.dim == noisefree_table.dim
     assert result.trials[-1].checksum == model_checksum(result.final_span.model)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, tmp_path, threads):
+@pytest.mark.parametrize("cores", [1, 3])
+def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, monkeypatch, tmp_path, cores):
     lock = threading.Lock()
     running, returned, lifts, span_models = [0], [0], [], {}
     current = threading.local()     # the (mode, trial) a worker thread runs
@@ -579,9 +570,10 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
     monkeypatch.setattr(nullmargin.evaluation, "fit_nk3ml", spy_fit)
     monkeypatch.setattr(nullmargin.evaluation, "run_self_training", spy_loop)
     monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
+    use_cores(monkeypatch, cores)
     spec = SplitSpec(seed=2, trials=3)
     # A protocol pass lifts nothing: every checksum is of a span model.
-    results = run_protocols(easy_table, spec, LoopConfig(), MODES, threads=threads)
+    results = run_protocols(easy_table, spec, LoopConfig(), MODES)
     assert lifts == []
     for mode, result in zip(MODES, results):
         assert [record.checksum for record in result.trials] == [
@@ -593,7 +585,7 @@ def test_run_lifts_the_last_model_once_per_mode_after_its_trials(easy_table, mon
     returned[0] = 0
     data, out = tmp_path / "table.ssml", tmp_path / "out"
     save_feature_table(easy_table, data, "binary")
-    argv = ["run", "--input", data, "-o", out, "--mode", "both", "--trials", 3, "--threads", threads]
+    argv = ["run", "--input", data, "-o", out, "--mode", "both", "--trials", 3]
     assert nullmargin.cli.main([str(a) for a in argv]) == 0
     assert lifts == [(0, 6), (0, 6)]
     report = json.loads((out / "report.json").read_text())
@@ -634,6 +626,72 @@ def test_a_trial_hashes_each_model_once(easy_table, monkeypatch, mode):
     assert [record.checksum for record in result.trials] == [model_checksum(result.final_span.model)]
 
 
+def test_protocol_outputs_do_not_depend_on_the_core_count(easy_table, monkeypatch, tmp_path):
+    # The trial pool is min(usable cores, trials) wide. The trial records,
+    # the kept span model and every file `run` writes are the same at any
+    # width; report.json differs only in its echo of the output directory.
+    widths = record_pool_widths(monkeypatch, nullmargin.evaluation)
+    spec = SplitSpec(seed=2, trials=2)     # so 3 cores still make 2 workers
+    data = tmp_path / "table.ssml"
+    save_feature_table(easy_table, data, "binary")
+    results, outputs = [], []
+    for cores in (1, 2, 3):
+        use_cores(monkeypatch, cores)
+        widths.clear()
+        results.append(run_protocols(easy_table, spec, LoopConfig(), MODES))
+        assert widths == [min(cores, spec.trials)]
+        out = tmp_path / f"out{cores}"
+        argv = ["run", "--input", data, "-o", out, "--mode", "both", "--trials", 3, "--seed", 2]
+        assert nullmargin.cli.main([str(a) for a in argv]) == 0
+        files = {f.name: f.read_bytes() for f in out.iterdir()}
+        echo = json.dumps(str(out)).encode()
+        assert files["report.json"].count(echo) == 1
+        files["report.json"] = files["report.json"].replace(echo, b'"OUT"')
+        outputs.append(files)
+    assert sorted(outputs[0]) == [
+        "cmc_labeled_only.csv", "cmc_semi_supervised.csv", "model_labeled_only.nk3m",
+        "model_semi_supervised.nk3m", "report.json", "trace.jsonl",
+    ]
+    assert outputs[1:] == outputs[:1] * 2
+    for mode_results in zip(*results):
+        first = mode_results[0]
+        for result in mode_results[1:]:
+            assert result.curve == first.curve and result.trials == first.trials
+            span, want = result.final_span, first.final_span
+            assert model_checksum(span.model) == model_checksum(want.model)
+            assert span.train.tobytes() == want.train.tobytes()
+            assert span.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+def test_no_pool_is_wider_than_the_usable_cores(monkeypatch, tmp_path, cores):
+    # The binary load's fill, the trial pool and the lift are the program's
+    # thread pools, all made through the ThreadPoolExecutor name dataio and
+    # evaluation import; each is sized min(usable cores, its work). A load
+    # that could fill on a thread per byte, then `run --mode both` over 3
+    # trials and a lift of several blocks, reaches the core count and never
+    # passes it.
+    src = Path(nullmargin.evaluation.__file__).parent
+    pooled = [
+        path.stem for path in sorted(src.glob("*.py"))
+        if any(name in path.read_text() for name in ("ThreadPoolExecutor", "threading", "multiprocessing"))
+    ]
+    assert pooled == ["dataio", "evaluation"]
+    widths = record_pool_widths(monkeypatch, nullmargin.dataio, nullmargin.evaluation)
+    monkeypatch.setattr(nullmargin.dataio, "_FILL_CHUNK", 1)
+    use_cores(monkeypatch, cores)
+    data = tmp_path / "table.ssml"
+    table = generate_synthetic(SyntheticSpec(
+        identities=12, cameras=2, dim=2 * LIFT_BLOCK + 7, noise_sigma=0.3, seed=5,
+    ))
+    save_feature_table(table, data, "binary")
+    argv = ["run", "--input", data, "-o", tmp_path / "out", "--mode", "both", "--trials", 3]
+    assert nullmargin.cli.main([str(a) for a in argv]) == 0
+    # the trial pool and one lift per mode; a one-worker fill runs on the
+    # calling thread, so only a wider one makes a pool
+    assert widths == [cores] * (3 if cores == 1 else 4)
+
+
 def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch, tmp_path):
     counts, at_lift = [], []
     real_lift = nullmargin.evaluation._lift
@@ -652,7 +710,8 @@ def test_lift_runs_at_one_blas_thread(easy_table, monkeypatch, tmp_path):
 
     monkeypatch.setattr(nullmargin.evaluation, "blas_threads", recording_blas_threads)
     monkeypatch.setattr(nullmargin.evaluation, "_lift", spy_lift)
-    result = run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only", threads=2)
+    use_cores(monkeypatch, 2)
+    result = run_protocol(easy_table, SplitSpec(seed=2, trials=2), LoopConfig(), "labeled_only")
     result.final_span.save(easy_table.features, tmp_path / "model.nk3m")
     assert at_lift == [[1]]
 

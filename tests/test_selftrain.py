@@ -20,6 +20,8 @@ from nullmargin.mining import PseudoClass
 from nullmargin.nk3ml import model_checksum
 from nullmargin.selftrain import PSEUDO_LABEL_BASE, _select_pairs
 
+from conftest import use_cores
+
 
 def split_by_identity(table, labeled_count):
     labeled_rows = [r for r in range(table.n) if table.identities[r] < labeled_count]
@@ -131,11 +133,11 @@ def test_trace_jsonl_export(tmp_path, noisefree_12):
     }
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("cores", [1, 2])
+def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, cores):
     # Each trace.jsonl record names the model its round fitted, as hashed
     # here, in round order; every round is hashed on its loop's own thread,
-    # right after its fit. Two trials, so at --threads 2 two loops run at once.
+    # right after its fit. Two trials, so on 2 cores two loops run at once.
     table = generate_synthetic(SyntheticSpec(identities=24, cameras=3, dim=40, noise_sigma=0.3, seed=3))
     data = tmp_path / "t.ssml"
     save_feature_table(table, data, "binary")
@@ -158,14 +160,15 @@ def test_trace_checksums_are_each_rounds_inline_checksum(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(nullmargin.selftrain, "fit_nk3ml", recording_fit)
     monkeypatch.setattr(nullmargin.selftrain, "model_checksum", recording_checksum)
+    use_cores(monkeypatch, cores)
     out = tmp_path / "out"
     assert main(["run", "--input", str(data), "-o", str(out), "--mode", "semi_supervised",
-                 "--trials", "2", "--threads", str(threads), "--seed", "4"]) == 0
+                 "--trials", "2", "--seed", "4"]) == 0
     traced = [json.loads(line)["model_checksum"] for line in (out / "trace.jsonl").read_text().splitlines()]
     inline = [sums for _, sums in loops.values()]
     assert len(inline) == 2 and min(map(len, inline)) >= 2
     assert traced in inline
-    if threads == 1:
+    if cores == 1:
         assert traced == inline[-1]                  # the last trial's loop
     assert not unhashed
 
